@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from equiframes.designs import (

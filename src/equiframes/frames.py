@@ -5,6 +5,14 @@ norm R + 2 and distinct vectors meet in a unimodular inner product, so the
 coherence of the unit-normalized family is 1/(R + 2), the Welch bound for
 these dimensions.  Verification recomputes the full Gram matrix and frame
 operator from the entries; it never trusts the construction.
+
+Exact verification runs one kernel for real and complex frames.  Each row
+carries a single surd s_r in {1, sqrt2, sqrt3, sqrt6}, so the entries pack
+into integer planes X (phi(m), M, N) with row weights w_r = s_r^2, and the
+Gram is sum_{a,b} X_a^T diag(w) X_b zeta_m^(a-b) / 4^k: float64 products
+summed in cyclic slots (a - b) mod m, rounded, reduced modulo Phi_m, with
+no surd left.  The frame operator and |Gram|^2 are the same slot products.
+Past 2^52 in a slot sum, or on a row that mixes surds, it raises ValueError.
 """
 from __future__ import annotations
 
@@ -158,6 +166,17 @@ class FrameMatrix:
                 if not is_zero(x):
                     cols[j].append(r)
         return tuple(tuple(c) for c in cols)
+
+    @cached_property
+    def row_graded(self) -> RowGraded:
+        return _row_graded(self)
+
+    @cached_property
+    def exact_gram(self) -> np.ndarray:
+        """Gram at scale 4^k: (phi(m), N, N) power-basis coefficients."""
+        g = self.row_graded
+        return _cyclic_product([p.T for p in g.planes], g.planes * g.weights[:, None],
+                               self.order, np.matmul, g.gram_bound, "Gram")
 
     def to_complex_array(self) -> np.ndarray:
         cache: dict[int, complex] = {}
@@ -322,109 +341,127 @@ def gram_matrix(frame: FrameMatrix) -> list[list[ExtScalar]]:
 
 
 # ---------------------------------------------------------------------------
-# fast exact path for frames over Z[sqrt2, sqrt3] (real, no roots of unity)
+# exact kernel: row-graded integer planes, products in cyclic slots
+
+_SURD_WEIGHTS = (1, 2, 3, 6)  # squares of the ExtScalar surds 1, sqrt2, sqrt3, sqrt6
+_EXACT_LIMIT = 2 ** 52  # float64 holds every integer below 2^53
+_GUARD_NOTE = "float64 would round the sums, so the exact kernel refuses"
 
 
-def _real_components(frame: FrameMatrix) -> tuple[np.ndarray, int]:
-    """Integer coordinate arrays (4, M, N) of 2^k * entries, plus k.
+@dataclass(frozen=True)
+class RowGraded:
+    """Entry (r, j) is sqrt(weights[r]) * sum_a planes[a, r, j] zeta_m^a / 2^k.
 
-    Only valid when the frame order is 1 or 2, where each scalar component
-    is a plain integer and the (1, sqrt2, sqrt3, sqrt6) coordinates are
-    unique.
+    The bounds cap the slot sums of the Gram (sum_r w_r S_ri^2) and of the
+    frame operator (sum_j S_rj^2), S being an entry's absolute coefficient sum.
     """
-    if not frame.is_real_rational():
-        raise ValueError("frame has genuine root-of-unity entries")
-    comp_cache: dict[int, tuple[int, int, int, int, int]] = {}
 
-    def comps(x: ExtScalar) -> tuple[int, int, int, int, int]:
-        c = comp_cache.get(id(x))
-        if c is None:
-            c = comp_cache[id(x)] = (
-                x.a.coeffs[0], x.b.coeffs[0], x.c.coeffs[0], x.d.coeffs[0], x.k,
-            )
-        return c
+    planes: np.ndarray  # (phi(m), M, N) float64 holding integers
+    weights: np.ndarray  # (M,) int64, each one of _SURD_WEIGHTS
+    k: int
+    gram_bound: float
+    operator_bound: float
 
-    k_max = 0
-    for row in frame.entries:
-        for x in row:
-            k = comps(x)[4]
-            if k > k_max:
-                k_max = k
-    out = np.zeros((4, frame.dim, frame.count), dtype=np.int64)
+
+def _row_graded(frame: FrameMatrix) -> RowGraded:
+    """Pack a frame's entries; raise ValueError on a row that mixes surds."""
+    order = frame.order
+    index: dict[int, int] = {}
+    values: list[ExtScalar] = []
+    idx = np.empty((frame.dim, frame.count), dtype=np.int32)
     for r, row in enumerate(frame.entries):
-        for j, x in enumerate(row):
-            a, b, c, d, k = comps(x)
-            f = 1 << (k_max - k)
-            out[0, r, j] = a * f
-            out[1, r, j] = b * f
-            out[2, r, j] = c * f
-            out[3, r, j] = d * f
-    return out, k_max
+        ids = []
+        for x in row:
+            u = index.get(id(x))
+            if u is None:
+                u = index[id(x)] = len(values)
+                values.append(x)
+            ids.append(u)
+        idx[r] = ids
+
+    surd = np.full(len(values), -1)  # -1 zero, 4 more than one surd
+    parts = []
+    for u, x in enumerate(values):
+        x = x.promote(order)
+        nonzero = [s for s, c in enumerate((x.a, x.b, x.c, x.d)) if not c.is_zero()]
+        if nonzero:
+            surd[u] = nonzero[0] if len(nonzero) == 1 else 4
+            parts.append((u, (x.a, x.b, x.c, x.d)[nonzero[0]].coeffs, x.k))
+
+    row_surd = surd[idx]
+    hi = row_surd.max(axis=1, initial=-1)
+    lo = np.where(row_surd < 0, 4, row_surd).min(axis=1, initial=4)
+    mixed = (hi >= 0) & ((lo != hi) | (hi == 4))
+    if mixed.any():
+        raise ValueError(
+            f"row {int(mixed.argmax())} mixes surds: the exact kernel needs every "
+            "entry of a row to be one of 1, sqrt2, sqrt3, sqrt6 times a "
+            "cyclotomic integer over 2^k"
+        )
+
+    k = max((kx for _, _, kx in parts), default=0)
+    table = np.zeros((len(values), len(cyclotomic_poly(order)) - 1))
+    for u, coeffs, kx in parts:
+        scaled = [c << (k - kx) for c in coeffs]
+        if max(map(abs, scaled)) >= _EXACT_LIMIT:
+            raise ValueError(f"entry coefficients reach 2^52; {_GUARD_NOTE}")
+        table[u] = scaled
+    planes = table.T[:, idx]
+    weights = np.take(_SURD_WEIGHTS, np.maximum(hi, 0))
+    sq = np.abs(planes).sum(axis=0) ** 2
+    return RowGraded(planes, weights, k,
+                     float((weights @ sq).max(initial=0)),
+                     float(sq.sum(axis=1).max(initial=0)))
 
 
-def _exact_int_matmul(at: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a.T @ b in float64, exact because magnitudes stay far below 2^53."""
-    bound = at.shape[0] * max(1, int(np.abs(at).max())) * max(1, int(np.abs(b).max()))
-    assert bound < 2 ** 52, "entries too large for the float64 fast path"
-    prod = at.astype(np.float64).T @ b.astype(np.float64)
-    return np.rint(prod).astype(np.int64)
+def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.ndarray:
+    """Power-basis coefficients of sum_{a,b} mul(left[a], right[b]) zeta_m^(a-b).
 
-
-def _surd_product_components(x: np.ndarray, y: np.ndarray | None = None):
-    """Componentwise (x0..x3) * (y0..y3) under the surd multiplication table."""
-    if y is None:
-        y = x
-    p = {}
-    for i in range(4):
-        for j in range(4):
-            p[i, j] = x[i] * y[j]
-    g0 = p[0, 0] + 2 * p[1, 1] + 3 * p[2, 2] + 6 * p[3, 3]
-    g1 = p[0, 1] + p[1, 0] + 3 * (p[2, 3] + p[3, 2])
-    g2 = p[0, 2] + p[2, 0] + 2 * (p[1, 3] + p[3, 1])
-    g3 = p[0, 3] + p[3, 0] + p[1, 2] + p[2, 1]
-    return g0, g1, g2, g3
-
-
-def _real_gram_components(frame: FrameMatrix, rows: bool = False):
-    """(4, N, N) integer Gram of 2^k-scaled entries (or row Gram), plus k."""
-    comps, k = _real_components(frame)
-    mats = []
-    done: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(4):
-        for j in range(4):
-            if (j, i) in done:
-                done[(i, j)] = done[(j, i)].T
-                continue
-            if not comps[i].any() or not comps[j].any():
-                shape = (
-                    (frame.dim, frame.dim) if rows else (frame.count, frame.count)
-                )
-                done[(i, j)] = np.zeros(shape, dtype=np.int64)
-                continue
-            if rows:
-                done[(i, j)] = _exact_int_matmul(comps[i].T, comps[j].T)
+    Products accumulate per cyclic slot (a - b) mod m, in float64 for BLAS
+    matmuls or in int64; ``bound`` caps every partial sum, so below 2^52
+    both are exact and rounding recovers each float slot.  The slots are
+    then reduced modulo Phi_m.
+    """
+    if not bound < _EXACT_LIMIT:
+        raise ValueError(f"{what} slot sums may reach {bound:.4g} >= 2^52; {_GUARD_NOTE}")
+    slots: dict[int, np.ndarray] = {}
+    for a, x in enumerate(left):
+        for b, y in enumerate(right):
+            d = (a - b) % m
+            if d in slots:
+                slots[d] += mul(x, y)
             else:
-                done[(i, j)] = _exact_int_matmul(comps[i], comps[j])
-    g0 = done[0, 0] + 2 * done[1, 1] + 3 * done[2, 2] + 6 * done[3, 3]
-    g1 = done[0, 1] + done[1, 0] + 3 * (done[2, 3] + done[3, 2])
-    g2 = done[0, 2] + done[2, 0] + 2 * (done[1, 3] + done[3, 1])
-    g3 = done[0, 3] + done[3, 0] + done[1, 2] + done[2, 1]
-    return np.stack([g0, g1, g2, g3]), k
+                slots[d] = mul(x, y)
+    out = np.zeros((len(left), *slots[0].shape), dtype=np.int64)
+    while slots:
+        d, s = slots.popitem()
+        if s.dtype != np.int64:
+            s = np.rint(s, out=s).astype(np.int64)
+        for c, coef in enumerate(CycInt.root(m, d).coeffs):
+            if coef:
+                out[c] += s if coef == 1 else coef * s
+    return out
+
+
+def _rational(coeffs: np.ndarray, scale: int) -> Fraction | None:
+    """Value of power-basis coefficients over ``scale`` when it is rational."""
+    return None if coeffs[1:].any() else Fraction(int(coeffs[0]), scale)
 
 
 def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
-    """Sign matrix of a real frame's Gram, exact, with unimodular check.
+    """Sign matrix of a real frame's exact Gram (read from its cache).
 
-    Requires every off-diagonal Gram value to be a nonzero rational (no
-    surd part), which holds for real Steiner and Tremain frames.
+    Requires every off-diagonal Gram value to be nonzero, which holds for
+    real Steiner and Tremain frames.
     """
-    g, _ = _real_gram_components(frame)
-    off = ~np.eye(frame.count, dtype=bool)
-    if g[1][off].any() or g[2][off].any() or g[3][off].any():
-        raise ValueError("off-diagonal Gram values have surd parts")
-    if not g[0][off].all():
+    if not frame.is_real_rational():
+        raise ValueError("frame has genuine root-of-unity entries")
+    g = frame.exact_gram[0]
+    nonzero = g != 0
+    np.fill_diagonal(nonzero, True)
+    if not nonzero.all():
         raise ValueError("some off-diagonal Gram values vanish")
-    signs = np.sign(g[0]).astype(np.int8)
+    signs = np.sign(g).astype(np.int8)
     np.fill_diagonal(signs, 0)
     return signs
 
@@ -504,116 +541,52 @@ def _report(
     )
 
 
-def _verify_exact_general(frame: FrameMatrix) -> ETFReport:
-    g = gram_matrix(frame)
-    n, m = frame.count, frame.dim
+def _verify_exact(frame: FrameMatrix) -> ETFReport:
+    m, n = frame.dim, frame.count
+    welch_bound(m, n)  # reject degenerate shapes before any array work
+    g = frame.exact_gram
+    graded = frame.row_graded
+    scale = 1 << (2 * graded.k)
     witness = None
-    norm0 = g[0][0]
-    equal_norms = True
-    for i in range(1, n):
-        if g[i][i] != norm0:
-            equal_norms = False
-            witness = f"norms differ at columns 0 and {i}"
-            break
-    norm_frac = norm0.as_fraction()
 
-    is_equi = True
-    common: ExtScalar | None = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            sq = g[i][j].abs_sq()
-            if common is None:
-                common = sq
-            elif sq != common:
-                is_equi = False
-                witness = witness or f"|Gram| differs at pair (0,1) vs ({i},{j})"
-                break
-        if not is_equi:
-            break
-    gram_abs = common.as_fraction() if (is_equi and common is not None) else None
+    norm0 = g[:, 0, 0]
+    differs = (g[:, range(n), range(n)] != norm0[:, None]).any(axis=0)
+    equal_norms = not differs.any()
+    if not equal_norms:
+        witness = f"norms differ at columns 0 and {int(differs.argmax())}"
+    norm_frac = _rational(norm0, scale)
 
-    # frame operator: rows of the frame against each other
+    # |g|^2 = g * conj(g): the same slot products, elementwise in int64
+    sq = _cyclic_product(g, g, frame.order, np.multiply,
+                         sum(max(-int(p.min()), int(p.max())) for p in g) ** 2,
+                         "|Gram|^2")
+    pairs = np.triu((sq != sq[:, :1, 1:2]).any(axis=0), 1)
+    is_equi = not pairs.any()
+    gram_abs = None
+    if is_equi:
+        gram_abs = _rational(sq[:, 0, 1], scale * scale)
+    else:
+        i, j = np.unravel_index(pairs.argmax(), pairs.shape)
+        witness = witness or f"|Gram| differs at pair (0,1) vs ({i},{j})"
+
     is_tight = equal_norms
     if is_tight:
-        conj_cache: dict[int, ExtScalar] = {}
-
-        def conj(x: ExtScalar) -> ExtScalar:
-            c = conj_cache.get(id(x))
-            if c is None:
-                c = conj_cache[id(x)] = x.conjugate()
-            return c
-
-        target = ExtScalar.from_int(n, frame.order) * norm0
-        m_scalar = ExtScalar.from_int(m, frame.order)
-        zero = ExtScalar.from_int(0, frame.order)
-        for r in range(m):
-            for s in range(r, m):
-                total = zero
-                row_r, row_s = frame.entries[r], frame.entries[s]
-                for j in range(n):
-                    x = row_r[j]
-                    y = row_s[j]
-                    total = total + x * conj(y)
-                if r == s:
-                    if total * m_scalar != target:
-                        is_tight = False
-                        witness = witness or f"frame operator diagonal off at {r}"
-                        break
-                elif not total.is_zero():
-                    is_tight = False
-                    witness = witness or f"frame operator off-diagonal ({r},{s})"
-                    break
-            if not is_tight:
-                break
-
-    return _report(
-        frame, "exact", equal_norms, norm_frac, is_tight, is_equi, gram_abs,
-        witness=witness,
-    )
-
-
-def _verify_exact_real(frame: FrameMatrix) -> ETFReport:
-    g, k = _real_gram_components(frame)
-    n, m = frame.count, frame.dim
-    scale = 1 << (2 * k)
-    witness = None
-
-    diag = g[:, range(n), range(n)]
-    equal_norms = bool(
-        all((diag[c] == diag[c][0]).all() for c in range(4))
-    )
-    norm_frac = None
-    if equal_norms and diag[1][0] == 0 and diag[2][0] == 0 and diag[3][0] == 0:
-        norm_frac = Fraction(int(diag[0][0]), scale)
-    if not equal_norms:
-        witness = "norms differ"
-
-    off = ~np.eye(n, dtype=bool)
-    # |g|^2 = g * conj(g) = g^2 for real frames
-    s0, s1, s2, s3 = _surd_product_components(g)
-    is_equi = True
-    gram_abs = None
-    vals = [comp[off] for comp in (s0, s1, s2, s3)]
-    if any(v.size and v.min() != v.max() for v in vals):
-        is_equi = False
-        witness = witness or "|Gram|^2 not constant off the diagonal"
-    elif vals[1][0] == 0 and vals[2][0] == 0 and vals[3][0] == 0:
-        gram_abs = Fraction(int(vals[0][0]), scale * scale)
-
-    fo, _ = _real_gram_components(frame, rows=True)
-    offm = ~np.eye(m, dtype=bool)
-    is_tight = equal_norms and not any(fo[c][offm].any() for c in range(4))
-    if is_tight:
-        fdiag = fo[:, range(m), range(m)]
-        # M * (frame operator diagonal) == N * norm_sq, both at scale 4^k
-        for c in range(4):
-            if fdiag[c].min() != fdiag[c].max() or (
-                m * int(fdiag[c][0]) != n * int(diag[c][0])
-            ):
-                is_tight = False
-                break
-    if not is_tight and witness is None:
-        witness = "frame operator is not a multiple of the identity"
+        fo = _cyclic_product(graded.planes, [p.T for p in graded.planes], frame.order,
+                             np.matmul, graded.operator_bound, "frame operator")
+        # M * w_r * fo[r, r] == N * norm, compared in Python integers
+        target = [n * int(c) for c in norm0]
+        bad = fo.any(axis=0)
+        for r, (w, diag) in enumerate(zip(graded.weights.tolist(),
+                                          fo[:, range(m), range(m)].T.tolist())):
+            bad[r, r] = [m * w * c for c in diag] != target
+        bad = np.triu(bad)
+        if bad.any():
+            is_tight = False
+            r, s = np.unravel_index(bad.argmax(), bad.shape)
+            witness = witness or (
+                f"frame operator diagonal off at {r}" if r == s
+                else f"frame operator off-diagonal ({r},{s})"
+            )
 
     return _report(
         frame, "exact", equal_norms, norm_frac, is_tight, is_equi, gram_abs,
@@ -627,43 +600,53 @@ def _verify_float(frame: FrameMatrix, tol: float) -> ETFReport:
     g = a.conj().T @ a
     norms = g.diagonal().real
     norm_mean = norms.mean()
-    res_norms = float(np.abs(norms - norm_mean).max())
+    dev_norms = np.abs(norms - norm_mean)
+    res_norms = float(dev_norms.max())
     off = ~np.eye(n, dtype=bool)
-    mods = np.abs(g[off])
-    mod_mean = mods.mean()
-    res_equi = float(np.abs(mods - mod_mean).max())
+    mods = np.abs(g)
+    mod_mean = mods[off].mean()
+    dev_equi = np.where(off, np.abs(mods - mod_mean), 0)
+    res_equi = float(dev_equi.max())
     fo = a @ a.conj().T
     const = n * norm_mean / m
-    res_tight = float(np.abs(fo - const * np.eye(m)).max())
+    dev_tight = np.abs(fo - const * np.eye(m))
+    res_tight = float(dev_tight.max())
     max_res = max(res_norms, res_equi, res_tight)
     equal_norms = res_norms <= tol
     is_equi = res_equi <= tol
     is_tight = res_tight <= tol and equal_norms
+    witness = None
+    if not equal_norms:
+        witness = f"norm of column {int(dev_norms.argmax())} off the mean by {res_norms:.3g}"
+    elif not is_equi:
+        i, j = np.unravel_index(dev_equi.argmax(), dev_equi.shape)
+        witness = f"|Gram| at pair ({i},{j}) off the mean by {res_equi:.3g}"
+    elif not is_tight:
+        r, s = np.unravel_index(dev_tight.argmax(), dev_tight.shape)
+        witness = f"frame operator off a multiple of the identity at ({r},{s}) by {res_tight:.3g}"
     norm_frac = Fraction(round(norm_mean)) if abs(norm_mean - round(norm_mean)) < tol else None
     gram_sq = mod_mean * mod_mean
     gram_frac = None
     if gram_sq and abs(gram_sq - round(gram_sq)) < max(tol, 1e-8):
         gram_frac = Fraction(round(gram_sq))
-    report = _report(
+    return _report(
         frame, "float", equal_norms, norm_frac, is_tight, is_equi, gram_frac,
-        max_residual=max_res,
+        max_residual=max_res, witness=witness,
     )
-    return report
 
 
 def verify_etf(frame: FrameMatrix, mode: str = "exact", tol: float = 1e-10) -> ETFReport:
     """Certify equal norms, tightness, and equiangularity of a frame.
 
-    Exact mode recomputes the full Gram matrix and frame operator in exact
-    arithmetic; float mode does the same numerically under ``tol``.
+    Exact mode computes the Gram matrix (cached on the frame) and the frame
+    operator from the entries with the exact kernel; float mode does the
+    same numerically under ``tol``.
     """
     if mode == "float":
         return _verify_float(frame, tol)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if frame.is_real_rational():
-        return _verify_exact_real(frame)
-    return _verify_exact_general(frame)
+    return _verify_exact(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +676,14 @@ def store_frame_exact(path: str | Path, frame: FrameMatrix) -> None:
 
 def load_frame_exact(path: str | Path) -> FrameMatrix:
     raw = [ln for ln in Path(path).read_text().split("\n") if ln.strip()]
+    if len(raw) < 2:
+        raise ValueError(f"{path}: missing frame header or band line")
     head = raw[0].split()
     if len(head) != 3:
         raise ValueError(f"{path}: bad frame header {raw[0]!r}")
     m, n, order = map(int, head)
+    if m < 1 or n < 1 or order < 1:
+        raise ValueError(f"{path}: M, N and the order must be positive, got {raw[0]!r}")
     band_line = raw[1].split()
     if band_line[0] != "bands" or len(band_line) != 4:
         raise ValueError(f"{path}: bad band line {raw[1]!r}")

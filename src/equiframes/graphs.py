@@ -19,12 +19,11 @@ import numpy as np
 from equiframes.frames import (
     FrameMatrix,
     TremainProvenance,
-    gram_matrix,
     real_gram_signs,
     verify_etf,
     welch_bound,
 )
-from equiframes.scalar import ExtScalar
+from equiframes.scalar import CycInt, ExtScalar
 
 
 class CertificationError(RuntimeError):
@@ -539,32 +538,25 @@ class CoverResult:
 
 def _gram_root_exponents(frame: FrameMatrix, p: int) -> list[list[int]]:
     """Exponent e with Gram(i,j) = zeta_p^e for every off-diagonal pair."""
-    n = frame.count
-    out = [[0] * n for _ in range(n)]
-    if frame.is_real_rational():
+    m = frame.order
+    if m % p:
         if p != 2:
-            raise ValueError(f"real Gram values are not {p}-th roots of unity")
-        signs = real_gram_signs(frame)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    out[i][j] = 0 if signs[i, j] > 0 else 1
-        return out
-    g = gram_matrix(frame)
-    roots = [ExtScalar.root(p, e) for e in range(p)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = g[i][j]
-            for e in range(p):
-                if val == roots[e]:
-                    out[i][j] = e
-                    out[j][i] = (-e) % p
-                    break
-            else:
-                raise ValueError(
-                    f"Gram entry at ({i},{j}) is not a {p}-th root of unity"
-                )
-    return out
+            raise ValueError(f"order-{m} Gram values are not {p}-th roots of unity")
+        roots = [CycInt.from_int(1, m), CycInt.from_int(-1, m)]
+    else:
+        roots = [CycInt.root(m, e * (m // p)) for e in range(p)]
+    g = frame.exact_gram
+    scale = 1 << (2 * frame.row_graded.k)
+    exps = np.full(g.shape[1:], -1, dtype=np.int64)
+    for e, root in enumerate(roots):
+        target = np.array(root.coeffs, dtype=np.int64)[:, None, None] * scale
+        exps[(g == target).all(axis=0)] = e
+    np.fill_diagonal(exps, 0)
+    missing = np.triu(exps < 0, 1)
+    if missing.any():
+        i, j = np.unravel_index(missing.argmax(), missing.shape)
+        raise ValueError(f"Gram entry at ({i},{j}) is not a {p}-th root of unity")
+    return exps.tolist()
 
 
 def drackn_cover(frame: FrameMatrix, p: int, check: bool = True) -> CoverResult:
@@ -628,14 +620,21 @@ def _graph6_parse(data: bytes) -> Graph:
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[10:]
+    if not data or any(ch < 63 or ch > 126 for ch in data):
+        raise ValueError("graph6 data is empty or has bytes outside 63..126")
     if data[0] == 126:
-        if data[1] == 126:
+        if data[1:2] == b"~":
             raise ValueError("graph6 long-long size not supported")
+        if len(data) < 4:
+            raise ValueError("graph6 size header is truncated")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         body = data[4:]
     else:
         n = data[0] - 63
         body = data[1:]
+    need = -(-n * (n - 1) // 12)  # ceil(n(n-1)/2 bits / 6 bits per byte)
+    if len(body) != need:
+        raise ValueError(f"graph6 body has {len(body)} bytes, {n} vertices need {need}")
     bits = []
     for ch in body:
         w = ch - 63
@@ -674,27 +673,33 @@ def export_graph(
 def load_graph(path: str | Path) -> tuple[Graph, FiberPartition | None]:
     """Inverse of export_graph; detects the format from the content."""
     data = Path(path).read_bytes()
-    if not data.lstrip().startswith(b"n "):
-        return _graph6_parse(data), None
-    lines = [ln for ln in data.decode().split("\n") if ln.strip()]
-    order = int(lines[0].split()[1])
+    try:
+        if not data.lstrip().startswith(b"n "):
+            return _graph6_parse(data), None
+        return _edge_list_parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _edge_list_parse(data: bytes) -> tuple[Graph, FiberPartition | None]:
+    lines = [ln.split() for ln in data.decode().split("\n") if ln.strip()]
+    if len(lines[0]) != 2:
+        raise ValueError(f"bad header {' '.join(lines[0])!r}")
+    order = int(lines[0][1])
     fiber_size = None
     edge_lines = lines[1:]
-    if edge_lines and edge_lines[0].startswith("p "):
-        fiber_size = int(edge_lines[0].split()[1])
+    if edge_lines and edge_lines[0][0] == "p" and len(edge_lines[0]) == 2:
+        fiber_size = int(edge_lines[0][1])
         edge_lines = edge_lines[1:]
     edges = []
-    for ln in edge_lines:
-        u, v = map(int, ln.split())
+    for toks in edge_lines:
+        u, v = map(int, toks)
+        if not (0 <= u < order and 0 <= v < order):
+            raise ValueError(f"edge ({u},{v}) leaves the vertex range [0,{order})")
         edges.append((u, v))
-    g = Graph.from_edges(order, edges)
     fibers = None
     if fiber_size:
-        n_f = order // fiber_size
-        fibers = FiberPartition(
-            tuple(
-                tuple(i * fiber_size + a for a in range(fiber_size))
-                for i in range(n_f)
-            )
-        )
-    return g, fibers
+        fibers = FiberPartition(tuple(
+            tuple(range(i, i + fiber_size)) for i in range(0, order, fiber_size)
+        ))
+    return Graph.from_edges(order, edges), fibers

@@ -219,6 +219,8 @@ def load_butson(path: str | Path) -> ButsonMatrix:
     if len(head) != 2:
         raise ValueError(f"{path}: bad header {raw[0]!r}")
     n, q = int(head[0]), int(head[1])
+    if n < 1 or q < 1:
+        raise ValueError(f"{path}: order and root order must be positive, got {n} {q}")
     if len(raw) != n + 1:
         raise ValueError(f"{path}: expected {n} rows, found {len(raw) - 1}")
     rows = []

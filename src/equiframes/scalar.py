@@ -25,7 +25,8 @@ def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 def _poly_divmod_exact(n: list[int], d: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials; d must be monic."""
-    assert d[-1] == 1
+    if d[-1] != 1:
+        raise ValueError(f"divisor {d} is not monic")
     n = list(n)
     q = [0] * max(1, len(n) - len(d) + 1)
     for i in range(len(n) - 1, len(d) - 2, -1):
@@ -50,7 +51,8 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     for d in range(1, m):
         if m % d == 0:
             q, r = _poly_divmod_exact(poly, cyclotomic_poly(d))
-            assert not any(r), f"non-exact cyclotomic division at m={m}, d={d}"
+            if any(r):
+                raise ValueError(f"non-exact cyclotomic division at m={m}, d={d}")
             while len(q) > 1 and q[-1] == 0:
                 q.pop()
             poly = q
@@ -173,7 +175,8 @@ class CycInt:
 @lru_cache(maxsize=None)
 def _surd_embeddings(order: int) -> tuple[CycInt, CycInt, CycInt]:
     """sqrt2, sqrt3, sqrt6 as cyclotomic integers at an order divisible by 24."""
-    assert order % 24 == 0
+    if order % 24:
+        raise ValueError(f"surd embeddings need an order divisible by 24, got {order}")
     s2 = CycInt.root(order, order // 8) + CycInt.root(order, 7 * order // 8)
     s3 = CycInt.root(order, order // 12) + CycInt.root(order, 11 * order // 12)
     return s2, s3, s2 * s3
@@ -348,8 +351,10 @@ class ExtScalar:
     def as_fraction(self) -> Fraction | None:
         """Exact rational value, or None when the value has a surd or root part.
 
-        Componentwise test only; sound at the unramified orders this package
-        builds with (m not divisible by 8 or 12).
+        Componentwise test only.  At orders divisible by 8 or 12 a surd can
+        also be written with roots of unity, so a rational value stored that
+        way reads as None; the exact frame kernel never meets this, because
+        its Gram values carry no surd components.
         """
         if not self.is_rational():
             return None

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -219,3 +220,23 @@ def test_determinism_byte_identical(tmp_path, capsys):
         assert main(["--out", str(out), "make", "etf", "tremain", "--V", "7"]) == 0
         capsys.readouterr()
     assert (out1 / "tremain_v7.etf").read_bytes() == (out2 / "tremain_v7.etf").read_bytes()
+
+
+DEGENERATE_FILES = [
+    (load_butson, "order0.txt", "0 2\n"),
+    (load_frame_exact, "empty.etf", "0 0 1\nbands 0 0 0\n"),
+    (load_frame_exact, "order0.etf", "1 2 0\nbands 1 0 0\n(1|0|0|0|0) (1|0|0|0|0)\n"),
+    (load_graph, "empty.g6", ""),
+    (load_graph, "truncated.g6", "D\n"),
+    (load_graph, "header.edges", "n \n"),
+    (load_graph, "range.edges", "n 3\n0 5\n"),
+]
+
+
+@pytest.mark.parametrize("loader, name, text", DEGENERATE_FILES,
+                         ids=[name for _, name, _ in DEGENERATE_FILES])
+def test_loader_rejects_degenerate_file_naming_it(tmp_path, loader, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        loader(path)

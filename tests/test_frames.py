@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiframes.designs import find_parallel_class, make_sts, standard_embedding
 from equiframes.frames import (
@@ -23,7 +26,7 @@ from equiframes.frames import (
     welch_bound,
 )
 from equiframes.hadamard import fourier, kronecker, normalize, real_hadamard, sylvester
-from equiframes.scalar import ExtScalar
+from equiframes.scalar import CycInt, ExtScalar
 
 
 def build_tremain(v=None, h=None, parallel=False, rows=None):
@@ -156,24 +159,97 @@ def test_tremain_complex_v7():
     assert rep.is_etf and rep.norm_sq == 5 and rep.meets_welch
 
 
-def test_exact_real_path_matches_general_path():
-    """Full component-level agreement of the two independent Gram routes."""
-    from equiframes.frames import _real_gram_components
-    from equiframes.scalar import CycInt
+def _kernel_cases():
+    from equiframes.pipelines import build_tremain as pipeline_build
 
-    for f in (build_tremain(h=2), build_tremain(v=7)):
-        g = gram_matrix(f)
-        comps, k = _real_gram_components(f)
+    yield "h=2", build_tremain(h=2)
+    yield "h=8", build_tremain(h=8)
+    yield "V=7", build_tremain(v=7)
+    yield "V=9", pipeline_build(v=9)
+    yield "V=13", pipeline_build(v=13)
+    yield "V=7 rows (1,3)", pipeline_build(v=7, row1=1, row2=3)
+    yield "V=9 rows (0,5)", pipeline_build(v=9, row1=0, row2=5)
+    yield "V=15 fourier(8)", pipeline_build(v=15, h1=fourier(8))
+
+
+def test_kernel_gram_matches_extscalar_oracle():
+    """The array kernel equals the ExtScalar Gram entry for entry."""
+    orders = set()
+    for name, f in _kernel_cases():
+        g = f.exact_gram
+        k2 = 2 * f.row_graded.k
+        ref = gram_matrix(f)
         for i in range(f.count):
             for j in range(f.count):
-                rebuilt = ExtScalar(
-                    CycInt.from_int(int(comps[0][i, j]), f.order),
-                    CycInt.from_int(int(comps[1][i, j]), f.order),
-                    CycInt.from_int(int(comps[2][i, j]), f.order),
-                    CycInt.from_int(int(comps[3][i, j]), f.order),
-                    2 * k,
-                )
-                assert rebuilt == g[i][j], f"Gram mismatch at ({i},{j})"
+                got = ExtScalar.from_cyc(CycInt(f.order, g[:, i, j].tolist()), k2)
+                assert got == ref[i][j], f"{name}: Gram mismatch at ({i},{j})"
+        orders.add(f.order)
+    assert orders == {2, 8, 10, 14}
+
+
+def test_gram_is_computed_once_per_frame():
+    f = build_tremain(h=2)
+    assert verify_etf(f).is_etf
+    assert real_gram_signs(f).shape == (10, 10)
+    assert f.exact_gram is f.exact_gram
+
+
+def test_mixed_surd_row_is_rejected():
+    f = build_tremain(v=7)
+    rows = [list(r) for r in f.entries]
+    rows[0][0] = ExtScalar.sqrt2(order=f.order)  # block rows carry weight 1
+    mixed = FrameMatrix(tuple(tuple(r) for r in rows), f.order,
+                        f.block_rows, f.point_rows, f.extra_rows)
+    with pytest.raises(ValueError, match="row 0 mixes surds"):
+        verify_etf(mixed)
+
+
+@pytest.mark.parametrize("coeff, raises", [(1 << 10, False), (1 << 27, True)])
+def test_exactness_guard_raises_on_loaded_frame(tmp_path, coeff, raises):
+    path = tmp_path / "frame.etf"
+    store_frame_exact(path, build_tremain(h=2))
+    text = path.read_text()
+    assert "(1|0|0|0|0)" in text
+    path.write_text(text.replace("(1|0|0|0|0)", f"({coeff}|0|0|0|0)", 1))
+    frame = load_frame_exact(path)
+    if raises:
+        with pytest.raises(ValueError, match="2\\^52"):
+            verify_etf(frame)
+    else:
+        assert not verify_etf(frame).is_etf
+
+
+@lru_cache(maxsize=None)
+def _perturbation_base(which):
+    from equiframes.pipelines import build_tremain as pipeline_build
+
+    if which == "h=2":
+        f = build_tremain(h=2)
+    elif which == "V=7 fourier":
+        f = pipeline_build(v=7, h1=fourier(4), h2=fourier(8))
+    else:
+        f = pipeline_build(v=9)
+    nonzero = [(r, j) for j, rows in enumerate(f.column_supports) for r in rows]
+    return f, nonzero
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.sampled_from(["h=2", "V=7 fourier", "V=9"]),
+    pick=st.integers(min_value=0),
+    negate=st.booleans(),
+)
+def test_one_perturbed_entry_fails_both_modes(which, pick, negate):
+    f, nonzero = _perturbation_base(which)
+    r, j = nonzero[pick % len(nonzero)]
+    rows = [list(row) for row in f.entries]
+    rows[r][j] = -rows[r][j] if negate else ExtScalar.from_int(0, f.order)
+    broken = FrameMatrix(tuple(tuple(row) for row in rows), f.order,
+                         f.block_rows, f.point_rows, f.extra_rows)
+    for mode in ("exact", "float"):
+        rep = verify_etf(broken, mode=mode)
+        assert not rep.is_etf, (mode, r, j)
+        assert rep.witness, (mode, r, j)
 
 
 def test_verifier_flags_broken_frame():

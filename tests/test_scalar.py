@@ -178,3 +178,12 @@ def test_abs_sq_of_root_is_one():
         for e in range(order):
             z = ExtScalar.root(order, e)
             assert z.abs_sq() == ExtScalar.from_int(1, order)
+
+
+def test_exactness_guards_raise_instead_of_asserting():
+    from equiframes.scalar import _poly_divmod_exact, _surd_embeddings
+
+    with pytest.raises(ValueError, match="not monic"):
+        _poly_divmod_exact([1, 0, 1], (1, 2))
+    with pytest.raises(ValueError, match="divisible by 24"):
+        _surd_embeddings(12)
