@@ -223,11 +223,11 @@ def cmd_derive_srg(args) -> int:
     if args.h is None:
         raise ConfigError("srg derivation needs --h")
     if args.kind == "waldron":
-        frame, res = waldron_pipeline(args.h, threads=args.threads)
+        frame, res = waldron_pipeline(args.h)
         formula = srg_params_waldron(frame.dim, frame.count)
         name = f"srg_waldron_h{args.h}"
     else:
-        frame, _, res = gs_pipeline(args.h, threads=args.threads)
+        frame, _, res = gs_pipeline(args.h)
         formula = srg_params_gs(frame.dim, frame.count)
         name = f"srg_gs_h{args.h}"
     if res.params != formula:
@@ -288,7 +288,7 @@ def cmd_tables(args) -> int:
             formula = srg_params_waldron(m, n)
             status = "formula-only"
             if _predicted_seconds(n - 1) <= budget:
-                _, res = waldron_pipeline(h, threads=args.threads)
+                _, res = waldron_pipeline(h)
                 if res.params != formula:
                     raise CertificationError(
                         f"h={h}: counted {res.params.as_tuple()} != "
@@ -303,7 +303,7 @@ def cmd_tables(args) -> int:
             formula = srg_params_gs(m, n)
             status = "formula-only"
             if _predicted_seconds(n) <= budget:
-                _, _, res = gs_pipeline(h, threads=args.threads)
+                _, _, res = gs_pipeline(h)
                 if res.params != formula:
                     raise CertificationError(
                         f"h={h}: counted {res.params.as_tuple()} != "
@@ -369,8 +369,6 @@ def _add_globals(parser: argparse.ArgumentParser, leaf: bool) -> None:
     parser.add_argument("--mode", choices=("exact", "float"), default=dflt("exact"))
     parser.add_argument("--tol", type=float, default=dflt(1e-10))
     parser.add_argument("--seed", type=int, default=dflt(0))
-    parser.add_argument("--threads", type=int, default=dflt(1),
-                        help="worker processes for certification kernels")
 
 
 def build_parser() -> _Parser:

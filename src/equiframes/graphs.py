@@ -1,14 +1,16 @@
 """Strongly regular graphs and antipodal covers derived from real frames.
 
-Certification is pure counting over packed bitset rows: constant degree,
-constant common-neighbor counts over adjacent and non-adjacent pairs for
-strongly regular graphs; fiber matchings and non-adjacent common-neighbor
-counts for covers of the complete graph.  The certifiers never read the
-closed-form parameters they are compared against.
+A graph is a read-only boolean adjacency matrix.  Certification is pure
+counting: degrees are row sums and common-neighbor counts are the entries
+of A·A, computed in float32 row tiles (exact, since every count is below
+2^24).  Strongly regular graphs need constant degree and constant counts
+over adjacent and non-adjacent pairs; covers of the complete graph need
+fiber matchings, read off A·F for the fiber indicator F, and a constant
+count over non-adjacent pairs in distinct fibers.  The certifiers never
+read the closed-form parameters they are compared against.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -25,77 +27,80 @@ from equiframes.frames import (
 )
 from equiframes.scalar import CycInt, ExtScalar
 
+_TILE = 256  # rows of A·A held at once
+
 
 class CertificationError(RuntimeError):
     """A constructed object failed its exhaustive certification."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    order: int
-    rows: tuple[int, ...]  # bitset adjacency rows, symmetric, zero diagonal
+    adj: np.ndarray  # n x n bool, symmetric, zero diagonal, read-only
 
     def __post_init__(self) -> None:
-        n = self.order
-        if len(self.rows) != n:
-            raise ValueError("row count does not match order")
-        for i, r in enumerate(self.rows):
-            if r >> n:
-                raise ValueError(f"row {i} has bits beyond the vertex range")
-            if (r >> i) & 1:
-                raise ValueError(f"loop at vertex {i}")
+        adj = np.array(self.adj, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adjacency of shape {adj.shape} is not square")
+        loops = np.flatnonzero(adj.diagonal())
+        if loops.size:
+            raise ValueError(f"loop at vertex {loops[0]}")
+        asym = adj != adj.T
+        if asym.any():  # symmetric mask: its first entry lies above the diagonal
+            i, j = np.unravel_index(asym.argmax(), asym.shape)
+            raise ValueError(f"adjacency is not symmetric at pair ({i},{j})")
+        adj.flags.writeable = False
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, order: int, edges) -> Graph:
-        rows = [0] * order
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(order, tuple(rows))
+        e = np.array([(u, v) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+        out = (e < 0) | (e >= order)
+        if out.any():
+            u, v = e[out.any(axis=1).argmax()]
+            raise ValueError(f"edge ({u},{v}) leaves the vertex range [0,{order})")
+        loops = e[:, 0] == e[:, 1]
+        if loops.any():
+            raise ValueError(f"loop at {e[loops.argmax(), 0]}")
+        adj = np.zeros((order, order), dtype=bool)
+        adj[e[:, 0], e[:, 1]] = True
+        adj[e[:, 1], e[:, 0]] = True
+        return cls(adj)
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> Graph:
-        n = adj.shape[0]
-        packed = np.packbits(adj.astype(np.uint8), axis=1, bitorder="little")
-        rows = tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(n))
-        return cls(n, rows)
+        return cls(adj)
+
+    @property
+    def order(self) -> int:
+        return self.adj.shape[0]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
+        return bool(self.adj[u, v])
 
     def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
+        return int(self.adj[u].sum())
 
     @property
     def num_edges(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return int(self.adj.sum()) // 2
 
     def with_edge_flipped(self, u: int, v: int) -> Graph:
         if u == v:
             raise ValueError("cannot flip a loop")
-        rows = list(self.rows)
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        return Graph(self.order, tuple(rows))
+        adj = self.adj.copy()
+        adj[u, v] = adj[v, u] = not adj[u, v]
+        return Graph(adj)
 
     def complement(self) -> Graph:
-        full = (1 << self.order) - 1
-        return Graph(
-            self.order,
-            tuple((full ^ r) & ~(1 << i) for i, r in enumerate(self.rows)),
-        )
+        adj = ~self.adj
+        np.fill_diagonal(adj, False)
+        return Graph(adj)
 
     def edges(self):
-        for u in range(self.order):
-            r = self.rows[u] >> (u + 1)
-            v = u + 1
-            while r:
-                if r & 1:
-                    yield (u, v)
-                r >>= 1
-                v += 1
+        """Edges (u, v), u < v, in lexicographic order."""
+        us, vs = np.nonzero(np.triu(self.adj, 1))
+        return zip(us.tolist(), vs.tolist())
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,13 @@ class SRGParams:
     def as_tuple(self) -> tuple:
         return (self.v, self.k, self.lam, self.mu)
 
+    def complement(self) -> SRGParams:
+        """Parameters of the complement graph."""
+        if self.mu is None:
+            raise ValueError("a complete graph has no complement parameters")
+        v, k = self.v, self.k
+        return SRGParams(v, v - k - 1, v - 2 - 2 * k + self.mu, v - 2 * k + self.lam)
+
 
 @dataclass(frozen=True)
 class SRGCertificate:
@@ -128,97 +140,62 @@ class SRGCertificate:
         }
 
 
-def _srg_scan_rows(rows, start, stop, order):
-    """Scan pairs (i, j) with start <= i < stop, j > i, in lexicographic order.
+def _scan_pair_counts(adj: np.ndarray, kinds, n_kinds: int):
+    """Check common-neighbor counts against the first count of each kind.
 
-    Returns ((lam, lam_pair), (mu, mu_pair), witness): the first count and
-    pair seen of each kind plus the first pair whose count deviates from the
-    first value of its kind (or None).  A chunk reporting no witness is
-    internally constant, so on merge the first pair of a later chunk that
-    disagrees with the global reference is the first violation it contains.
+    Walks the pairs (i, j), i < j, in lexicographic order, one tile of rows
+    of A·A at a time.  kinds(s, e) gives the kind (0 = unchecked, else
+    1..n_kinds) of the pairs in rows s:e and columns s:.  Returns (ref,
+    witness): ref[t] is the count at the first pair of kind t (None if no
+    pair has it; ref[0] is always None) and witness is (i, j, count, kind)
+    at the first pair whose count differs from ref[kind], or None.
     """
-    byte_len = (order + 7) // 8
-    lam = mu = None
-    lam_pair = mu_pair = None
-    for i in range(start, stop):
-        ri = rows[i]
-        bi = ri.to_bytes(byte_len, "little")
-        for j in range(i + 1, order):
-            c = (ri & rows[j]).bit_count()
-            if (bi[j >> 3] >> (j & 7)) & 1:
-                if lam is None:
-                    lam, lam_pair = c, (i, j)
-                elif c != lam:
-                    return (lam, lam_pair), (mu, mu_pair), (i, j, c, "adjacent")
-            else:
-                if mu is None:
-                    mu, mu_pair = c, (i, j)
-                elif c != mu:
-                    return (lam, lam_pair), (mu, mu_pair), (i, j, c, "non-adjacent")
-    return (lam, lam_pair), (mu, mu_pair), None
+    n = adj.shape[0]
+    if n - 2 >= 2**24:
+        raise ValueError(f"{n} vertices: float32 common-neighbor counts not exact")
+    a = adj.astype(np.float32)
+    ref: list[int | None] = [None] * (n_kinds + 1)
+    for s in range(0, n, _TILE):
+        e = min(s + _TILE, n)
+        counts = a[s:e] @ a[:, s:]
+        upper = np.arange(s, n) > np.arange(s, e)[:, None]
+        kind = np.where(upper, kinds(s, e), 0)
+        for t in range(1, n_kinds + 1):
+            if ref[t] is None:
+                first = kind == t
+                if first.any():
+                    ref[t] = int(counts.flat[first.argmax()])
+        want = np.array([-1 if r is None else r for r in ref], np.float32)
+        bad = (kind > 0) & (counts != want[kind])
+        if bad.any():
+            r, c = np.unravel_index(bad.argmax(), bad.shape)
+            return ref, (s + int(r), s + int(c), int(counts[r, c]), int(kind[r, c]))
+    return ref, None
 
 
-_POOL_GRAPH: Graph | None = None
-
-
-def _pool_init(graph: Graph) -> None:
-    global _POOL_GRAPH
-    _POOL_GRAPH = graph
-
-
-def _pool_scan(args):
-    start, stop = args
-    g = _POOL_GRAPH
-    return _srg_scan_rows(g.rows, start, stop, g.order)
-
-
-def srg_check(g: Graph, threads: int = 1) -> SRGCertificate:
+def srg_check(g: Graph) -> SRGCertificate:
     """Exhaustively count degrees and common neighbors; no formulas trusted."""
     n = g.order
     if n == 0:
         return SRGCertificate(False, None, "empty graph")
-    k = g.degree(0)
-    for i in range(1, n):
-        d = g.degree(i)
-        if d != k:
-            return SRGCertificate(
-                False, None, f"degree {d} at vertex {i} differs from {k} at vertex 0"
-            )
-
-    if threads > 1 and n >= 256:
-        chunk = max(1, -(-n // (4 * threads)))
-        spans = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-        with ProcessPoolExecutor(
-            max_workers=threads, initializer=_pool_init, initargs=(g,)
-        ) as pool:
-            results = list(pool.map(_pool_scan, spans))
-        lam = mu = None
-        witness = None
-        for (lv, lp), (mv, mp), w in results:
-            if lv is not None:
-                if lam is None:
-                    lam = lv
-                elif lv != lam:
-                    witness = (*lp, lv, "adjacent")
-                    break
-            if mv is not None:
-                if mu is None:
-                    mu = mv
-                elif mv != mu:
-                    witness = (*mp, mv, "non-adjacent")
-                    break
-            if w is not None:
-                witness = w
-                break
-    else:
-        (lam, _), (mu, _), witness = _srg_scan_rows(g.rows, 0, n, n)
-
+    deg = g.adj.sum(axis=1)
+    irregular = np.flatnonzero(deg != deg[0])
+    if irregular.size:
+        i = irregular[0]
+        witness = f"degree {deg[i]} at vertex {i} differs from {deg[0]} at vertex 0"
+        return SRGCertificate(False, None, witness)
+    # kind 1: adjacent pair, kind 2: non-adjacent pair
+    (_, lam, mu), witness = _scan_pair_counts(
+        g.adj, lambda s, e: np.where(g.adj[s:e, s:], np.int8(1), np.int8(2)), 2
+    )
     if witness is not None:
         i, j, c, kind = witness
+        name = "adjacent" if kind == 1 else "non-adjacent"
         return SRGCertificate(
-            False, None, f"{kind} pair ({i},{j}) has {c} common neighbors"
+            False, None, f"{name} pair ({i},{j}) has {c} common neighbors"
         )
-    return SRGCertificate(True, SRGParams(n, k, lam if lam is not None else 0, mu))
+    lam = lam if lam is not None else 0
+    return SRGCertificate(True, SRGParams(n, int(deg[0]), lam, mu))
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -280,46 +257,37 @@ class SRGResult:
         }
 
 
-def _certify_sign_graph(
-    signs: np.ndarray,
-    expected: SRGParams,
-    threads: int,
-    what: str,
-) -> SRGResult:
-    """Build the sign graph, certify by counting, else certify the complement."""
-    n = signs.shape[0]
-    for convention, target in (("negative-adjacent", -1), ("positive-adjacent", 1)):
-        adj = signs == target
-        np.fill_diagonal(adj, False)
-        g = Graph.from_adjacency(adj)
-        cert = srg_check(g, threads=threads)
-        if cert.ok and cert.params == expected:
-            return SRGResult(g, cert.params, convention)
+def _certify_sign_graph(signs: np.ndarray, expected: SRGParams, what: str) -> SRGResult:
+    """Count the negative sign graph once; its complement is the positive one."""
+    g = Graph.from_adjacency((signs == -1) & ~np.eye(len(signs), dtype=bool))
+    cert = srg_check(g)
+    if cert.ok and cert.params == expected:
+        return SRGResult(g, cert.params, "negative-adjacent")
+    if cert.ok and cert.params.mu is not None and cert.params.complement() == expected:
+        return SRGResult(g.complement(), cert.params.complement(), "positive-adjacent")
     raise CertificationError(
         f"{what}: counted parameters match {expected.as_tuple()} under neither "
         "sign convention"
     )
 
 
-def waldron_srg(frame: FrameMatrix, threads: int = 1) -> SRGResult:
+def waldron_srg(frame: FrameMatrix) -> SRGResult:
     """Switch the Gram sign pattern against the last vector, drop it, certify.
 
     The graph lives on the first N-1 vectors with adjacency read off the
-    switched signs; if counting contradicts the closed form, the complement
-    convention is tried and the choice recorded.
+    switched signs; if the count matches the closed form only after
+    complementing, the complement is returned and the convention recorded.
     """
     rep = verify_etf(frame)
     if not rep.is_etf:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
-    signs = real_gram_signs(frame).astype(np.int64)
+    signs = real_gram_signs(frame)
     n = frame.count
     eps = signs[:, n - 1].copy()
     eps[n - 1] = 1
     switched = signs * np.outer(eps, eps)
     expected = srg_params_waldron(frame.dim, frame.count)
-    return _certify_sign_graph(
-        switched[: n - 1, : n - 1], expected, threads, "waldron graph"
-    )
+    return _certify_sign_graph(switched[: n - 1, : n - 1], expected, "waldron graph")
 
 
 @dataclass(frozen=True)
@@ -379,16 +347,16 @@ def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
     return FlatFunctional(x, 3)
 
 
-def gs_srg(frame: FrameMatrix, functional: FlatFunctional, threads: int = 1) -> SRGResult:
+def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
     """Graph on all N vectors from the Gram sign pattern fixed by the functional."""
     rep = verify_etf(frame)
     if not rep.is_etf:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
     if len(functional.scaled_entries) != frame.dim:
         raise ValueError("functional dimension does not match the frame")
-    signs = real_gram_signs(frame).astype(np.int64)
+    signs = real_gram_signs(frame)
     expected = srg_params_gs(frame.dim, frame.count)
-    return _certify_sign_graph(signs, expected, threads, "flat-functional graph")
+    return _certify_sign_graph(signs, expected, "flat-functional graph")
 
 
 # ---------------------------------------------------------------------------
@@ -442,57 +410,42 @@ def drackn_check(g: Graph, fibers: FiberPartition) -> DracknCertificate:
     if g.order != n_fibers * r:
         return DracknCertificate(False, None, "fibers do not cover the graph")
 
-    masks = []
-    for f in fibers.fibers:
-        m = 0
-        for v in f:
-            m |= 1 << v
-        masks.append(m)
+    # members[f, t] is the t-th vertex v of fiber f; hits[f, t, f2] = (A·F)[v, f2]
+    members = np.array(fibers.fibers)
+    fiber_of = np.empty(g.order, dtype=np.int64)
+    fiber_of[members] = np.arange(n_fibers)[:, None]
+    hits = g.adj[members][:, :, members].sum(axis=3)
 
-    for fi, mask in enumerate(masks):
-        for v in fibers.fibers[fi]:
-            if g.rows[v] & mask:
-                return DracknCertificate(
-                    False, None, f"edge inside fiber {fi} at vertex {v}"
-                )
-    for fi in range(n_fibers):
-        for fj in range(n_fibers):
-            if fi == fj:
-                continue
-            for v in fibers.fibers[fi]:
-                hits = (g.rows[v] & masks[fj]).bit_count()
-                if hits != 1:
-                    return DracknCertificate(
-                        False,
-                        None,
-                        f"vertex {v} has {hits} neighbors in fiber {fj}, not 1",
-                    )
+    own = np.arange(n_fibers)
+    inside = hits[own, :, own] > 0
+    if inside.any():
+        fi, t = np.unravel_index(inside.argmax(), inside.shape)
+        return DracknCertificate(
+            False, None, f"edge inside fiber {fi} at vertex {members[fi, t]}"
+        )
+    unmatched = hits.transpose(0, 2, 1) != 1
+    unmatched[own, own] = False
+    if unmatched.any():
+        fi, fj, t = np.unravel_index(unmatched.argmax(), unmatched.shape)
+        return DracknCertificate(
+            False,
+            None,
+            f"vertex {members[fi, t]} has {hits[fi, t, fj]} neighbors in fiber {fj}, "
+            "not 1",
+        )
 
-    fiber_of = [0] * g.order
-    for fi, f in enumerate(fibers.fibers):
-        for v in f:
-            fiber_of[v] = fi
-
-    c_val: int | None = None
-    rows = g.rows
-    order = g.order
-    byte_len = (order + 7) // 8
-    for i in range(order):
-        bi = rows[i].to_bytes(byte_len, "little")
-        fi = fiber_of[i]
-        for j in range(i + 1, order):
-            if fiber_of[j] == fi or (bi[j >> 3] >> (j & 7)) & 1:
-                continue
-            c = (rows[i] & rows[j]).bit_count()
-            if c_val is None:
-                c_val = c
-            elif c != c_val:
-                return DracknCertificate(
-                    False,
-                    None,
-                    f"non-adjacent pair ({i},{j}) has {c} common neighbors, "
-                    f"expected {c_val}",
-                )
+    (_, c_val), witness = _scan_pair_counts(
+        g.adj,
+        lambda s, e: ~g.adj[s:e, s:] & (fiber_of[s:e, None] != fiber_of[s:]),
+        1,
+    )
+    if witness is not None:
+        i, j, c, _ = witness
+        return DracknCertificate(
+            False,
+            None,
+            f"non-adjacent pair ({i},{j}) has {c} common neighbors, expected {c_val}",
+        )
     return DracknCertificate(True, (n_fibers, r, c_val if c_val is not None else 0))
 
 
@@ -536,7 +489,7 @@ class CoverResult:
         }
 
 
-def _gram_root_exponents(frame: FrameMatrix, p: int) -> list[list[int]]:
+def _gram_root_exponents(frame: FrameMatrix, p: int) -> np.ndarray:
     """Exponent e with Gram(i,j) = zeta_p^e for every off-diagonal pair."""
     m = frame.order
     if m % p:
@@ -556,15 +509,15 @@ def _gram_root_exponents(frame: FrameMatrix, p: int) -> list[list[int]]:
     if missing.any():
         i, j = np.unravel_index(missing.argmax(), missing.shape)
         raise ValueError(f"Gram entry at ({i},{j}) is not a {p}-th root of unity")
-    return exps.tolist()
+    return exps
 
 
-def drackn_cover(frame: FrameMatrix, p: int, check: bool = True) -> CoverResult:
+def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     """Antipodal cover on N*p vertices from a frame with root-of-unity Gram.
 
     Vertex (i, a) is index i*p + a; fibers are the p copies of each vector;
-    (i, a) ~ (j, b) iff Gram(i, j) = zeta_p^(b - a), the exponent read off
-    exactly.  The result must pass drackn_check.
+    for i < j, (i, a) ~ (j, b) iff Gram(i, j) = zeta_p^(b - a), the exponent
+    read off exactly.  The result must pass drackn_check.
     """
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise ValueError(f"p must equal a prime, got {p}")
@@ -573,18 +526,15 @@ def drackn_cover(frame: FrameMatrix, p: int, check: bool = True) -> CoverResult:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
     exps = _gram_root_exponents(frame, p)
     n = frame.count
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = exps[i][j]
-            for a in range(p):
-                edges.append((i * p + a, j * p + (a + e) % p))
-    g = Graph.from_edges(n * p, edges)
-    fibers = FiberPartition(
-        tuple(tuple(i * p + a for a in range(p)) for i in range(n))
-    )
+    a = np.arange(p)
+    # adj[i, a, j, b] for i < j, mirrored below
+    adj = (exps[:, None, :, None] + a[:, None, None] - a) % p == 0
+    adj &= np.triu(np.ones((n, n), dtype=bool), 1)[:, None, :, None]
+    adj = adj.reshape(n * p, n * p)
+    g = Graph(adj | adj.T)
+    fibers = FiberPartition(tuple(tuple(range(i * p, i * p + p)) for i in range(n)))
     cert = drackn_check(g, fibers)
-    if check and not cert.ok:
+    if not cert.ok:
         raise CertificationError(f"cover failed certification: {cert.witness}")
     return CoverResult(g, fibers, cert.params)
 
@@ -601,26 +551,18 @@ def _graph6_bytes(g: Graph) -> bytes:
         head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError("graph too large for this graph6 writer")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for t in range(0, len(bits), 6):
-        word = 0
-        for b in bits[t : t + 6]:
-            word = (word << 1) | b
-        body.append(word + 63)
-    return head + bytes(body)
+    # the upper triangle column by column is, by symmetry, the lower one row by row
+    bits = g.adj[np.tri(n, n, -1, dtype=bool)]
+    six = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
+    return head + (np.packbits(np.pad(six, ((0, 0), (2, 0))), axis=1) + 63).tobytes()
 
 
 def _graph6_parse(data: bytes) -> Graph:
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[10:]
-    if not data or any(ch < 63 or ch > 126 for ch in data):
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if not raw.size or ((raw < 63) | (raw > 126)).any():
         raise ValueError("graph6 data is empty or has bytes outside 63..126")
     if data[0] == 126:
         if data[1:2] == b"~":
@@ -628,26 +570,17 @@ def _graph6_parse(data: bytes) -> Graph:
         if len(data) < 4:
             raise ValueError("graph6 size header is truncated")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
+        body = raw[4:]
     else:
         n = data[0] - 63
-        body = data[1:]
+        body = raw[1:]
     need = -(-n * (n - 1) // 12)  # ceil(n(n-1)/2 bits / 6 bits per byte)
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, {n} vertices need {need}")
-    bits = []
-    for ch in body:
-        w = ch - 63
-        for t in range(5, -1, -1):
-            bits.append((w >> t) & 1)
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    return Graph.from_edges(n, edges)
+    bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].ravel()
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.tri(n, n, -1, dtype=bool)] = bits[: n * (n - 1) // 2]
+    return Graph(adj | adj.T)
 
 
 def export_graph(
@@ -661,11 +594,17 @@ def export_graph(
     if fmt == "graph6":
         path.write_bytes(_graph6_bytes(g) + b"\n")
     elif fmt == "edges":
-        lines = [f"n {g.order}"]
-        if fibers is not None:
-            lines.append(f"p {fibers.fiber_size}")
-        lines += [f"{u} {v}" for u, v in g.edges()]
-        path.write_text("\n".join(lines) + "\n")
+        n = g.order
+        with path.open("w") as fh:
+            fh.write(f"n {n}\n")
+            if fibers is not None:
+                fh.write(f"p {fibers.fiber_size}\n")
+            for s in range(0, n, _TILE):
+                e = min(s + _TILE, n)
+                us, vs = np.nonzero(np.triu(g.adj[s:e], s + 1))
+                fh.write("".join(
+                    f"{u} {v}\n" for u, v in zip((us + s).tolist(), vs.tolist())
+                ))
     else:
         raise ValueError(f"unknown graph format {fmt!r}")
 
@@ -691,15 +630,9 @@ def _edge_list_parse(data: bytes) -> tuple[Graph, FiberPartition | None]:
     if edge_lines and edge_lines[0][0] == "p" and len(edge_lines[0]) == 2:
         fiber_size = int(edge_lines[0][1])
         edge_lines = edge_lines[1:]
-    edges = []
-    for toks in edge_lines:
-        u, v = map(int, toks)
-        if not (0 <= u < order and 0 <= v < order):
-            raise ValueError(f"edge ({u},{v}) leaves the vertex range [0,{order})")
-        edges.append((u, v))
     fibers = None
     if fiber_size:
         fibers = FiberPartition(tuple(
             tuple(range(i, i + fiber_size)) for i in range(0, order, fiber_size)
         ))
-    return Graph.from_edges(order, edges), fibers
+    return Graph.from_edges(order, [tuple(map(int, t)) for t in edge_lines]), fibers

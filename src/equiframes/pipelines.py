@@ -113,19 +113,17 @@ def build_steiner(
     return steiner_etf(sts, emb, sim)
 
 
-def waldron_pipeline(h: int, threads: int = 1) -> tuple[FrameMatrix, SRGResult]:
+def waldron_pipeline(h: int) -> tuple[FrameMatrix, SRGResult]:
     frame = build_tremain(h=h)
-    return frame, waldron_srg(frame, threads=threads)
+    return frame, waldron_srg(frame)
 
 
-def gs_pipeline(
-    h: int, threads: int = 1
-) -> tuple[FrameMatrix, FlatFunctional, SRGResult]:
+def gs_pipeline(h: int) -> tuple[FrameMatrix, FlatFunctional, SRGResult]:
     if h % 3 != 2:
         raise ValueError(f"the flat-functional family needs h = 2 (mod 3), got {h}")
     frame = build_tremain(h=h, parallel=True)
     functional = tremain_flat_functional(frame)
-    return frame, functional, gs_srg(frame, functional, threads=threads)
+    return frame, functional, gs_srg(frame, functional)
 
 
 def drackn_pipeline(

@@ -123,7 +123,7 @@ def test_derive_srg_waldron_h2(tmp_path, capsys):
 
 
 def test_derive_srg_gs_h2(tmp_path, capsys):
-    code, out = run(capsys, "--json", "--out", str(tmp_path), "--threads", "2",
+    code, out = run(capsys, "--json", "--out", str(tmp_path),
                     "derive", "srg", "gs", "--h", "2")
     assert code == 0
     assert json.loads(out)["certified_params"] == [10, 6, 3, 4]
@@ -205,6 +205,7 @@ def test_exit_code_io_error(tmp_path):
 def test_exit_code_bad_usage():
     assert main(["make", "etf", "tremain"]) == 1  # neither --V nor --h
     assert main(["derive", "srg", "nonsense", "--h", "2"]) == 1
+    assert main(["--threads", "2", "derive", "srg", "gs", "--h", "2"]) == 1  # removed flag
 
 
 def test_env_var_output_dir(tmp_path, capsys, monkeypatch):

@@ -2,9 +2,15 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equiframes import graphs as graphs_module
 from equiframes.frames import verify_etf
 from equiframes.graphs import (
     CertificationError,
@@ -41,12 +47,191 @@ def test_graph_basics():
     assert g.has_edge(0, 5) and not g.has_edge(0, 2)
     flipped = g.with_edge_flipped(0, 2)
     assert flipped.has_edge(0, 2)
-    assert flipped.with_edge_flipped(0, 2).rows == g.rows
+    assert np.array_equal(flipped.with_edge_flipped(0, 2).adj, g.adj)
 
 
 def test_graph_rejects_loops():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
+
+
+def test_graph_rejects_malformed_adjacency():
+    directed = np.zeros((4, 4), dtype=bool)
+    directed[0, 1] = directed[1, 2] = directed[2, 3] = directed[3, 0] = True
+    with pytest.raises(ValueError, match=r"not symmetric at pair \(0,1\)"):
+        Graph.from_adjacency(directed)
+    with pytest.raises(ValueError, match="not square"):
+        Graph.from_adjacency(np.zeros((3, 4), dtype=bool))
+    with pytest.raises(ValueError, match="loop at vertex 2"):
+        Graph.from_adjacency(np.diag([False, False, True, False]))
+
+
+def test_graph_adjacency_is_read_only():
+    g = petersen()
+    with pytest.raises(ValueError):
+        g.adj[0, 2] = True
+
+
+# --- plain pairwise reference counters for the array kernels ---------------
+
+
+def reference_pairs(g, kind_of):
+    """First count per kind and first deviating pair, scanning i < j in order."""
+    nbrs = [set(np.flatnonzero(row).tolist()) for row in g.adj]
+    first = {}
+    for i in range(g.order):
+        for j in range(i + 1, g.order):
+            kind, c = kind_of(i, j), len(nbrs[i] & nbrs[j])
+            if kind is not None and first.setdefault(kind, c) != c:
+                return first, (i, j, c, kind)
+    return first, None
+
+
+def reference_srg(g):
+    n = g.order
+    if n == 0:
+        return False, None, "empty graph"
+    deg = [int(row.sum()) for row in g.adj]
+    for v in range(n):
+        if deg[v] != deg[0]:
+            return (False, None,
+                    f"degree {deg[v]} at vertex {v} differs from {deg[0]} at vertex 0")
+    kinds = {True: "adjacent", False: "non-adjacent"}
+    first, bad = reference_pairs(g, lambda i, j: kinds[g.has_edge(i, j)])
+    if bad:
+        i, j, c, kind = bad
+        return False, None, f"{kind} pair ({i},{j}) has {c} common neighbors"
+    return True, (n, deg[0], first.get("adjacent", 0), first.get("non-adjacent")), None
+
+
+def reference_drackn(g, fibers):
+    n_fibers, r = len(fibers.fibers), fibers.fiber_size
+    if r < 2:
+        return False, None, "fiber size must be at least 2"
+    if g.order != n_fibers * r:
+        return False, None, "fibers do not cover the graph"
+    for fi, f in enumerate(fibers.fibers):
+        for v in f:
+            if any(g.has_edge(v, u) for u in f):
+                return False, None, f"edge inside fiber {fi} at vertex {v}"
+    for fi, f in enumerate(fibers.fibers):
+        for fj, other in enumerate(fibers.fibers):
+            for v in f:
+                hits = sum(g.has_edge(v, u) for u in other)
+                if fi != fj and hits != 1:
+                    return (False, None,
+                            f"vertex {v} has {hits} neighbors in fiber {fj}, not 1")
+    fiber_of = {v: fi for fi, f in enumerate(fibers.fibers) for v in f}
+    first, bad = reference_pairs(
+        g, lambda i, j: None if fiber_of[i] == fiber_of[j] or g.has_edge(i, j) else 1
+    )
+    if bad:
+        return False, None, (f"non-adjacent pair ({bad[0]},{bad[1]}) has {bad[2]} "
+                             f"common neighbors, expected {first[1]}")
+    return True, (n_fibers, r, first.get(1, 0)), None
+
+
+def outcome(cert):
+    params = cert.params
+    if isinstance(params, SRGParams):
+        params = params.as_tuple()
+    return cert.ok, params, cert.witness
+
+
+@lru_cache(maxsize=None)
+def waldron_graph(h):
+    return waldron_pipeline(h)[1].graph
+
+
+@lru_cache(maxsize=None)
+def cover_h2():
+    return drackn_pipeline(2, 2)[1]
+
+
+@st.composite
+def graphs(draw):
+    """Random graphs, half of them circulant (regular, so counting is reached)."""
+    n = draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = rng.random()
+    if draw(st.booleans()):
+        return Graph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        )
+    conn = {d for d in range(1, n // 2 + 1) if rng.random() < p}
+    return Graph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n)
+            if min(j - i, n + i - j) in conn]
+    )
+
+
+# small row tiles put the tile boundaries of A·A inside these small graphs
+tiles = st.sampled_from([1, 3, 7, graphs_module._TILE])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), tiles)
+def test_srg_check_matches_reference_on_random_graphs(g, tile):
+    with mock.patch.object(graphs_module, "_TILE", tile):
+        assert outcome(srg_check(g)) == reference_srg(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 8]), st.integers(0, 2**32), st.booleans(), tiles)
+def test_srg_check_matches_reference_on_edited_waldron_graphs(h, seed, swap, tile):
+    """One flipped edge, or a degree-preserving swap of two edges."""
+    g = waldron_graph(h)
+    rng = random.Random(seed)
+    u, v = rng.sample(range(g.order), 2)
+    edited = g.with_edge_flipped(u, v)
+    if swap:
+        a, b = rng.choice(list(g.edges()))
+        c, d = rng.choice(list(g.edges()))
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+            edited = g
+            for x, y in ((a, b), (c, d), (a, d), (c, b)):
+                edited = edited.with_edge_flipped(x, y)
+    with mock.patch.object(graphs_module, "_TILE", tile):
+        assert outcome(srg_check(edited)) == reference_srg(edited)
+
+
+@st.composite
+def fibered_graphs(draw):
+    """Random matchings between shuffled fibers, then up to two flipped pairs."""
+    n_fibers, r = draw(st.integers(1, 7)), draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    verts = list(range(n_fibers * r))
+    if draw(st.booleans()):
+        rng.shuffle(verts)
+    fibers = [verts[f * r:(f + 1) * r] for f in range(n_fibers)]
+    edges = []
+    for fi in range(n_fibers):
+        for fj in range(fi + 1, n_fibers):
+            perm = rng.sample(fibers[fj], r)
+            edges += zip(fibers[fi], perm)
+    g = Graph.from_edges(n_fibers * r, edges)
+    for _ in range(draw(st.integers(0, 2))):
+        if g.order > 1:
+            g = g.with_edge_flipped(*rng.sample(range(g.order), 2))
+    return g, FiberPartition(tuple(tuple(f) for f in fibers))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fibered_graphs(), tiles)
+def test_drackn_check_matches_reference_on_random_covers(case, tile):
+    g, fibers = case
+    with mock.patch.object(graphs_module, "_TILE", tile):
+        assert outcome(drackn_check(g, fibers)) == reference_drackn(g, fibers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), tiles)
+def test_drackn_check_matches_reference_on_flipped_cover(seed, tile):
+    cov = cover_h2()
+    u, v = random.Random(seed).sample(range(cov.graph.order), 2)
+    g = cov.graph.with_edge_flipped(u, v)
+    with mock.patch.object(graphs_module, "_TILE", tile):
+        assert outcome(drackn_check(g, cov.fibers)) == reference_drackn(g, cov.fibers)
 
 
 def test_srg_check_five_cycle():
@@ -75,7 +260,8 @@ def test_srg_check_rejects_irregular():
 
 
 def test_srg_check_witness_pair():
-    g = petersen().with_edge_flipped(0, 2)
+    cert = srg_check(petersen().with_edge_flipped(0, 2))
+    assert cert.witness == "degree 3 at vertex 1 differs from 4 at vertex 0"
     # degree check already fails; force a common-neighbor witness instead
     c6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), ])
     cert = srg_check(c6)
@@ -83,18 +269,20 @@ def test_srg_check_witness_pair():
     assert "pair" in cert.witness
 
 
-def test_srg_check_parallel_matches_serial():
-    f = build_tremain(h=4)
-    res = waldron_srg(f)
-    serial = srg_check(res.graph, threads=1)
-    parallel = srg_check(res.graph, threads=2)
-    # order 35 is under the parallel threshold; force a bigger graph too
-    assert serial.ok == parallel.ok and serial.params == parallel.params
-    f8 = build_tremain(h=8)
-    g8 = waldron_srg(f8).graph
-    s = srg_check(g8, threads=1)
-    p = srg_check(g8, threads=3)
-    assert s.ok == p.ok and s.params == p.params
+def test_srg_complement_params():
+    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    for g in (petersen(), c5, waldron_graph(8)):
+        cert = srg_check(g)
+        assert cert.ok
+        assert srg_check(g.complement()).params == cert.params.complement()
+    with pytest.raises(ValueError):
+        SRGParams(4, 3, 2, None).complement()
+
+
+def test_count_guard_raises_past_float32_exact_range():
+    huge = np.broadcast_to(np.False_, (2**24 + 2, 2**24 + 2))  # a view, no memory
+    with pytest.raises(ValueError, match="not exact"):
+        graphs_module._scan_pair_counts(huge, None, 1)
 
 
 def test_waldron_params_table():
@@ -149,8 +337,6 @@ def test_flat_functional_h2():
     frame = build_tremain(h=2, parallel=True)
     x = tremain_flat_functional(frame)
     # all 10 inner products exactly 1: recheck independently in float
-    import numpy as np
-
     xs = x.to_complex()
     a = frame.to_complex_array()
     ips = xs.conj() @ a
@@ -233,7 +419,7 @@ def test_graph6_k3(tmp_path):
     export_graph(path, k3)
     assert path.read_bytes() == b"Bw\n"
     loaded, fibers = load_graph(path)
-    assert loaded.rows == k3.rows and fibers is None
+    assert np.array_equal(loaded.adj, k3.adj) and fibers is None
 
 
 def test_graph6_roundtrip_medium(tmp_path):
@@ -244,7 +430,7 @@ def test_graph6_roundtrip_medium(tmp_path):
     path = tmp_path / "g.g6"
     export_graph(path, g)
     loaded, _ = load_graph(path)
-    assert loaded.rows == g.rows
+    assert np.array_equal(loaded.adj, g.adj)
 
 
 def test_edge_list_roundtrip_with_fibers(tmp_path):
@@ -254,7 +440,7 @@ def test_edge_list_roundtrip_with_fibers(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "n 20" and text[1] == "p 2"
     loaded, fibers = load_graph(path)
-    assert loaded.rows == cov.graph.rows
+    assert np.array_equal(loaded.adj, cov.graph.adj)
     assert fibers == cov.fibers
     assert drackn_check(loaded, fibers).ok
 
@@ -264,13 +450,11 @@ def test_edge_list_roundtrip_plain(tmp_path):
     path = tmp_path / "c5.edges"
     export_graph(path, c5, fmt="edges")
     loaded, fibers = load_graph(path)
-    assert loaded.rows == c5.rows and fibers is None
+    assert np.array_equal(loaded.adj, c5.adj) and fibers is None
 
 
 def test_switching_normalization_is_canonical():
     """Random switching of the sign matrix never changes the derived graph."""
-    import numpy as np
-
     frame = build_tremain(h=2)
     from equiframes.frames import real_gram_signs
 
@@ -290,7 +474,7 @@ def test_switching_normalization_is_canonical():
     for _ in range(10):
         eps = rng.choice([-1, 1], size=n)
         resigned = signs * np.outer(eps, eps)
-        assert normalize_and_build(resigned).rows == reference.rows
+        assert np.array_equal(normalize_and_build(resigned).adj, reference.adj)
 
 
 def test_large_graph_roundtrips(tmp_path):
@@ -300,8 +484,8 @@ def test_large_graph_roundtrips(tmp_path):
     edges = tmp_path / "g.edges"
     export_graph(g6, res.graph)
     export_graph(edges, res.graph, fmt="edges")
-    assert load_graph(g6)[0].rows == res.graph.rows
-    assert load_graph(edges)[0].rows == res.graph.rows
+    assert np.array_equal(load_graph(g6)[0].adj, res.graph.adj)
+    assert np.array_equal(load_graph(edges)[0].adj, res.graph.adj)
 
 
 def test_feasibility_identity():
