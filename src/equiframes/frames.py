@@ -1,18 +1,25 @@
 """Unimodular simplices, Steiner and Tremain frames, and exact certification.
 
-Frames are stored unscaled: every vector of a Tremain frame has squared
-norm R + 2 and distinct vectors meet in a unimodular inner product, so the
-coherence of the unit-normalized family is 1/(R + 2), the Welch bound for
-these dimensions.  Verification recomputes the full Gram matrix and frame
-operator from the entries; it never trusts the construction.
+A frame is its row-graded integer planes: entry (r, j) is
+s_r * sum_a X[a, r, j] zeta_m^a / 2^k, with one surd s_r in {1, sqrt2,
+sqrt3, sqrt6} per row (row weight w_r = s_r^2), integer planes X of shape
+(phi(m), M, N) in the power basis, and one power of two.  The builders
+fill X by indexing a table of root-of-unity coefficients with the Hadamard
+exponent tables; the .etf reader and writer convert between planes and
+per-entry (a|b|c|d|k) tokens.  Frames are stored unscaled: every vector of
+a Tremain frame has squared norm R + 2 and distinct vectors meet in a
+unimodular inner product, so the coherence of the unit-normalized family
+is 1/(R + 2), the Welch bound for these dimensions.  Verification
+recomputes the full Gram matrix and frame operator from the planes; it
+never trusts the construction.
 
-Exact verification runs one kernel for real and complex frames.  Each row
-carries a single surd s_r in {1, sqrt2, sqrt3, sqrt6}, so the entries pack
-into integer planes X (phi(m), M, N) with row weights w_r = s_r^2, and the
-Gram is sum_{a,b} X_a^T diag(w) X_b zeta_m^(a-b) / 4^k: float64 products
-summed in cyclic slots (a - b) mod m, rounded, reduced modulo Phi_m, with
-no surd left.  The frame operator and |Gram|^2 are the same slot products.
-Past 2^52 in a slot sum, or on a row that mixes surds, it raises ValueError.
+Exact verification runs one kernel for real and complex frames: the Gram
+is sum_{a,b} X_a^T diag(w) X_b zeta_m^(a-b) / 4^k, float64 products summed
+in cyclic slots (a - b) mod m, rounded, reduced modulo Phi_m, with no surd
+left.  The frame operator, |Gram|^2 and the flat functional's inner
+products are the same slot products.  Past 2^52 in a slot sum it raises
+ValueError.  gram_matrix recomputes the Gram in ExtScalar arithmetic, as
+the tests' independent reference.
 """
 from __future__ import annotations
 
@@ -26,7 +33,15 @@ import numpy as np
 
 from equiframes.designs import EmbeddingAssignment, SteinerTripleSystem
 from equiframes.hadamard import ButsonMatrix
-from equiframes.scalar import CycInt, ExtScalar, cyclotomic_poly
+from equiframes.scalar import (
+    _SQRT2_F,
+    _SQRT3_F,
+    _SQRT6_F,
+    CycInt,
+    ExtScalar,
+    _unit_roots,
+    cyclotomic_poly,
+)
 
 
 @dataclass(frozen=True)
@@ -122,86 +137,101 @@ class TremainProvenance:
     sim_v: UnimodularSimplex  # V+1 vectors in dimension V
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameMatrix:
-    """Dense matrix of exact scalars with labelled coordinate bands.
+    """A frame as row-graded integer planes with labelled coordinate bands.
 
-    Rows split into block coordinates, point coordinates and one optional
-    extra coordinate (Tremain frames use all three bands; Steiner frames
-    only the first).
+    Entry (r, j) is sqrt(weights[r]) * sum_a planes[a, r, j] zeta_m^a / 2^k:
+    one surd per row, a cyclotomic integer per entry, one common power of
+    two.  Rows split into block coordinates, point coordinates and one
+    optional extra coordinate (Tremain frames use all three bands; Steiner
+    frames only the first).  The arrays are read-only.
     """
 
-    entries: tuple[tuple[ExtScalar, ...], ...]
+    planes: np.ndarray  # (phi(m), M, N) float64 holding integers
+    weights: np.ndarray  # (M,) int64, each one of _SURD_WEIGHTS
+    k: int
     order: int
     block_rows: int
     point_rows: int
     extra_rows: int
     provenance: SteinerProvenance | TremainProvenance | None = None
 
+    def __post_init__(self) -> None:
+        planes = np.array(self.planes, dtype=np.float64)
+        weights = np.array(self.weights, dtype=np.int64)
+        phi = len(cyclotomic_poly(self.order)) - 1
+        if planes.ndim != 3 or len(planes) != phi:
+            raise ValueError(f"order {self.order} needs {phi} planes, got shape {planes.shape}")
+        if weights.shape != planes.shape[1:2] or not np.isin(weights, _SURD_WEIGHTS).all():
+            raise ValueError(f"need one row weight from {_SURD_WEIGHTS} per row")
+        if self.k < 0:
+            raise ValueError(f"denominator exponent k={self.k} is negative")
+        bands = (self.block_rows, self.point_rows, self.extra_rows)
+        if min(bands) < 0 or sum(bands) != planes.shape[1]:
+            raise ValueError(f"bands {bands} do not split M={planes.shape[1]} rows")
+        planes.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "weights", weights)
+
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.planes.shape[1]
 
     @property
     def count(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return self.planes.shape[2]
 
     def is_real_rational(self) -> bool:
         """True when every entry lives in Z[sqrt2, sqrt3]/2^k (no roots)."""
-        return len(cyclotomic_poly(self.order)) - 1 == 1
+        return len(self.planes) == 1
 
-    @cached_property
-    def column_supports(self) -> tuple[tuple[int, ...], ...]:
-        zero_ids: dict[int, bool] = {}
-
-        def is_zero(x: ExtScalar) -> bool:
-            r = zero_ids.get(id(x))
-            if r is None:
-                r = zero_ids[id(x)] = x.is_zero()
-            return r
-
-        cols: list[list[int]] = [[] for _ in range(self.count)]
-        for r, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if not is_zero(x):
-                    cols[j].append(r)
-        return tuple(tuple(c) for c in cols)
-
-    @cached_property
-    def row_graded(self) -> RowGraded:
-        return _row_graded(self)
+    def entry(self, r: int, j: int) -> ExtScalar:
+        """Entry (r, j) as an ExtScalar, for reference arithmetic."""
+        parts = [CycInt.from_int(0, self.order)] * 4
+        parts[_SURD_WEIGHTS.index(int(self.weights[r]))] = CycInt(
+            self.order, [int(c) for c in self.planes[:, r, j]])
+        return ExtScalar(*parts, k=self.k)
 
     @cached_property
     def exact_gram(self) -> np.ndarray:
         """Gram at scale 4^k: (phi(m), N, N) power-basis coefficients."""
-        g = self.row_graded
-        return _cyclic_product([p.T for p in g.planes], g.planes * g.weights[:, None],
-                               self.order, np.matmul, g.gram_bound, "Gram")
+        sq = np.abs(self.planes).sum(axis=0) ** 2
+        return _cyclic_product([p.T for p in self.planes], self.planes * self.weights[:, None],
+                               self.order, np.matmul, float((self.weights @ sq).max(initial=0)),
+                               "Gram")
 
     def to_complex_array(self) -> np.ndarray:
-        cache: dict[int, complex] = {}
-        out = np.empty((self.dim, self.count), dtype=np.complex128)
-        for r, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                v = cache.get(id(x))
-                if v is None:
-                    v = cache[id(x)] = x.to_complex()
-                out[r, j] = v
-        return out
+        """Entries as complex128, rounded exactly as ExtScalar.to_complex rounds."""
+        roots = _unit_roots(self.order)
+        # ascending powers from +0.0, as CycInt.to_complex sums: no -0.0 appears
+        out = np.zeros(self.planes.shape[1:], dtype=np.complex128)
+        for a, p in enumerate(self.planes):
+            out += p * roots[a]
+        surd = np.take(_SURD_FLOATS, np.searchsorted(_SURD_WEIGHTS, self.weights))
+        return out * surd[:, None] * 0.5 ** self.k
 
 
-def _zeta_tables(q: int, order: int) -> dict[str, list[ExtScalar]]:
-    """Shared entry objects for every weighted root of unity a frame needs."""
-    roots = [ExtScalar.root(order, e * (order // q)) for e in range(q)]
-    s2 = ExtScalar.sqrt2(order=order)
-    half_s2 = ExtScalar.sqrt2(order=order, k=1)
-    half_s6 = ExtScalar.sqrt6(order=order, k=1)
-    return {
-        "one": roots,
-        "sqrt2": [s2 * z for z in roots],
-        "half_sqrt2": [half_s2 * z for z in roots],
-        "half_sqrt6": [half_s6 * z for z in roots],
-    }
+def _root_table(q: int, order: int) -> np.ndarray:
+    """(q, phi(order)) power-basis coefficients of zeta_q^e at the given order."""
+    return np.array([CycInt.root(order, e * (order // q)).coeffs for e in range(q)],
+                    dtype=np.float64)
+
+
+def _simplex_exponents(sim: UnimodularSimplex) -> tuple[np.ndarray, np.ndarray]:
+    """Root exponents of the simplex rows (dim, count) and of its complement."""
+    e = np.array(sim.source.exponents)
+    return np.delete(e, sim.removed_row, axis=0), e[sim.removed_row]
+
+
+def _embed_blocks(planes: np.ndarray, table: np.ndarray, emb: EmbeddingAssignment,
+                  exps: np.ndarray) -> None:
+    """Simplex vector s at point v is column v(R+1)+s; coordinate pos goes to
+    block row emb.orders[v][pos]."""
+    r = exps.shape[0]
+    rows = np.array(emb.orders)[:, :, None]
+    cols = np.arange(len(emb.orders))[:, None, None] * (r + 1) + np.arange(r + 1)
+    planes[:, rows, cols] = np.moveaxis(table[exps], -1, 0)[:, None]
 
 
 def steiner_etf(
@@ -219,22 +249,15 @@ def steiner_etf(
     if emb.sts is not sts and emb.sts != sts:
         raise ValueError("embedding belongs to a different system")
     q = sim.source.root_order
-    order = q
-    tables = _zeta_tables(q, order)
-    zero = ExtScalar.from_int(0, order)
+    table = _root_table(q, q)
     b = sts.block_count
-    n_cols = sts.num_points * (r + 1)
-    rows = [[zero] * n_cols for _ in range(b)]
-    hexp = sim.source.exponents
-    src_rows = [i for i in range(sim.source.order) if i != sim.removed_row]
-    for v in range(sts.num_points):
-        for s in range(r + 1):
-            col = v * (r + 1) + s
-            for pos in range(r):
-                rows[emb.orders[v][pos]][col] = tables["one"][hexp[src_rows[pos]][s]]
+    planes = np.zeros((table.shape[1], b, sts.num_points * (r + 1)))
+    _embed_blocks(planes, table, emb, _simplex_exponents(sim)[0])
     return FrameMatrix(
-        tuple(tuple(row) for row in rows),
-        order,
+        planes,
+        np.ones(b, dtype=np.int64),
+        0,
+        q,
         block_rows=b,
         point_rows=0,
         extra_rows=0,
@@ -253,7 +276,8 @@ def tremain_etf(
     Columns come in two kinds: for each point v and simplex index s, the
     embedded vector with a sqrt(2)-weighted complement entry at point row v;
     then V+1 columns carrying the point-space simplex at weight sqrt(1/2)
-    with a sqrt(3/2)-weighted complement entry in the last row.
+    with a sqrt(3/2)-weighted complement entry in the last row.  At the
+    common denominator 2^1 the first kind's coefficients are doubled.
     """
     r, v_pts = sts.replication, sts.num_points
     if sim_r.dim != r or sim_r.count != r + 1:
@@ -265,35 +289,26 @@ def tremain_etf(
     q1 = sim_r.source.root_order
     q2 = sim_v.source.root_order
     order = q1 * q2 // gcd(q1, q2)
-    t1 = _zeta_tables(q1, order)
-    t2 = _zeta_tables(q2, order)
-    zero = ExtScalar.from_int(0, order)
+    t1 = 2 * _root_table(q1, order)
+    t2 = _root_table(q2, order)
     b = sts.block_count
     m = b + v_pts + 1
-    n_cols = v_pts * (r + 1) + v_pts + 1
-    rows = [[zero] * n_cols for _ in range(m)]
+    first = v_pts * (r + 1)
+    planes = np.zeros((t1.shape[1], m, first + v_pts + 1))
+    points = b + np.arange(v_pts)
 
-    h1 = sim_r.source.exponents
-    rows1 = [i for i in range(sim_r.source.order) if i != sim_r.removed_row]
-    naimark1 = h1[sim_r.removed_row]
-    for v in range(v_pts):
-        for s in range(r + 1):
-            col = v * (r + 1) + s
-            for pos in range(r):
-                rows[emb.orders[v][pos]][col] = t1["one"][h1[rows1[pos]][s]]
-            rows[b + v][col] = t1["sqrt2"][naimark1[s]]
+    e1, naimark1 = _simplex_exponents(sim_r)
+    _embed_blocks(planes, t1, emb, e1)
+    planes[:, points[:, None], np.arange(first).reshape(v_pts, r + 1)] = t1[naimark1].T[:, None]
 
-    h2 = sim_v.source.exponents
-    rows2 = [i for i in range(sim_v.source.order) if i != sim_v.removed_row]
-    naimark2 = h2[sim_v.removed_row]
-    for t in range(v_pts + 1):
-        col = v_pts * (r + 1) + t
-        for v in range(v_pts):
-            rows[b + v][col] = t2["half_sqrt2"][h2[rows2[v]][t]]
-        rows[m - 1][col] = t2["half_sqrt6"][naimark2[t]]
+    e2, naimark2 = _simplex_exponents(sim_v)
+    planes[:, points, first:] = np.moveaxis(t2[e2], -1, 0)
+    planes[:, m - 1, first:] = t2[naimark2].T
 
     return FrameMatrix(
-        tuple(tuple(row) for row in rows),
+        planes,
+        np.repeat([1, 2, 6], [b, v_pts, 1]),
+        1,
         order,
         block_rows=b,
         point_rows=v_pts,
@@ -303,40 +318,24 @@ def tremain_etf(
 
 
 def gram_matrix(frame: FrameMatrix) -> list[list[ExtScalar]]:
-    """Exact Gram via sparse column dot products (reference path)."""
-    supports = frame.column_supports
+    """Exact Gram by ExtScalar column dot products: the kernel's test oracle."""
+    support = frame.planes.any(axis=0)
     cols = [
-        {r: frame.entries[r][j] for r in supports[j]} for j in range(frame.count)
+        {r: frame.entry(r, j) for r in np.flatnonzero(support[:, j]).tolist()}
+        for j in range(frame.count)
     ]
-    conj_cache: dict[int, ExtScalar] = {}
-
-    def conj(x: ExtScalar) -> ExtScalar:
-        c = conj_cache.get(id(x))
-        if c is None:
-            c = conj_cache[id(x)] = x.conjugate()
-        return c
-
+    conj = [{r: x.conjugate() for r, x in col.items()} for col in cols]
     zero = ExtScalar.from_int(0, frame.order)
     n = frame.count
     g = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            a, bm = cols[i], cols[j]
-            if len(bm) < len(a):
-                total = zero
-                for r, y in bm.items():
-                    x = a.get(r)
-                    if x is not None:
-                        total = total + x * conj(y)
-            else:
-                total = zero
-                for r, x in a.items():
-                    y = bm.get(r)
-                    if y is not None:
-                        total = total + x * conj(y)
+            total = zero
+            for r in cols[i].keys() & cols[j].keys():
+                total = total + cols[i][r] * conj[j][r]
             g[i][j] = total
             if i != j:
-                g[j][i] = conj(total)
+                g[j][i] = total.conjugate()
     return g
 
 
@@ -344,74 +343,9 @@ def gram_matrix(frame: FrameMatrix) -> list[list[ExtScalar]]:
 # exact kernel: row-graded integer planes, products in cyclic slots
 
 _SURD_WEIGHTS = (1, 2, 3, 6)  # squares of the ExtScalar surds 1, sqrt2, sqrt3, sqrt6
+_SURD_FLOATS = (1.0, _SQRT2_F, _SQRT3_F, _SQRT6_F)
 _EXACT_LIMIT = 2 ** 52  # float64 holds every integer below 2^53
 _GUARD_NOTE = "float64 would round the sums, so the exact kernel refuses"
-
-
-@dataclass(frozen=True)
-class RowGraded:
-    """Entry (r, j) is sqrt(weights[r]) * sum_a planes[a, r, j] zeta_m^a / 2^k.
-
-    The bounds cap the slot sums of the Gram (sum_r w_r S_ri^2) and of the
-    frame operator (sum_j S_rj^2), S being an entry's absolute coefficient sum.
-    """
-
-    planes: np.ndarray  # (phi(m), M, N) float64 holding integers
-    weights: np.ndarray  # (M,) int64, each one of _SURD_WEIGHTS
-    k: int
-    gram_bound: float
-    operator_bound: float
-
-
-def _row_graded(frame: FrameMatrix) -> RowGraded:
-    """Pack a frame's entries; raise ValueError on a row that mixes surds."""
-    order = frame.order
-    index: dict[int, int] = {}
-    values: list[ExtScalar] = []
-    idx = np.empty((frame.dim, frame.count), dtype=np.int32)
-    for r, row in enumerate(frame.entries):
-        ids = []
-        for x in row:
-            u = index.get(id(x))
-            if u is None:
-                u = index[id(x)] = len(values)
-                values.append(x)
-            ids.append(u)
-        idx[r] = ids
-
-    surd = np.full(len(values), -1)  # -1 zero, 4 more than one surd
-    parts = []
-    for u, x in enumerate(values):
-        x = x.promote(order)
-        nonzero = [s for s, c in enumerate((x.a, x.b, x.c, x.d)) if not c.is_zero()]
-        if nonzero:
-            surd[u] = nonzero[0] if len(nonzero) == 1 else 4
-            parts.append((u, (x.a, x.b, x.c, x.d)[nonzero[0]].coeffs, x.k))
-
-    row_surd = surd[idx]
-    hi = row_surd.max(axis=1, initial=-1)
-    lo = np.where(row_surd < 0, 4, row_surd).min(axis=1, initial=4)
-    mixed = (hi >= 0) & ((lo != hi) | (hi == 4))
-    if mixed.any():
-        raise ValueError(
-            f"row {int(mixed.argmax())} mixes surds: the exact kernel needs every "
-            "entry of a row to be one of 1, sqrt2, sqrt3, sqrt6 times a "
-            "cyclotomic integer over 2^k"
-        )
-
-    k = max((kx for _, _, kx in parts), default=0)
-    table = np.zeros((len(values), len(cyclotomic_poly(order)) - 1))
-    for u, coeffs, kx in parts:
-        scaled = [c << (k - kx) for c in coeffs]
-        if max(map(abs, scaled)) >= _EXACT_LIMIT:
-            raise ValueError(f"entry coefficients reach 2^52; {_GUARD_NOTE}")
-        table[u] = scaled
-    planes = table.T[:, idx]
-    weights = np.take(_SURD_WEIGHTS, np.maximum(hi, 0))
-    sq = np.abs(planes).sum(axis=0) ** 2
-    return RowGraded(planes, weights, k,
-                     float((weights @ sq).max(initial=0)),
-                     float(sq.sum(axis=1).max(initial=0)))
 
 
 def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.ndarray:
@@ -545,8 +479,7 @@ def _verify_exact(frame: FrameMatrix) -> ETFReport:
     m, n = frame.dim, frame.count
     welch_bound(m, n)  # reject degenerate shapes before any array work
     g = frame.exact_gram
-    graded = frame.row_graded
-    scale = 1 << (2 * graded.k)
+    scale = 1 << (2 * frame.k)
     witness = None
 
     norm0 = g[:, 0, 0]
@@ -571,12 +504,13 @@ def _verify_exact(frame: FrameMatrix) -> ETFReport:
 
     is_tight = equal_norms
     if is_tight:
-        fo = _cyclic_product(graded.planes, [p.T for p in graded.planes], frame.order,
-                             np.matmul, graded.operator_bound, "frame operator")
+        bound = (np.abs(frame.planes).sum(axis=0) ** 2).sum(axis=1).max(initial=0)
+        fo = _cyclic_product(frame.planes, [p.T for p in frame.planes], frame.order,
+                             np.matmul, float(bound), "frame operator")
         # M * w_r * fo[r, r] == N * norm, compared in Python integers
         target = [n * int(c) for c in norm0]
         bad = fo.any(axis=0)
-        for r, (w, diag) in enumerate(zip(graded.weights.tolist(),
+        for r, (w, diag) in enumerate(zip(frame.weights.tolist(),
                                           fo[:, range(m), range(m)].T.tolist())):
             bad[r, r] = [m * w * c for c in diag] != target
         bad = np.triu(bad)
@@ -653,70 +587,118 @@ def verify_etf(frame: FrameMatrix, mode: str = "exact", tol: float = 1e-10) -> E
 # file formats
 
 
-def _cyc_token(c: CycInt) -> str:
-    return ",".join(map(str, c.coeffs))
-
-
 def store_frame_exact(path: str | Path, frame: FrameMatrix) -> None:
-    """Header `M N m`, band sizes, then entries as (a|b|c|d|k) tuples."""
+    """Header `M N m`, band sizes, then entries as (a|b|c|d|k) tuples.
+
+    Each entry is written in ExtScalar's canonical form: only the part of
+    its row's surd is nonzero, and its own k is as small as it goes, so some
+    coefficient is odd unless k = 0 (a zero entry has k = 0).
+    """
+    c = frame.planes.astype(np.int64)
+    halvings = np.zeros(c.shape[1:], dtype=np.int64)
+    even = c.any(axis=0)
+    for _ in range(frame.k):
+        even &= (c % 2 == 0).all(axis=0)
+        if not even.any():
+            break
+        c[:, even] //= 2
+        halvings += even
+    surd = np.broadcast_to(np.searchsorted(_SURD_WEIGHTS, frame.weights)[:, None], halvings.shape)
+    keys = np.concatenate([surd[None], halvings[None], c]).reshape(len(c) + 2, -1).T
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    zero = ",".join("0" * len(c))
+    tokens = []
+    for s, shift, *coeffs in distinct.tolist():
+        parts, k = [zero] * 4, 0
+        if any(coeffs):
+            parts[s], k = ",".join(map(str, coeffs)), frame.k - shift
+        tokens.append(f"({'|'.join(parts)}|{k})")
+    grid = np.array(tokens, dtype=object)[inverse.reshape(frame.dim, frame.count)]
     lines = [
         f"{frame.dim} {frame.count} {frame.order}",
         f"bands {frame.block_rows} {frame.point_rows} {frame.extra_rows}",
+        *(" ".join(row) for row in grid.tolist()),
     ]
-    for row in frame.entries:
-        toks = []
-        for x in row:
-            toks.append(
-                f"({_cyc_token(x.a)}|{_cyc_token(x.b)}|{_cyc_token(x.c)}"
-                f"|{_cyc_token(x.d)}|{x.k})"
-            )
-        lines.append(" ".join(toks))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_frame_exact(path: str | Path) -> FrameMatrix:
-    raw = [ln for ln in Path(path).read_text().split("\n") if ln.strip()]
+    """Inverse of store_frame_exact; raises ValueError naming the file."""
+    try:
+        return _parse_frame(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_token(tok: str, order: int) -> tuple[int, list[int], int]:
+    """(surd index, coefficients, canonical k) of one entry; index -1 for zero."""
+    parts = tok[1:-1].split("|")
+    if not (tok.startswith("(") and tok.endswith(")") and len(parts) == 5):
+        raise ValueError(f"bad entry token {tok!r}")
+    try:
+        comps = [[int(c) for c in part.split(",")] for part in parts[:4]]
+        k = int(parts[4])
+    except ValueError:
+        raise ValueError(f"entry token {tok!r} has a non-integer field") from None
+    if k < 0:
+        raise ValueError(f"entry token {tok!r} has a negative k")
+    # phi(m) >= sqrt(m/2): a count below that bound needs no cyclotomic polynomial
+    n = len(comps[0])
+    if any(len(c) != n for c in comps) or 2 * n * n < order or n != len(cyclotomic_poly(order)) - 1:
+        raise ValueError(f"entry token {tok!r} does not have phi({order}) coefficients per part")
+    nonzero = [s for s, c in enumerate(comps) if any(c)]
+    if not nonzero:
+        return -1, comps[0], 0
+    if len(nonzero) > 1:
+        raise ValueError(f"entry token {tok!r} mixes surds")
+    c = comps[nonzero[0]]
+    while k and not any(x % 2 for x in c):
+        c, k = [x // 2 for x in c], k - 1
+    return nonzero[0], c, k
+
+
+def _parse_frame(text: str) -> FrameMatrix:
+    raw = [ln.split() for ln in text.split("\n") if ln.strip()]
     if len(raw) < 2:
-        raise ValueError(f"{path}: missing frame header or band line")
-    head = raw[0].split()
+        raise ValueError("missing frame header or band line")
+    head, band_line = raw[0], raw[1]
     if len(head) != 3:
-        raise ValueError(f"{path}: bad frame header {raw[0]!r}")
-    m, n, order = map(int, head)
-    if m < 1 or n < 1 or order < 1:
-        raise ValueError(f"{path}: M, N and the order must be positive, got {raw[0]!r}")
-    band_line = raw[1].split()
+        raise ValueError(f"bad frame header {' '.join(head)!r}")
     if band_line[0] != "bands" or len(band_line) != 4:
-        raise ValueError(f"{path}: bad band line {raw[1]!r}")
-    b, p, e = map(int, band_line[1:])
-    if b + p + e != m:
-        raise ValueError(f"{path}: bands {b}+{p}+{e} != M={m}")
+        raise ValueError(f"bad band line {' '.join(band_line)!r}")
+    try:
+        m, n, order, *bands = (int(t) for t in head + band_line[1:])
+    except ValueError:
+        raise ValueError("non-integer field in the header or the band line") from None
+    if m < 1 or n < 1 or order < 1:
+        raise ValueError(f"M, N and the order must be positive, got {' '.join(head)!r}")
     if len(raw) != m + 2:
-        raise ValueError(f"{path}: expected {m} entry rows")
-    cache: dict[str, ExtScalar] = {}
-
-    def parse(tok: str) -> ExtScalar:
-        got = cache.get(tok)
-        if got is not None:
-            return got
-        if not (tok.startswith("(") and tok.endswith(")")):
-            raise ValueError(f"{path}: bad entry token {tok!r}")
-        parts = tok[1:-1].split("|")
-        if len(parts) != 5:
-            raise ValueError(f"{path}: bad entry token {tok!r}")
-        comps = [
-            CycInt(order, [int(t) for t in part.split(",")]) for part in parts[:4]
-        ]
-        val = ExtScalar(*comps, k=int(parts[4]))
-        cache[tok] = val
-        return val
-
-    rows = []
-    for ln in raw[2:]:
-        row = tuple(parse(tok) for tok in ln.split())
+        raise ValueError(f"expected {m} entry rows")
+    distinct: dict[str, int] = {}
+    idx = []
+    for row in raw[2:]:
         if len(row) != n:
-            raise ValueError(f"{path}: row has {len(row)} entries, expected {n}")
-        rows.append(row)
-    return FrameMatrix(tuple(rows), order, b, p, e)
+            raise ValueError(f"row has {len(row)} entries, expected {n}")
+        idx.append([distinct.setdefault(tok, len(distinct)) for tok in row])
+    idx = np.array(idx)
+    parsed = [_parse_token(tok, order) for tok in distinct]
+
+    surd = np.array([s for s, _, _ in parsed])[idx]
+    hi = surd.max(axis=1)
+    mixed = (np.where(surd < 0, hi[:, None], surd) != hi[:, None]).any(axis=1)
+    if mixed.any():
+        raise ValueError(
+            f"row {int(mixed.argmax())} mixes surds: every entry of a row must be "
+            "one of 1, sqrt2, sqrt3, sqrt6 times a cyclotomic integer over 2^k"
+        )
+    k = max(kx for _, _, kx in parsed)
+    table = np.zeros((len(parsed), len(parsed[0][1])))
+    for u, (_, c, kx) in enumerate(parsed):
+        if max(map(abs, c)).bit_length() + k - kx > 52:
+            raise ValueError(f"entry coefficients reach 2^52; {_GUARD_NOTE}")
+        table[u] = [x << (k - kx) for x in c]
+    return FrameMatrix(table.T[:, idx], np.take(_SURD_WEIGHTS, np.maximum(hi, 0)), k, order,
+                       *bands)
 
 
 def store_frame_csv(path: str | Path, frame: FrameMatrix) -> None:

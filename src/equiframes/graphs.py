@@ -21,6 +21,7 @@ import numpy as np
 from equiframes.frames import (
     FrameMatrix,
     TremainProvenance,
+    _cyclic_product,
     real_gram_signs,
     verify_etf,
     welch_bound,
@@ -332,18 +333,24 @@ def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
     scaled += [ExtScalar.sqrt6(order=order)]  # 3 * sqrt(2/3)
     x = tuple(scaled)
 
-    target = ExtScalar.from_int(3, order)
-    supports = frame.column_supports
-    for j in range(frame.count):
-        total = zero
-        for r in supports[j]:
-            if not x[r].is_zero():
-                total = total + x[r] * frame.entries[r][j].conjugate()
-        if total != target:
-            raise CertificationError(
-                f"column {j}: <x, column> != 1 (scaled value {total!r}); "
-                "check row-removal conventions and the parallel class"
-            )
+    # 3x in the frame's row grading: 3 on the class rows, and sqrt6 on the
+    # extra row, whose weight is 6; <3x, column j> at scale 2^k in one product
+    graded = np.zeros((len(frame.planes), 1, frame.dim))
+    graded[0, 0, list(in_class)] = 3
+    graded[0, 0, -1] = 1
+    graded *= frame.weights
+    bound = float((graded[0, 0] @ np.abs(frame.planes).sum(axis=0)).max())
+    ips = _cyclic_product(graded, frame.planes, order, np.matmul, bound, "flat functional")
+    target = np.zeros((len(ips), 1), dtype=np.int64)
+    target[0] = 3 << frame.k
+    bad = (ips[:, 0] != target).any(axis=0)
+    if bad.any():
+        j = int(bad.argmax())
+        total = ExtScalar.from_cyc(CycInt(order, ips[:, 0, j].tolist()), frame.k)
+        raise CertificationError(
+            f"column {j}: <x, column> != 1 (scaled value {total!r}); "
+            "check row-removal conventions and the parallel class"
+        )
     return FlatFunctional(x, 3)
 
 
@@ -499,7 +506,7 @@ def _gram_root_exponents(frame: FrameMatrix, p: int) -> np.ndarray:
     else:
         roots = [CycInt.root(m, e * (m // p)) for e in range(p)]
     g = frame.exact_gram
-    scale = 1 << (2 * frame.row_graded.k)
+    scale = 1 << (2 * frame.k)
     exps = np.full(g.shape[1:], -1, dtype=np.int64)
     for e, root in enumerate(roots):
         target = np.array(root.coeffs, dtype=np.int64)[:, None, None] * scale

@@ -4,7 +4,10 @@ Values live in Z[zeta_m][sqrt2, sqrt3] / 2^k: a cyclotomic integer part for
 the roots of unity, plus the quadratic surds sqrt(2), sqrt(3) and their
 product sqrt(6), over power-of-two denominators.  Every matrix entry and
 every Gram value in this package is one of these numbers, so equality,
-zero tests and conjugation are exact (no epsilon).
+zero tests and conjugation are exact (no epsilon).  The frame kernels work
+on arrays of their power-basis coefficients; ExtScalar holds single values
+(simplex entries, the flat functional, witnesses) and is the reference
+arithmetic the tests check the kernels against.
 """
 from __future__ import annotations
 
@@ -191,8 +194,7 @@ class ExtScalar:
     """(a + b*sqrt2 + c*sqrt3 + d*sqrt6) / 2^k with cyclotomic a, b, c, d.
 
     Canonical form keeps k minimal: either k = 0 or some component has an
-    odd coefficient.  All operations are pure; instances are immutable and
-    safe to share between workers.
+    odd coefficient.  All operations are pure and instances are immutable.
     """
 
     __slots__ = ("a", "b", "c", "d", "k")

@@ -227,6 +227,11 @@ DEGENERATE_FILES = [
     (load_butson, "order0.txt", "0 2\n"),
     (load_frame_exact, "empty.etf", "0 0 1\nbands 0 0 0\n"),
     (load_frame_exact, "order0.etf", "1 2 0\nbands 1 0 0\n(1|0|0|0|0) (1|0|0|0|0)\n"),
+    (load_frame_exact, "header_field.etf", "1 2 x\nbands 1 0 0\n(1|0|0|0|0) (1|0|0|0|0)\n"),
+    (load_frame_exact, "token_field.etf", "1 2 1\nbands 1 0 0\n(1|0|0|0|0) (1.5|0|0|0|0)\n"),
+    (load_frame_exact, "negative_k.etf", "1 2 1\nbands 1 0 0\n(1|0|0|0|0) (1|0|0|0|-1)\n"),
+    (load_frame_exact, "coeff_count.etf", "1 2 2\nbands 1 0 0\n(1|0|0|0|0) (1,0|0|0|0|0)\n"),
+    (load_frame_exact, "mixed_row.etf", "1 2 1\nbands 1 0 0\n(1|0|0|0|0) (0|1|0|0|0)\n"),
     (load_graph, "empty.g6", ""),
     (load_graph, "truncated.g6", "D\n"),
     (load_graph, "header.edges", "n \n"),

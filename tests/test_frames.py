@@ -1,17 +1,22 @@
 """Simplices, Welch bounds, Steiner/Tremain frames, and the exact verifier."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import re
+import tempfile
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equiframes.designs import find_parallel_class, make_sts, standard_embedding
 from equiframes.frames import (
-    FrameMatrix,
+    SteinerProvenance,
     gram_matrix,
     load_frame_exact,
     naimark_residuals,
@@ -177,7 +182,7 @@ def test_kernel_gram_matches_extscalar_oracle():
     orders = set()
     for name, f in _kernel_cases():
         g = f.exact_gram
-        k2 = 2 * f.row_graded.k
+        k2 = 2 * f.k
         ref = gram_matrix(f)
         for i in range(f.count):
             for j in range(f.count):
@@ -194,14 +199,28 @@ def test_gram_is_computed_once_per_frame():
     assert f.exact_gram is f.exact_gram
 
 
-def test_mixed_surd_row_is_rejected():
-    f = build_tremain(v=7)
-    rows = [list(r) for r in f.entries]
-    rows[0][0] = ExtScalar.sqrt2(order=f.order)  # block rows carry weight 1
-    mixed = FrameMatrix(tuple(tuple(r) for r in rows), f.order,
-                        f.block_rows, f.point_rows, f.extra_rows)
-    with pytest.raises(ValueError, match="row 0 mixes surds"):
-        verify_etf(mixed)
+def test_mixed_surd_row_is_rejected(tmp_path):
+    path = tmp_path / "frame.etf"
+    store_frame_exact(path, build_tremain(v=7))
+    lines = path.read_text().split("\n")
+    tokens = lines[2].split()
+    tokens[0] = "(0|1|0|0|0)"  # sqrt2, but block rows carry weight 1
+    lines[2] = " ".join(tokens)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row 0 mixes surds")):
+        load_frame_exact(path)
+
+
+def test_frame_matrix_validates_its_arrays():
+    f = build_tremain(h=2)
+    with pytest.raises(ValueError, match="read-only"):
+        f.planes[0, 0, 0] = 5
+    with pytest.raises(ValueError, match="row weight"):
+        dataclasses.replace(f, weights=np.full(f.dim, 5))
+    with pytest.raises(ValueError, match="bands"):
+        dataclasses.replace(f, block_rows=f.block_rows + 1)
+    with pytest.raises(ValueError, match="planes"):
+        dataclasses.replace(f, order=8)
 
 
 @pytest.mark.parametrize("coeff, raises", [(1 << 10, False), (1 << 27, True)])
@@ -229,8 +248,7 @@ def _perturbation_base(which):
         f = pipeline_build(v=7, h1=fourier(4), h2=fourier(8))
     else:
         f = pipeline_build(v=9)
-    nonzero = [(r, j) for j, rows in enumerate(f.column_supports) for r in rows]
-    return f, nonzero
+    return f, np.argwhere(f.planes.any(axis=0)).tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,10 +260,9 @@ def _perturbation_base(which):
 def test_one_perturbed_entry_fails_both_modes(which, pick, negate):
     f, nonzero = _perturbation_base(which)
     r, j = nonzero[pick % len(nonzero)]
-    rows = [list(row) for row in f.entries]
-    rows[r][j] = -rows[r][j] if negate else ExtScalar.from_int(0, f.order)
-    broken = FrameMatrix(tuple(tuple(row) for row in rows), f.order,
-                         f.block_rows, f.point_rows, f.extra_rows)
+    planes = f.planes.copy()
+    planes[:, r, j] = -planes[:, r, j] if negate else 0
+    broken = dataclasses.replace(f, planes=planes)
     for mode in ("exact", "float"):
         rep = verify_etf(broken, mode=mode)
         assert not rep.is_etf, (mode, r, j)
@@ -254,20 +271,11 @@ def test_one_perturbed_entry_fails_both_modes(which, pick, negate):
 
 def test_verifier_flags_broken_frame():
     f = build_tremain(v=7)
-    rows = [list(r) for r in f.entries]
-    zero = ExtScalar.from_int(0, f.order)
-    # zero out one nonzero entry
-    done = False
-    for r in range(f.dim):
-        for j in range(f.count):
-            if not rows[r][j].is_zero():
-                rows[r][j] = zero
-                done = True
-                break
-        if done:
-            break
-    broken = FrameMatrix(tuple(tuple(r) for r in rows), f.order,
-                         f.block_rows, f.point_rows, f.extra_rows)
+    # zero out the first nonzero entry
+    r, j = np.argwhere(f.planes.any(axis=0))[0]
+    planes = f.planes.copy()
+    planes[:, r, j] = 0
+    broken = dataclasses.replace(f, planes=planes)
     rep = verify_etf(broken)
     assert not rep.is_etf
     assert rep.witness is not None
@@ -323,12 +331,67 @@ def test_exact_file_roundtrip(tmp_path):
     path = tmp_path / "frame.etf"
     store_frame_exact(path, f)
     loaded = load_frame_exact(path)
-    assert (loaded.dim, loaded.count) == (f.dim, f.count)
-    assert loaded.block_rows == f.block_rows
-    for i in range(f.dim):
-        for j in range(f.count):
-            assert loaded.entries[i][j] == f.entries[i][j]
+    assert_same_frame(loaded, f)
     assert verify_etf(loaded).is_etf
+    again = tmp_path / "again.etf"
+    store_frame_exact(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def assert_same_frame(got, want):
+    assert np.array_equal(got.planes, want.planes)
+    assert np.array_equal(got.weights, want.weights)
+    assert (got.k, got.order, got.block_rows, got.point_rows, got.extra_rows) == (
+        want.k, want.order, want.block_rows, want.point_rows, want.extra_rows)
+
+
+@lru_cache(maxsize=None)
+def _stored_text(which):
+    from equiframes.pipelines import build_tremain as pipeline_build
+
+    f = build_tremain(h=2) if which == "h=2" else pipeline_build(v=7, h1=fourier(4), h2=fourier(8))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.etf"
+        store_frame_exact(path, f)
+        return path.read_text()
+
+
+@settings(max_examples=200, deadline=None)
+@example(which="h=2", line=2, field=0, whole_token=True, value="(2|0|0|0|9)")  # k not minimal
+@given(
+    which=st.sampled_from(["h=2", "V=7 fourier"]),
+    line=st.integers(min_value=0),
+    field=st.integers(min_value=0),
+    whole_token=st.booleans(),
+    value=st.one_of(
+        st.integers(min_value=-3, max_value=70).map(str),
+        st.sampled_from(["", "-0", "1.5", "x", "()", "(0|1|0|0|0)", "(1|0|0|0|0)",
+                         "(2|0|0|0|1)", "bands", str(2**51), str(10**10), str(2**60),
+                         str(10**400)]),
+        st.text(alphabet="0123456789-,|() x\n", max_size=6),
+    ),
+)
+def test_loader_fuzz_raises_naming_file_or_round_trips(
+    tmp_path_factory, which, line, field, whole_token, value
+):
+    """One mutated field or token: ValueError naming the file, or a frame
+    that store -> load reproduces exactly."""
+    lines = _stored_text(which).split("\n")
+    i = line % len(lines)
+    parts = lines[i].split(" ") if whole_token else re.split(r"([ |,()])", lines[i])
+    step = 1 if whole_token else 2  # re.split keeps the separators at odd indices
+    parts[step * (field % ((len(parts) + step - 1) // step))] = value
+    lines[i] = (" " if whole_token else "").join(parts)
+    path = tmp_path_factory.mktemp("fuzz") / "frame.etf"
+    path.write_text("\n".join(lines))
+    try:
+        frame = load_frame_exact(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    again = path.with_name("again.etf")
+    store_frame_exact(again, frame)
+    assert_same_frame(load_frame_exact(again), frame)
 
 
 def test_csv_export(tmp_path):
@@ -338,6 +401,69 @@ def test_csv_export(tmp_path):
     rows = path.read_text().strip().split("\n")
     assert len(rows) == 5
     assert len(rows[0].split(",")) == 20
+
+
+# SHA-256 of store_frame_csv output, pinned from the per-entry ExtScalar
+# conversion that preceded the array one
+CSV_SHA256 = {
+    "h=2": "4a8baefb59e961f96324ee4d1d6d854845204e0277fa9f0121096ee3afded0b6",
+    "V=7": "56d30dd2b8b169c97d4a4638d14b765f2449cd4c2512e1a599db70acc209e0ed",
+    "V=7 fourier": "397981fb4879a12b6d2e388a0fd6da6c35959bb28711d5a3f740bd1cf24ff2e2",
+    "V=13": "6224f7bbd4e1ce83e754ffbac37c8c5dbf56001292a5e7161a0b15f2e7e98858",
+}
+
+
+@pytest.mark.parametrize("name", CSV_SHA256)
+def test_csv_bytes_are_pinned(tmp_path, name):
+    from equiframes.pipelines import build_tremain as pipeline_build
+
+    f = {
+        "h=2": lambda: pipeline_build(h=2),
+        "V=7": lambda: pipeline_build(v=7),
+        "V=7 fourier": lambda: pipeline_build(v=7, h1=fourier(4), h2=fourier(8)),
+        "V=13": lambda: pipeline_build(v=13),
+    }[name]()
+    path = tmp_path / "frame.csv"
+    store_frame_csv(path, f)
+    data = path.read_bytes()
+    assert "-0.0" not in re.split("[,\n]", data.decode())
+    assert hashlib.sha256(data).hexdigest() == CSV_SHA256[name]
+
+
+def _named_entries(f):
+    """Each entry as the construction names it: a simplex ExtScalar times
+    the weight 1, sqrt2, sqrt2/2 or sqrt6/2 of its place."""
+    prov = f.provenance
+    steiner = isinstance(prov, SteinerProvenance)
+    sim_r = prov.simplex if steiner else prov.sim_r
+    zero = ExtScalar.from_int(0)
+    want = [[zero] * f.count for _ in range(f.dim)]
+    r1 = sim_r.count
+    for v, blocks in enumerate(prov.embedding.orders):
+        for s in range(r1):
+            for pos, blk in enumerate(blocks):
+                want[blk][v * r1 + s] = sim_r.entries[pos][s]
+            if not steiner:
+                want[f.block_rows + v][v * r1 + s] = ExtScalar.sqrt2() * sim_r.naimark[s]
+    if not steiner:
+        first = len(prov.embedding.orders) * r1
+        for t in range(prov.sim_v.count):
+            for v in range(prov.sim_v.dim):
+                want[f.block_rows + v][first + t] = ExtScalar.sqrt2(k=1) * prov.sim_v.entries[v][t]
+            want[-1][first + t] = ExtScalar.sqrt6(k=1) * prov.sim_v.naimark[t]
+    return want
+
+
+def test_builders_match_simplex_entries():
+    """The planes filled from exponent tables name the simplices' values."""
+    from equiframes.pipelines import build_steiner
+
+    cases = [*_kernel_cases(), ("Steiner V=7", build_steiner(7)), ("Steiner V=9", build_steiner(9))]
+    for name, f in cases:
+        want = _named_entries(f)
+        for r in range(f.dim):
+            for j in range(f.count):
+                assert f.entry(r, j) == want[r][j], f"{name}: entry ({r},{j})"
 
 
 def test_naimark_identity_all_rows_small_orders():

@@ -1,6 +1,7 @@
 """Graph kernels: SRG/DRACKN certification, parameter formulas, graph I/O."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from functools import lru_cache
 from unittest import mock
@@ -322,13 +323,10 @@ def test_waldron_h4():
 
 
 def test_waldron_rejects_broken_frame():
-    from equiframes.frames import FrameMatrix
-
     f = build_tremain(h=2)
-    rows = [list(r) for r in f.entries]
-    rows[0][0] = ExtScalar.from_int(0, f.order)
-    broken = FrameMatrix(tuple(tuple(r) for r in rows), f.order,
-                         f.block_rows, f.point_rows, f.extra_rows, f.provenance)
+    planes = f.planes.copy()
+    planes[:, 0, 0] = 0
+    broken = dataclasses.replace(f, planes=planes)
     with pytest.raises(CertificationError):
         waldron_srg(broken)
 
@@ -362,9 +360,16 @@ def test_flat_functional_refuses_without_parallel_embedding():
 
 
 def test_flat_functional_detects_wrong_row_convention():
-    # removing the first row of H1 breaks <x, column> = 1
+    # removing the first row of H1 breaks <x, column> = 1; the witness is the
+    # first column whose ExtScalar inner product with 3x misses 3
     frame = build_tremain(h=2, parallel=True, row1=0)
-    with pytest.raises(CertificationError):
+    x = tremain_flat_functional(build_tremain(h=2, parallel=True)).scaled_entries
+    zero, three = ExtScalar.from_int(0, frame.order), ExtScalar.from_int(3, frame.order)
+    first = next(
+        j for j in range(frame.count)
+        if sum((x[r] * frame.entry(r, j).conjugate() for r in range(frame.dim)), zero) != three
+    )
+    with pytest.raises(CertificationError, match=f"column {first}:"):
         tremain_flat_functional(frame)
 
 
