@@ -199,6 +199,7 @@ def cmd_make_etf(args) -> int:
             row1=args.remove_row1,
             row2=args.remove_row2,
             parallel=args.parallel_class,
+            real=args.real,
         )
         name = f"tremain_h{args.h}" if args.h is not None else f"tremain_v{args.V}"
     rep = verify_etf(frame, mode=args.mode, tol=args.tol)

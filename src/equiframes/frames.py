@@ -10,23 +10,30 @@ per-entry (a|b|c|d|k) tokens.  Frames are stored unscaled: every vector of
 a Tremain frame has squared norm R + 2 and distinct vectors meet in a
 unimodular inner product, so the coherence of the unit-normalized family
 is 1/(R + 2), the Welch bound for these dimensions.  Verification
-recomputes the full Gram matrix and frame operator from the planes; it
-never trusts the construction.
+recomputes the Gram matrix and frame operator from the planes; it never
+trusts the construction.
 
-Exact verification runs one kernel for real and complex frames: the Gram
-is sum_{a,b} X_a^T diag(w) X_b zeta_m^(a-b) / 4^k, float64 products summed
-in cyclic slots (a - b) mod m, rounded, reduced modulo Phi_m, with no surd
-left.  The frame operator, |Gram|^2 and the flat functional's inner
-products are the same slot products.  Past 2^52 in a slot sum it raises
-ValueError.  gram_matrix recomputes the Gram in ExtScalar arithmetic, as
-the tests' independent reference.
+Exact verification runs one kernel for real and complex frames: Gram
+entries are sum_{a,b} X_a^T diag(w) X_b zeta_m^(a-b) / 4^k, BLAS products
+summed in cyclic slots (a - b) mod m, reduced modulo Phi_m, with
+no surd left.  The products run in float32 when an a-priori bound on every
+slot sum is below 2^24 and in float64 below 2^52; past that the kernel
+raises ValueError.  The Gram is never held whole: one pass per frame walks
+its upper triangle in row tiles, checks norms and moduli tile by tile and
+keeps one small integer per pair, the phase e with Gram(i, j) a positive
+rational multiple of zeta_(m')^e, m' = lcm(2, m) (-1 when there is none).
+Real frames compare |Gram| directly; complex ones compare |Gram|^2, the
+same slot products taken elementwise in int64.  The frame operator and the
+flat functional's inner products are slot products too.  gram_matrix
+recomputes the Gram in ExtScalar arithmetic, as the tests' independent
+reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm, pi
 from pathlib import Path
 
 import numpy as np
@@ -194,12 +201,9 @@ class FrameMatrix:
         return ExtScalar(*parts, k=self.k)
 
     @cached_property
-    def exact_gram(self) -> np.ndarray:
-        """Gram at scale 4^k: (phi(m), N, N) power-basis coefficients."""
-        sq = np.abs(self.planes).sum(axis=0) ** 2
-        return _cyclic_product([p.T for p in self.planes], self.planes * self.weights[:, None],
-                               self.order, np.matmul, float((self.weights @ sq).max(initial=0)),
-                               "Gram")
+    def gram_pass(self) -> GramPass:
+        """The one streaming pass over the exact Gram, made on first use."""
+        return _gram_pass(self)
 
     def to_complex_array(self) -> np.ndarray:
         """Entries as complex128, rounded exactly as ExtScalar.to_complex rounds."""
@@ -345,57 +349,193 @@ def gram_matrix(frame: FrameMatrix) -> list[list[ExtScalar]]:
 _SURD_WEIGHTS = (1, 2, 3, 6)  # squares of the ExtScalar surds 1, sqrt2, sqrt3, sqrt6
 _SURD_FLOATS = (1.0, _SQRT2_F, _SQRT3_F, _SQRT6_F)
 _EXACT_LIMIT = 2 ** 52  # float64 holds every integer below 2^53
+_FLOAT32_LIMIT = 2 ** 24  # float32 holds every integer up to 2^24
 _GUARD_NOTE = "float64 would round the sums, so the exact kernel refuses"
+_GRAM_TILE = 256  # Gram rows per tile of the streaming pass
 
 
 def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.ndarray:
     """Power-basis coefficients of sum_{a,b} mul(left[a], right[b]) zeta_m^(a-b).
 
-    Products accumulate per cyclic slot (a - b) mod m, in float64 for BLAS
-    matmuls or in int64; ``bound`` caps every partial sum, so below 2^52
-    both are exact and rounding recovers each float slot.  The slots are
-    then reduced modulo Phi_m.
+    Products accumulate one cyclic slot (a - b) mod m at a time, in float
+    for BLAS matmuls or in int64; ``bound`` caps every partial sum, so below
+    2^52 (2^24 for float32 operands) every float sum is an exact integer.
+    Each slot is folded into the phi(m) output planes, reduced modulo Phi_m,
+    as soon as it is summed.
     """
     if not bound < _EXACT_LIMIT:
         raise ValueError(f"{what} slot sums may reach {bound:.4g} >= 2^52; {_GUARD_NOTE}")
-    slots: dict[int, np.ndarray] = {}
-    for a, x in enumerate(left):
-        for b, y in enumerate(right):
-            d = (a - b) % m
-            if d in slots:
-                slots[d] += mul(x, y)
-            else:
-                slots[d] = mul(x, y)
-    out = np.zeros((len(left), *slots[0].shape), dtype=np.int64)
-    while slots:
-        d, s = slots.popitem()
-        if s.dtype != np.int64:
-            s = np.rint(s, out=s).astype(np.int64)
+    out = None
+    for d in range(m):
+        slot = None
+        for a, x in enumerate(left):
+            b = (a - d) % m
+            if b < len(right):
+                if slot is None:
+                    slot = mul(x, right[b])
+                else:
+                    slot += mul(x, right[b])
+        if slot is None:
+            continue
+        if d == 0:  # zeta^0 = 1: the slot is the constant plane
+            out = np.zeros((len(left), *slot.shape), dtype=np.int64)
+            out[0] = slot
+            continue
+        slot = slot.astype(np.int64, copy=False)
         for c, coef in enumerate(CycInt.root(m, d).coeffs):
             if coef:
-                out[c] += s if coef == 1 else coef * s
+                out[c] += slot if coef == 1 else coef * slot
     return out
 
 
-def _rational(coeffs: np.ndarray, scale: int) -> Fraction | None:
+def _abs_sum(planes: np.ndarray) -> np.ndarray:
+    """sum_a |X_a| entrywise, (M, N), up to sign: its squares bound the slot sums."""
+    if len(planes) == 1:
+        return planes[0]
+    total = np.abs(planes[0])
+    for p in planes[1:]:
+        total += np.abs(p)
+    return total
+
+
+def _exact_float(planes: np.ndarray, bound: float) -> np.ndarray:
+    """The planes in float32 when ``bound`` keeps products exact there, else float64."""
+    return planes.astype(np.float32 if bound < _FLOAT32_LIMIT else np.float64, copy=False)
+
+
+def _gram_tiles(frame: FrameMatrix, tile: int = _GRAM_TILE):
+    """Yield (s, G) for the row tiles of the Gram's upper triangle.
+
+    G holds the power-basis coefficients, at scale 4^k, of the Gram entries
+    in rows s:s+tile and columns s:N, shape (phi(m), rows, N - s).
+    """
+    t = _abs_sum(frame.planes)
+    bound = float(np.einsum("r,rj,rj->j", frame.weights, t, t).max(initial=0))
+    del t
+    x = _exact_float(frame.planes, bound)
+    w = frame.weights[:, None].astype(x.dtype)
+    for s in range(0, frame.count, tile):
+        yield s, _cyclic_product([(p[:, s:s + tile] * w).T for p in x], [p[:, s:] for p in x],
+                                 frame.order, np.matmul, bound, "Gram")
+
+
+def _phase_roots(m: int) -> np.ndarray:
+    """(m', phi(m)) power-basis coefficients of zeta_(m')^e, m' = lcm(2, m)."""
+    if m % 2:  # zeta_(2m) = -zeta_m^((m+1)/2)
+        return np.array([CycInt.root(m, e * (m + 1) // 2 % m).coeffs for e in range(2 * m)],
+                        dtype=np.int64) * np.where(np.arange(2 * m) % 2, -1, 1)[:, None]
+    return np.array([CycInt.root(m, e).coeffs for e in range(m)], dtype=np.int64)
+
+
+def _tile_phase(g: np.ndarray, m: int) -> np.ndarray:
+    """Per entry the e with g a positive rational multiple of zeta_(m')^e, else -1."""
+    if len(g) == 1:  # real: 0 positive, 1 negative, -1 zero
+        phase = (g[0] < 0).astype(np.int8)
+        phase[g[0] == 0] = -1
+        return phase
+    m2 = lcm(2, m)
+    # the angle of the float value names the only candidate; integers confirm it
+    z = np.zeros(g.shape[1:], dtype=np.complex128)
+    for root, coeffs in zip(_unit_roots(m), g):
+        z += coeffs * root
+    e = np.rint(np.angle(z) * (m2 / (2 * pi))).astype(np.int64) % m2
+    roots = _phase_roots(m)
+    pivot = (roots != 0).argmax(axis=1)  # first nonzero coefficient of each root
+    r_piv = roots[np.arange(m2), pivot][e]
+    g_piv = np.take_along_axis(g, pivot[e][None], axis=0)[0]
+    ok = g_piv * r_piv > 0
+    for c, coeffs in enumerate(g):
+        ok &= coeffs * r_piv == roots[:, c][e] * g_piv
+    return np.where(ok, e, -1).astype(_phase_dtype(m))
+
+
+def _phase_dtype(m: int):
+    return np.int8 if lcm(2, m) < 128 else np.int16
+
+
+@dataclass(frozen=True, eq=False)
+class GramPass:
+    """What one streaming pass over a frame's exact Gram keeps.
+
+    ``phase[i, j]`` is the e for which Gram(i, j) is a positive rational
+    multiple of zeta_(m')^e, m' = lcm(2, m), or -1 (a zero entry, say); for
+    a real frame 0 is positive and 1 negative.  ``norm`` and ``abs_sq`` are
+    the power-basis coefficients of Gram(0, 0) at scale 4^k and of
+    |Gram(0, 1)|^2 at scale 16^k.  The witnesses name the first column
+    whose norm differs from column 0's and the first pair (i, j), i < j in
+    row-major order, whose modulus differs from that of pair (0, 1).
+    """
+
+    phase: np.ndarray  # (N, N) int8 (int16 past m' = 127), read-only
+    norm: tuple[int, ...]
+    abs_sq: tuple[int, ...]
+    norm_witness: int | None
+    pair_witness: tuple[int, int] | None
+
+
+def _gram_pass(frame: FrameMatrix, tile: int = _GRAM_TILE) -> GramPass:
+    """Walk the Gram's upper triangle in row tiles; keep only what GramPass holds."""
+    n, m = frame.count, frame.order
+    welch_bound(frame.dim, n)  # reject degenerate shapes before any array work
+    real = len(frame.planes) == 1
+    m2 = lcm(2, m)
+    phase = np.empty((n, n), dtype=_phase_dtype(m))
+    norm = ref = norm_at = pair_at = None
+    for s, g in _gram_tiles(frame, tile):
+        e = s + g.shape[1]
+        rows = np.arange(e - s)
+        if s == 0:
+            norm = g[:, 0, 0].copy()
+        if real:  # |g| against |g_01| unsquared: a square could leave int64
+            ref = abs(int(g[0, 0, 1])) if ref is None else ref
+            pairs = (g[0] != ref) & (g[0] != -ref)
+        else:
+            mod = _cyclic_product(g, g, m, np.multiply,
+                                  sum(max(-int(p.min()), int(p.max())) for p in g) ** 2,
+                                  "|Gram|^2")
+            ref = mod[:, 0, 1].copy() if ref is None else ref
+            pairs = (mod != ref[:, None, None]).any(axis=0)
+            del mod
+        differs = (g[:, rows, rows] != norm[:, None]).any(axis=0)
+        if norm_at is None and differs.any():
+            norm_at = s + int(differs.argmax())
+        pairs &= np.arange(s, n) > np.arange(s, e)[:, None]
+        if pair_at is None and pairs.any():
+            i, j = np.unravel_index(pairs.argmax(), pairs.shape)
+            pair_at = (s + int(i), s + int(j))
+        tile_phase = _tile_phase(g, m)
+        phase[s:e, s:] = tile_phase
+        if m2 != 2:  # conj(zeta^e) = zeta^(-e)
+            tile_phase = np.where(tile_phase >= 0, -tile_phase % m2, -1)
+        phase[s:, s:e] = tile_phase.T
+        del g  # before the next tile is made
+    abs_sq = (ref * ref,) if real else tuple(int(c) for c in ref)
+    phase.flags.writeable = False
+    return GramPass(phase, tuple(int(c) for c in norm), abs_sq, norm_at, pair_at)
+
+
+def _rational(coeffs, scale: int) -> Fraction | None:
     """Value of power-basis coefficients over ``scale`` when it is rational."""
-    return None if coeffs[1:].any() else Fraction(int(coeffs[0]), scale)
+    return None if any(coeffs[1:]) else Fraction(int(coeffs[0]), scale)
 
 
 def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
-    """Sign matrix of a real frame's exact Gram (read from its cache).
+    """Sign matrix (int8, zero diagonal) of a real frame's exact Gram.
 
-    Requires every off-diagonal Gram value to be nonzero, which holds for
-    real Steiner and Tremain frames.
+    Read from the phases of the frame's Gram pass.  Requires every
+    off-diagonal Gram value to be nonzero, which holds for real Steiner and
+    Tremain frames.
     """
     if not frame.is_real_rational():
         raise ValueError("frame has genuine root-of-unity entries")
-    g = frame.exact_gram[0]
-    nonzero = g != 0
-    np.fill_diagonal(nonzero, True)
-    if not nonzero.all():
+    phase = frame.gram_pass.phase
+    vanish = phase < 0
+    np.fill_diagonal(vanish, False)
+    if vanish.any():
         raise ValueError("some off-diagonal Gram values vanish")
-    signs = np.sign(g).astype(np.int8)
+    del vanish
+    signs = phase * np.int8(-2)  # phase 0 -> +1, phase 1 -> -1
+    signs += 1
     np.fill_diagonal(signs, 0)
     return signs
 
@@ -477,36 +617,32 @@ def _report(
 
 def _verify_exact(frame: FrameMatrix) -> ETFReport:
     m, n = frame.dim, frame.count
-    welch_bound(m, n)  # reject degenerate shapes before any array work
-    g = frame.exact_gram
+    gp = frame.gram_pass
     scale = 1 << (2 * frame.k)
     witness = None
 
-    norm0 = g[:, 0, 0]
-    differs = (g[:, range(n), range(n)] != norm0[:, None]).any(axis=0)
-    equal_norms = not differs.any()
+    norm0 = gp.norm
+    equal_norms = gp.norm_witness is None
     if not equal_norms:
-        witness = f"norms differ at columns 0 and {int(differs.argmax())}"
+        witness = f"norms differ at columns 0 and {gp.norm_witness}"
     norm_frac = _rational(norm0, scale)
 
-    # |g|^2 = g * conj(g): the same slot products, elementwise in int64
-    sq = _cyclic_product(g, g, frame.order, np.multiply,
-                         sum(max(-int(p.min()), int(p.max())) for p in g) ** 2,
-                         "|Gram|^2")
-    pairs = np.triu((sq != sq[:, :1, 1:2]).any(axis=0), 1)
-    is_equi = not pairs.any()
+    is_equi = gp.pair_witness is None
     gram_abs = None
     if is_equi:
-        gram_abs = _rational(sq[:, 0, 1], scale * scale)
+        gram_abs = _rational(gp.abs_sq, scale * scale)
     else:
-        i, j = np.unravel_index(pairs.argmax(), pairs.shape)
+        i, j = gp.pair_witness
         witness = witness or f"|Gram| differs at pair (0,1) vs ({i},{j})"
 
     is_tight = equal_norms
     if is_tight:
-        bound = (np.abs(frame.planes).sum(axis=0) ** 2).sum(axis=1).max(initial=0)
-        fo = _cyclic_product(frame.planes, [p.T for p in frame.planes], frame.order,
-                             np.matmul, float(bound), "frame operator")
+        t = _abs_sum(frame.planes)
+        bound = float(np.einsum("rj,rj->r", t, t).max(initial=0))
+        del t
+        x = _exact_float(frame.planes, bound)
+        fo = _cyclic_product(x, [p.T for p in x], frame.order, np.matmul, bound,
+                             "frame operator")
         # M * w_r * fo[r, r] == N * norm, compared in Python integers
         target = [n * int(c) for c in norm0]
         bad = fo.any(axis=0)
@@ -572,9 +708,10 @@ def _verify_float(frame: FrameMatrix, tol: float) -> ETFReport:
 def verify_etf(frame: FrameMatrix, mode: str = "exact", tol: float = 1e-10) -> ETFReport:
     """Certify equal norms, tightness, and equiangularity of a frame.
 
-    Exact mode computes the Gram matrix (cached on the frame) and the frame
-    operator from the entries with the exact kernel; float mode does the
-    same numerically under ``tol``.
+    Exact mode reads the frame's one Gram pass (norms, moduli, phases; made
+    on first use and cached on the frame) and computes the frame operator
+    with the exact kernel; float mode does the same numerically under
+    ``tol``.
     """
     if mode == "float":
         return _verify_float(frame, tol)
@@ -702,13 +839,13 @@ def _parse_frame(text: str) -> FrameMatrix:
 
 
 def store_frame_csv(path: str | Path, frame: FrameMatrix) -> None:
-    """Float CSV: M rows of alternating real,imag parts (2N fields)."""
-    a = frame.to_complex_array()
-    lines = []
-    for r in range(frame.dim):
-        fields = []
-        for j in range(frame.count):
-            fields.append(repr(a[r, j].real))
-            fields.append(repr(a[r, j].imag))
-        lines.append(",".join(fields))
+    """Float CSV: M rows of alternating real,imag parts (2N fields).
+
+    Each field is the repr of its float64; every distinct bit pattern is
+    formatted once.
+    """
+    fields = frame.to_complex_array().view(np.float64)  # (M, 2N): real, imag, ...
+    distinct, inverse = np.unique(fields.view(np.uint64), return_inverse=True)
+    tokens = np.array([repr(x) for x in distinct.view(np.float64)], dtype=object)
+    lines = [",".join(row) for row in tokens[inverse.reshape(fields.shape)].tolist()]
     Path(path).write_text("\n".join(lines) + "\n")

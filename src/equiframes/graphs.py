@@ -1,24 +1,28 @@
 """Strongly regular graphs and antipodal covers derived from real frames.
 
-A graph is a read-only boolean adjacency matrix.  Certification is pure
-counting: degrees are row sums and common-neighbor counts are the entries
-of A·A, computed in float32 row tiles (exact, since every count is below
-2^24).  Strongly regular graphs need constant degree and constant counts
-over adjacent and non-adjacent pairs; covers of the complete graph need
-fiber matchings, read off A·F for the fiber indicator F, and a constant
-count over non-adjacent pairs in distinct fibers.  The certifiers never
-read the closed-form parameters they are compared against.
+Both read the phases of the frame's one exact Gram pass (frames.py): the
+SRGs take the sign bits of a real Gram, switched by XOR; the covers take
+the root-of-unity exponent of each Gram entry.  A graph is a read-only
+boolean adjacency matrix.  Certification is pure counting: degrees are
+row sums and common-neighbor counts are the entries of A·A, computed in
+float32 row tiles (exact, since every count is below 2^24).  Strongly
+regular graphs need constant degree and constant counts over adjacent and
+non-adjacent pairs; covers of the complete graph need fiber matchings,
+read off A·F for the fiber indicator F, and a constant count over
+non-adjacent pairs in distinct fibers.  The certifiers never read the
+closed-form parameters they are compared against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from pathlib import Path
 
 import numpy as np
 
 from equiframes.frames import (
+    ETFReport,
     FrameMatrix,
     TremainProvenance,
     _cyclic_product,
@@ -258,9 +262,9 @@ class SRGResult:
         }
 
 
-def _certify_sign_graph(signs: np.ndarray, expected: SRGParams, what: str) -> SRGResult:
+def _certify_sign_graph(negative: np.ndarray, expected: SRGParams, what: str) -> SRGResult:
     """Count the negative sign graph once; its complement is the positive one."""
-    g = Graph.from_adjacency((signs == -1) & ~np.eye(len(signs), dtype=bool))
+    g = Graph.from_adjacency(negative)
     cert = srg_check(g)
     if cert.ok and cert.params == expected:
         return SRGResult(g, cert.params, "negative-adjacent")
@@ -282,13 +286,16 @@ def waldron_srg(frame: FrameMatrix) -> SRGResult:
     rep = verify_etf(frame)
     if not rep.is_etf:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
-    signs = real_gram_signs(frame)
     n = frame.count
-    eps = signs[:, n - 1].copy()
-    eps[n - 1] = 1
-    switched = signs * np.outer(eps, eps)
+    negative = real_gram_signs(frame)[: n - 1] < 0
+    # switching against the last vector flips bit (i, j) once for each of i, j
+    # whose Gram value with it is negative
+    flip = negative[:, n - 1].copy()
+    negative = negative[:, : n - 1]
+    negative ^= flip[:, None]
+    negative ^= flip
     expected = srg_params_waldron(frame.dim, frame.count)
-    return _certify_sign_graph(switched[: n - 1, : n - 1], expected, "waldron graph")
+    return _certify_sign_graph(negative, expected, "waldron graph")
 
 
 @dataclass(frozen=True)
@@ -361,9 +368,9 @@ def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
     if len(functional.scaled_entries) != frame.dim:
         raise ValueError("functional dimension does not match the frame")
-    signs = real_gram_signs(frame)
+    negative = real_gram_signs(frame) < 0
     expected = srg_params_gs(frame.dim, frame.count)
-    return _certify_sign_graph(signs, expected, "flat-functional graph")
+    return _certify_sign_graph(negative, expected, "flat-functional graph")
 
 
 # ---------------------------------------------------------------------------
@@ -496,26 +503,27 @@ class CoverResult:
         }
 
 
-def _gram_root_exponents(frame: FrameMatrix, p: int) -> np.ndarray:
-    """Exponent e with Gram(i,j) = zeta_p^e for every off-diagonal pair."""
-    m = frame.order
-    if m % p:
-        if p != 2:
-            raise ValueError(f"order-{m} Gram values are not {p}-th roots of unity")
-        roots = [CycInt.from_int(1, m), CycInt.from_int(-1, m)]
-    else:
-        roots = [CycInt.root(m, e * (m // p)) for e in range(p)]
-    g = frame.exact_gram
-    scale = 1 << (2 * frame.k)
-    exps = np.full(g.shape[1:], -1, dtype=np.int64)
-    for e, root in enumerate(roots):
-        target = np.array(root.coeffs, dtype=np.int64)[:, None, None] * scale
-        exps[(g == target).all(axis=0)] = e
-    np.fill_diagonal(exps, 0)
-    missing = np.triu(exps < 0, 1)
+def _gram_root_exponents(frame: FrameMatrix, rep: ETFReport, p: int) -> np.ndarray:
+    """Exponent e with Gram(i,j) = zeta_p^e for every off-diagonal pair.
+
+    Read off the phases of the frame's Gram pass: Gram(i, j) is a positive
+    multiple of zeta_(m')^f, m' = lcm(2, m), and it equals zeta_p^e, e =
+    f p / m', exactly when m'/p divides f and the certified report says
+    |Gram|^2 = 1.
+    """
+    m2 = lcm(2, frame.order)
+    if m2 % p:
+        raise ValueError(f"order-{frame.order} Gram values are not {p}-th roots of unity")
+    step = m2 // p
+    phase = frame.gram_pass.phase
+    missing = np.triu((phase < 0) | (phase % step != 0), 1)
+    if rep.gram_abs_sq != 1:
+        missing[0, 1] = True  # every pair misses; the first one is the witness
     if missing.any():
         i, j = np.unravel_index(missing.argmax(), missing.shape)
         raise ValueError(f"Gram entry at ({i},{j}) is not a {p}-th root of unity")
+    exps = phase // step
+    np.fill_diagonal(exps, 0)
     return exps
 
 
@@ -531,7 +539,7 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     rep = verify_etf(frame)
     if not rep.is_etf:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
-    exps = _gram_root_exponents(frame, p)
+    exps = _gram_root_exponents(frame, rep, p)
     n = frame.count
     a = np.arange(p)
     # adj[i, a, j, b] for i < j, mirrored below
@@ -602,16 +610,19 @@ def export_graph(
         path.write_bytes(_graph6_bytes(g) + b"\n")
     elif fmt == "edges":
         n = g.order
+        # one "u " and one "v\n" label per vertex; each tile's lines interleave them
+        heads = np.array([f"{u} " for u in range(n)], dtype=object)
+        tails = np.array([f"{v}\n" for v in range(n)], dtype=object)
         with path.open("w") as fh:
             fh.write(f"n {n}\n")
             if fibers is not None:
                 fh.write(f"p {fibers.fiber_size}\n")
             for s in range(0, n, _TILE):
-                e = min(s + _TILE, n)
-                us, vs = np.nonzero(np.triu(g.adj[s:e], s + 1))
-                fh.write("".join(
-                    f"{u} {v}\n" for u, v in zip((us + s).tolist(), vs.tolist())
-                ))
+                us, vs = np.nonzero(np.triu(g.adj[s:s + _TILE], s + 1))
+                lines = np.empty(2 * len(us), dtype=object)
+                lines[0::2] = heads[us + s]
+                lines[1::2] = tails[vs]
+                fh.write("".join(lines.tolist()))
     else:
         raise ValueError(f"unknown graph format {fmt!r}")
 
@@ -631,15 +642,34 @@ def _edge_list_parse(data: bytes) -> tuple[Graph, FiberPartition | None]:
     lines = [ln.split() for ln in data.decode().split("\n") if ln.strip()]
     if len(lines[0]) != 2:
         raise ValueError(f"bad header {' '.join(lines[0])!r}")
-    order = int(lines[0][1])
-    fiber_size = None
+    order = _count_field(lines[0][1], "vertex count")
     edge_lines = lines[1:]
+    size = None
     if edge_lines and edge_lines[0][0] == "p" and len(edge_lines[0]) == 2:
-        fiber_size = int(edge_lines[0][1])
+        size = _count_field(edge_lines[0][1], "fiber size")
         edge_lines = edge_lines[1:]
-    fibers = None
-    if fiber_size:
-        fibers = FiberPartition(tuple(
-            tuple(range(i, i + fiber_size)) for i in range(0, order, fiber_size)
-        ))
-    return Graph.from_edges(order, [tuple(map(int, t)) for t in edge_lines]), fibers
+    edges = []
+    for t in edge_lines:
+        if len(t) != 2:
+            raise ValueError(f"edge line {' '.join(t)!r} does not have two vertices")
+        u, v = (_count_field(x, "vertex") for x in t)
+        if max(u, v) >= order:  # checked here: huge ints would overflow int64
+            raise ValueError(f"edge ({u},{v}) leaves the vertex range [0,{order})")
+        edges.append((u, v))
+    g = Graph.from_edges(order, edges)  # before the fibers: refuses a huge order first
+    if size is None:
+        return g, None
+    if size < 1 or order % size:
+        raise ValueError(f"fiber size {size} does not split {order} vertices")
+    return g, FiberPartition(tuple(tuple(range(i, i + size)) for i in range(0, order, size)))
+
+
+def _count_field(token: str, what: str) -> int:
+    """A non-negative integer field of an edge list."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{what} {token!r} is not a non-negative integer")
+    return value

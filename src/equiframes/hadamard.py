@@ -201,7 +201,7 @@ def real_hadamard(n: int) -> ButsonMatrix:
         return paley(n // 2 - 1)
     if n // 2 % 4 == 0:
         return kronecker(sylvester(1), real_hadamard(n // 2))
-    raise ValueError(f"no built-in real Hadamard construction for order {n}")
+    raise ValueError(f"no real Hadamard matrix of order {n} among the built-in constructions")
 
 
 def store_butson(path: str | Path, h: ButsonMatrix) -> None:
@@ -218,14 +218,20 @@ def load_butson(path: str | Path) -> ButsonMatrix:
     head = raw[0].split()
     if len(head) != 2:
         raise ValueError(f"{path}: bad header {raw[0]!r}")
-    n, q = int(head[0]), int(head[1])
+    try:
+        n, q = int(head[0]), int(head[1])
+    except ValueError:
+        raise ValueError(f"{path}: non-integer field in header {raw[0]!r}") from None
     if n < 1 or q < 1:
         raise ValueError(f"{path}: order and root order must be positive, got {n} {q}")
     if len(raw) != n + 1:
         raise ValueError(f"{path}: expected {n} rows, found {len(raw) - 1}")
     rows = []
     for ln in raw[1:]:
-        row = tuple(int(t) for t in ln.split())
+        try:
+            row = tuple(int(t) for t in ln.split())
+        except ValueError:
+            raise ValueError(f"{path}: non-integer exponent in row {ln!r}") from None
         if len(row) != n:
             raise ValueError(f"{path}: row has {len(row)} entries, expected {n}")
         if any(e < 0 or e >= q for e in row):

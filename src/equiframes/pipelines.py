@@ -18,8 +18,9 @@ from equiframes.designs import (
 from equiframes.frames import (
     FrameMatrix,
     simplex_from_hadamard,
-    tremain_etf,
     steiner_etf,
+    tremain_etf,
+    tremain_params,
 )
 from equiframes.graphs import (
     CoverResult,
@@ -56,21 +57,28 @@ def tremain_ingredients(
     row1: int | None = None,
     row2: int | None = None,
     parallel: bool = False,
+    real: bool = False,
 ):
-    """Resolve a Tremain build request to (sts, embedding, sim_r, sim_v)."""
+    """Resolve a Tremain build request to (sts, embedding, sim_r, sim_v).
+
+    With ``real`` every Hadamard input must be real and the default one
+    must come from a built-in real construction; otherwise the request is
+    refused before anything is built.
+    """
     if (v is None) == (h is None):
         raise ValueError("give exactly one of v, h")
+    tremain_params(v=v, h=h)
     if v is None:
         v = 2 * h - 1
-    sts = make_sts(v)
-    cls = None
-    if parallel:
-        cls = find_parallel_class(sts)
-        if cls is None:
-            raise ValueError(f"no parallel class available for V={v}")
-    emb = standard_embedding(sts, cls)
-    r_dim = sts.replication
-    if h1 is None:
+    r_dim = (v - 1) // 2
+    if real:
+        for which, given in (("first", h1), ("second", h2)):
+            if given is not None and not given.is_real():
+                raise ValueError(f"the real family needs real Hadamard matrices; the {which} "
+                                 f"one has root order {given.root_order}")
+        if h1 is None:
+            h1 = normalize(real_hadamard(r_dim + 1))
+    elif h1 is None:
         h1 = default_hadamard(r_dim + 1)
     if h2 is None:
         h2 = (
@@ -82,6 +90,13 @@ def tremain_ingredients(
         raise ValueError(f"first Hadamard matrix must have order {r_dim + 1}")
     if h2.order != v + 1:
         raise ValueError(f"second Hadamard matrix must have order {v + 1}")
+    sts = make_sts(v)
+    cls = None
+    if parallel:
+        cls = find_parallel_class(sts)
+        if cls is None:
+            raise ValueError(f"no parallel class available for V={v}")
+    emb = standard_embedding(sts, cls)
     sim_r = simplex_from_hadamard(h1, h1.order - 1 if row1 is None else row1)
     sim_v = simplex_from_hadamard(h2, 0 if row2 is None else row2)
     return sts, emb, sim_r, sim_v
@@ -95,8 +110,9 @@ def build_tremain(
     row1: int | None = None,
     row2: int | None = None,
     parallel: bool = False,
+    real: bool = False,
 ) -> FrameMatrix:
-    sts, emb, sim_r, sim_v = tremain_ingredients(v, h, h1, h2, row1, row2, parallel)
+    sts, emb, sim_r, sim_v = tremain_ingredients(v, h, h1, h2, row1, row2, parallel, real)
     return tremain_etf(sts, emb, sim_r, sim_v)
 
 
@@ -114,14 +130,14 @@ def build_steiner(
 
 
 def waldron_pipeline(h: int) -> tuple[FrameMatrix, SRGResult]:
-    frame = build_tremain(h=h)
+    frame = build_tremain(h=h, real=True)
     return frame, waldron_srg(frame)
 
 
 def gs_pipeline(h: int) -> tuple[FrameMatrix, FlatFunctional, SRGResult]:
     if h % 3 != 2:
         raise ValueError(f"the flat-functional family needs h = 2 (mod 3), got {h}")
-    frame = build_tremain(h=h, parallel=True)
+    frame = build_tremain(h=h, parallel=True, real=True)
     functional = tremain_flat_functional(frame)
     return frame, functional, gs_srg(frame, functional)
 
@@ -134,7 +150,7 @@ def drackn_pipeline(
 ) -> tuple[FrameMatrix, CoverResult]:
     """Cover from a Tremain frame whose Gram entries are p-th roots of unity."""
     if p == 2:
-        frame = build_tremain(h=h, h1=h1, h2=h2)
+        frame = build_tremain(h=h, h1=h1, h2=h2, real=True)
     else:
         if h1 is None:
             if h != p:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+from unittest import mock
 
 import pytest
 
@@ -246,3 +247,62 @@ def test_loader_rejects_degenerate_file_naming_it(tmp_path, loader, name, text):
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         loader(path)
+
+
+LOADER_DEFECTS = [
+    (load_butson, "exponent_x.txt", "2 2\n0 0\n0 x\n", "non-integer exponent in row '0 x'"),
+    (load_graph, "fibers_past_order.edges", "n 4\np 3\n0 1\n",
+     "fiber size 3 does not split 4 vertices"),
+    (load_graph, "fiber_size_0.edges", "n 4\np 0\n0 1\n", "fiber size 0 does not split 4 vertices"),
+    (load_graph, "three_fields.edges", "n 3\n0 1 2\n",
+     "edge line '0 1 2' does not have two vertices"),
+]
+
+
+@pytest.mark.parametrize("loader, name, text, message", LOADER_DEFECTS,
+                         ids=[name for _, name, _, _ in LOADER_DEFECTS])
+def test_loader_defect_raises_naming_file(tmp_path, loader, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        loader(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("make", "hadamard", "--hadamard-file"),
+    ("make", "etf", "tremain", "--V", "7", "--hadamard-file1"),
+])
+def test_malformed_butson_file_exits_1_naming_it(tmp_path, capsys, argv):
+    path = tmp_path / "exponent_x.txt"
+    path.write_text("2 2\n0 0\n0 x\n")
+    assert main(["--out", str(tmp_path), *argv, str(path)]) == 1
+    assert f"{path}: non-integer exponent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, order", [
+    (("derive", "srg", "waldron", "--h", "52"), 52),
+    (("derive", "srg", "gs", "--h", "92"), 92),
+    (("derive", "drackn", "--h", "52", "--p", "2"), 52),
+    (("make", "etf", "tremain", "--h", "52", "--real"), 52),
+])
+def test_real_family_refuses_missing_real_hadamard_before_building(tmp_path, capsys, argv, order):
+    """No silent Fourier fallback: exit 1 naming the order, and no frame,
+    triple system or Fourier matrix is ever built."""
+    refuse = mock.Mock(side_effect=AssertionError("built before refusing"))
+    with mock.patch("equiframes.pipelines.tremain_etf", refuse), \
+            mock.patch("equiframes.pipelines.make_sts", refuse), \
+            mock.patch("equiframes.pipelines.fourier", refuse):
+        assert main(["--out", str(tmp_path), *argv]) == 1
+    assert f"no real Hadamard matrix of order {order}" in capsys.readouterr().err
+    refuse.assert_not_called()
+    assert not list(tmp_path.iterdir())
+
+
+def test_real_family_refuses_complex_hadamard_file(tmp_path, capsys):
+    path = tmp_path / "fourier4.txt"
+    path.write_text("4 4\n0 0 0 0\n0 1 2 3\n0 2 0 2\n0 3 2 1\n")
+    code = main(["--out", str(tmp_path), "make", "etf", "tremain", "--h", "4", "--real",
+                 "--hadamard-file1", str(path)])
+    assert code == 1
+    assert "the first one has root order 4" in capsys.readouterr().err

@@ -5,8 +5,10 @@ import dataclasses
 import hashlib
 import re
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,12 @@ from hypothesis import strategies as st
 
 from equiframes.designs import find_parallel_class, make_sts, standard_embedding
 from equiframes.frames import (
+    _GRAM_TILE,
+    FrameMatrix,
     SteinerProvenance,
+    _gram_pass,
+    _gram_tiles,
+    _tile_phase,
     gram_matrix,
     load_frame_exact,
     naimark_residuals,
@@ -177,26 +184,151 @@ def _kernel_cases():
     yield "V=15 fourier(8)", pipeline_build(v=15, h1=fourier(8))
 
 
+def _oracle_phases(ref, order):
+    """Per Gram value the e with it a positive rational multiple of
+    zeta_(m')^e, m' = lcm(2, m), by ExtScalar search over every e; -1 if none."""
+    m2 = lcm(2, order)
+    roots = [ExtScalar.root(m2, -e % m2) for e in range(m2)]
+    known = {}
+
+    def phase(x):
+        key = repr(x)
+        if key not in known:
+            quotients = ((x * r).as_fraction() for r in roots)
+            known[key] = next((e for e, q in enumerate(quotients) if q is not None and q > 0), -1)
+        return known[key]
+
+    return np.array([[phase(x) for x in row] for row in ref])
+
+
 def test_kernel_gram_matches_extscalar_oracle():
-    """The array kernel equals the ExtScalar Gram entry for entry."""
+    """The tiled kernel equals the ExtScalar Gram entry for entry, and the
+    pass's phases name each entry's root of unity, at tile sizes that put
+    tile boundaries inside the frames."""
+    from equiframes.pipelines import build_steiner
+
+    def zeroed(f):  # one entry zeroed: some Gram values leave every root's ray
+        planes = f.planes.copy()
+        planes[:, 0, 0] = 0
+        return dataclasses.replace(f, planes=planes)
+
+    extra = [("Steiner V=9 (order 5)", build_steiner(9)),
+             ("h=2 zeroed", zeroed(build_tremain(h=2))),
+             ("V=7 fourier zeroed", zeroed(_perturbation_base("V=7 fourier")[0]))]
     orders = set()
-    for name, f in _kernel_cases():
-        g = f.exact_gram
-        k2 = 2 * f.k
+    for name, f in [*_kernel_cases(), *extra]:
         ref = gram_matrix(f)
-        for i in range(f.count):
-            for j in range(f.count):
-                got = ExtScalar.from_cyc(CycInt(f.order, g[:, i, j].tolist()), k2)
-                assert got == ref[i][j], f"{name}: Gram mismatch at ({i},{j})"
+        n, phi = f.count, len(f.planes)
+        want_phase = _oracle_phases(ref, f.order)
+        first = None
+        for tile in (1, 3, 7, _GRAM_TILE):
+            g = np.zeros((phi, n, n), dtype=np.int64)
+            for s, block in _gram_tiles(f, tile):
+                assert block.shape == (phi, min(tile, n - s), n - s)
+                g[:, s:s + block.shape[1], s:] = block
+            g = np.triu(g)
+            if first is None:
+                first = g
+                for i in range(n):
+                    for j in range(i, n):
+                        got = ExtScalar.from_cyc(CycInt(f.order, g[:, i, j].tolist()), 2 * f.k)
+                        assert got == ref[i][j], f"{name}: Gram mismatch at ({i},{j})"
+            assert np.array_equal(g, first), f"{name}: tile {tile} changes the Gram"
+            phase = _gram_pass(f, tile).phase
+            assert np.array_equal(phase, want_phase), f"{name}: tile {tile} phases"
         orders.add(f.order)
-    assert orders == {2, 8, 10, 14}
+    assert orders == {2, 5, 8, 10, 14}
 
 
-def test_gram_is_computed_once_per_frame():
-    f = build_tremain(h=2)
-    assert verify_etf(f).is_etf
-    assert real_gram_signs(f).shape == (10, 10)
-    assert f.exact_gram is f.exact_gram
+@settings(max_examples=150, deadline=None)
+@given(
+    order=st.integers(min_value=1, max_value=30),
+    terms=st.lists(st.tuples(st.integers(min_value=0, max_value=29),
+                             st.integers(min_value=-3, max_value=3)), min_size=1, max_size=3),
+)
+def test_tile_phase_matches_search_on_cyclotomic_integers(order, terms):
+    """Sums of one to three integer multiples of roots: the phase the pass
+    keeps equals the ExtScalar search (single terms give every root of
+    order lcm(2, m); most sums lie on no root's ray)."""
+    x = CycInt.from_int(0, order)
+    for a, c in terms:
+        x = x + CycInt.root(order, a % order) * c
+    g = np.array(x.coeffs, dtype=np.int64)[:, None, None]
+    want = _oracle_phases([[ExtScalar.from_cyc(x)]], order)
+    assert _tile_phase(g, order)[0, 0] == want[0, 0], x
+
+
+@pytest.mark.parametrize("order, plane", [(2, 0), (4, 1)])
+def test_equiangularity_witness_on_tight_equal_norm_frame(order, plane):
+    """Columns e1, e2, z e1, z e2 (z = 1 or i): equal norms and tight, but
+    |Gram| is 0 at pair (0,1) and 1 at (0,2)."""
+    planes = np.zeros((1 if order == 2 else 2, 2, 4))
+    planes[0, [0, 1], [0, 1]] = 1
+    planes[plane, [0, 1], [2, 3]] = 1
+    f = FrameMatrix(planes, np.ones(2, dtype=np.int64), 0, order, 2, 0, 0)
+    rep = verify_etf(f)
+    assert rep.equal_norms and rep.is_tight and not rep.is_equiangular
+    assert rep.witness == "|Gram| differs at pair (0,1) vs (0,2)"
+
+
+def test_gram_is_computed_once_per_frame(monkeypatch):
+    """One tile pass per pipeline run, shared by the ETF check, the signs
+    and the cover exponents."""
+    from equiframes import frames
+
+    passes = []
+    real_pass = frames._gram_pass
+
+    def counted(frame, *args, **kwargs):
+        passes.append(frame)
+        return real_pass(frame, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "_gram_pass", counted)
+    from equiframes.cli import h510_path
+    from equiframes.hadamard import load_butson
+    from equiframes.pipelines import drackn_pipeline, gs_pipeline, waldron_pipeline
+
+    runs = [
+        lambda: waldron_pipeline(4),
+        lambda: gs_pipeline(8),
+        lambda: drackn_pipeline(4, 2),
+        lambda: drackn_pipeline(5, 5, h2=load_butson(h510_path())),
+    ]
+    for run in runs:
+        passes.clear()
+        frame = run()[0]
+        assert len(passes) == 1 and passes[0] is frame
+
+
+def test_verify_and_signs_hold_no_dense_gram():
+    """verify_etf plus real_gram_signs on the h=32 gs frame stay within
+    4 bytes per pair plus two copies of the planes: no N x N int64 array."""
+    from equiframes.pipelines import build_tremain as pipeline_build
+
+    f = pipeline_build(h=32, parallel=True)
+    n = f.count
+    tracemalloc.start()
+    try:
+        assert verify_etf(f).is_etf
+        signs = real_gram_signs(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert signs.shape == (n, n)
+    assert peak <= 4 * n * n + 2 * f.planes.nbytes, (peak, n)
+
+
+def test_real_equiangularity_compares_moduli_unsquared(tmp_path):
+    """One entry coefficient 2^20: the Gram stays below 2^52, its square
+    (|Gram|^2 in int64) would not, so real moduli are compared unsquared
+    and the report carries a witness instead of a refusal."""
+    path = tmp_path / "frame.etf"
+    store_frame_exact(path, build_tremain(h=2))
+    text = path.read_text()
+    path.write_text(text.replace("(1|0|0|0|0)", f"({1 << 20}|0|0|0|0)", 1))
+    rep = verify_etf(load_frame_exact(path))
+    assert not rep.is_etf and not rep.is_equiangular
+    assert rep.witness == "norms differ at columns 0 and 1"
 
 
 def test_mixed_surd_row_is_rejected(tmp_path):

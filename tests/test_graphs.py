@@ -418,6 +418,15 @@ def test_drackn_cover_rejects_non_root_gram():
         drackn_cover(frame, 3)
 
 
+def test_drackn_cover_rejects_non_unit_gram():
+    # an ETF whose Gram values are 4 * (+-1): right phases, wrong modulus
+    f = build_tremain(h=2)
+    scaled = dataclasses.replace(f, planes=2 * f.planes)
+    assert verify_etf(scaled).is_etf
+    with pytest.raises(ValueError, match=r"Gram entry at \(0,1\) is not a 2-th root of unity"):
+        drackn_cover(scaled, 2)
+
+
 def test_graph6_k3(tmp_path):
     k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     path = tmp_path / "k3.g6"
@@ -498,3 +507,54 @@ def test_feasibility_identity():
                    SRGParams(135, 70, 37, 35), SRGParams(819, 418, 217, 209)):
         assert params.feasible()
     assert not SRGParams(9, 4, 1, 3).feasible()
+
+
+@lru_cache(maxsize=None)
+def _stored_edge_list(which):
+    if which == "cover":
+        _, cov = drackn_pipeline(2, 2)
+        g, fibers = cov.graph, cov.fibers
+    else:
+        g, fibers = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), None
+    lines = [f"n {g.order}"] + ([f"p {fibers.fiber_size}"] if fibers else [])
+    return "\n".join(lines + [f"{u} {v}" for u, v in g.edges()]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.sampled_from(["cover", "c5"]),
+    line=st.integers(min_value=0),
+    field=st.integers(min_value=0),
+    whole_line=st.booleans(),
+    value=st.one_of(
+        st.integers(min_value=-3, max_value=70).map(str),
+        st.sampled_from(["", "x", "1.5", "-0", "n", "p", "n 4", "p 3", "p 0", "0 1 2", "3 3",
+                         str(2**63), str(10**30)]),
+        # at most three characters, so no header asks for a large adjacency
+        st.text(alphabet="0123456789 np-\n", max_size=3),
+    ),
+)
+def test_edge_list_fuzz_raises_naming_file_or_round_trips(
+    tmp_path_factory, which, line, field, whole_line, value
+):
+    """One mutated field or line: ValueError naming the file, or a graph
+    and fibers that export -> load reproduces exactly."""
+    lines = _stored_edge_list(which).split("\n")
+    i = line % len(lines)
+    if whole_line:
+        lines[i] = value
+    else:
+        parts = lines[i].split(" ")
+        parts[field % len(parts)] = value
+        lines[i] = " ".join(parts)
+    path = tmp_path_factory.mktemp("fuzz") / "graph.edges"
+    path.write_text("\n".join(lines))
+    try:
+        g, fibers = load_graph(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    again = path.with_name("again.edges")
+    export_graph(again, g, fmt="edges", fibers=fibers)
+    g2, fibers2 = load_graph(again)
+    assert np.array_equal(g2.adj, g.adj) and fibers2 == fibers
