@@ -152,7 +152,7 @@ class FrameMatrix:
     one surd per row, a cyclotomic integer per entry, one common power of
     two.  Rows split into block coordinates, point coordinates and one
     optional extra coordinate (Tremain frames use all three bands; Steiner
-    frames only the first).  The arrays are read-only.
+    frames only the first).  The arrays are read-only; see _adopted.
     """
 
     planes: np.ndarray  # (phi(m), M, N) float64 holding integers
@@ -165,8 +165,8 @@ class FrameMatrix:
     provenance: SteinerProvenance | TremainProvenance | None = None
 
     def __post_init__(self) -> None:
-        planes = np.array(self.planes, dtype=np.float64)
-        weights = np.array(self.weights, dtype=np.int64)
+        planes = _adopted(self.planes, np.float64)
+        weights = _adopted(self.weights, np.int64)
         phi = len(cyclotomic_poly(self.order)) - 1
         if planes.ndim != 3 or len(planes) != phi:
             raise ValueError(f"order {self.order} needs {phi} planes, got shape {planes.shape}")
@@ -214,6 +214,17 @@ class FrameMatrix:
             out += p * roots[a]
         surd = np.take(_SURD_FLOATS, np.searchsorted(_SURD_WEIGHTS, self.weights))
         return out * surd[:, None] * 0.5 ** self.k
+
+
+def _adopted(a, dtype) -> np.ndarray:
+    """``a`` as an array of ``dtype`` that owns its memory, for a read-only field.
+
+    An array that already is one is taken as it is, not copied, so the
+    caller's handle turns read-only with the field; anything else (another
+    dtype, a list, a view whose base could still be written) is copied.
+    """
+    a = np.asarray(a, dtype=dtype)
+    return a if a.flags.owndata else a.copy()
 
 
 def _root_table(q: int, order: int) -> np.ndarray:
@@ -519,22 +530,26 @@ def _rational(coeffs, scale: int) -> Fraction | None:
     return None if any(coeffs[1:]) else Fraction(int(coeffs[0]), scale)
 
 
-def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
-    """Sign matrix (int8, zero diagonal) of a real frame's exact Gram.
+def real_gram_phases(frame: FrameMatrix) -> np.ndarray:
+    """The phases of a real frame's Gram pass: 0 where Gram(i, j) > 0, 1 where < 0.
 
-    Read from the phases of the frame's Gram pass.  Requires every
-    off-diagonal Gram value to be nonzero, which holds for real Steiner and
-    Tremain frames.
+    Requires every off-diagonal Gram value to be nonzero, which holds for
+    real Steiner and Tremain frames; that is checked in row tiles, so no
+    N x N mask is made.  A zero norm counts too: its column is zero, so
+    its off-diagonal Gram values vanish as well.
     """
     if not frame.is_real_rational():
         raise ValueError("frame has genuine root-of-unity entries")
     phase = frame.gram_pass.phase
-    vanish = phase < 0
-    np.fill_diagonal(vanish, False)
-    if vanish.any():
-        raise ValueError("some off-diagonal Gram values vanish")
-    del vanish
-    signs = phase * np.int8(-2)  # phase 0 -> +1, phase 1 -> -1
+    for s in range(0, len(phase), _GRAM_TILE):
+        if (phase[s:s + _GRAM_TILE] < 0).any():
+            raise ValueError("some off-diagonal Gram values vanish")
+    return phase
+
+
+def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
+    """Sign matrix (int8, zero diagonal) of a real frame's exact Gram."""
+    signs = real_gram_phases(frame) * np.int8(-2)  # phase 0 -> +1, phase 1 -> -1
     signs += 1
     np.fill_diagonal(signs, 0)
     return signs
@@ -841,11 +856,11 @@ def _parse_frame(text: str) -> FrameMatrix:
 def store_frame_csv(path: str | Path, frame: FrameMatrix) -> None:
     """Float CSV: M rows of alternating real,imag parts (2N fields).
 
-    Each field is the repr of its float64; every distinct bit pattern is
-    formatted once.
+    Each field is the repr of its value as a Python float, whatever the
+    numpy version; every distinct bit pattern is formatted once.
     """
     fields = frame.to_complex_array().view(np.float64)  # (M, 2N): real, imag, ...
     distinct, inverse = np.unique(fields.view(np.uint64), return_inverse=True)
-    tokens = np.array([repr(x) for x in distinct.view(np.float64)], dtype=object)
+    tokens = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
     lines = [",".join(row) for row in tokens[inverse.reshape(fields.shape)].tolist()]
     Path(path).write_text("\n".join(lines) + "\n")

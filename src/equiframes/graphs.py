@@ -3,14 +3,19 @@
 Both read the phases of the frame's one exact Gram pass (frames.py): the
 SRGs take the sign bits of a real Gram, switched by XOR; the covers take
 the root-of-unity exponent of each Gram entry.  A graph is a read-only
-boolean adjacency matrix.  Certification is pure counting: degrees are
-row sums and common-neighbor counts are the entries of A·A, computed in
-float32 row tiles (exact, since every count is below 2^24).  Strongly
-regular graphs need constant degree and constant counts over adjacent and
-non-adjacent pairs; covers of the complete graph need fiber matchings,
-read off A·F for the fiber indicator F, and a constant count over
-non-adjacent pairs in distinct fibers.  The certifiers never read the
-closed-form parameters they are compared against.
+boolean adjacency matrix, one byte per vertex pair, and it is the only
+N x N array this module makes: validation, derivation, counting and I/O
+read it in tiles of _TILE rows, so every other array scales with
+_TILE * N.  Certification is pure counting: degrees are row sums and
+common-neighbor counts are the entries of A·A, each row tile times each
+block of _BLOCK columns (A[:, c:c2] is A[c:c2].T by symmetry), both
+converted to float32 as the loop reaches them (exact, since every count
+is below 2^24).  Strongly regular graphs need constant degree and
+constant counts over adjacent and non-adjacent pairs; covers of the
+complete graph need fiber matchings, read off A·F for the fiber indicator
+F, and a constant count over non-adjacent pairs in distinct fibers.  The
+certifiers never read the closed-form parameters they are compared
+against.
 """
 from __future__ import annotations
 
@@ -25,14 +30,17 @@ from equiframes.frames import (
     ETFReport,
     FrameMatrix,
     TremainProvenance,
+    _adopted,
     _cyclic_product,
-    real_gram_signs,
+    real_gram_phases,
     verify_etf,
     welch_bound,
 )
 from equiframes.scalar import CycInt, ExtScalar
 
-_TILE = 256  # rows of A·A held at once
+_TILE = 256  # rows of A read at once, by counting and every other pass
+_BLOCK = 256  # rows of A converted to float32 at once: the columns of one A·A block
+_LOAD_LIMIT_BYTES = 2**31  # largest n x n adjacency the loaders allocate (n < 46341)
 
 
 class CertificationError(RuntimeError):
@@ -44,16 +52,18 @@ class Graph:
     adj: np.ndarray  # n x n bool, symmetric, zero diagonal, read-only
 
     def __post_init__(self) -> None:
-        adj = np.array(self.adj, dtype=bool)
+        adj = _adopted(self.adj, bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency of shape {adj.shape} is not square")
         loops = np.flatnonzero(adj.diagonal())
         if loops.size:
             raise ValueError(f"loop at vertex {loops[0]}")
-        asym = adj != adj.T
-        if asym.any():  # symmetric mask: its first entry lies above the diagonal
-            i, j = np.unravel_index(asym.argmax(), asym.shape)
-            raise ValueError(f"adjacency is not symmetric at pair ({i},{j})")
+        for s in range(0, adj.shape[0], _TILE):
+            # columns s: only: a mismatch left of them mirrors one in an earlier row
+            asym = adj[s:s + _TILE, s:] != adj[s:, s:s + _TILE].T
+            if asym.any():
+                i, j = np.unravel_index(asym.argmax(), asym.shape)
+                raise ValueError(f"adjacency is not symmetric at pair ({s + i},{s + j})")
         adj.flags.writeable = False
         object.__setattr__(self, "adj", adj)
 
@@ -84,11 +94,11 @@ class Graph:
         return bool(self.adj[u, v])
 
     def degree(self, u: int) -> int:
-        return int(self.adj[u].sum())
+        return int(np.count_nonzero(self.adj[u]))
 
     @property
     def num_edges(self) -> int:
-        return int(self.adj.sum()) // 2
+        return int(np.count_nonzero(self.adj)) // 2
 
     def with_edge_flipped(self, u: int, v: int) -> Graph:
         if u == v:
@@ -104,8 +114,15 @@ class Graph:
 
     def edges(self):
         """Edges (u, v), u < v, in lexicographic order."""
-        us, vs = np.nonzero(np.triu(self.adj, 1))
-        return zip(us.tolist(), vs.tolist())
+        for us, vs in _edge_tiles(self.adj):
+            yield from zip(us.tolist(), vs.tolist())
+
+
+def _edge_tiles(adj: np.ndarray):
+    """The edges u < v as arrays (us, vs), one row tile at a time."""
+    for s in range(0, adj.shape[0], _TILE):
+        us, vs = np.nonzero(np.triu(adj[s:s + _TILE], s + 1))
+        yield us + s, vs
 
 
 @dataclass(frozen=True)
@@ -154,28 +171,45 @@ def _scan_pair_counts(adj: np.ndarray, kinds, n_kinds: int):
     witness): ref[t] is the count at the first pair of kind t (None if no
     pair has it; ref[0] is always None) and witness is (i, j, count, kind)
     at the first pair whose count differs from ref[kind], or None.
+
+    A tile's counts are its rows times one block of _BLOCK rows of A at a
+    time, both in float32; each row keeps the first column whose count is
+    off.  A single count (the first of a kind, a witness's) is the size of
+    a row intersection.
     """
     n = adj.shape[0]
     if n - 2 >= 2**24:
         raise ValueError(f"{n} vertices: float32 common-neighbor counts not exact")
-    a = adj.astype(np.float32)
     ref: list[int | None] = [None] * (n_kinds + 1)
     for s in range(0, n, _TILE):
         e = min(s + _TILE, n)
-        counts = a[s:e] @ a[:, s:]
-        upper = np.arange(s, n) > np.arange(s, e)[:, None]
-        kind = np.where(upper, kinds(s, e), 0)
+        kind = np.asarray(kinds(s, e), dtype=np.int8)
+        kind[:, :e - s][np.tri(e - s, dtype=bool)] = 0  # pairs i < j only
         for t in range(1, n_kinds + 1):
             if ref[t] is None:
-                first = kind == t
-                if first.any():
-                    ref[t] = int(counts.flat[first.argmax()])
-        want = np.array([-1 if r is None else r for r in ref], np.float32)
-        bad = (kind > 0) & (counts != want[kind])
-        if bad.any():
-            r, c = np.unravel_index(bad.argmax(), bad.shape)
-            return ref, (s + int(r), s + int(c), int(counts[r, c]), int(kind[r, c]))
+                r, c = divmod(int((kind == t).argmax()), kind.shape[1])
+                if kind[r, c] == t:
+                    ref[t] = _common_neighbors(adj, s + r, s + c)
+        x = adj[s:e].astype(np.float32)
+        bad_col = np.full(e - s, n)
+        for c in range(s, n, _BLOCK):
+            c2 = min(c + _BLOCK, n)
+            counts = x @ adj[c:c2].astype(np.float32).T  # A[:, c:c2] = A[c:c2].T
+            bad = np.zeros(counts.shape, dtype=bool)
+            for t, want in enumerate(ref):
+                if want is not None:
+                    bad |= (kind[:, c - s:c2 - s] == t) & (counts != want)
+            rows = np.flatnonzero(bad.any(axis=1) & (bad_col == n))
+            bad_col[rows] = c + bad[rows].argmax(axis=1)
+        if (bad_col < n).any():
+            r = int((bad_col < n).argmax())
+            i, j = s + r, int(bad_col[r])
+            return ref, (i, j, _common_neighbors(adj, i, j), int(kind[r, j - s]))
     return ref, None
+
+
+def _common_neighbors(adj: np.ndarray, i: int, j: int) -> int:
+    return int(np.count_nonzero(adj[i] & adj[j]))
 
 
 def srg_check(g: Graph) -> SRGCertificate:
@@ -183,7 +217,7 @@ def srg_check(g: Graph) -> SRGCertificate:
     n = g.order
     if n == 0:
         return SRGCertificate(False, None, "empty graph")
-    deg = g.adj.sum(axis=1)
+    deg = np.count_nonzero(g.adj, axis=1)
     irregular = np.flatnonzero(deg != deg[0])
     if irregular.size:
         i = irregular[0]
@@ -263,13 +297,20 @@ class SRGResult:
 
 
 def _certify_sign_graph(negative: np.ndarray, expected: SRGParams, what: str) -> SRGResult:
-    """Count the negative sign graph once; its complement is the positive one."""
+    """Count the negative sign graph once; its complement is the positive one.
+
+    ``negative`` is a fresh array that only the caller made: the graph takes
+    it, and the complement is made by flipping it in place, not by a copy.
+    """
     g = Graph.from_adjacency(negative)
     cert = srg_check(g)
     if cert.ok and cert.params == expected:
         return SRGResult(g, cert.params, "negative-adjacent")
     if cert.ok and cert.params.mu is not None and cert.params.complement() == expected:
-        return SRGResult(g.complement(), cert.params.complement(), "positive-adjacent")
+        negative.flags.writeable = True
+        np.logical_not(negative, out=negative)
+        np.fill_diagonal(negative, False)
+        return SRGResult(Graph(negative), cert.params.complement(), "positive-adjacent")
     raise CertificationError(
         f"{what}: counted parameters match {expected.as_tuple()} under neither "
         "sign convention"
@@ -287,11 +328,11 @@ def waldron_srg(frame: FrameMatrix) -> SRGResult:
     if not rep.is_etf:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
     n = frame.count
-    negative = real_gram_signs(frame)[: n - 1] < 0
+    phase = real_gram_phases(frame)
+    negative = phase[: n - 1, : n - 1] == 1
     # switching against the last vector flips bit (i, j) once for each of i, j
     # whose Gram value with it is negative
-    flip = negative[:, n - 1].copy()
-    negative = negative[:, : n - 1]
+    flip = phase[: n - 1, n - 1] == 1
     negative ^= flip[:, None]
     negative ^= flip
     expected = srg_params_waldron(frame.dim, frame.count)
@@ -341,12 +382,14 @@ def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
     x = tuple(scaled)
 
     # 3x in the frame's row grading: 3 on the class rows, and sqrt6 on the
-    # extra row, whose weight is 6; <3x, column j> at scale 2^k in one product
+    # extra row, whose weight is 6; <3x, column j> at scale 2^k in one product.
+    # Its slot sums are bounded over those support rows only.
+    rows = [*sorted(in_class), frame.dim - 1]
     graded = np.zeros((len(frame.planes), 1, frame.dim))
-    graded[0, 0, list(in_class)] = 3
+    graded[0, 0, rows[:-1]] = 3
     graded[0, 0, -1] = 1
     graded *= frame.weights
-    bound = float((graded[0, 0] @ np.abs(frame.planes).sum(axis=0)).max())
+    bound = float(sum(graded[0, 0, rows] @ np.abs(p[rows]) for p in frame.planes).max())
     ips = _cyclic_product(graded, frame.planes, order, np.matmul, bound, "flat functional")
     target = np.zeros((len(ips), 1), dtype=np.int64)
     target[0] = 3 << frame.k
@@ -368,7 +411,7 @@ def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
     if len(functional.scaled_entries) != frame.dim:
         raise ValueError("functional dimension does not match the frame")
-    negative = real_gram_signs(frame) < 0
+    negative = real_gram_phases(frame) == 1
     expected = srg_params_gs(frame.dim, frame.count)
     return _certify_sign_graph(negative, expected, "flat-functional graph")
 
@@ -424,29 +467,34 @@ def drackn_check(g: Graph, fibers: FiberPartition) -> DracknCertificate:
     if g.order != n_fibers * r:
         return DracknCertificate(False, None, "fibers do not cover the graph")
 
-    # members[f, t] is the t-th vertex v of fiber f; hits[f, t, f2] = (A·F)[v, f2]
+    # members[f, t] is the t-th vertex of fiber f
     members = np.array(fibers.fibers)
     fiber_of = np.empty(g.order, dtype=np.int64)
     fiber_of[members] = np.arange(n_fibers)[:, None]
-    hits = g.adj[members][:, :, members].sum(axis=3)
 
-    own = np.arange(n_fibers)
-    inside = hits[own, :, own] > 0
+    inside = g.adj[members[:, :, None], members[:, None, :]].any(axis=2)
     if inside.any():
         fi, t = np.unravel_index(inside.argmax(), inside.shape)
         return DracknCertificate(
             False, None, f"edge inside fiber {fi} at vertex {members[fi, t]}"
         )
-    unmatched = hits.transpose(0, 2, 1) != 1
-    unmatched[own, own] = False
-    if unmatched.any():
-        fi, fj, t = np.unravel_index(unmatched.argmax(), unmatched.shape)
-        return DracknCertificate(
-            False,
-            None,
-            f"vertex {members[fi, t]} has {hits[fi, t, fj]} neighbors in fiber {fj}, "
-            "not 1",
-        )
+    # A·F in tiles of whole fibers: hits[f, t, f2] = (A·F)[members[f0 + f, t], f2]
+    flat = members.ravel()
+    per_tile = max(1, _TILE // r)
+    for f0 in range(0, n_fibers, per_tile):
+        f1 = min(f0 + per_tile, n_fibers)
+        block = g.adj[flat[f0 * r:f1 * r]][:, flat].reshape(f1 - f0, r, n_fibers, r)
+        hits = block.sum(axis=3, dtype=np.min_scalar_type(r))
+        unmatched = hits.transpose(0, 2, 1) != 1
+        unmatched[np.arange(f1 - f0), np.arange(f0, f1)] = False
+        if unmatched.any():
+            fi, fj, t = np.unravel_index(unmatched.argmax(), unmatched.shape)
+            return DracknCertificate(
+                False,
+                None,
+                f"vertex {members[f0 + fi, t]} has {hits[fi, t, fj]} neighbors in "
+                f"fiber {fj}, not 1",
+            )
 
     (_, c_val), witness = _scan_pair_counts(
         g.adj,
@@ -503,28 +551,29 @@ class CoverResult:
         }
 
 
-def _gram_root_exponents(frame: FrameMatrix, rep: ETFReport, p: int) -> np.ndarray:
-    """Exponent e with Gram(i,j) = zeta_p^e for every off-diagonal pair.
+def _root_exponent_step(frame: FrameMatrix, rep: ETFReport, p: int) -> int:
+    """The step with Gram(i, j) = zeta_p^(phase // step) for every pair i != j.
 
-    Read off the phases of the frame's Gram pass: Gram(i, j) is a positive
-    multiple of zeta_(m')^f, m' = lcm(2, m), and it equals zeta_p^e, e =
-    f p / m', exactly when m'/p divides f and the certified report says
-    |Gram|^2 = 1.
+    Gram(i, j) is a positive multiple of zeta_(m')^f, f its phase, m' =
+    lcm(2, m), and it equals zeta_p^e, e = f p / m', exactly when m'/p
+    divides f and the certified report says |Gram|^2 = 1.  The phases are
+    checked in row tiles; the witness is the first failing pair i < j.
     """
     m2 = lcm(2, frame.order)
     if m2 % p:
         raise ValueError(f"order-{frame.order} Gram values are not {p}-th roots of unity")
     step = m2 // p
+    if rep.gram_abs_sq != 1:  # every pair misses; the first one is the witness
+        raise ValueError(f"Gram entry at (0,1) is not a {p}-th root of unity")
     phase = frame.gram_pass.phase
-    missing = np.triu((phase < 0) | (phase % step != 0), 1)
-    if rep.gram_abs_sq != 1:
-        missing[0, 1] = True  # every pair misses; the first one is the witness
-    if missing.any():
-        i, j = np.unravel_index(missing.argmax(), missing.shape)
-        raise ValueError(f"Gram entry at ({i},{j}) is not a {p}-th root of unity")
-    exps = phase // step
-    np.fill_diagonal(exps, 0)
-    return exps
+    for s in range(0, len(phase), _TILE):
+        tile = phase[s:s + _TILE, s:]
+        missing = (tile < 0) | (tile % step != 0)
+        missing[:, :len(tile)][np.tri(len(tile), dtype=bool)] = False
+        if missing.any():
+            i, j = np.unravel_index(missing.argmax(), missing.shape)
+            raise ValueError(f"Gram entry at ({s + i},{s + j}) is not a {p}-th root of unity")
+    return step
 
 
 def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
@@ -539,14 +588,19 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     rep = verify_etf(frame)
     if not rep.is_etf:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
-    exps = _gram_root_exponents(frame, rep, p)
+    step = _root_exponent_step(frame, rep, p)
+    phase = frame.gram_pass.phase
     n = frame.count
-    a = np.arange(p)
-    # adj[i, a, j, b] for i < j, mirrored below
-    adj = (exps[:, None, :, None] + a[:, None, None] - a) % p == 0
-    adj &= np.triu(np.ones((n, n), dtype=bool), 1)[:, None, :, None]
-    adj = adj.reshape(n * p, n * p)
-    g = Graph(adj | adj.T)
+    # adj[i, a, j, b] iff the exponent of Gram(i, j) is (b - a) mod p; below the
+    # diagonal this mirrors the upper half, as phase[j, i] is -phase[i, j]
+    b_minus_a = ((np.arange(p) - np.arange(p)[:, None]) % p).astype(phase.dtype)
+    adj = np.empty((n, p, n, p), dtype=bool)
+    for s in range(0, n, _TILE):
+        exps = phase[s:s + _TILE] // step
+        np.equal(exps[:, None, :, None], b_minus_a[:, None, :], out=adj[s:s + _TILE])
+    adj[np.arange(n), :, np.arange(n)] = False  # no edges inside a fiber
+    adj.shape = (n * p, n * p)
+    g = Graph(adj)
     fibers = FiberPartition(tuple(tuple(range(i * p, i * p + p)) for i in range(n)))
     cert = drackn_check(g, fibers)
     if not cert.ok:
@@ -558,18 +612,35 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
 # graph I/O
 
 
-def _graph6_bytes(g: Graph) -> bytes:
-    n = g.order
+def _graph6_header(n: int) -> bytes:
     if n <= 62:
-        head = bytes([n + 63])
-    elif n <= 258047:
-        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    else:
-        raise ValueError("graph too large for this graph6 writer")
-    # the upper triangle column by column is, by symmetry, the lower one row by row
-    bits = g.adj[np.tri(n, n, -1, dtype=bool)]
-    six = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
-    return head + (np.packbits(np.pad(six, ((0, 0), (2, 0))), axis=1) + 63).tobytes()
+        return bytes([n + 63])
+    if n <= 258047:
+        return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    raise ValueError("graph too large for this graph6 writer")
+
+
+def _graph6_body(adj: np.ndarray):
+    """The graph6 body bytes, one row tile at a time.
+
+    The upper triangle column by column is, by symmetry, the lower one row
+    by row; the bits of a tile that do not fill a 6-bit group are carried
+    into the next tile.
+    """
+    n = adj.shape[0]
+    carry = np.zeros(0, dtype=bool)
+    for s in range(0, n, _TILE):
+        e = min(s + _TILE, n)
+        bits = np.concatenate([carry, adj[s:e][np.arange(n) < np.arange(s, e)[:, None]]])
+        whole = len(bits) - len(bits) % 6
+        carry = bits[whole:]
+        yield _six_bit_bytes(bits[:whole])
+    yield _six_bit_bytes(np.pad(carry, (0, -len(carry) % 6)))
+
+
+def _six_bit_bytes(bits: np.ndarray) -> bytes:
+    """Each group of 6 bits, high bit first, as one byte offset by 63."""
+    return ((np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63).tobytes()
 
 
 def _graph6_parse(data: bytes) -> Graph:
@@ -577,7 +648,7 @@ def _graph6_parse(data: bytes) -> Graph:
     if data.startswith(b">>graph6<<"):
         data = data[10:]
     raw = np.frombuffer(data, dtype=np.uint8)
-    if not raw.size or ((raw < 63) | (raw > 126)).any():
+    if not raw.size or raw.min() < 63 or raw.max() > 126:
         raise ValueError("graph6 data is empty or has bytes outside 63..126")
     if data[0] == 126:
         if data[1:2] == b"~":
@@ -589,13 +660,31 @@ def _graph6_parse(data: bytes) -> Graph:
     else:
         n = data[0] - 63
         body = raw[1:]
+    _check_load_size(n)
     need = -(-n * (n - 1) // 12)  # ceil(n(n-1)/2 bits / 6 bits per byte)
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, {n} vertices need {need}")
-    bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].ravel()
     adj = np.zeros((n, n), dtype=bool)
-    adj[np.tri(n, n, -1, dtype=bool)] = bits[: n * (n - 1) // 2]
-    return Graph(adj | adj.T)
+    done = 0  # bits placed so far
+    for s in range(0, n, _TILE):
+        e = min(s + _TILE, n)
+        size = (s + e - 1) * (e - s) // 2  # rows s:e hold s, s+1, ..., e-1 bits
+        first = done // 6  # the body byte that holds bit `done`
+        six = np.unpackbits((body[first:-(-(done + size) // 6)] - 63)[:, None], axis=1)
+        tile = adj[s:e]
+        tile[np.arange(n) < np.arange(s, e)[:, None]] = six[:, 2:].ravel()[done - 6 * first:][:size]
+        adj[:s, s:e] = tile[:, :s].T  # mirror into the rows above
+        corner = adj[s:e, s:e]
+        corner |= corner.T
+        done += size
+    return Graph(adj)
+
+
+def _check_load_size(n: int) -> None:
+    """Refuse, before allocating it, an adjacency past _LOAD_LIMIT_BYTES."""
+    if n * n > _LOAD_LIMIT_BYTES:
+        raise ValueError(f"{n} vertices need a {n * n}-byte adjacency, past the "
+                         f"{_LOAD_LIMIT_BYTES}-byte limit of the graph loaders")
 
 
 def export_graph(
@@ -607,7 +696,11 @@ def export_graph(
     """graph6 (standard bit packing) or edge list with n/p header lines."""
     path = Path(path)
     if fmt == "graph6":
-        path.write_bytes(_graph6_bytes(g) + b"\n")
+        head = _graph6_header(g.order)
+        with path.open("wb") as fh:
+            fh.write(head)
+            fh.writelines(_graph6_body(g.adj))
+            fh.write(b"\n")
     elif fmt == "edges":
         n = g.order
         # one "u " and one "v\n" label per vertex; each tile's lines interleave them
@@ -617,10 +710,9 @@ def export_graph(
             fh.write(f"n {n}\n")
             if fibers is not None:
                 fh.write(f"p {fibers.fiber_size}\n")
-            for s in range(0, n, _TILE):
-                us, vs = np.nonzero(np.triu(g.adj[s:s + _TILE], s + 1))
+            for us, vs in _edge_tiles(g.adj):
                 lines = np.empty(2 * len(us), dtype=object)
-                lines[0::2] = heads[us + s]
+                lines[0::2] = heads[us]
                 lines[1::2] = tails[vs]
                 fh.write("".join(lines.tolist()))
     else:
@@ -643,6 +735,7 @@ def _edge_list_parse(data: bytes) -> tuple[Graph, FiberPartition | None]:
     if len(lines[0]) != 2:
         raise ValueError(f"bad header {' '.join(lines[0])!r}")
     order = _count_field(lines[0][1], "vertex count")
+    _check_load_size(order)
     edge_lines = lines[1:]
     size = None
     if edge_lines and edge_lines[0][0] == "p" and len(edge_lines[0]) == 2:

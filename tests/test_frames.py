@@ -271,6 +271,22 @@ def test_equiangularity_witness_on_tight_equal_norm_frame(order, plane):
     assert rep.witness == "|Gram| differs at pair (0,1) vs (0,2)"
 
 
+@pytest.mark.parametrize("tile", [1, 256])
+@pytest.mark.parametrize("zero_at", [None, 1])
+def test_real_signs_refuse_a_vanishing_gram_value(monkeypatch, tile, zero_at):
+    """Columns e1, e2, e1 + e2: Gram(0, 1) = 0.  With column 1 zeroed its
+    norm vanishes too, and so do its off-diagonal values."""
+    from equiframes import frames
+
+    planes = np.array([[[1.0, 0, 1], [0, 1, 1]]])
+    if zero_at is not None:
+        planes[0, :, zero_at] = 0
+    f = FrameMatrix(planes, np.ones(2, dtype=np.int64), 0, 2, 2, 0, 0)
+    monkeypatch.setattr(frames, "_GRAM_TILE", tile)
+    with pytest.raises(ValueError, match="off-diagonal Gram values vanish"):
+        real_gram_signs(f)
+
+
 def test_gram_is_computed_once_per_frame(monkeypatch):
     """One tile pass per pipeline run, shared by the ETF check, the signs
     and the cover exponents."""
@@ -353,6 +369,22 @@ def test_frame_matrix_validates_its_arrays():
         dataclasses.replace(f, block_rows=f.block_rows + 1)
     with pytest.raises(ValueError, match="planes"):
         dataclasses.replace(f, order=8)
+
+
+def test_frame_matrix_adopts_float64_planes_without_a_copy():
+    """A float64 array that owns its memory is taken as it is and turns
+    read-only; a view or another dtype is copied, leaving the input alone."""
+    f = build_tremain(h=2)
+    planes = 2 * f.planes
+    g = dataclasses.replace(f, planes=planes)
+    assert g.planes is planes and not planes.flags.writeable
+    wide = np.zeros((1, f.dim, f.count + 1))
+    wide[..., :-1] = f.planes
+    view = wide[..., :-1]
+    h = dataclasses.replace(f, planes=view)
+    assert not np.shares_memory(h.planes, wide) and wide.flags.writeable
+    k = dataclasses.replace(f, planes=f.planes.astype(np.int64))
+    assert k.planes.dtype == np.float64 and np.array_equal(k.planes, f.planes)
 
 
 @pytest.mark.parametrize("coeff, raises", [(1 << 10, False), (1 << 27, True)])
@@ -535,13 +567,13 @@ def test_csv_export(tmp_path):
     assert len(rows[0].split(",")) == 20
 
 
-# SHA-256 of store_frame_csv output, pinned from the per-entry ExtScalar
-# conversion that preceded the array one
+# SHA-256 of store_frame_csv output, pinned from fields written as the repr
+# of a Python float ("1.0"; numpy >= 2 spells a numpy scalar "np.float64(1.0)")
 CSV_SHA256 = {
-    "h=2": "4a8baefb59e961f96324ee4d1d6d854845204e0277fa9f0121096ee3afded0b6",
-    "V=7": "56d30dd2b8b169c97d4a4638d14b765f2449cd4c2512e1a599db70acc209e0ed",
-    "V=7 fourier": "397981fb4879a12b6d2e388a0fd6da6c35959bb28711d5a3f740bd1cf24ff2e2",
-    "V=13": "6224f7bbd4e1ce83e754ffbac37c8c5dbf56001292a5e7161a0b15f2e7e98858",
+    "h=2": "d5910106242b7057a4c1a460dffec7f6c57165655f6fe295bf0f17adb07a941d",
+    "V=7": "a5d40798b1919cf1cde4dc0a383e4209ea58642941cf4cb52a9d69e9caa768e2",
+    "V=7 fourier": "8a7676fd06969e3348b46b6da4fe2f3cebd4c83b37e95c03c91c6a22343f55a7",
+    "V=13": "5f29f37811a35e69fbbf1f64c0bcdcb6c0036f7732a8778099a2e29ad791209b",
 }
 
 
@@ -558,7 +590,13 @@ def test_csv_bytes_are_pinned(tmp_path, name):
     path = tmp_path / "frame.csv"
     store_frame_csv(path, f)
     data = path.read_bytes()
-    assert "-0.0" not in re.split("[,\n]", data.decode())
+    fields = [row.split(",") for row in data.decode().splitlines()]
+    assert "-0.0" not in {x for row in fields for x in row}
+    # every field is a number, equal bit for bit to the entry it stands for
+    values = np.array([[float(x) for x in row] for row in fields])
+    want = f.to_complex_array().view(np.float64)
+    assert values.shape == want.shape
+    assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
     assert hashlib.sha256(data).hexdigest() == CSV_SHA256[name]
 
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,44 @@ def test_graph_adjacency_is_read_only():
     g = petersen()
     with pytest.raises(ValueError):
         g.adj[0, 2] = True
+
+
+def test_graph_adopts_a_bool_array_without_a_copy():
+    """An owning bool array becomes the graph's read-only adjacency; a view,
+    another dtype and a rejected array are left as they were."""
+    adj = petersen().adj.copy()
+    g = Graph.from_adjacency(adj)
+    assert g.adj is adj and not adj.flags.writeable
+    wide = np.zeros((10, 11), dtype=bool)
+    wide[:, :10] = adj
+    assert not np.shares_memory(Graph(wide[:, :10]).adj, wide) and wide.flags.writeable
+    assert Graph(adj.astype(np.int8)).adj.dtype == bool
+    bad = np.eye(3, dtype=bool)
+    with pytest.raises(ValueError, match="loop"):
+        Graph(bad)
+    assert bad.flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2**32), st.sampled_from([1, 3, 7, 256]))
+def test_asymmetry_witness_is_the_first_pair_at_every_tile_size(n, seed, tile):
+    """The tiled symmetry check names the first asymmetric pair (i, j),
+    i < j, in row-major order, as a whole-matrix comparison does."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < 0.4, 1)
+    adj |= adj.T
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = rng.integers(0, n, 2)
+        if i != j:
+            adj[i, j] = ~adj[i, j]
+    asym = np.argwhere(np.triu(adj != adj.T))
+    with tiled(tile):
+        if not len(asym):
+            assert np.array_equal(Graph(adj.copy()).adj, adj)
+            return
+        i, j = asym[0]
+        with pytest.raises(ValueError, match=rf"not symmetric at pair \({i},{j}\)$"):
+            Graph(adj)
 
 
 # --- plain pairwise reference counters for the array kernels ---------------
@@ -166,20 +206,28 @@ def graphs(draw):
     )
 
 
-# small row tiles put the tile boundaries of A·A inside these small graphs
+# small row tiles and column blocks put the tile and block boundaries of A·A
+# inside these small graphs
 tiles = st.sampled_from([1, 3, 7, graphs_module._TILE])
+blocks = st.sampled_from([1, 3, 7, graphs_module._BLOCK])
+
+
+def tiled(tile, block=None):
+    """Patch the row tile and, if given, the column block of the kernels."""
+    return mock.patch.multiple(graphs_module, _TILE=tile,
+                               _BLOCK=graphs_module._BLOCK if block is None else block)
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(), tiles)
-def test_srg_check_matches_reference_on_random_graphs(g, tile):
-    with mock.patch.object(graphs_module, "_TILE", tile):
+@given(graphs(), tiles, blocks)
+def test_srg_check_matches_reference_on_random_graphs(g, tile, block):
+    with tiled(tile, block):
         assert outcome(srg_check(g)) == reference_srg(g)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 4, 8]), st.integers(0, 2**32), st.booleans(), tiles)
-def test_srg_check_matches_reference_on_edited_waldron_graphs(h, seed, swap, tile):
+@given(st.sampled_from([2, 4, 8]), st.integers(0, 2**32), st.booleans(), tiles, blocks)
+def test_srg_check_matches_reference_on_edited_waldron_graphs(h, seed, swap, tile, block):
     """One flipped edge, or a degree-preserving swap of two edges."""
     g = waldron_graph(h)
     rng = random.Random(seed)
@@ -192,7 +240,7 @@ def test_srg_check_matches_reference_on_edited_waldron_graphs(h, seed, swap, til
             edited = g
             for x, y in ((a, b), (c, d), (a, d), (c, b)):
                 edited = edited.with_edge_flipped(x, y)
-    with mock.patch.object(graphs_module, "_TILE", tile):
+    with tiled(tile, block):
         assert outcome(srg_check(edited)) == reference_srg(edited)
 
 
@@ -218,21 +266,95 @@ def fibered_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(fibered_graphs(), tiles)
-def test_drackn_check_matches_reference_on_random_covers(case, tile):
+@given(fibered_graphs(), tiles, blocks)
+def test_drackn_check_matches_reference_on_random_covers(case, tile, block):
     g, fibers = case
-    with mock.patch.object(graphs_module, "_TILE", tile):
+    with tiled(tile, block):
         assert outcome(drackn_check(g, fibers)) == reference_drackn(g, fibers)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32), tiles)
-def test_drackn_check_matches_reference_on_flipped_cover(seed, tile):
+@given(st.integers(0, 2**32), tiles, blocks)
+def test_drackn_check_matches_reference_on_flipped_cover(seed, tile, block):
     cov = cover_h2()
     u, v = random.Random(seed).sample(range(cov.graph.order), 2)
     g = cov.graph.with_edge_flipped(u, v)
-    with mock.patch.object(graphs_module, "_TILE", tile):
+    with tiled(tile, block):
         assert outcome(drackn_check(g, cov.fibers)) == reference_drackn(g, cov.fibers)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7, graphs_module._TILE])
+def test_drackn_cover_is_the_same_at_every_tile_size(tile):
+    """The cover's adjacency, built in row tiles, and its certificate."""
+    frame, cov = drackn_pipeline(4, 2)
+    with tiled(tile):
+        again = drackn_cover(frame, 2)
+    assert np.array_equal(again.graph.adj, cov.graph.adj) and again.params == (36, 2, 16)
+
+
+# --- independent oracle: networkx ------------------------------------------
+
+
+def nx_graph(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.order))
+    G.add_edges_from(g.edges())
+    return G
+
+
+def assert_srg_agrees_with_networkx(g):
+    """srg_check against networkx: the verdict, and every count it reports.
+
+    networkx calls a graph strongly regular only when it is connected and
+    not complete (distance-regular of diameter 2), that is when mu > 0.
+    """
+    cert = srg_check(g)
+    if g.order == 0:
+        assert not cert.ok
+        return
+    G = nx_graph(g)
+    mu_positive = cert.ok and cert.params.mu not in (None, 0)
+    assert nx.is_strongly_regular(G) == mu_positive
+    if cert.ok:
+        v, k, lam, mu = cert.params.as_tuple()
+        assert v == G.number_of_nodes()
+        assert {d for _, d in G.degree()} == {k}
+        counts = {(a, b): len(list(nx.common_neighbors(G, a, b)))
+                  for a in range(v) for b in range(a + 1, v)}
+        assert {c for (a, b), c in counts.items() if G.has_edge(a, b)} <= {lam}
+        assert {c for (a, b), c in counts.items() if not G.has_edge(a, b)} == (
+            set() if mu is None else {mu})
+    elif "pair" in cert.witness:  # "... pair (i,j) has c common neighbors"
+        pair, count = cert.witness.split(" pair ")[1].split(" has ")
+        a, b = map(int, pair.strip("()").split(","))
+        assert int(count.split()[0]) == len(list(nx.common_neighbors(G, a, b)))
+    else:  # "degree d at vertex i differs from d0 at vertex 0"
+        words = cert.witness.split()
+        assert G.degree(int(words[4])) == int(words[1]) != G.degree(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), tiles, blocks)
+def test_srg_check_agrees_with_networkx_on_random_graphs(g, tile, block):
+    with tiled(tile, block):
+        assert_srg_agrees_with_networkx(g)
+
+
+@pytest.mark.parametrize("family, h", [("waldron", 2), ("waldron", 4), ("waldron", 8),
+                                       ("gs", 2), ("gs", 8)])
+def test_srg_check_agrees_with_networkx_on_derived_graphs(family, h):
+    res = waldron_pipeline(h)[1] if family == "waldron" else gs_pipeline(h)[2]
+    assert nx.is_strongly_regular(nx_graph(res.graph))
+    assert_srg_agrees_with_networkx(res.graph)
+    assert srg_check(res.graph).params == res.params
+
+
+def test_drackn_check_agrees_with_networkx_intersection_array():
+    """An antipodal r-cover of K_n with constant c is distance-regular with
+    intersection array {n-1, (r-1)c, 1; 1, c, n-1}."""
+    cov = drackn_pipeline(4, 2)[1]
+    assert drackn_check(cov.graph, cov.fibers).params == (36, 2, 16)
+    assert nx.intersection_array(nx_graph(cov.graph)) == ([35, 16, 1], [1, 16, 35])
 
 
 def test_srg_check_five_cycle():
@@ -427,6 +549,34 @@ def test_drackn_cover_rejects_non_unit_gram():
         drackn_cover(scaled, 2)
 
 
+def mask_graph6_bytes(g):
+    """The whole-matrix graph6 writer the streamed one replaced: the reference."""
+    n = g.order
+    if n <= 62:
+        head = bytes([n + 63])
+    else:
+        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    bits = g.adj[np.tri(n, n, -1, dtype=bool)]
+    six = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
+    return head + (np.packbits(np.pad(six, ((0, 0), (2, 0))), axis=1) + 63).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graphs(), st.integers(60, 80).map(
+    lambda n: Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                   if (i * 7 + j * j) % 5 < 2]))),
+       st.sampled_from([1, 3, 7, 256]))
+def test_streamed_graph6_matches_mask_writer(tmp_path_factory, g, tile):
+    """Byte for byte, with 6-bit groups carried across row tiles, and the
+    tiled reader restores the graph."""
+    path = tmp_path_factory.mktemp("g6") / "g.g6"
+    with tiled(tile):
+        export_graph(path, g)
+        assert path.read_bytes() == mask_graph6_bytes(g) + b"\n"
+        loaded, fibers = load_graph(path)
+    assert np.array_equal(loaded.adj, g.adj) and fibers is None
+
+
 def test_graph6_k3(tmp_path):
     k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     path = tmp_path / "k3.g6"
@@ -457,6 +607,35 @@ def test_edge_list_roundtrip_with_fibers(tmp_path):
     assert np.array_equal(loaded.adj, cov.graph.adj)
     assert fibers == cov.fibers
     assert drackn_check(loaded, fibers).ok
+
+
+@pytest.mark.parametrize("name, text", [
+    ("huge.edges", "n 100000\n0 1\n"),
+    ("huge.g6", "~" + "".join(chr(63 + (258047 >> k & 63)) for k in (12, 6, 0)) + "??\n"),
+])
+def test_loaders_refuse_a_huge_order_before_allocating(tmp_path, name, text):
+    """A tiny file whose header names 10^5 (or 258047) vertices: refused
+    from the header, naming the file; the adjacency is never allocated."""
+    path = tmp_path / name
+    path.write_text(text)
+    with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+        with pytest.raises(ValueError, match=rf"^{path}: .*-byte limit of the graph loaders"):
+            load_graph(path)
+
+
+@pytest.mark.parametrize("fmt", ["graph6", "edges"])
+def test_load_limit_is_the_adjacency_size(tmp_path, fmt):
+    """At a limit of 100 bytes a 10-vertex graph loads and an 11-vertex one
+    is refused."""
+    for n, ok in ((10, True), (11, False)):
+        path = tmp_path / f"c{n}.{fmt}"
+        export_graph(path, Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]), fmt=fmt)
+        with mock.patch.object(graphs_module, "_LOAD_LIMIT_BYTES", 100):
+            if ok:
+                assert load_graph(path)[0].order == n
+            else:
+                with pytest.raises(ValueError, match="121-byte adjacency"):
+                    load_graph(path)
 
 
 def test_edge_list_roundtrip_plain(tmp_path):
@@ -558,3 +737,58 @@ def test_edge_list_fuzz_raises_naming_file_or_round_trips(
     export_graph(again, g, fmt="edges", fibers=fibers)
     g2, fibers2 = load_graph(again)
     assert np.array_equal(g2.adj, g.adj) and fibers2 == fibers
+
+
+# --- memory: one N x N bool adjacency, everything else in row tiles --------
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@lru_cache(maxsize=None)
+def verified_gs_frame():
+    frame = build_tremain(h=32, parallel=True)
+    assert verify_etf(frame).is_etf  # the Gram pass is made and cached here
+    return frame
+
+
+def test_flat_functional_reads_only_its_support_rows():
+    """Its slot bound and product touch the class rows and the extra row,
+    not plane-sized temporaries (2.0 planes at the whole-frame bound)."""
+    frame = verified_gs_frame()
+    _, peak = traced_peak(lambda: tremain_flat_functional(frame))
+    assert peak <= 0.25 * frame.planes.nbytes, peak / frame.planes.nbytes
+
+
+def test_gs_srg_and_graph6_export_hold_at_most_four_bytes_per_pair(tmp_path):
+    """Sign graph, count, complement and graph6 export of the v=2080 graph:
+    the adjacency (one byte per pair) plus row tiles, no float32 copy of A."""
+    frame = verified_gs_frame()
+    x = tremain_flat_functional(frame)
+    n = frame.count
+
+    def run():
+        res = gs_srg(frame, x)
+        export_graph(tmp_path / "g.g6", res.graph)
+        return res
+
+    res, peak = traced_peak(run)
+    assert res.params.as_tuple() == (2080, 1071, 558, 544)
+    assert peak <= 4 * n * n, peak / (n * n)
+
+
+def test_drackn_cover_holds_at_most_four_bytes_per_pair():
+    """The h=16, p=2 cover on 1056 vertices: adjacency built in the
+    exponents' dtype, A·F and A·A in row tiles."""
+    frame = build_tremain(h=16)
+    assert verify_etf(frame).is_etf
+    cov, peak = traced_peak(lambda: drackn_cover(frame, 2))
+    n = cov.graph.order
+    assert cov.params == (528, 2, 256)
+    assert peak <= 4 * n * n, peak / (n * n)
