@@ -113,8 +113,6 @@ def parse_hadamard_spec(spec: str, seed: int = 0) -> ButsonMatrix:
 def load_hadamard_file(path: str) -> ButsonMatrix:
     try:
         return load_butson(path)
-    except FileNotFoundError as exc:
-        raise exc
     except ValueError as exc:
         if "not a Hadamard" in str(exc):
             raise CertificationError(str(exc)) from exc

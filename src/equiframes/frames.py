@@ -6,7 +6,9 @@ sqrt3, sqrt6} per row (row weight w_r = s_r^2), integer planes X of shape
 (phi(m), M, N) in the power basis, and one power of two.  The builders
 fill X by indexing a table of root-of-unity coefficients with the Hadamard
 exponent tables; the .etf reader and writer convert between planes and
-per-entry (a|b|c|d|k) tokens.  Frames are stored unscaled: every vector of
+per-entry (a|b|c|d|k) tokens.  Simplices are exponent arrays too: the
+rows of a Butson matrix without the removed one, and that row as the
+Naimark complement.  Frames are stored unscaled: every vector of
 a Tremain frame has squared norm R + 2 and distinct vectors meet in a
 unimodular inner product, so the coherence of the unit-normalized family
 is 1/(R + 2), the Welch bound for these dimensions.  Verification
@@ -23,10 +25,11 @@ its upper triangle in row tiles, checks norms and moduli tile by tile and
 keeps one small integer per pair, the phase e with Gram(i, j) a positive
 rational multiple of zeta_(m')^e, m' = lcm(2, m) (-1 when there is none).
 Real frames compare |Gram| directly; complex ones compare |Gram|^2, the
-same slot products taken elementwise in int64.  The frame operator and the
-flat functional's inner products are slot products too.  gram_matrix
-recomputes the Gram in ExtScalar arithmetic, as the tests' independent
-reference.
+same slot products taken elementwise in int64.  The frame operator, the
+Naimark identity and the flat functional's inner products are slot
+products too (scalar._cyclic_product).  FrameMatrix.entry and gram_matrix
+are the only code here that builds ExtScalar values: gram_matrix
+recomputes the Gram entry by entry, as the tests' independent reference.
 """
 from __future__ import annotations
 
@@ -39,67 +42,64 @@ from pathlib import Path
 import numpy as np
 
 from equiframes.designs import EmbeddingAssignment, SteinerTripleSystem
-from equiframes.hadamard import ButsonMatrix
+from equiframes.hadamard import ButsonMatrix, _identity_misses
 from equiframes.scalar import (
+    _GUARD_NOTE,
     _SQRT2_F,
     _SQRT3_F,
     _SQRT6_F,
     CycInt,
     ExtScalar,
+    _cyclic_product,
     _unit_roots,
     cyclotomic_poly,
+    root_coeffs,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnimodularSimplex:
-    """Columns of a Hadamard matrix with one row removed.
+    """Columns of a Butson Hadamard matrix with one row removed, as exponents.
 
-    The removed row is kept as the Naimark complement: its entries a_i
-    satisfy <phi_i, phi_j> + a_i * conj(a_j) = n [i = j].
+    Entry (r, i) is zeta_q^exponents[r, i], q the source's root order.  The
+    removed row is kept as the Naimark complement: its entries
+    a_i = zeta_q^complement[i] satisfy <phi_i, phi_j> + a_i * conj(a_j) =
+    n [i = j].  Both arrays are read-only.
     """
 
-    entries: tuple[tuple[ExtScalar, ...], ...]  # (n-1) rows x n columns
-    naimark: tuple[ExtScalar, ...]
+    exponents: np.ndarray  # (n-1, n) int64
+    complement: np.ndarray  # (n,) int64
     source: ButsonMatrix
     removed_row: int
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.exponents)
 
     @property
     def count(self) -> int:
-        return len(self.naimark)
+        return len(self.complement)
 
 
 def simplex_from_hadamard(h: ButsonMatrix, row: int) -> UnimodularSimplex:
     """Delete one row of a (verified) Hadamard matrix; keep it as complement."""
     if row < 0 or row >= h.order:
         raise ValueError(f"row {row} out of range for order {h.order}")
-    table = h.value_table
-    entries = tuple(
-        tuple(table[e] for e in h.exponents[i])
-        for i in range(h.order)
-        if i != row
-    )
-    naimark = tuple(table[e] for e in h.exponents[row])
-    return UnimodularSimplex(entries, naimark, h, row)
+    e = np.array(h.exponents, dtype=np.int64)
+    rows, complement = np.delete(e, row, axis=0), e[row].copy()
+    rows.flags.writeable = complement.flags.writeable = False
+    return UnimodularSimplex(rows, complement, h, row)
 
 
 def naimark_residuals(sim: UnimodularSimplex) -> list[tuple[int, int]]:
-    """Pairs (i, j) violating the complement identity; empty when exact."""
-    n = sim.count
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            total = sim.naimark[i] * sim.naimark[j].conjugate()
-            for row in sim.entries:
-                total = total + row[i] * row[j].conjugate()
-            expect = ExtScalar.from_int(n if i == j else 0)
-            if total != expect:
-                bad.append((i, j))
-    return bad
+    """Pairs (i, j) violating the complement identity; empty when exact.
+
+    <phi_i, phi_j> + a_i * conj(a_j) is column i times conj(column j) of the
+    whole Butson matrix, so the pairs are where its H^T conj(H) misses n I.
+    """
+    e = np.vstack([sim.exponents, sim.complement])
+    bad = _identity_misses(e.T, sim.source.root_order)
+    return [(int(i), int(j)) for i, j in np.argwhere(bad)]
 
 
 @dataclass(frozen=True)
@@ -227,18 +227,6 @@ def _adopted(a, dtype) -> np.ndarray:
     return a if a.flags.owndata else a.copy()
 
 
-def _root_table(q: int, order: int) -> np.ndarray:
-    """(q, phi(order)) power-basis coefficients of zeta_q^e at the given order."""
-    return np.array([CycInt.root(order, e * (order // q)).coeffs for e in range(q)],
-                    dtype=np.float64)
-
-
-def _simplex_exponents(sim: UnimodularSimplex) -> tuple[np.ndarray, np.ndarray]:
-    """Root exponents of the simplex rows (dim, count) and of its complement."""
-    e = np.array(sim.source.exponents)
-    return np.delete(e, sim.removed_row, axis=0), e[sim.removed_row]
-
-
 def _embed_blocks(planes: np.ndarray, table: np.ndarray, emb: EmbeddingAssignment,
                   exps: np.ndarray) -> None:
     """Simplex vector s at point v is column v(R+1)+s; coordinate pos goes to
@@ -264,10 +252,10 @@ def steiner_etf(
     if emb.sts is not sts and emb.sts != sts:
         raise ValueError("embedding belongs to a different system")
     q = sim.source.root_order
-    table = _root_table(q, q)
+    table = root_coeffs(q)
     b = sts.block_count
     planes = np.zeros((table.shape[1], b, sts.num_points * (r + 1)))
-    _embed_blocks(planes, table, emb, _simplex_exponents(sim)[0])
+    _embed_blocks(planes, table, emb, sim.exponents)
     return FrameMatrix(
         planes,
         np.ones(b, dtype=np.int64),
@@ -304,21 +292,20 @@ def tremain_etf(
     q1 = sim_r.source.root_order
     q2 = sim_v.source.root_order
     order = q1 * q2 // gcd(q1, q2)
-    t1 = 2 * _root_table(q1, order)
-    t2 = _root_table(q2, order)
+    t1 = 2 * root_coeffs(order)[:: order // q1]  # zeta_q1^e is zeta_order^(e order/q1)
+    t2 = root_coeffs(order)[:: order // q2]
     b = sts.block_count
     m = b + v_pts + 1
     first = v_pts * (r + 1)
     planes = np.zeros((t1.shape[1], m, first + v_pts + 1))
     points = b + np.arange(v_pts)
 
-    e1, naimark1 = _simplex_exponents(sim_r)
-    _embed_blocks(planes, t1, emb, e1)
-    planes[:, points[:, None], np.arange(first).reshape(v_pts, r + 1)] = t1[naimark1].T[:, None]
+    _embed_blocks(planes, t1, emb, sim_r.exponents)
+    cols = np.arange(first).reshape(v_pts, r + 1)
+    planes[:, points[:, None], cols] = t1[sim_r.complement].T[:, None]
 
-    e2, naimark2 = _simplex_exponents(sim_v)
-    planes[:, points, first:] = np.moveaxis(t2[e2], -1, 0)
-    planes[:, m - 1, first:] = t2[naimark2].T
+    planes[:, points, first:] = np.moveaxis(t2[sim_v.exponents], -1, 0)
+    planes[:, m - 1, first:] = t2[sim_v.complement].T
 
     return FrameMatrix(
         planes,
@@ -359,44 +346,8 @@ def gram_matrix(frame: FrameMatrix) -> list[list[ExtScalar]]:
 
 _SURD_WEIGHTS = (1, 2, 3, 6)  # squares of the ExtScalar surds 1, sqrt2, sqrt3, sqrt6
 _SURD_FLOATS = (1.0, _SQRT2_F, _SQRT3_F, _SQRT6_F)
-_EXACT_LIMIT = 2 ** 52  # float64 holds every integer below 2^53
 _FLOAT32_LIMIT = 2 ** 24  # float32 holds every integer up to 2^24
-_GUARD_NOTE = "float64 would round the sums, so the exact kernel refuses"
 _GRAM_TILE = 256  # Gram rows per tile of the streaming pass
-
-
-def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.ndarray:
-    """Power-basis coefficients of sum_{a,b} mul(left[a], right[b]) zeta_m^(a-b).
-
-    Products accumulate one cyclic slot (a - b) mod m at a time, in float
-    for BLAS matmuls or in int64; ``bound`` caps every partial sum, so below
-    2^52 (2^24 for float32 operands) every float sum is an exact integer.
-    Each slot is folded into the phi(m) output planes, reduced modulo Phi_m,
-    as soon as it is summed.
-    """
-    if not bound < _EXACT_LIMIT:
-        raise ValueError(f"{what} slot sums may reach {bound:.4g} >= 2^52; {_GUARD_NOTE}")
-    out = None
-    for d in range(m):
-        slot = None
-        for a, x in enumerate(left):
-            b = (a - d) % m
-            if b < len(right):
-                if slot is None:
-                    slot = mul(x, right[b])
-                else:
-                    slot += mul(x, right[b])
-        if slot is None:
-            continue
-        if d == 0:  # zeta^0 = 1: the slot is the constant plane
-            out = np.zeros((len(left), *slot.shape), dtype=np.int64)
-            out[0] = slot
-            continue
-        slot = slot.astype(np.int64, copy=False)
-        for c, coef in enumerate(CycInt.root(m, d).coeffs):
-            if coef:
-                out[c] += slot if coef == 1 else coef * slot
-    return out
 
 
 def _abs_sum(planes: np.ndarray) -> np.ndarray:
@@ -432,10 +383,11 @@ def _gram_tiles(frame: FrameMatrix, tile: int = _GRAM_TILE):
 
 def _phase_roots(m: int) -> np.ndarray:
     """(m', phi(m)) power-basis coefficients of zeta_(m')^e, m' = lcm(2, m)."""
+    roots = root_coeffs(m)
     if m % 2:  # zeta_(2m) = -zeta_m^((m+1)/2)
-        return np.array([CycInt.root(m, e * (m + 1) // 2 % m).coeffs for e in range(2 * m)],
-                        dtype=np.int64) * np.where(np.arange(2 * m) % 2, -1, 1)[:, None]
-    return np.array([CycInt.root(m, e).coeffs for e in range(m)], dtype=np.int64)
+        e = np.arange(2 * m)
+        return roots[e * (m + 1) // 2 % m] * np.where(e % 2, -1, 1)[:, None]
+    return roots
 
 
 def _tile_phase(g: np.ndarray, m: int) -> np.ndarray:

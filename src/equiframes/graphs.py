@@ -31,12 +31,11 @@ from equiframes.frames import (
     FrameMatrix,
     TremainProvenance,
     _adopted,
-    _cyclic_product,
     real_gram_phases,
     verify_etf,
     welch_bound,
 )
-from equiframes.scalar import CycInt, ExtScalar
+from equiframes.scalar import _cyclic_product
 
 _TILE = 256  # rows of A read at once, by counting and every other pass
 _BLOCK = 256  # rows of A converted to float32 at once: the columns of one A·A block
@@ -339,20 +338,22 @@ def waldron_srg(frame: FrameMatrix) -> SRGResult:
     return _certify_sign_graph(negative, expected, "waldron graph")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatFunctional:
     """Vector x with <x, column> = 1 for all columns, stored 3x scaled.
 
-    The exact entries of 3x live in the scalar ring (3x has sqrt(6) in its
-    last coordinate where x itself would need sqrt(2/3)); certificates
-    check <3x, column> = 3 instead, clearing the denominator.
+    3x is held in the frame's row grading: coordinate r of 3x is
+    graded[r] * sqrt(weights[r]), an integer times the row's surd (3x has
+    sqrt(6) in its last coordinate where x itself would need sqrt(2/3)).
+    Certificates check <3x, column> = 3 instead, clearing the denominator.
     """
 
-    scaled_entries: tuple[ExtScalar, ...]
+    graded: np.ndarray  # (M,) int64, read-only
+    weights: np.ndarray  # (M,) the frame's row weights
     scale: int
 
     def to_complex(self) -> np.ndarray:
-        return np.array([x.to_complex() for x in self.scaled_entries]) / self.scale
+        return self.graded * np.sqrt(self.weights) / self.scale
 
 
 def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
@@ -371,37 +372,29 @@ def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
         )
     if prov.embedding.parallel_class is None:
         raise ValueError("frame was not built with a parallel-class-first embedding")
-    b = frame.block_rows
-    order = frame.order
-    zero = ExtScalar.from_int(0, order)
-    three = ExtScalar.from_int(3, order)
-    in_class = set(prov.embedding.parallel_class)
-    scaled = [three if i in in_class else zero for i in range(b)]
-    scaled += [zero] * frame.point_rows
-    scaled += [ExtScalar.sqrt6(order=order)]  # 3 * sqrt(2/3)
-    x = tuple(scaled)
-
-    # 3x in the frame's row grading: 3 on the class rows, and sqrt6 on the
-    # extra row, whose weight is 6; <3x, column j> at scale 2^k in one product.
-    # Its slot sums are bounded over those support rows only.
-    rows = [*sorted(in_class), frame.dim - 1]
-    graded = np.zeros((len(frame.planes), 1, frame.dim))
-    graded[0, 0, rows[:-1]] = 3
-    graded[0, 0, -1] = 1
-    graded *= frame.weights
-    bound = float(sum(graded[0, 0, rows] @ np.abs(p[rows]) for p in frame.planes).max())
-    ips = _cyclic_product(graded, frame.planes, order, np.matmul, bound, "flat functional")
+    # 3x in the frame's row grading: 3 on the class rows, and 1 (times sqrt6,
+    # 3 * sqrt(2/3)) on the extra row, whose weight is 6; <3x, column j> at
+    # scale 2^k in one product.  Its slot sums are bounded over those support
+    # rows only.
+    rows = [*sorted(prov.embedding.parallel_class), frame.dim - 1]
+    graded = np.zeros(frame.dim, dtype=np.int64)
+    graded[rows[:-1]] = 3
+    graded[-1] = 1
+    graded.flags.writeable = False
+    left = np.zeros((len(frame.planes), 1, frame.dim))
+    left[0, 0] = graded * frame.weights
+    bound = float(sum(left[0, 0, rows] @ np.abs(p[rows]) for p in frame.planes).max())
+    ips = _cyclic_product(left, frame.planes, frame.order, np.matmul, bound, "flat functional")
     target = np.zeros((len(ips), 1), dtype=np.int64)
     target[0] = 3 << frame.k
     bad = (ips[:, 0] != target).any(axis=0)
     if bad.any():
         j = int(bad.argmax())
-        total = ExtScalar.from_cyc(CycInt(order, ips[:, 0, j].tolist()), frame.k)
         raise CertificationError(
-            f"column {j}: <x, column> != 1 (scaled value {total!r}); "
+            f"column {j}: <x, column> != 1 (scaled value {ips[:, 0, j].tolist()}/2^{frame.k}); "
             "check row-removal conventions and the parallel class"
         )
-    return FlatFunctional(x, 3)
+    return FlatFunctional(graded, frame.weights, 3)
 
 
 def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
@@ -409,7 +402,7 @@ def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
     rep = verify_etf(frame)
     if not rep.is_etf:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
-    if len(functional.scaled_entries) != frame.dim:
+    if len(functional.graded) != frame.dim:
         raise ValueError("functional dimension does not match the frame")
     negative = real_gram_phases(frame) == 1
     expected = srg_params_gs(frame.dim, frame.count)

@@ -1,19 +1,22 @@
 """Butson-type Hadamard matrices: construction, verification, search, I/O.
 
 A matrix of order n with entries that are q-th roots of unity is stored as
-its n x n exponent table mod q; the Hadamard property H H* = n I is checked
-exactly by reducing root-of-unity count vectors modulo the q-th cyclotomic
-polynomial.  q = 2 is the real +-1 case.
+its n x n exponent table mod q; q = 2 is the real +-1 case, and q is at
+most scalar.MAX_ROOT_ORDER.  The Hadamard property H H* = n I is checked
+exactly and for all row pairs at once: the table indexes root_coeffs(q)
+into integer planes, and the slot kernel multiplies them and reduces the
+products modulo the q-th cyclotomic polynomial.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from pathlib import Path
 
-from equiframes.scalar import CycInt, ExtScalar
+import numpy as np
+
+from equiframes.scalar import MAX_ROOT_ORDER, _cyclic_product, root_coeffs
 
 
 @dataclass(frozen=True)
@@ -24,18 +27,12 @@ class ButsonMatrix:
 
     def __post_init__(self) -> None:
         n, q = self.order, self.root_order
+        if q > MAX_ROOT_ORDER:
+            raise ValueError(f"root order {q} exceeds the supported {MAX_ROOT_ORDER}")
         if len(self.exponents) != n or any(len(r) != n for r in self.exponents):
             raise ValueError(f"exponent table is not {n}x{n}")
         if any(e < 0 or e >= q for row in self.exponents for e in row):
             raise ValueError(f"exponents must lie in [0,{q})")
-
-    @cached_property
-    def value_table(self) -> tuple[ExtScalar, ...]:
-        """Shared scalar objects for the q possible entries."""
-        return tuple(ExtScalar.root(self.root_order, e) for e in range(self.root_order))
-
-    def entry(self, i: int, j: int) -> ExtScalar:
-        return self.value_table[self.exponents[i][j]]
 
     def is_real(self) -> bool:
         return self.root_order in (1, 2)
@@ -57,23 +54,35 @@ class HadamardReport:
         }
 
 
-def _row_pair_is_orthogonal(
-    row_i: tuple[int, ...], row_k: tuple[int, ...], q: int
-) -> bool:
-    counts = [0] * q
-    for a, b in zip(row_i, row_k):
-        counts[(a - b) % q] += 1
-    return CycInt(q, counts).is_zero()
+def _identity_misses(exponents: np.ndarray, q: int) -> np.ndarray:
+    """(n, n) bool: where H H* differs from n I, H = zeta_q^exponents (n x n).
+
+    Entry (i, k) of H H* is row i times conj(row k), so the product is one
+    slot kernel call over the planes root_coeffs(q)[exponents].  A slot sum
+    of rows i and k is at most sum_j t_ij t_kj, t the coefficient size sums
+    of the entries, hence at most the largest sum_j t_ij^2.
+    """
+    roots = root_coeffs(q)
+    planes = np.moveaxis(roots[exponents], -1, 0).astype(np.float64)
+    t = np.abs(roots).sum(axis=1)[exponents]
+    bound = float((t * t).sum(axis=1).max(initial=0))
+    live = planes.any(axis=(1, 2)).nonzero()[0].max() + 1  # trailing zero planes add nothing
+    prod = _cyclic_product(planes, [p.T for p in planes[:live]], q, np.matmul, bound, "H H*")
+    n = len(exponents)
+    prod[0, range(n), range(n)] -= n
+    return prod.any(axis=0)
 
 
 def verify_hadamard(h: ButsonMatrix) -> HadamardReport:
-    """Exact check of H H* = n I; reports the first failing row pair."""
+    """Exact check of H H* = n I; reports the first failing row pair.
+
+    The pair is the first (i, k), i < k, in row-major order.
+    """
     n, q = h.order, h.root_order
-    exps = h.exponents
-    for i in range(n):
-        for k in range(i + 1, n):
-            if not _row_pair_is_orthogonal(exps[i], exps[k], q):
-                return HadamardReport(False, n, q, (i, k))
+    bad = np.triu(_identity_misses(np.array(h.exponents, dtype=np.int64), q), 1)
+    if bad.any():
+        i, k = np.unravel_index(bad.argmax(), bad.shape)
+        return HadamardReport(False, n, q, (int(i), int(k)))
     return HadamardReport(True, n, q)
 
 
@@ -224,6 +233,8 @@ def load_butson(path: str | Path) -> ButsonMatrix:
         raise ValueError(f"{path}: non-integer field in header {raw[0]!r}") from None
     if n < 1 or q < 1:
         raise ValueError(f"{path}: order and root order must be positive, got {n} {q}")
+    if q > MAX_ROOT_ORDER:
+        raise ValueError(f"{path}: root order {q} exceeds the supported {MAX_ROOT_ORDER}")
     if len(raw) != n + 1:
         raise ValueError(f"{path}: expected {n} rows, found {len(raw) - 1}")
     rows = []
@@ -255,85 +266,48 @@ def search_butson(
     """
     if n < 2 or q < 2:
         raise ValueError("need n, q >= 2")
+    roots = root_coeffs(q)
     rng = random.Random(seed)
-
-    def pair_counts(exps: list[list[int]]) -> list[list[list[int]]]:
-        counts = [[[0] * q for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for k in range(i + 1, n):
-                c = counts[i][k]
-                for a, b in zip(exps[i], exps[k]):
-                    c[(a - b) % q] += 1
-        return counts
-
-    def pair_bad(c: list[int]) -> bool:
-        return not CycInt(q, c).is_zero()
-
+    vertices = np.arange(n)
     moves_left = budget
     while moves_left > 0:
         # first row and column pinned to ones; the rest random
-        exps = [[0] * n for _ in range(n)]
+        exps = np.zeros((n, n), dtype=np.int64)
         for i in range(1, n):
             for j in range(1, n):
-                exps[i][j] = rng.randrange(q)
-        counts = pair_counts(exps)
-        bad = {
-            (i, k)
-            for i in range(n)
-            for k in range(i + 1, n)
-            if pair_bad(counts[i][k])
-        }
+                exps[i, j] = rng.randrange(q)
+        # counts[i, k, d]: columns j with exps[i, j] - exps[k, j] = d (mod q);
+        # rows i and k are orthogonal iff counts[i, k] @ roots vanishes
+        diff = (exps[:, None] - exps[None]) % q
+        counts = np.stack([(diff == d).sum(axis=2) for d in range(q)], axis=2)
+        bad = (counts @ roots).any(axis=2)
+        np.fill_diagonal(bad, False)
         stall = 0
-        while moves_left > 0 and bad and stall < 4 * n * n:
+        while moves_left > 0 and bad.any() and stall < 4 * n * n:
             moves_left -= 1
             i = rng.randrange(1, n)
             j = rng.randrange(1, n)
-            old = exps[i][j]
+            old = int(exps[i, j])
             new = rng.randrange(q)
             if new == old:
                 continue
-            delta: list[tuple[int, int]] = []
-            changed = 0
-            for k in range(n):
-                if k == i:
-                    continue
-                lo, hi = (k, i) if k < i else (i, k)
-                c = counts[lo][hi]
-                if lo == i:
-                    c[(old - exps[k][j]) % q] -= 1
-                    c[(new - exps[k][j]) % q] += 1
-                else:
-                    c[(exps[k][j] - old) % q] -= 1
-                    c[(exps[k][j] - new) % q] += 1
-                was = (lo, hi) in bad
-                now = pair_bad(c)
-                if was != now:
-                    changed += 1 if now else -1
-                delta.append((lo, hi))
+            others = vertices != i
+            k = vertices[others]
+            c = counts[i].copy()
+            c[k, (old - exps[k, j]) % q] -= 1
+            c[k, (new - exps[k, j]) % q] += 1
+            now = (c @ roots).any(axis=1) & others
+            changed = int(now.sum()) - int(bad[i].sum())
             if changed <= 0:
-                exps[i][j] = new
-                for lo, hi in delta:
-                    if pair_bad(counts[lo][hi]):
-                        bad.add((lo, hi))
-                    else:
-                        bad.discard((lo, hi))
+                exps[i, j] = new
+                counts[i] = c
+                counts[:, i] = c[:, -np.arange(q) % q]
+                bad[i] = bad[:, i] = now
                 stall = stall + 1 if changed == 0 else 0
             else:
-                # revert counts
-                for k in range(n):
-                    if k == i:
-                        continue
-                    lo, hi = (k, i) if k < i else (i, k)
-                    c = counts[lo][hi]
-                    if lo == i:
-                        c[(new - exps[k][j]) % q] -= 1
-                        c[(old - exps[k][j]) % q] += 1
-                    else:
-                        c[(exps[k][j] - new) % q] -= 1
-                        c[(exps[k][j] - old) % q] += 1
                 stall += 1
-        if not bad:
-            found = ButsonMatrix(n, q, tuple(tuple(r) for r in exps))
+        if not bad.any():
+            found = ButsonMatrix(n, q, tuple(map(tuple, exps.tolist())))
             if verify_hadamard(found).ok:
                 return found
     return None

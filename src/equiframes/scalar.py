@@ -1,13 +1,18 @@
-"""Exact arithmetic for frame entries and Gram computations.
+"""Exact arithmetic for frame entries, Gram values and Hadamard checks.
 
 Values live in Z[zeta_m][sqrt2, sqrt3] / 2^k: a cyclotomic integer part for
 the roots of unity, plus the quadratic surds sqrt(2), sqrt(3) and their
 product sqrt(6), over power-of-two denominators.  Every matrix entry and
 every Gram value in this package is one of these numbers, so equality,
-zero tests and conjugation are exact (no epsilon).  The frame kernels work
-on arrays of their power-basis coefficients; ExtScalar holds single values
-(simplex entries, the flat functional, witnesses) and is the reference
-arithmetic the tests check the kernels against.
+zero tests and conjugation are exact (no epsilon).
+
+Production code works on arrays of power-basis coefficients: root_coeffs(m)
+is the table of zeta_m^e for every exponent e, so an exponent array indexes
+straight into integer planes, and _cyclic_product is the one kernel that
+multiplies such planes, summing products in cyclic slots (a - b) mod m and
+reducing them modulo Phi_m.  CycInt and ExtScalar hold single values; they
+are the reference arithmetic that FrameMatrix.entry, frames.gram_matrix and
+the tests check the kernels against.
 """
 from __future__ import annotations
 
@@ -15,6 +20,8 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 
 def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -60,6 +67,72 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
                 q.pop()
             poly = q
     return tuple(poly)
+
+
+# Largest root order of a Butson matrix, a loaded Butson file or root_coeffs.
+# The built-in constructions stay far below it (complex Tremain frames reach
+# order V + 1, 74 at V = 73), as does the bundled H(5,10) (order 5); past it
+# cyclotomic_poly and the root table cost time that no certifiable input needs.
+MAX_ROOT_ORDER = 1024
+
+
+@lru_cache(maxsize=None)
+def root_coeffs(m: int) -> np.ndarray:
+    """Read-only (m, phi(m)) int64 table; row e is zeta_m^e in the power basis.
+
+    Built by multiplying by zeta one row at a time and reducing the overflow
+    with Phi_m.  Coefficients can exceed 1 in size (at m = 105, say).
+    """
+    if not 1 <= m <= MAX_ROOT_ORDER:
+        raise ValueError(f"root order {m} is outside [1, {MAX_ROOT_ORDER}]")
+    phi = np.array(cyclotomic_poly(m), dtype=np.int64)
+    table = np.zeros((m, len(phi) - 1), dtype=np.int64)
+    table[0, 0] = 1
+    for e in range(1, m):
+        prev = table[e - 1]
+        table[e, 1:] = prev[:-1]
+        table[e] -= prev[-1] * phi[:-1]  # zeta^phi(m) = -(Phi_m - x^phi(m))(zeta)
+    table.flags.writeable = False
+    return table
+
+
+_EXACT_LIMIT = 2 ** 52  # float64 holds every integer below 2^53
+_GUARD_NOTE = "float64 would round the sums, so the exact kernel refuses"
+
+
+def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.ndarray:
+    """Power-basis coefficients of sum_{a,b} mul(left[a], right[b]) zeta_m^(a-b).
+
+    Products accumulate one cyclic slot (a - b) mod m at a time, in float
+    for BLAS matmuls or in int64; ``bound`` caps every partial sum, so below
+    2^52 (2^24 for float32 operands) every float sum is an exact integer.
+    Each slot is folded into the phi(m) output planes, reduced modulo Phi_m,
+    as soon as it is summed.
+    """
+    if not bound < _EXACT_LIMIT:
+        raise ValueError(f"{what} slot sums may reach {bound:.4g} >= 2^52; {_GUARD_NOTE}")
+    roots = root_coeffs(m)
+    out = None
+    for d in range(m):
+        slot = None
+        for a, x in enumerate(left):
+            b = (a - d) % m
+            if b < len(right):
+                if slot is None:
+                    slot = mul(x, right[b])
+                else:
+                    slot += mul(x, right[b])
+        if slot is None:
+            continue
+        if d == 0:  # zeta^0 = 1: the slot is the constant plane
+            out = np.zeros((len(left), *slot.shape), dtype=np.int64)
+            out[0] = slot
+            continue
+        slot = slot.astype(np.int64, copy=False)
+        for c, coef in enumerate(roots[d].tolist()):
+            if coef:
+                out[c] += slot if coef == 1 else coef * slot
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -144,7 +144,7 @@ def test_criterion_4_gs_srgs(gs_runs):
         # the functional certificate: <x, column> = 1 exactly, all columns
         # (tremain_flat_functional raises otherwise); recheck the scaling
         assert functional.scale == 3
-        assert len(functional.scaled_entries) == frame.dim
+        assert len(functional.graded) == frame.dim
         assert res.params.as_tuple() == printed, f"h={h}"
         recount = srg_check(res.graph)
         assert recount.ok and recount.params.as_tuple() == printed
@@ -231,11 +231,20 @@ def test_criterion_7b_naimark_identity():
           "built matrices up to order 40)")
 
 
+def _simplex_scalars(sim):
+    """The simplex rows and its complement as ExtScalars, from its exponent arrays."""
+    q = sim.source.root_order
+    rows = [[ExtScalar.root(q, int(e)) for e in r] for r in (*sim.exponents, sim.complement)]
+    return rows[:-1], rows[-1]
+
+
 def _case_formula_gram(frame):
     """Predicted Gram from the construction's four structural cases."""
     prov = frame.provenance
     sim_r, sim_v, emb = prov.sim_r, prov.sim_v, prov.embedding
     v_pts = prov.sts.num_points
+    entries_r, naimark_r = _simplex_scalars(sim_r)
+    entries_v, naimark_v = _simplex_scalars(sim_v)
     r1 = sim_r.count
     n = frame.count
 
@@ -249,17 +258,17 @@ def _case_formula_gram(frame):
             if v == w:
                 if s == s2:
                     return None  # norm, handled separately
-                return sim_r.naimark[s] * sim_r.naimark[s2].conjugate()
+                return naimark_r[s] * naimark_r[s2].conjugate()
             blk, pos_v, pos_w = emb.shared_block(v, w)
-            return sim_r.entries[pos_v][s] * sim_r.entries[pos_w][s2].conjugate()
+            return entries_r[pos_v][s] * entries_r[pos_w][s2].conjugate()
         if i >= split and j >= split:
             t, t2 = i - split, j - split
             if t == t2:
                 return None
-            return sim_v.naimark[t] * sim_v.naimark[t2].conjugate()
+            return naimark_v[t] * naimark_v[t2].conjugate()
         v, s = divmod(i, r1)
         t = j - split
-        return sim_r.naimark[s] * sim_v.entries[v][t].conjugate()
+        return naimark_r[s] * entries_v[v][t].conjugate()
 
     return predict
 

@@ -37,7 +37,14 @@ from equiframes.frames import (
     verify_etf,
     welch_bound,
 )
-from equiframes.hadamard import fourier, kronecker, normalize, real_hadamard, sylvester
+from equiframes.hadamard import (
+    ButsonMatrix,
+    fourier,
+    kronecker,
+    normalize,
+    real_hadamard,
+    sylvester,
+)
 from equiframes.scalar import CycInt, ExtScalar
 
 
@@ -57,11 +64,19 @@ def build_tremain(v=None, h=None, parallel=False, rows=None):
     )
 
 
+def simplex_scalars(sim):
+    """The simplex rows and its complement as ExtScalars, from its exponent arrays."""
+    q = sim.source.root_order
+    rows = [[ExtScalar.root(q, int(e)) for e in r] for r in (*sim.exponents, sim.complement)]
+    return rows[:-1], rows[-1]
+
+
 def test_simplex_sylvester1():
     sim = simplex_from_hadamard(sylvester(1), 0)
     assert sim.dim == 1 and sim.count == 2
-    assert [x.to_complex() for x in sim.entries[0]] == [1, -1]
-    assert [x.to_complex() for x in sim.naimark] == [1, 1]
+    entries, naimark = simplex_scalars(sim)
+    assert [x.to_complex() for x in entries[0]] == [1, -1]
+    assert [x.to_complex() for x in naimark] == [1, 1]
     assert naimark_residuals(sim) == []
 
 
@@ -75,10 +90,11 @@ def test_naimark_identity_fourier5():
     assert sim.dim == 4 and sim.count == 5
     assert naimark_residuals(sim) == []
     # inner products of distinct columns are the negated removed-row products
+    entries, naimark = simplex_scalars(sim)
     g = ExtScalar.from_int(0, 5)
     for r in range(4):
-        g = g + sim.entries[r][0] * sim.entries[r][1].conjugate()
-    assert g == -(sim.naimark[0] * sim.naimark[1].conjugate())
+        g = g + entries[r][0] * entries[r][1].conjugate()
+    assert g == -(naimark[0] * naimark[1].conjugate())
 
 
 def test_welch_bound_values():
@@ -477,16 +493,17 @@ def test_gram_case_values_match_construction():
     g = gram_matrix(f)
     r1 = prov.sim_r.count  # R+1
     v = prov.sts.num_points
+    naimark_r, naimark_v = simplex_scalars(prov.sim_r)[1], simplex_scalars(prov.sim_v)[1]
     # same point, different simplex indices: a_s * conj(a_s')
     for s in range(r1):
         for s2 in range(s + 1, r1):
-            expect = prov.sim_r.naimark[s] * prov.sim_r.naimark[s2].conjugate()
+            expect = naimark_r[s] * naimark_r[s2].conjugate()
             assert g[0 * r1 + s][0 * r1 + s2] == expect
     # between the point-space columns: b_t * conj(b_t')
     base = v * r1
     for t in range(3):
         for t2 in range(t + 1, 4):
-            expect = prov.sim_v.naimark[t] * prov.sim_v.naimark[t2].conjugate()
+            expect = naimark_v[t] * naimark_v[t2].conjugate()
             assert g[base + t][base + t2] == expect
 
 
@@ -606,21 +623,23 @@ def _named_entries(f):
     prov = f.provenance
     steiner = isinstance(prov, SteinerProvenance)
     sim_r = prov.simplex if steiner else prov.sim_r
+    entries_r, naimark_r = simplex_scalars(sim_r)
     zero = ExtScalar.from_int(0)
     want = [[zero] * f.count for _ in range(f.dim)]
     r1 = sim_r.count
     for v, blocks in enumerate(prov.embedding.orders):
         for s in range(r1):
             for pos, blk in enumerate(blocks):
-                want[blk][v * r1 + s] = sim_r.entries[pos][s]
+                want[blk][v * r1 + s] = entries_r[pos][s]
             if not steiner:
-                want[f.block_rows + v][v * r1 + s] = ExtScalar.sqrt2() * sim_r.naimark[s]
+                want[f.block_rows + v][v * r1 + s] = ExtScalar.sqrt2() * naimark_r[s]
     if not steiner:
+        entries_v, naimark_v = simplex_scalars(prov.sim_v)
         first = len(prov.embedding.orders) * r1
         for t in range(prov.sim_v.count):
             for v in range(prov.sim_v.dim):
-                want[f.block_rows + v][first + t] = ExtScalar.sqrt2(k=1) * prov.sim_v.entries[v][t]
-            want[-1][first + t] = ExtScalar.sqrt6(k=1) * prov.sim_v.naimark[t]
+                want[f.block_rows + v][first + t] = ExtScalar.sqrt2(k=1) * entries_v[v][t]
+            want[-1][first + t] = ExtScalar.sqrt6(k=1) * naimark_v[t]
     return want
 
 
@@ -640,3 +659,39 @@ def test_naimark_identity_all_rows_small_orders():
     for h in (sylvester(2), fourier(3), fourier(5), sylvester(3)):
         for row in range(h.order):
             assert naimark_residuals(simplex_from_hadamard(h, row)) == []
+
+
+def reference_naimark_residuals(sim):
+    """The complement identity one pair at a time in ExtScalar arithmetic."""
+    entries, naimark = simplex_scalars(sim)
+    n, bad = sim.count, []
+    for i in range(n):
+        for j in range(n):
+            total = naimark[i] * naimark[j].conjugate()
+            for row in entries:
+                total = total + row[i] * row[j].conjugate()
+            if total != ExtScalar.from_int(n if i == j else 0):
+                bad.append((i, j))
+    return bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 10), st.integers(0, n - 1),
+    st.lists(st.integers(0, 99), min_size=n * n, max_size=n * n))))
+def test_naimark_residuals_match_extscalar_reference(case):
+    """Random exponent tables, Hadamard or not, and every removed row."""
+    n, q, row, flat = case
+    h = ButsonMatrix(n, q, tuple(tuple(e % q for e in flat[i * n:(i + 1) * n]) for i in range(n)))
+    sim = simplex_from_hadamard(h, row)
+    assert naimark_residuals(sim) == reference_naimark_residuals(sim)
+
+
+@pytest.mark.parametrize("h", [sylvester(3), fourier(6), fourier(7)],
+                         ids=["sylvester3", "fourier6", "fourier7"])
+def test_naimark_residuals_match_reference_after_one_perturbation(h):
+    rows = [list(r) for r in h.exponents]
+    rows[2][3] = (rows[2][3] + 1) % h.root_order
+    sim = simplex_from_hadamard(ButsonMatrix(h.order, h.root_order, tuple(map(tuple, rows))), 1)
+    residuals = naimark_residuals(sim)
+    assert residuals and residuals == reference_naimark_residuals(sim)

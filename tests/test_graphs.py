@@ -466,7 +466,7 @@ def test_flat_functional_h2():
 def test_flat_functional_h8():
     frame = build_tremain(h=8, parallel=True)
     x = tremain_flat_functional(frame)
-    assert len(x.scaled_entries) == frame.dim
+    assert len(x.graded) == frame.dim
 
 
 def test_flat_functional_refuses_v_not_divisible_by_3():
@@ -485,7 +485,9 @@ def test_flat_functional_detects_wrong_row_convention():
     # removing the first row of H1 breaks <x, column> = 1; the witness is the
     # first column whose ExtScalar inner product with 3x misses 3
     frame = build_tremain(h=2, parallel=True, row1=0)
-    x = tremain_flat_functional(build_tremain(h=2, parallel=True)).scaled_entries
+    good = tremain_flat_functional(build_tremain(h=2, parallel=True))
+    surds = {1: ExtScalar.from_int(1), 2: ExtScalar.sqrt2(), 3: ExtScalar.sqrt3(), 6: ExtScalar.sqrt6()}
+    x = [int(c) * surds[int(w)] for c, w in zip(good.graded, good.weights)]
     zero, three = ExtScalar.from_int(0, frame.order), ExtScalar.from_int(3, frame.order)
     first = next(
         j for j in range(frame.count)

@@ -4,9 +4,11 @@ from __future__ import annotations
 import cmath
 import random
 
+import numpy as np
 import pytest
+import sympy
 
-from equiframes.scalar import CycInt, ExtScalar, cyclotomic_poly
+from equiframes.scalar import MAX_ROOT_ORDER, CycInt, ExtScalar, cyclotomic_poly, root_coeffs
 
 
 def brute_poly_div(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -187,3 +189,39 @@ def test_exactness_guards_raise_instead_of_asserting():
         _poly_divmod_exact([1, 0, 1], (1, 2))
     with pytest.raises(ValueError, match="divisible by 24"):
         _surd_embeddings(12)
+
+
+# --- sympy as the oracle for the coefficient tables ---------------------------
+
+
+def _sympy_coeffs(poly, x, length):
+    """Coefficients, constant first, of a sympy polynomial in x, padded to length."""
+    coeffs = sympy.Poly(poly, x).all_coeffs()[::-1] if poly != 0 else []
+    return tuple(int(c) for c in coeffs) + (0,) * (length - len(coeffs))
+
+
+@pytest.mark.parametrize("m", range(1, 121))
+def test_cyclotomic_poly_matches_sympy(m):
+    x = sympy.Symbol("x")
+    phi = cyclotomic_poly(m)
+    assert phi == _sympy_coeffs(sympy.cyclotomic_poly(m, x), x, len(phi))
+
+
+@pytest.mark.parametrize("m", range(1, 121))
+def test_root_coeffs_match_sympy_and_cycint(m):
+    """Row e is x^e mod Phi_m (sympy) and CycInt.root(m, e); the table is read-only."""
+    x = sympy.Symbol("x")
+    phi_m = sympy.Poly(sympy.cyclotomic_poly(m, x), x)
+    table = root_coeffs(m)
+    assert table.shape == (m, phi_m.degree()) and table.dtype == np.int64
+    for e in range(m):
+        want = _sympy_coeffs(sympy.rem(sympy.Poly(x**e, x), phi_m).as_expr(), x, table.shape[1])
+        assert tuple(table[e].tolist()) == want == CycInt.root(m, e).coeffs, f"m={m}, e={e}"
+    with pytest.raises(ValueError):
+        table[0, 0] = 5
+
+
+@pytest.mark.parametrize("m", [0, -3, MAX_ROOT_ORDER + 1])
+def test_root_coeffs_refuse_orders_outside_the_bound(m):
+    with pytest.raises(ValueError, match="root order"):
+        root_coeffs(m)
