@@ -48,8 +48,11 @@ from equiframes.scalar import (
     _SQRT2_F,
     _SQRT3_F,
     _SQRT6_F,
+    MAX_ROOT_ORDER,
     CycInt,
     ExtScalar,
+    _abs_sum,
+    _adopted,
     _cyclic_product,
     _unit_roots,
     cyclotomic_poly,
@@ -85,10 +88,9 @@ def simplex_from_hadamard(h: ButsonMatrix, row: int) -> UnimodularSimplex:
     """Delete one row of a (verified) Hadamard matrix; keep it as complement."""
     if row < 0 or row >= h.order:
         raise ValueError(f"row {row} out of range for order {h.order}")
-    e = np.array(h.exponents, dtype=np.int64)
-    rows, complement = np.delete(e, row, axis=0), e[row].copy()
-    rows.flags.writeable = complement.flags.writeable = False
-    return UnimodularSimplex(rows, complement, h, row)
+    rows = np.delete(h.exponents, row, axis=0)
+    rows.flags.writeable = False
+    return UnimodularSimplex(rows, h.exponents[row], h, row)
 
 
 def naimark_residuals(sim: UnimodularSimplex) -> list[tuple[int, int]]:
@@ -152,7 +154,7 @@ class FrameMatrix:
     one surd per row, a cyclotomic integer per entry, one common power of
     two.  Rows split into block coordinates, point coordinates and one
     optional extra coordinate (Tremain frames use all three bands; Steiner
-    frames only the first).  The arrays are read-only; see _adopted.
+    frames only the first).  The arrays are read-only; see scalar._adopted.
     """
 
     planes: np.ndarray  # (phi(m), M, N) float64 holding integers
@@ -214,17 +216,6 @@ class FrameMatrix:
             out += p * roots[a]
         surd = np.take(_SURD_FLOATS, np.searchsorted(_SURD_WEIGHTS, self.weights))
         return out * surd[:, None] * 0.5 ** self.k
-
-
-def _adopted(a, dtype) -> np.ndarray:
-    """``a`` as an array of ``dtype`` that owns its memory, for a read-only field.
-
-    An array that already is one is taken as it is, not copied, so the
-    caller's handle turns read-only with the field; anything else (another
-    dtype, a list, a view whose base could still be written) is copied.
-    """
-    a = np.asarray(a, dtype=dtype)
-    return a if a.flags.owndata else a.copy()
 
 
 def _embed_blocks(planes: np.ndarray, table: np.ndarray, emb: EmbeddingAssignment,
@@ -348,16 +339,6 @@ _SURD_WEIGHTS = (1, 2, 3, 6)  # squares of the ExtScalar surds 1, sqrt2, sqrt3, 
 _SURD_FLOATS = (1.0, _SQRT2_F, _SQRT3_F, _SQRT6_F)
 _FLOAT32_LIMIT = 2 ** 24  # float32 holds every integer up to 2^24
 _GRAM_TILE = 256  # Gram rows per tile of the streaming pass
-
-
-def _abs_sum(planes: np.ndarray) -> np.ndarray:
-    """sum_a |X_a| entrywise, (M, N), up to sign: its squares bound the slot sums."""
-    if len(planes) == 1:
-        return planes[0]
-    total = np.abs(planes[0])
-    for p in planes[1:]:
-        total += np.abs(p)
-    return total
 
 
 def _exact_float(planes: np.ndarray, bound: float) -> np.ndarray:
@@ -776,6 +757,8 @@ def _parse_frame(text: str) -> FrameMatrix:
         raise ValueError("non-integer field in the header or the band line") from None
     if m < 1 or n < 1 or order < 1:
         raise ValueError(f"M, N and the order must be positive, got {' '.join(head)!r}")
+    if order > MAX_ROOT_ORDER:
+        raise ValueError(f"root order {order} exceeds the supported {MAX_ROOT_ORDER}")
     if len(raw) != m + 2:
         raise ValueError(f"expected {m} entry rows")
     distinct: dict[str, int] = {}

@@ -30,12 +30,11 @@ from equiframes.frames import (
     ETFReport,
     FrameMatrix,
     TremainProvenance,
-    _adopted,
     real_gram_phases,
     verify_etf,
     welch_bound,
 )
-from equiframes.scalar import _cyclic_product
+from equiframes.scalar import _adopted, _cyclic_product
 
 _TILE = 256  # rows of A read at once, by counting and every other pass
 _BLOCK = 256  # rows of A converted to float32 at once: the columns of one A·A block
@@ -152,13 +151,6 @@ class SRGCertificate:
     ok: bool
     params: SRGParams | None
     witness: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "params": self.params.as_tuple() if self.params else None,
-            "witness": self.witness,
-        }
 
 
 def _scan_pair_counts(adj: np.ndarray, kinds, n_kinds: int):
@@ -285,14 +277,6 @@ class SRGResult:
     graph: Graph
     params: SRGParams
     convention: str  # "negative-adjacent" or "positive-adjacent"
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.as_tuple(),
-            "convention": self.convention,
-            "vertices": self.graph.order,
-            "edges": self.graph.num_edges,
-        }
 
 
 def _certify_sign_graph(negative: np.ndarray, expected: SRGParams, what: str) -> SRGResult:
@@ -436,13 +420,6 @@ class DracknCertificate:
     params: tuple[int, int, int] | None  # (n, r, c)
     witness: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "params": list(self.params) if self.params else None,
-            "witness": self.witness,
-        }
-
 
 def drackn_check(g: Graph, fibers: FiberPartition) -> DracknCertificate:
     """Verify the three cover axioms by exhaustive counting.
@@ -535,13 +512,6 @@ class CoverResult:
     graph: Graph
     fibers: FiberPartition
     params: tuple[int, int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "params": list(self.params),
-            "vertices": self.graph.order,
-            "edges": self.graph.num_edges,
-        }
 
 
 def _root_exponent_step(frame: FrameMatrix, rep: ETFReport, p: int) -> int:

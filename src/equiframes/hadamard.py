@@ -1,38 +1,56 @@
 """Butson-type Hadamard matrices: construction, verification, search, I/O.
 
-A matrix of order n with entries that are q-th roots of unity is stored as
-its n x n exponent table mod q; q = 2 is the real +-1 case, and q is at
-most scalar.MAX_ROOT_ORDER.  The Hadamard property H H* = n I is checked
-exactly and for all row pairs at once: the table indexes root_coeffs(q)
-into integer planes, and the slot kernel multiplies them and reduces the
-products modulo the q-th cyclotomic polynomial.
+A matrix of order n with entries that are q-th roots of unity is its
+exponent table mod q, a read-only (n, n) int64 array; q = 2 is the real
++-1 case, and q is at most scalar.MAX_ROOT_ORDER.  The builders are array
+expressions on that table.  ButsonMatrix compares by identity, as
+FrameMatrix does: compare two tables with np.array_equal.  The Hadamard
+property H H* = n I is checked exactly and for all row pairs at once: the
+table indexes root_coeffs(q) into integer planes, and the slot kernel
+multiplies them and reduces the products modulo the q-th cyclotomic
+polynomial.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import isqrt, lcm
 from pathlib import Path
 
 import numpy as np
 
-from equiframes.scalar import MAX_ROOT_ORDER, _cyclic_product, root_coeffs
+from equiframes.scalar import MAX_ROOT_ORDER, _abs_sum, _adopted, _cyclic_product, root_coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ButsonMatrix:
+    """Exponent table of an order-n matrix over the q-th roots of unity.
+
+    ``exponents`` is read-only; see scalar._adopted.
+    """
+
     order: int
     root_order: int
-    exponents: tuple[tuple[int, ...], ...]
+    exponents: np.ndarray  # (order, order) int64 in [0, root_order)
 
     def __post_init__(self) -> None:
         n, q = self.order, self.root_order
         if q > MAX_ROOT_ORDER:
             raise ValueError(f"root order {q} exceeds the supported {MAX_ROOT_ORDER}")
-        if len(self.exponents) != n or any(len(r) != n for r in self.exponents):
-            raise ValueError(f"exponent table is not {n}x{n}")
-        if any(e < 0 or e >= q for row in self.exponents for e in row):
-            raise ValueError(f"exponents must lie in [0,{q})")
+        shape_error = ValueError(f"exponent table is not {n}x{n}")
+        range_error = ValueError(f"exponents must lie in [0,{q})")
+        try:
+            e = _adopted(self.exponents, np.int64)
+        except OverflowError:
+            raise range_error from None
+        except ValueError:  # ragged rows
+            raise shape_error from None
+        if e.shape != (n, n):
+            raise shape_error
+        if e.size and (e.min() < 0 or e.max() >= q):
+            raise range_error
+        e.flags.writeable = False
+        object.__setattr__(self, "exponents", e)
 
     def is_real(self) -> bool:
         return self.root_order in (1, 2)
@@ -62,12 +80,10 @@ def _identity_misses(exponents: np.ndarray, q: int) -> np.ndarray:
     of rows i and k is at most sum_j t_ij t_kj, t the coefficient size sums
     of the entries, hence at most the largest sum_j t_ij^2.
     """
-    roots = root_coeffs(q)
-    planes = np.moveaxis(roots[exponents], -1, 0).astype(np.float64)
-    t = np.abs(roots).sum(axis=1)[exponents]
+    planes = np.moveaxis(root_coeffs(q)[exponents], -1, 0).astype(np.float64)
+    t = _abs_sum(planes)
     bound = float((t * t).sum(axis=1).max(initial=0))
-    live = planes.any(axis=(1, 2)).nonzero()[0].max() + 1  # trailing zero planes add nothing
-    prod = _cyclic_product(planes, [p.T for p in planes[:live]], q, np.matmul, bound, "H H*")
+    prod = _cyclic_product(planes, [p.T for p in planes], q, np.matmul, bound, "H H*")
     n = len(exponents)
     prod[0, range(n), range(n)] -= n
     return prod.any(axis=0)
@@ -79,7 +95,7 @@ def verify_hadamard(h: ButsonMatrix) -> HadamardReport:
     The pair is the first (i, k), i < k, in row-major order.
     """
     n, q = h.order, h.root_order
-    bad = np.triu(_identity_misses(np.array(h.exponents, dtype=np.int64), q), 1)
+    bad = np.triu(_identity_misses(h.exponents, q), 1)
     if bad.any():
         i, k = np.unravel_index(bad.argmax(), bad.shape)
         return HadamardReport(False, n, q, (int(i), int(k)))
@@ -90,21 +106,15 @@ def sylvester(k: int) -> ButsonMatrix:
     """k-fold Kronecker power of the 2x2 sign matrix [[+,+],[+,-]]."""
     if k < 0:
         raise ValueError("Kronecker power must be non-negative")
-    n = 1 << k
     # exponent of entry (i, j) is the parity of popcount(i & j)
-    rows = tuple(
-        tuple((i & j).bit_count() & 1 for j in range(n)) for i in range(n)
-    )
-    return ButsonMatrix(n, 2, rows)
+    e = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(k):
+        e = np.block([[e, e], [e, 1 - e]])
+    return ButsonMatrix(len(e), 2, e)
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(n ** 0.5) + 1):
-        if n % p == 0:
-            return False
-    return True
+    return n >= 2 and all(n % p for p in range(2, isqrt(n) + 1))
 
 
 def paley(q: int) -> ButsonMatrix:
@@ -115,79 +125,43 @@ def paley(q: int) -> ButsonMatrix:
     """
     if q == 2 or not _is_prime(q):
         raise ValueError(f"Paley construction needs an odd prime, got {q}")
-    residues = {(x * x) % q for x in range(1, q)}
-
-    def chi(x: int) -> int:
-        x %= q
-        if x == 0:
-            return 0
-        return 1 if x in residues else -1
-
-    m = q + 1
+    chi = np.full(q, -1, dtype=np.int64)  # quadratic character of Z_q
+    chi[np.arange(1, q) ** 2 % q] = 1
+    chi[0] = 0
     # conference matrix with 0 diagonal: first row/col all ones modulo sign
-    conf = [[0] * m for _ in range(m)]
-    for j in range(1, m):
-        conf[0][j] = 1
-        conf[j][0] = 1 if q % 4 == 1 else -1
-    for i in range(1, m):
-        for j in range(1, m):
-            conf[i][j] = chi(j - i)
-
+    conf = np.zeros((q + 1, q + 1), dtype=np.int64)
+    conf[0, 1:] = 1
+    conf[1:, 0] = 1 if q % 4 == 1 else -1
+    conf[1:, 1:] = chi[(np.arange(q) - np.arange(q)[:, None]) % q]
+    eye = np.eye(q + 1, dtype=np.int64)  # the zeros of conf
     if q % 4 == 3:
-        signs = [[conf[i][j] + (1 if i == j else 0) for j in range(m)] for i in range(m)]
+        signs = conf + eye
     else:
         # double the order: 0 -> [[1,-1],[-1,-1]], +-1 -> +-[[1,1],[1,-1]]
-        n2 = 2 * m
-        signs = [[0] * n2 for _ in range(n2)]
-        for i in range(m):
-            for j in range(m):
-                c = conf[i][j]
-                if c == 0:
-                    block = ((1, -1), (-1, -1))
-                else:
-                    block = ((c, c), (c, -c))
-                for a in range(2):
-                    for b in range(2):
-                        signs[2 * i + a][2 * j + b] = block[a][b]
-    rows = tuple(tuple(0 if s == 1 else 1 for s in row) for row in signs)
-    return ButsonMatrix(len(rows), 2, rows)
+        signs = np.kron(conf, [[1, 1], [1, -1]]) + np.kron(eye, [[1, -1], [-1, -1]])
+    return ButsonMatrix(len(signs), 2, (1 - signs) // 2)
 
 
 def fourier(n: int) -> ButsonMatrix:
     """Character table of Z_n: exponent of entry (i, j) is i*j mod n."""
     if n < 1:
         raise ValueError("order must be positive")
-    if n == 1:
-        return ButsonMatrix(1, 1, ((0,),))
-    return ButsonMatrix(n, n, tuple(tuple(i * j % n for j in range(n)) for i in range(n)))
+    return ButsonMatrix(n, n, np.outer(np.arange(n), np.arange(n)) % n)
 
 
 def kronecker(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:
     """Kronecker product; the root order is the lcm of the factors'."""
-    q = h1.root_order * h2.root_order // gcd(h1.root_order, h2.root_order)
-    f1, f2 = q // h1.root_order, q // h2.root_order
-    n1, n2 = h1.order, h2.order
-    rows = []
-    for i1 in range(n1):
-        for i2 in range(n2):
-            row = []
-            for j1 in range(n1):
-                e1 = h1.exponents[i1][j1] * f1
-                row.extend((e1 + h2.exponents[i2][j2] * f2) % q for j2 in range(n2))
-            rows.append(tuple(row))
-    return ButsonMatrix(n1 * n2, q, tuple(rows))
+    q = lcm(h1.root_order, h2.root_order)
+    e1 = h1.exponents[:, None, :, None] * (q // h1.root_order)
+    e2 = h2.exponents[None, :, None, :] * (q // h2.root_order)
+    n = h1.order * h2.order
+    return ButsonMatrix(n, q, ((e1 + e2) % q).reshape(n, n))
 
 
 def normalize(h: ButsonMatrix) -> ButsonMatrix:
     """Scale columns then rows so the first row and column are all ones."""
-    n, q = h.order, h.root_order
-    exps = h.exponents
-    col0 = exps[0]
-    tmp = [[(exps[i][j] - col0[j]) % q for j in range(n)] for i in range(n)]
-    rows = tuple(
-        tuple((tmp[i][j] - tmp[i][0]) % q for j in range(n)) for i in range(n)
-    )
-    return ButsonMatrix(n, q, rows)
+    e = h.exponents
+    return ButsonMatrix(h.order, h.root_order, (e - e[0] - e[:, :1] + e[0, 0]) % h.root_order)
 
 
 def real_hadamard(n: int) -> ButsonMatrix:
@@ -197,7 +171,7 @@ def real_hadamard(n: int) -> ButsonMatrix:
     suitable prime, and Kronecker doubling otherwise.
     """
     if n == 1:
-        return ButsonMatrix(1, 2, ((0,),))
+        return ButsonMatrix(1, 2, np.zeros((1, 1), dtype=np.int64))
     if n == 2:
         return sylvester(1)
     if n < 4 or n % 4:
@@ -215,7 +189,7 @@ def real_hadamard(n: int) -> ButsonMatrix:
 
 def store_butson(path: str | Path, h: ButsonMatrix) -> None:
     lines = [f"{h.order} {h.root_order}"]
-    lines += [" ".join(map(str, row)) for row in h.exponents]
+    lines += [" ".join(map(str, row)) for row in h.exponents.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -248,16 +222,14 @@ def load_butson(path: str | Path) -> ButsonMatrix:
         if any(e < 0 or e >= q for e in row):
             raise ValueError(f"{path}: exponent out of range [0,{q})")
         rows.append(row)
-    h = ButsonMatrix(n, q, tuple(rows))
+    h = ButsonMatrix(n, q, rows)
     rep = verify_hadamard(h)
     if not rep.ok:
         raise ValueError(f"{path}: not a Hadamard matrix (rows {rep.failure})")
     return h
 
 
-def search_butson(
-    n: int, q: int, seed: int = 0, budget: int = 20000
-) -> ButsonMatrix | None:
+def search_butson(n: int, q: int, seed: int = 0, budget: int = 20000) -> ButsonMatrix | None:
     """Stochastic local search for an order-n Butson matrix over q-th roots.
 
     Minimizes the number of non-orthogonal row pairs under single-entry
@@ -273,9 +245,7 @@ def search_butson(
     while moves_left > 0:
         # first row and column pinned to ones; the rest random
         exps = np.zeros((n, n), dtype=np.int64)
-        for i in range(1, n):
-            for j in range(1, n):
-                exps[i, j] = rng.randrange(q)
+        exps[1:, 1:] = np.reshape([rng.randrange(q) for _ in range((n - 1) ** 2)], (n - 1, n - 1))
         # counts[i, k, d]: columns j with exps[i, j] - exps[k, j] = d (mod q);
         # rows i and k are orthogonal iff counts[i, k] @ roots vanishes
         diff = (exps[:, None] - exps[None]) % q
@@ -285,8 +255,7 @@ def search_butson(
         stall = 0
         while moves_left > 0 and bad.any() and stall < 4 * n * n:
             moves_left -= 1
-            i = rng.randrange(1, n)
-            j = rng.randrange(1, n)
+            i, j = rng.randrange(1, n), rng.randrange(1, n)
             old = int(exps[i, j])
             new = rng.randrange(q)
             if new == old:
@@ -307,7 +276,7 @@ def search_butson(
             else:
                 stall += 1
         if not bad.any():
-            found = ButsonMatrix(n, q, tuple(map(tuple, exps.tolist())))
+            found = ButsonMatrix(n, q, exps)
             if verify_hadamard(found).ok:
                 return found
     return None

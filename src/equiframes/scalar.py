@@ -100,32 +100,55 @@ _EXACT_LIMIT = 2 ** 52  # float64 holds every integer below 2^53
 _GUARD_NOTE = "float64 would round the sums, so the exact kernel refuses"
 
 
+def _adopted(a, dtype) -> np.ndarray:
+    """``a`` as an array of ``dtype`` that owns its memory, for a read-only field.
+
+    An array that already is one is taken as it is, not copied, so the
+    caller's handle turns read-only with the field; anything else (another
+    dtype, a list, a view whose base could still be written) is copied.
+    """
+    a = np.asarray(a, dtype=dtype)
+    return a if a.flags.owndata else a.copy()
+
+
+def _abs_sum(planes: np.ndarray) -> np.ndarray:
+    """sum_a |X_a| entrywise over the planes, up to sign: its squares bound the slot sums."""
+    if len(planes) == 1:
+        return planes[0]
+    total = np.abs(planes[0])
+    for p in planes[1:]:
+        total += np.abs(p)
+    return total
+
+
 def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.ndarray:
     """Power-basis coefficients of sum_{a,b} mul(left[a], right[b]) zeta_m^(a-b).
 
-    Products accumulate one cyclic slot (a - b) mod m at a time, in float
-    for BLAS matmuls or in int64; ``bound`` caps every partial sum, so below
-    2^52 (2^24 for float32 operands) every float sum is an exact integer.
-    Each slot is folded into the phi(m) output planes, reduced modulo Phi_m,
-    as soon as it is summed.
+    Only nonzero planes are multiplied.  Products accumulate one cyclic slot
+    (a - b) mod m at a time, in float for BLAS matmuls or in int64;
+    ``bound`` caps every partial sum, so below 2^52 (2^24 for float32
+    operands) every float sum is an exact integer.  Each slot is folded
+    into the phi(m) output planes, reduced modulo Phi_m, as soon as it is
+    summed.
     """
     if not bound < _EXACT_LIMIT:
         raise ValueError(f"{what} slot sums may reach {bound:.4g} >= 2^52; {_GUARD_NOTE}")
     roots = root_coeffs(m)
+    # an all-zero side keeps its plane 0, so the output shape is still known
+    lhs = [(a, x) for a, x in enumerate(left) if x.any()] or [(0, left[0])]
+    rhs = [(b, y) for b, y in enumerate(right) if y.any()] or [(0, right[0])]
+    slots: dict[int, list] = {}
+    for a, x in lhs:
+        for b, y in rhs:
+            slots.setdefault((a - b) % m, []).append((x, y))
     out = None
-    for d in range(m):
-        slot = None
-        for a, x in enumerate(left):
-            b = (a - d) % m
-            if b < len(right):
-                if slot is None:
-                    slot = mul(x, right[b])
-                else:
-                    slot += mul(x, right[b])
-        if slot is None:
-            continue
-        if d == 0:  # zeta^0 = 1: the slot is the constant plane
-            out = np.zeros((len(left), *slot.shape), dtype=np.int64)
+    for d, pairs in sorted(slots.items()):
+        slot = mul(*pairs[0])
+        for x, y in pairs[1:]:
+            slot += mul(x, y)
+        if out is None:  # slot 0 may be empty, so the first slot sets the shape
+            out = np.zeros((roots.shape[1], *slot.shape), dtype=np.int64)
+        if d == 0:  # zeta^0 = 1, and no slot came before: the constant plane
             out[0] = slot
             continue
         slot = slot.astype(np.int64, copy=False)

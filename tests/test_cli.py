@@ -249,8 +249,16 @@ def test_loader_rejects_degenerate_file_naming_it(tmp_path, loader, name, text):
         loader(path)
 
 
+# phi(1030) = 408 coefficients per part: a well-formed 1 x 2 frame past the root order bound
+_ONE_1030 = ",".join(["1"] + ["0"] * 407)
+_ZERO_1030 = ",".join(["0"] * 408)
+
 LOADER_DEFECTS = [
     (load_butson, "exponent_x.txt", "2 2\n0 0\n0 x\n", "non-integer exponent in row '0 x'"),
+    (load_frame_exact, "order_1030.etf",
+     f"1 2 1030\nbands 1 0 0\n({_ONE_1030}|{_ZERO_1030}|{_ZERO_1030}|{_ZERO_1030}|0) "
+     f"({_ONE_1030}|{_ZERO_1030}|{_ZERO_1030}|{_ZERO_1030}|0)\n",
+     "root order 1030 exceeds the supported 1024"),
     (load_graph, "fibers_past_order.edges", "n 4\np 3\n0 1\n",
      "fiber size 3 does not split 4 vertices"),
     (load_graph, "fiber_size_0.edges", "n 4\np 0\n0 1\n", "fiber size 0 does not split 4 vertices"),

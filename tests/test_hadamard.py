@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import hashlib
 import io
+import math
 import random
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +29,7 @@ from equiframes.hadamard import (
     sylvester,
     verify_hadamard,
 )
-from equiframes.scalar import MAX_ROOT_ORDER, CycInt, root_coeffs
+from equiframes.scalar import MAX_ROOT_ORDER, CycInt, _cyclic_product, root_coeffs
 
 
 def numeric_gram_residual(h: ButsonMatrix) -> float:
@@ -42,9 +45,9 @@ def numeric_gram_residual(h: ButsonMatrix) -> float:
 
 
 def test_sylvester_base_cases():
-    assert sylvester(0).exponents == ((0,),)
+    assert sylvester(0).exponents.tolist() == [[0]]
     h = sylvester(1)
-    assert h.exponents == ((0, 0), (0, 1))
+    assert h.exponents.tolist() == [[0, 0], [0, 1]]
     assert verify_hadamard(h).ok
 
 
@@ -70,7 +73,7 @@ def test_paley_rejects_non_prime():
 
 def test_fourier():
     assert fourier(1).order == 1
-    assert fourier(2).exponents == sylvester(1).exponents
+    assert fourier(2).exponents.tolist() == sylvester(1).exponents.tolist()
     h5 = fourier(5)
     assert h5.root_order == 5
     assert verify_hadamard(h5).ok
@@ -80,7 +83,7 @@ def test_fourier():
 
 def test_kronecker_matches_sylvester():
     h = kronecker(sylvester(1), sylvester(1))
-    assert h.exponents == sylvester(2).exponents
+    assert h.exponents.tolist() == sylvester(2).exponents.tolist()
 
 
 def test_kronecker_order_40():
@@ -102,7 +105,7 @@ def test_normalize_idempotent_and_preserving():
         assert all(e == 0 for e in nh.exponents[0])
         assert all(row[0] == 0 for row in nh.exponents)
         assert verify_hadamard(nh).ok
-        assert normalize(nh).exponents == nh.exponents
+        assert normalize(nh).exponents.tolist() == nh.exponents.tolist()
 
 
 def test_normalize_restores_permuted_sylvester():
@@ -137,7 +140,7 @@ def test_butson_file_roundtrip(tmp_path):
     h = sylvester(2)
     path = tmp_path / "h.txt"
     store_butson(path, h)
-    assert load_butson(path).exponents == h.exponents
+    assert load_butson(path).exponents.tolist() == h.exponents.tolist()
 
 
 def test_butson_file_rejects_out_of_range_exponent(tmp_path):
@@ -171,7 +174,7 @@ def test_search_deterministic_under_seed():
     b = search_butson(4, 2, seed=5, budget=3000)
     assert (a is None) == (b is None)
     if a is not None:
-        assert a.exponents == b.exponents
+        assert a.exponents.tolist() == b.exponents.tolist()
 
 
 def test_search_result_always_verified():
@@ -202,6 +205,24 @@ def exponent_tables(draw):
     n, q = draw(st.integers(1, 8)), draw(st.integers(1, 12))
     row = st.tuples(*[st.integers(0, q - 1)] * n)
     return ButsonMatrix(n, q, draw(st.tuples(*[row] * n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponent_tables(), exponent_tables())
+def test_normalize_and_kronecker_match_per_entry_loops(h, g):
+    """The array builders against the entry-by-entry loops they replaced:
+    scale columns by row 0, then rows by column 0; the Kronecker entry
+    ((i1, i2), (j1, j2)) is e1 * q/q1 + e2 * q/q2 mod lcm(q1, q2)."""
+    n, q, e = h.order, h.root_order, h.exponents.tolist()
+    tmp = [[(e[i][j] - e[0][j]) % q for j in range(n)] for i in range(n)]
+    want = [[(tmp[i][j] - tmp[i][0]) % q for j in range(n)] for i in range(n)]
+    assert normalize(h).exponents.tolist() == want
+    m, r, f = g.order, g.root_order, g.exponents.tolist()
+    lcm = q * r // math.gcd(q, r)
+    want = [[(e[i1][j1] * (lcm // q) + f[i2][j2] * (lcm // r)) % lcm
+             for j1 in range(n) for j2 in range(m)] for i1 in range(n) for i2 in range(m)]
+    k = kronecker(h, g)
+    assert (k.order, k.root_order, k.exponents.tolist()) == (n * m, lcm, want)
 
 
 def perturbed(h: ButsonMatrix, i: int, j: int, e: int) -> ButsonMatrix:
@@ -236,6 +257,33 @@ def test_verify_bounds_slot_sums_with_large_root_coefficients():
     h = ButsonMatrix(3, 105, ((0, 7, 14), (0, 35, 70), (0, 15, 30)))
     rep = verify_hadamard(h)
     assert (rep.ok, rep.failure) == reference_verify(h) == (False, (0, 1))
+
+
+def test_slot_kernel_multiplies_only_nonzero_planes():
+    """Exponents 0-5 declared at q = 1000 fill 6 of the phi(1000) = 400 planes
+    on each side: 36 products, equal to the per-pair CycInt product."""
+    q = 1000
+    h = ButsonMatrix(6, q, fourier(6).exponents)
+    planes = np.moveaxis(root_coeffs(q)[h.exponents], -1, 0).astype(np.float64)
+    calls = []
+
+    def mul(x, y):
+        calls.append(1)
+        return x @ y
+
+    prod = _cyclic_product(planes, [p.T for p in planes], q, mul, 6.0, "H H*")
+    assert len(calls) == 36
+    for i, row in enumerate(h.exponents.tolist()):
+        for k, other in enumerate(h.exponents.tolist()):
+            ref = CycInt.from_int(0, q)
+            for a, b in zip(row, other):
+                ref = ref + CycInt.root(q, a) * CycInt.root(q, b).conjugate()
+            assert prod[:, i, k].tolist() == list(ref.coeffs)
+    rep = verify_hadamard(h)
+    assert (rep.ok, rep.failure) == reference_verify(h)
+    calls.clear()
+    zero = _cyclic_product(np.zeros_like(planes), [p.T for p in planes], q, mul, 6.0, "H H*")
+    assert len(calls) == 6 and zero.shape == (400, 6, 6) and not zero.any()
 
 
 # --- the root order bound -----------------------------------------------------
@@ -322,7 +370,9 @@ def test_butson_loader_fuzz_round_trips_refuses_or_exits_2(tmp_path_factory, nam
     else:
         again = tmp / "again.txt"
         store_butson(again, h)
-        assert load_butson(again) == h
+        back = load_butson(again)
+        assert (back.order, back.root_order, back.exponents.tolist()) == (
+            h.order, h.root_order, h.exponents.tolist())
         want = 0
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["--out", str(tmp / "out"), "make", "hadamard",
@@ -378,7 +428,7 @@ def reference_search(n, q, seed=0, budget=20000):
             else:
                 stall += 1
         if not bad:
-            return tuple(map(tuple, exps))
+            return exps
     return None
 
 
@@ -392,4 +442,144 @@ def test_search_matches_pairwise_reference(n, q, seed, budget):
     """The same result for every seed and budget; the examples succeed only
     after many accepted moves, which read the counts of earlier ones."""
     found = search_butson(n, q, seed=seed, budget=budget)
-    assert (None if found is None else found.exponents) == reference_search(n, q, seed, budget)
+    want = reference_search(n, q, seed, budget)
+    assert (None if found is None else found.exponents.tolist()) == want
+
+
+# --- one read-only exponent array -------------------------------------------
+
+
+def test_exponents_are_one_read_only_int64_array():
+    e = np.array([[0, 0], [0, 1]], dtype=np.int64)
+    h = ButsonMatrix(2, 2, e)
+    assert h.exponents is e and not e.flags.writeable  # adopted, not copied
+    base = np.arange(8).reshape(2, 4) % 2
+    for given in ([[0, 0], [0, 1]], e.astype(np.int32), base[:, :2]):  # copied
+        h = ButsonMatrix(2, 2, given)
+        assert h.exponents.dtype == np.int64 and h.exponents.shape == (2, 2)
+        assert not h.exponents.flags.writeable and h.exponents.flags.owndata
+    assert base.flags.writeable
+    for bad in (np.array([[0, 0], [0, 2]]), np.zeros((3, 3), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            ButsonMatrix(2, 2, bad)
+        assert bad.flags.writeable  # a rejected table stays the caller's
+    for h in (sylvester(3), paley(13), fourier(6), kronecker(fourier(3), sylvester(1)),
+              normalize(paley(7)), real_hadamard(12), search_butson(4, 2, seed=3, budget=5000)):
+        assert h.exponents.dtype == np.int64 and not h.exponents.flags.writeable
+        with pytest.raises(ValueError):
+            h.exponents[0, 0] = 1
+
+
+def test_butson_equality_is_identity():
+    h = sylvester(2)
+    assert h == h and h != sylvester(2)
+    assert np.array_equal(h.exponents, sylvester(2).exponents)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 0], [0]], "exponent table is not 2x2"),
+    ([[0, 0], [0, 1], [0, 0]], "exponent table is not 2x2"),
+    ([0, 0, 0, 1], "exponent table is not 2x2"),
+    ([[0, 0], [0, 2]], "exponents must lie in [0,2)"),
+    ([[0, 0], [0, -1]], "exponents must lie in [0,2)"),
+    ([[0, 0], [0, 2**70]], "exponents must lie in [0,2)"),
+    ([[0, 0], [0, -2**70]], "exponents must lie in [0,2)"),
+])
+def test_bad_tables_raise_value_error(table, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ButsonMatrix(2, 2, table)
+
+
+def _pinned_builds():
+    for k in range(7):
+        yield f"sylvester({k})", sylvester(k)
+    for q in (3, 5, 7, 11, 13, 19, 43, 103):
+        yield f"paley({q})", paley(q)
+    for n in range(1, 13):
+        yield f"fourier({n})", fourier(n)
+    yield "kronecker(fourier(3), real_hadamard(4))", kronecker(fourier(3), real_hadamard(4))
+    for n in (1, 2, *range(4, 129, 4)):  # every order the pipelines normalize
+        if n not in (52, 92, 100, 116):  # no built-in construction
+            yield f"normalize(real_hadamard({n}))", normalize(real_hadamard(n))
+    for n in (2, 4, 8, 12, 16, 28, 40):  # the second factor of the real family
+        yield (f"normalize(kronecker(sylvester(1), normalize(real_hadamard({n}))))",
+               normalize(kronecker(sylvester(1), normalize(real_hadamard(n)))))
+
+
+# SHA-256 of store_butson output, recorded from the tuple-of-tuples builders
+BUTSON_SHA256 = {
+    "sylvester(0)": "95198717a29030a624fe38decec301cbf19da26be66945d0ac8da27dc60a5b61",
+    "sylvester(1)": "1ae95006c2485c45b453b2a4909d69230f4111309aa5699e71e60f13fcc08a64",
+    "sylvester(2)": "358007cc01e2b91b1f67cbc6b281a508615e07b261f3510340eb5ee6b353722d",
+    "sylvester(3)": "dcf2c238b877bb2d57640e52cde9ee95596193c0f5d2685d490a3e38ab6971c6",
+    "sylvester(4)": "3daaf4546ae858607867d1515cab6628b945e162e43e4c5f6690dea18bfbd3e6",
+    "sylvester(5)": "547229a38abc8ff37ee36262c896b723288ddc1ae03d38ea11cc860499a4438e",
+    "sylvester(6)": "d23dc1c61eb5e7c92e233fb66878343f1ef875d0457ef23843c2153cfa190932",
+    "paley(3)": "b4fec9781a4315b5b41b518d4deac604a4b40bffcc5c970e7c46ebf1c0a6cd2d",
+    "paley(5)": "194cde00ad8fb01c26606d11db21201be7c07557dbecb405790fd7e80cd8a841",
+    "paley(7)": "47eedf47e81193e947b44c68281c96b593f7576f4f03bf9e89ae662d9485c031",
+    "paley(11)": "aa34ebb2ec98f132c6dc4b022b530892b0fb6badb2b6d012ebf6900231fdfd7f",
+    "paley(13)": "0f88234f7ba79f861380ea487da6546d08ad0322f5218df03fbaafc2c7b71e7f",
+    "paley(19)": "659476b73d7f29281fe553c9c8850acafe9ddcf237a0e07317179e7f5db01607",
+    "paley(43)": "fbc103cfd1a2e224496c371640be0487578ae93bca53b60c117ed2525596f8df",
+    "paley(103)": "d4c9f9415868774e74cf417effda72bcaca91fd741649a481987126124301faf",
+    "fourier(1)": "908516a06a4532ef8c3708d1fb614131df17df5acd9dc1821abf7bb3b533af43",
+    "fourier(2)": "1ae95006c2485c45b453b2a4909d69230f4111309aa5699e71e60f13fcc08a64",
+    "fourier(3)": "b25b8c9b1e43d572ee2212facd4973a1867d7cfdbfca5a549b8cce825f1f9674",
+    "fourier(4)": "a25752db029aa24669b562a52d4b0c9245bb92d374078b914ad5adb9e51efa5e",
+    "fourier(5)": "aab010d364ca4b4ea6f27aea1528d6c717b96534c6556900c0a39cdb4dfcdc26",
+    "fourier(6)": "1d4e774e06c77d7e5c9cfde3f18b4e84fb29bc62c1a2e7160f7ae66698fcafe4",
+    "fourier(7)": "34ac975d1a3874822d1d9d4dead8b1cab32538f723a9ea4eef4fee4634173dad",
+    "fourier(8)": "53dd406a282ba2f08a2b78137020db4718ea7e58190a47cf1f714b7670b38e5e",
+    "fourier(9)": "18790cfe90a3b24960683b0394199caa7d26ac068ad12a9ddc591a0a87fb29a2",
+    "fourier(10)": "370f76f71e46aa59bdf04bf66c627d735795916712ebc59d6858a681d4f91a25",
+    "fourier(11)": "fd612f6d2580e9a07f7bd515e893aedbd2a862fa724691b2581cf35fa1962201",
+    "fourier(12)": "5794af75dfa2ad9d7dcf12ff75fc9bc8dfd7f765db768a090632619011fd7d24",
+    "kronecker(fourier(3), real_hadamard(4))": "085e15d2805e61e389ce275b6ffbbbdf0db85e2449ff86374fc676080d3cb139",
+    "normalize(real_hadamard(1))": "95198717a29030a624fe38decec301cbf19da26be66945d0ac8da27dc60a5b61",
+    "normalize(real_hadamard(2))": "1ae95006c2485c45b453b2a4909d69230f4111309aa5699e71e60f13fcc08a64",
+    "normalize(real_hadamard(4))": "358007cc01e2b91b1f67cbc6b281a508615e07b261f3510340eb5ee6b353722d",
+    "normalize(real_hadamard(8))": "dcf2c238b877bb2d57640e52cde9ee95596193c0f5d2685d490a3e38ab6971c6",
+    "normalize(real_hadamard(12))": "999ac3b2cc662d07390968b531822024437d8e050f6f3678ddc13484f004fbe6",
+    "normalize(real_hadamard(16))": "3daaf4546ae858607867d1515cab6628b945e162e43e4c5f6690dea18bfbd3e6",
+    "normalize(real_hadamard(20))": "82fc764896c689345646b7c4a070c7f4d9dc248b85c72e7d7a16abfd490a1b6f",
+    "normalize(real_hadamard(24))": "f53feac089d7837cc5fcf474678c4a411f808f775428095750451f8833c10113",
+    "normalize(real_hadamard(28))": "58eb307b264187829a5372f3a2d3f8cbe341e770ac6626d49285aa95e092fce0",
+    "normalize(real_hadamard(32))": "547229a38abc8ff37ee36262c896b723288ddc1ae03d38ea11cc860499a4438e",
+    "normalize(real_hadamard(36))": "2d4a5609a633d09026d871bb16a07fd7b960dacb703c3091426fe74747775a0f",
+    "normalize(real_hadamard(40))": "9a706de989a2b3c724841b2685c03fb7b7133d376517c9bd1d1b226389e3ebfb",
+    "normalize(real_hadamard(44))": "c40f357d8ab5aa3342be6dc8fd5be6d861c267af2a69f35aa0642f76da319753",
+    "normalize(real_hadamard(48))": "49bda57cffbaf7f69200112a6144c73aa71c19c290fbbb441fb34d252df89747",
+    "normalize(real_hadamard(56))": "724d04144e12bc14a66348f1b1d96066b2e7b5a4eb2c841d1b385ae2fffad730",
+    "normalize(real_hadamard(60))": "26771c0320cde5f596c6d39c63c1f39981f92b2e21f72277e89f3941fa380619",
+    "normalize(real_hadamard(64))": "d23dc1c61eb5e7c92e233fb66878343f1ef875d0457ef23843c2153cfa190932",
+    "normalize(real_hadamard(68))": "b6ce525318f03afa42dbc483132cbdf89fc0a839b6dcadc23c545af603f44897",
+    "normalize(real_hadamard(72))": "a5df7907d013d0ab13ccf741fefd0e916e095f33af97aa93f26a93f780723d53",
+    "normalize(real_hadamard(76))": "3ca5dc0b4c361aa7bcc9286669d5329752b627ec17ffffb15d026ff90ab60895",
+    "normalize(real_hadamard(80))": "0e4fc1ab4ea426e053745f6393c5fdae0fb0748399d0ff5e1308a7383af3d512",
+    "normalize(real_hadamard(84))": "69c9eab5a6505dbff6b0ca45da1ca678cf31657058191f4a641b7537806e3a71",
+    "normalize(real_hadamard(88))": "6ffa0159745ac5fda4c033a5ba266b1fdc88062210abe84a0de43eee861e2fd6",
+    "normalize(real_hadamard(96))": "be2397e67a937e743984a59501e881fd17d5e27dd47e2a3e0d86b6c3ce818c1e",
+    "normalize(real_hadamard(104))": "4997bb557d60b2c96f888fbfb394df425771d372d4e779344c36bfa79bc1ab0f",
+    "normalize(real_hadamard(108))": "692925047cd01ddd3a932df5b927ea857379d76718bd2e2d0b3b80f0add8bb9f",
+    "normalize(real_hadamard(112))": "b0d6c93f74baa38f1b8bd6cad2b12ca8f215d7311e394514d6f600542b4f19bb",
+    "normalize(real_hadamard(120))": "5f444c64ae63dac17e701d7f21136451d4159fc4bb164bb99c50c7024b0556a4",
+    "normalize(real_hadamard(124))": "34ab6000514ce595e241a32148a97bbbfc48bf60c0332ce6a8897e1c61d5b4d7",
+    "normalize(real_hadamard(128))": "77ccc558f1ff4917bbdc5be20b6e734ee5154cc89eaf5ea9cf4a9d71f45ecd29",
+    "normalize(kronecker(sylvester(1), normalize(real_hadamard(2))))": "358007cc01e2b91b1f67cbc6b281a508615e07b261f3510340eb5ee6b353722d",
+    "normalize(kronecker(sylvester(1), normalize(real_hadamard(4))))": "dcf2c238b877bb2d57640e52cde9ee95596193c0f5d2685d490a3e38ab6971c6",
+    "normalize(kronecker(sylvester(1), normalize(real_hadamard(8))))": "3daaf4546ae858607867d1515cab6628b945e162e43e4c5f6690dea18bfbd3e6",
+    "normalize(kronecker(sylvester(1), normalize(real_hadamard(12))))": "cd476fbe6bf9614fb195989da69e791e9b118843d253187cacb04f6b00deeb1a",
+    "normalize(kronecker(sylvester(1), normalize(real_hadamard(16))))": "547229a38abc8ff37ee36262c896b723288ddc1ae03d38ea11cc860499a4438e",
+    "normalize(kronecker(sylvester(1), normalize(real_hadamard(28))))": "724d04144e12bc14a66348f1b1d96066b2e7b5a4eb2c841d1b385ae2fffad730",
+    "normalize(kronecker(sylvester(1), normalize(real_hadamard(40))))": "e1f4a79a57de022650d8f40708d2b9e52bd7187d4f2c43b1aad357a1b393be97",
+}
+
+
+def test_stored_butson_bytes_are_pinned(tmp_path):
+    got = {}
+    for name, h in _pinned_builds():
+        path = tmp_path / "h.txt"
+        store_butson(path, h)
+        got[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == BUTSON_SHA256
