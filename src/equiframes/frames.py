@@ -25,15 +25,16 @@ its upper triangle in row tiles, checks norms and moduli tile by tile and
 keeps one small integer per pair, the phase e with Gram(i, j) a positive
 rational multiple of zeta_(m')^e, m' = lcm(2, m) (-1 when there is none).
 Real frames compare |Gram| directly; complex ones compare |Gram|^2, the
-same slot products taken elementwise in int64.  The frame operator, the
-Naimark identity and the flat functional's inner products are slot
-products too (scalar._cyclic_product).  FrameMatrix.entry and gram_matrix
-are the only code here that builds ExtScalar values: gram_matrix
+same slot products taken elementwise in int64.  The Gram, the frame
+operator (also in row tiles) and the Naimark identity are one Hermitian
+product, scalar._hermitian_tiles; the flat functional's inner products
+are slot products too (scalar._cyclic_product).  FrameMatrix.entry and
+gram_matrix are the only code here that builds ExtScalar values: gram_matrix
 recomputes the Gram entry by entry, as the tests' independent reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, pi
@@ -51,9 +52,9 @@ from equiframes.scalar import (
     MAX_ROOT_ORDER,
     CycInt,
     ExtScalar,
-    _abs_sum,
     _adopted,
     _cyclic_product,
+    _hermitian_tiles,
     _unit_roots,
     cyclotomic_poly,
     root_coeffs,
@@ -337,29 +338,7 @@ def gram_matrix(frame: FrameMatrix) -> list[list[ExtScalar]]:
 
 _SURD_WEIGHTS = (1, 2, 3, 6)  # squares of the ExtScalar surds 1, sqrt2, sqrt3, sqrt6
 _SURD_FLOATS = (1.0, _SQRT2_F, _SQRT3_F, _SQRT6_F)
-_FLOAT32_LIMIT = 2 ** 24  # float32 holds every integer up to 2^24
 _GRAM_TILE = 256  # Gram rows per tile of the streaming pass
-
-
-def _exact_float(planes: np.ndarray, bound: float) -> np.ndarray:
-    """The planes in float32 when ``bound`` keeps products exact there, else float64."""
-    return planes.astype(np.float32 if bound < _FLOAT32_LIMIT else np.float64, copy=False)
-
-
-def _gram_tiles(frame: FrameMatrix, tile: int = _GRAM_TILE):
-    """Yield (s, G) for the row tiles of the Gram's upper triangle.
-
-    G holds the power-basis coefficients, at scale 4^k, of the Gram entries
-    in rows s:s+tile and columns s:N, shape (phi(m), rows, N - s).
-    """
-    t = _abs_sum(frame.planes)
-    bound = float(np.einsum("r,rj,rj->j", frame.weights, t, t).max(initial=0))
-    del t
-    x = _exact_float(frame.planes, bound)
-    w = frame.weights[:, None].astype(x.dtype)
-    for s in range(0, frame.count, tile):
-        yield s, _cyclic_product([(p[:, s:s + tile] * w).T for p in x], [p[:, s:] for p in x],
-                                 frame.order, np.matmul, bound, "Gram")
 
 
 def _phase_roots(m: int) -> np.ndarray:
@@ -425,7 +404,7 @@ def _gram_pass(frame: FrameMatrix, tile: int = _GRAM_TILE) -> GramPass:
     m2 = lcm(2, m)
     phase = np.empty((n, n), dtype=_phase_dtype(m))
     norm = ref = norm_at = pair_at = None
-    for s, g in _gram_tiles(frame, tile):
+    for s, g in _hermitian_tiles(frame.planes.transpose(0, 2, 1), m, "Gram", frame.weights, tile):
         e = s + g.shape[1]
         rows = np.arange(e - s)
         if s == 0:
@@ -509,28 +488,13 @@ class ETFReport:
     witness: str | None = None
 
     def to_dict(self) -> dict:
-        def frac(x):
-            return None if x is None else [x.numerator, x.denominator]
-
-        return {
-            "mode": self.mode,
-            "M": self.dim,
-            "N": self.count,
-            "equal_norms": self.equal_norms,
-            "norm_sq": frac(self.norm_sq),
-            "is_tight": self.is_tight,
-            "tight_constant": frac(self.tight_constant),
-            "is_equiangular": self.is_equiangular,
-            "gram_abs_sq": frac(self.gram_abs_sq),
-            "coherence_sq": frac(self.coherence_sq),
-            "coherence": self.coherence,
-            "welch_sq": frac(self.welch_sq),
-            "welch": self.welch,
-            "is_etf": self.is_etf,
-            "meets_welch": self.meets_welch,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-        }
+        """The fields in order, dim and count as M and N, each Fraction as [num, den]."""
+        keys, out = {"dim": "M", "count": "N"}, {}
+        for f in fields(self):
+            x = getattr(self, f.name)
+            out[keys.get(f.name, f.name)] = (
+                [x.numerator, x.denominator] if isinstance(x, Fraction) else x)
+        return out
 
 
 def _report(
@@ -585,26 +549,24 @@ def _verify_exact(frame: FrameMatrix) -> ETFReport:
 
     is_tight = equal_norms
     if is_tight:
-        t = _abs_sum(frame.planes)
-        bound = float(np.einsum("rj,rj->r", t, t).max(initial=0))
-        del t
-        x = _exact_float(frame.planes, bound)
-        fo = _cyclic_product(x, [p.T for p in x], frame.order, np.matmul, bound,
-                             "frame operator")
         # M * w_r * fo[r, r] == N * norm, compared in Python integers
         target = [n * int(c) for c in norm0]
-        bad = fo.any(axis=0)
-        for r, (w, diag) in enumerate(zip(frame.weights.tolist(),
-                                          fo[:, range(m), range(m)].T.tolist())):
-            bad[r, r] = [m * w * c for c in diag] != target
-        bad = np.triu(bad)
-        if bad.any():
-            is_tight = False
-            r, s = np.unravel_index(bad.argmax(), bad.shape)
-            witness = witness or (
-                f"frame operator diagonal off at {r}" if r == s
-                else f"frame operator off-diagonal ({r},{s})"
-            )
+        weights = frame.weights.tolist()
+        for s, fo in _hermitian_tiles(frame.planes, frame.order, "frame operator",
+                                      tile=_GRAM_TILE):
+            bad = fo.any(axis=0)
+            for r, diag in enumerate(fo[:, range(len(bad)), range(len(bad))].T.tolist()):
+                bad[r, r] = [m * weights[s + r] * c for c in diag] != target
+            bad = np.triu(bad)
+            if bad.any():
+                is_tight = False
+                r, c = np.unravel_index(bad.argmax(), bad.shape)
+                r, c = s + int(r), s + int(c)
+                witness = witness or (
+                    f"frame operator diagonal off at {r}" if r == c
+                    else f"frame operator off-diagonal ({r},{c})"
+                )
+                break
 
     return _report(
         frame, "exact", equal_norms, norm_frac, is_tight, is_equi, gram_abs,

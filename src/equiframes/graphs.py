@@ -34,7 +34,7 @@ from equiframes.frames import (
     verify_etf,
     welch_bound,
 )
-from equiframes.scalar import _adopted, _cyclic_product
+from equiframes.scalar import _FLOAT32_EXACT, _adopted, _cyclic_product
 
 _TILE = 256  # rows of A read at once, by counting and every other pass
 _BLOCK = 256  # rows of A converted to float32 at once: the columns of one A·A block
@@ -169,7 +169,7 @@ def _scan_pair_counts(adj: np.ndarray, kinds, n_kinds: int):
     a row intersection.
     """
     n = adj.shape[0]
-    if n - 2 >= 2**24:
+    if n - 2 >= _FLOAT32_EXACT:
         raise ValueError(f"{n} vertices: float32 common-neighbor counts not exact")
     ref: list[int | None] = [None] * (n_kinds + 1)
     for s in range(0, n, _TILE):

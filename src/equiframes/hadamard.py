@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from equiframes.scalar import MAX_ROOT_ORDER, _abs_sum, _adopted, _cyclic_product, root_coeffs
+from equiframes.scalar import MAX_ROOT_ORDER, _adopted, _hermitian_tiles, root_coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +47,8 @@ class ButsonMatrix:
             raise shape_error from None
         if e.shape != (n, n):
             raise shape_error
+        if not np.array_equal(e, self.exponents):  # int64 truncated a fraction
+            raise ValueError("exponents must be integers")
         if e.size and (e.min() < 0 or e.max() >= q):
             raise range_error
         e.flags.writeable = False
@@ -75,15 +77,10 @@ class HadamardReport:
 def _identity_misses(exponents: np.ndarray, q: int) -> np.ndarray:
     """(n, n) bool: where H H* differs from n I, H = zeta_q^exponents (n x n).
 
-    Entry (i, k) of H H* is row i times conj(row k), so the product is one
-    slot kernel call over the planes root_coeffs(q)[exponents].  A slot sum
-    of rows i and k is at most sum_j t_ij t_kj, t the coefficient size sums
-    of the entries, hence at most the largest sum_j t_ij^2.
+    Entry (i, k) of H H* is row i times conj(row k): one tile of the
+    Hermitian product over the planes root_coeffs(q)[exponents].
     """
-    planes = np.moveaxis(root_coeffs(q)[exponents], -1, 0).astype(np.float64)
-    t = _abs_sum(planes)
-    bound = float((t * t).sum(axis=1).max(initial=0))
-    prod = _cyclic_product(planes, [p.T for p in planes], q, np.matmul, bound, "H H*")
+    ((_, prod),) = _hermitian_tiles(np.moveaxis(root_coeffs(q)[exponents], -1, 0), q, "H H*")
     n = len(exponents)
     prod[0, range(n), range(n)] -= n
     return prod.any(axis=0)
@@ -194,38 +191,39 @@ def store_butson(path: str | Path, h: ButsonMatrix) -> None:
 
 
 def load_butson(path: str | Path) -> ButsonMatrix:
-    """Parse and exactly verify a Butson exponent file; reject invalid input."""
-    raw = [ln for ln in Path(path).read_text().split("\n") if ln.strip()]
-    if not raw:
-        raise ValueError(f"{path}: empty Butson file")
-    head = raw[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: bad header {raw[0]!r}")
+    """Parse and exactly verify a Butson exponent file; raises ValueError naming the file."""
     try:
-        n, q = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"{path}: non-integer field in header {raw[0]!r}") from None
-    if n < 1 or q < 1:
-        raise ValueError(f"{path}: order and root order must be positive, got {n} {q}")
-    if q > MAX_ROOT_ORDER:
-        raise ValueError(f"{path}: root order {q} exceeds the supported {MAX_ROOT_ORDER}")
-    if len(raw) != n + 1:
-        raise ValueError(f"{path}: expected {n} rows, found {len(raw) - 1}")
-    rows = []
-    for ln in raw[1:]:
+        raw = [ln for ln in Path(path).read_text().split("\n") if ln.strip()]
+        if not raw:
+            raise ValueError("empty Butson file")
+        head = raw[0].split()
+        if len(head) != 2:
+            raise ValueError(f"bad header {raw[0]!r}")
         try:
-            row = tuple(int(t) for t in ln.split())
+            n, q = int(head[0]), int(head[1])
         except ValueError:
-            raise ValueError(f"{path}: non-integer exponent in row {ln!r}") from None
-        if len(row) != n:
-            raise ValueError(f"{path}: row has {len(row)} entries, expected {n}")
-        if any(e < 0 or e >= q for e in row):
-            raise ValueError(f"{path}: exponent out of range [0,{q})")
-        rows.append(row)
-    h = ButsonMatrix(n, q, rows)
-    rep = verify_hadamard(h)
-    if not rep.ok:
-        raise ValueError(f"{path}: not a Hadamard matrix (rows {rep.failure})")
+            raise ValueError(f"non-integer field in header {raw[0]!r}") from None
+        if n < 1 or q < 1:
+            raise ValueError(f"order and root order must be positive, got {n} {q}")
+        if q > MAX_ROOT_ORDER:
+            raise ValueError(f"root order {q} exceeds the supported {MAX_ROOT_ORDER}")
+        if len(raw) != n + 1:
+            raise ValueError(f"expected {n} rows, found {len(raw) - 1}")
+        rows = []
+        for ln in raw[1:]:
+            try:
+                row = [int(t) for t in ln.split()]
+            except ValueError:
+                raise ValueError(f"non-integer exponent in row {ln!r}") from None
+            if len(row) != n:
+                raise ValueError(f"row has {len(row)} entries, expected {n}")
+            rows.append(row)
+        h = ButsonMatrix(n, q, rows)  # refuses exponents outside [0, q)
+        rep = verify_hadamard(h)
+        if not rep.ok:
+            raise ValueError(f"not a Hadamard matrix (rows {rep.failure})")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return h
 
 

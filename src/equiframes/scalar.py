@@ -10,9 +10,12 @@ Production code works on arrays of power-basis coefficients: root_coeffs(m)
 is the table of zeta_m^e for every exponent e, so an exponent array indexes
 straight into integer planes, and _cyclic_product is the one kernel that
 multiplies such planes, summing products in cyclic slots (a - b) mod m and
-reducing them modulo Phi_m.  CycInt and ExtScalar hold single values; they
-are the reference arithmetic that FrameMatrix.entry, frames.gram_matrix and
-the tests check the kernels against.
+reducing them modulo Phi_m.  _hermitian_tiles feeds it every Hermitian
+product V diag(w) V* (the Gram, the frame operator, H H*): it alone bounds
+the slot sums, picks float32 or float64 and tiles the rows.  CycInt and
+ExtScalar hold single values; they are the reference arithmetic that
+FrameMatrix.entry, frames.gram_matrix and the tests check the kernels
+against.
 """
 from __future__ import annotations
 
@@ -111,14 +114,37 @@ def _adopted(a, dtype) -> np.ndarray:
     return a if a.flags.owndata else a.copy()
 
 
-def _abs_sum(planes: np.ndarray) -> np.ndarray:
-    """sum_a |X_a| entrywise over the planes, up to sign: its squares bound the slot sums."""
-    if len(planes) == 1:
-        return planes[0]
-    total = np.abs(planes[0])
-    for p in planes[1:]:
-        total += np.abs(p)
-    return total
+_FLOAT32_EXACT = 2 ** 24  # float32 holds every integer up to 2^24
+
+
+def _hermitian_tiles(vectors: np.ndarray, m: int, what: str, weights=None, tile=None):
+    """Yield (s, P) for the row tiles of the upper triangle of V diag(w) V*.
+
+    Row i of V is sum_a vectors[a, i] zeta_m^a, the vectors integer planes
+    (phi(m), n, d), and w is ``weights`` (d,) or all ones.  P holds the
+    power-basis coefficients of rows s:s+tile and columns s:n, shape
+    (phi(m), rows, n - s); tile None makes one tile of all n rows.  A slot
+    sum of rows i and k is at most sum_j w_j t_ij t_kj, t the coefficient
+    size sums of the entries, hence at most the largest sum_j w_j t_ij^2:
+    the products run in float32 below 2^24 and in float64 below 2^52, and
+    _cyclic_product refuses past that.
+    """
+    t = vectors[0]  # one plane: its square is its size's
+    if len(vectors) > 1:
+        t = np.abs(t)
+        for p in vectors[1:]:
+            t += np.abs(p)
+    w = np.ones(t.shape[1]) if weights is None else np.asarray(weights)
+    bound = float(np.einsum("ij,ij,j->i", t, t, w, dtype=np.float64).max(initial=0))
+    del t
+    x = vectors.astype(np.float32 if bound < _FLOAT32_EXACT else np.float64, copy=False)
+    w = w.astype(x.dtype)
+    n = max(x.shape[1], 1)  # an empty V still gets its one (empty) tile
+    tile = tile or n
+    for s in range(0, n, tile):
+        left = (p[s:s + tile] if weights is None else p[s:s + tile] * w for p in x)
+        # a list made in the call: no weighted rows stay alive while the caller reads P
+        yield s, _cyclic_product(list(left), [p[s:].T for p in x], m, np.matmul, bound, what)
 
 
 def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.ndarray:

@@ -22,7 +22,6 @@ from equiframes.frames import (
     FrameMatrix,
     SteinerProvenance,
     _gram_pass,
-    _gram_tiles,
     _tile_phase,
     gram_matrix,
     load_frame_exact,
@@ -45,7 +44,7 @@ from equiframes.hadamard import (
     real_hadamard,
     sylvester,
 )
-from equiframes.scalar import CycInt, ExtScalar
+from equiframes.scalar import CycInt, ExtScalar, _hermitian_tiles
 
 
 def build_tremain(v=None, h=None, parallel=False, rows=None):
@@ -239,7 +238,8 @@ def test_kernel_gram_matches_extscalar_oracle():
         first = None
         for tile in (1, 3, 7, _GRAM_TILE):
             g = np.zeros((phi, n, n), dtype=np.int64)
-            for s, block in _gram_tiles(f, tile):
+            for s, block in _hermitian_tiles(f.planes.transpose(0, 2, 1), f.order, "Gram",
+                                             f.weights, tile):
                 assert block.shape == (phi, min(tile, n - s), n - s)
                 g[:, s:s + block.shape[1], s:] = block
             g = np.triu(g)
@@ -348,6 +348,62 @@ def test_verify_and_signs_hold_no_dense_gram():
         tracemalloc.stop()
     assert signs.shape == (n, n)
     assert peak <= 4 * n * n + 2 * f.planes.nbytes, (peak, n)
+
+
+def _with_zero_row():
+    """The h=2 ETF with a zero row appended: norms and moduli are unchanged,
+    but the frame operator is no longer a multiple of the identity."""
+    f = build_tremain(h=2)
+    planes = np.concatenate([f.planes, np.zeros((1, 1, f.count))], axis=1)
+    return dataclasses.replace(f, planes=planes, weights=np.append(f.weights, 1),
+                               extra_rows=f.extra_rows + 1)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 256])
+@pytest.mark.parametrize("make, witness", [
+    (_with_zero_row, "frame operator diagonal off at 0"),
+    # three equal columns (1, 1): equal norms and moduli, the diagonal is right
+    (lambda: FrameMatrix(np.ones((1, 2, 3)), np.ones(2, dtype=np.int64), 0, 2, 2, 0, 0),
+     "frame operator off-diagonal (0,1)"),
+])
+def test_frame_operator_witnesses_at_every_tile(monkeypatch, tile, make, witness):
+    from equiframes import frames
+
+    monkeypatch.setattr(frames, "_GRAM_TILE", tile)
+    rep = verify_etf(make())
+    assert rep.equal_norms and rep.is_equiangular
+    assert not rep.is_tight and not rep.is_etf
+    assert rep.witness == witness
+
+
+def test_frame_operator_is_streamed_in_row_tiles(monkeypatch):
+    """After a cached Gram pass, verify_etf holds the planes' one float32
+    copy and a few row tiles: no phi(m) x M x M int64 frame operator."""
+    from equiframes import frames
+
+    f = build_tremain(h=16)
+    assert f.gram_pass.norm_witness is None  # cached before tracing starts
+    monkeypatch.setattr(frames, "_GRAM_TILE", 16)
+    tracemalloc.start()
+    try:
+        assert verify_etf(f).is_etf
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    copy, operator = 4 * f.planes.size, 8 * len(f.planes) * f.dim * f.dim
+    assert peak < copy + operator, (peak, copy, operator)
+
+
+def test_report_dict_is_pinned():
+    """Key order and values of the JSON report, dim and count as M and N."""
+    got = verify_etf(build_tremain(h=2)).to_dict()
+    assert list(got.items()) == list({
+        "mode": "exact", "M": 5, "N": 10, "equal_norms": True, "norm_sq": [3, 1],
+        "is_tight": True, "tight_constant": [6, 1], "is_equiangular": True,
+        "gram_abs_sq": [1, 1], "coherence_sq": [1, 9], "coherence": 0.3333333333333333,
+        "welch_sq": [1, 9], "welch": 0.3333333333333333, "is_etf": True,
+        "meets_welch": True, "max_residual": None, "witness": None,
+    }.items())
 
 
 def test_real_equiangularity_compares_moduli_unsquared(tmp_path):

@@ -470,6 +470,23 @@ def test_exponents_are_one_read_only_int64_array():
             h.exponents[0, 0] = 1
 
 
+def test_fractional_exponents_are_refused():
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        ButsonMatrix(2, 2, [[0, 0], [0, 1.7]])
+    assert ButsonMatrix(2, 2, [[0.0, 0.0], [0.0, 1.0]]).exponents.tolist() == [[0, 0], [0, 1]]
+
+
+def test_empty_table_is_vacuously_hadamard():
+    assert verify_hadamard(ButsonMatrix(0, 2, np.zeros((0, 0), dtype=np.int64))).ok
+
+
+def test_undecodable_butson_file_is_named(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"2 2\n0 0\n0 \xff\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 'utf-8' codec")):
+        load_butson(path)
+
+
 def test_butson_equality_is_identity():
     h = sylvester(2)
     assert h == h and h != sylvester(2)

@@ -7,8 +7,19 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equiframes.scalar import MAX_ROOT_ORDER, CycInt, ExtScalar, cyclotomic_poly, root_coeffs
+from equiframes import scalar
+from equiframes.scalar import (
+    MAX_ROOT_ORDER,
+    CycInt,
+    ExtScalar,
+    _cyclic_product,
+    _hermitian_tiles,
+    cyclotomic_poly,
+    root_coeffs,
+)
 
 
 def brute_poly_div(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -225,3 +236,46 @@ def test_root_coeffs_match_sympy_and_cycint(m):
 def test_root_coeffs_refuse_orders_outside_the_bound(m):
     with pytest.raises(ValueError, match="root order"):
         root_coeffs(m)
+
+
+# --- the one Hermitian product ----------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 8, 12]), st.integers(1, 7), st.integers(1, 5),
+       st.integers(1, 8), st.booleans())
+def test_hermitian_tiles_reassemble_one_float64_product(data, m, n, d, tile, weighted):
+    """Real (phi = 1) and complex planes: the row tiles of V diag(w) V*
+    cover its upper triangle and equal one float64 slot product there."""
+    phi = len(cyclotomic_poly(m)) - 1
+    vectors = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=phi * n * d,
+                                          max_size=phi * n * d)), dtype=np.float64)
+    vectors = vectors.reshape(phi, n, d)
+    w = np.array(data.draw(st.lists(st.sampled_from([1, 2, 3, 6]), min_size=d, max_size=d)))
+    scaled = vectors * w if weighted else vectors
+    want = _cyclic_product(scaled, [p.T for p in vectors], m, np.matmul, 0.0, "test")
+    starts = []
+    for s, block in _hermitian_tiles(vectors, m, "test", w if weighted else None, tile):
+        assert block.dtype == np.int64
+        assert np.array_equal(block, want[:, s:s + tile, s:])
+        starts.append(s)
+    assert starts == list(range(0, n, tile))
+
+
+@pytest.mark.parametrize("weight, dtype", [(2**24 - 1, np.float32), (2**24, np.float64),
+                                           (2**52 - 1, np.float64)])
+def test_hermitian_tiles_switch_to_float64_at_2_24(monkeypatch, weight, dtype):
+    seen = []
+
+    def spy(left, right, *args):
+        seen.append((left[0].dtype, right[0].dtype))
+        return _cyclic_product(left, right, *args)
+
+    monkeypatch.setattr(scalar, "_cyclic_product", spy)
+    ((_, prod),) = _hermitian_tiles(np.ones((1, 1, 1)), 2, "test", np.array([weight]))
+    assert seen == [(dtype, dtype)] and prod.tolist() == [[[weight]]]
+
+
+def test_hermitian_tiles_refuse_at_2_52():
+    with pytest.raises(ValueError, match=r"test slot sums may reach .* >= 2\^52"):
+        next(_hermitian_tiles(np.ones((1, 1, 1)), 2, "test", np.array([2**52])))
