@@ -272,22 +272,33 @@ def store_sts(path: str | Path, s: SteinerTripleSystem) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _ints(tokens, what: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ValueError(f"non-integer field in {what}") from None
+
+
 def load_sts(path: str | Path) -> SteinerTripleSystem:
-    raw = Path(path).read_text().split("\n")
-    head = raw[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad triple-system header: {raw[0]!r}")
-    v, b = int(head[0]), int(head[1])
-    blocks = []
-    for line in raw[1:]:
-        if not line.strip():
-            continue
-        parts = tuple(sorted(int(t) for t in line.split()))
-        if len(parts) != 3:
-            raise ValueError(f"bad block line: {line!r}")
-        blocks.append(parts)
-    if len(blocks) != b:
-        raise ValueError(f"header says {b} blocks, file has {len(blocks)}")
+    """Parse a triple-system file; every error is a ValueError naming the file."""
+    try:
+        raw = Path(path).read_text().split("\n")
+        head = raw[0].split()
+        if len(head) != 2:
+            raise ValueError(f"bad triple-system header: {raw[0]!r}")
+        v, b = _ints(head, f"header {raw[0]!r}")
+        blocks = []
+        for line in raw[1:]:
+            if not line.strip():
+                continue
+            parts = tuple(sorted(_ints(line.split(), f"block line {line!r}")))
+            if len(parts) != 3:
+                raise ValueError(f"bad block line: {line!r}")
+            blocks.append(parts)
+        if len(blocks) != b:
+            raise ValueError(f"header says {b} blocks, file has {len(blocks)}")
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from exc
     return SteinerTripleSystem(v, tuple(sorted(blocks)))
 
 
@@ -296,4 +307,8 @@ def store_parallel_class(path: str | Path, class_indices) -> None:
 
 
 def load_parallel_class(path: str | Path) -> tuple[int, ...]:
-    return tuple(int(t) for t in Path(path).read_text().split())
+    """Parse a parallel-class file; every error is a ValueError naming the file."""
+    try:
+        return tuple(_ints(Path(path).read_text().split(), "parallel class"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from exc

@@ -3,7 +3,8 @@
 A frame is its row-graded integer planes: entry (r, j) is
 s_r * sum_a X[a, r, j] zeta_m^a / 2^k, with one surd s_r in {1, sqrt2,
 sqrt3, sqrt6} per row (row weight w_r = s_r^2), integer planes X of shape
-(phi(m), M, N) in the power basis, and one power of two.  The builders
+(phi(m), M, N) in the power basis (int8 when every coefficient fits, else
+int64), and one power of two.  The builders
 fill X by indexing a table of root-of-unity coefficients with the Hadamard
 exponent tables; the .etf reader and writer convert between planes and
 per-entry (a|b|c|d|k) tokens.  Simplices are exponent arrays too: the
@@ -20,7 +21,9 @@ entries are sum_{a,b} X_a^T diag(w) X_b zeta_m^(a-b) / 4^k, BLAS products
 summed in cyclic slots (a - b) mod m, reduced modulo Phi_m, with
 no surd left.  The products run in float32 when an a-priori bound on every
 slot sum is below 2^24 and in float64 below 2^52; past that the kernel
-raises ValueError.  The Gram is never held whole: one pass per frame walks
+raises ValueError.  Each row tile multiplies only the coordinates its
+vectors touch, converted to float tile by tile: no float copy of the
+planes is made.  The Gram is never held whole: one pass per frame walks
 its upper triangle in row tiles, checks norms and moduli tile by tile and
 keeps one small integer per pair, the phase e with Gram(i, j) a positive
 rational multiple of zeta_(m')^e, m' = lcm(2, m) (-1 when there is none).
@@ -155,10 +158,13 @@ class FrameMatrix:
     one surd per row, a cyclotomic integer per entry, one common power of
     two.  Rows split into block coordinates, point coordinates and one
     optional extra coordinate (Tremain frames use all three bands; Steiner
-    frames only the first).  The arrays are read-only; see scalar._adopted.
+    frames only the first).  The arrays are read-only.  The planes are int8
+    when every coefficient fits and int64 otherwise: an int8 or int64 array
+    that owns its memory is adopted without a copy (scalar._adopted), and a
+    float array is converted after a check that it holds integers.
     """
 
-    planes: np.ndarray  # (phi(m), M, N) float64 holding integers
+    planes: np.ndarray  # (phi(m), M, N) int8, or int64 when a coefficient needs it
     weights: np.ndarray  # (M,) int64, each one of _SURD_WEIGHTS
     k: int
     order: int
@@ -168,7 +174,7 @@ class FrameMatrix:
     provenance: SteinerProvenance | TremainProvenance | None = None
 
     def __post_init__(self) -> None:
-        planes = _adopted(self.planes, np.float64)
+        planes = _integer_planes(self.planes)
         weights = _adopted(self.weights, np.int64)
         phi = len(cyclotomic_poly(self.order)) - 1
         if planes.ndim != 3 or len(planes) != phi:
@@ -219,6 +225,29 @@ class FrameMatrix:
         return out * surd[:, None] * 0.5 ** self.k
 
 
+def _integer_planes(a) -> np.ndarray:
+    """Planes for FrameMatrix: int8 or int64 adopted as they are, else converted.
+
+    Any other array must hold integers (a float one is checked, and a
+    fraction, NaN or infinity raises ValueError); it becomes int8 when every
+    value fits and int64 otherwise.
+    """
+    a = np.asarray(a)
+    if a.dtype in (np.int8, np.int64):
+        return _adopted(a, a.dtype)
+    if a.dtype.kind not in "biuf" or (a.dtype.kind == "f" and not np.array_equal(a, np.trunc(a))):
+        raise ValueError(f"frame planes must hold integers, got dtype {a.dtype}")
+    if a.size and not (-2 ** 63 <= a.min() and a.max() < 2 ** 63):
+        raise ValueError("frame plane coefficients do not fit in int64")
+    return a.astype(_plane_dtype(a))
+
+
+def _plane_dtype(*tables) -> type:
+    """int8 when every value of the integer tables fits in it, else int64."""
+    fits = all(t.size == 0 or (-128 <= t.min() and t.max() <= 127) for t in tables)
+    return np.int8 if fits else np.int64
+
+
 def _embed_blocks(planes: np.ndarray, table: np.ndarray, emb: EmbeddingAssignment,
                   exps: np.ndarray) -> None:
     """Simplex vector s at point v is column v(R+1)+s; coordinate pos goes to
@@ -246,7 +275,7 @@ def steiner_etf(
     q = sim.source.root_order
     table = root_coeffs(q)
     b = sts.block_count
-    planes = np.zeros((table.shape[1], b, sts.num_points * (r + 1)))
+    planes = np.zeros((table.shape[1], b, sts.num_points * (r + 1)), dtype=_plane_dtype(table))
     _embed_blocks(planes, table, emb, sim.exponents)
     return FrameMatrix(
         planes,
@@ -289,7 +318,7 @@ def tremain_etf(
     b = sts.block_count
     m = b + v_pts + 1
     first = v_pts * (r + 1)
-    planes = np.zeros((t1.shape[1], m, first + v_pts + 1))
+    planes = np.zeros((t1.shape[1], m, first + v_pts + 1), dtype=_plane_dtype(t1, t2))
     points = b + np.arange(v_pts)
 
     _embed_blocks(planes, t1, emb, sim_r.exponents)
@@ -396,9 +425,11 @@ class GramPass:
     pair_witness: tuple[int, int] | None
 
 
-def _gram_pass(frame: FrameMatrix, tile: int = _GRAM_TILE) -> GramPass:
-    """Walk the Gram's upper triangle in row tiles; keep only what GramPass holds."""
+def _gram_pass(frame: FrameMatrix, tile: int | None = None) -> GramPass:
+    """Walk the Gram's upper triangle in row tiles (default _GRAM_TILE); keep
+    only what GramPass holds."""
     n, m = frame.count, frame.order
+    tile = tile or _GRAM_TILE
     welch_bound(frame.dim, n)  # reject degenerate shapes before any array work
     real = len(frame.planes) == 1
     m2 = lcm(2, m)
@@ -641,21 +672,27 @@ def store_frame_exact(path: str | Path, frame: FrameMatrix) -> None:
     its row's surd is nonzero, and its own k is as small as it goes, so some
     coefficient is odd unless k = 0 (a zero entry has k = 0).
     """
-    c = frame.planes.astype(np.int64)
-    halvings = np.zeros(c.shape[1:], dtype=np.int64)
-    even = c.any(axis=0)
+    phi = len(frame.planes)
+    # one key (surd, halvings, coefficients) per entry, in the planes' own dtype:
+    # no int64 copy of int8 planes, and a nonzero int64 halves fewer than 64 times
+    keys = np.zeros((frame.dim, frame.count, phi + 2), dtype=frame.planes.dtype)
+    keys[..., 0] = np.searchsorted(_SURD_WEIGHTS, frame.weights)[:, None]
+    c = keys[..., 2:]
+    c[...] = np.moveaxis(frame.planes, 0, -1)
+    even = c.any(axis=-1)
     for _ in range(frame.k):
-        even &= (c % 2 == 0).all(axis=0)
+        even &= (c % 2 == 0).all(axis=-1)
         if not even.any():
             break
-        c[:, even] //= 2
-        halvings += even
-    surd = np.broadcast_to(np.searchsorted(_SURD_WEIGHTS, frame.weights)[:, None], halvings.shape)
-    keys = np.concatenate([surd[None], halvings[None], c]).reshape(len(c) + 2, -1).T
-    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
-    zero = ",".join("0" * len(c))
+        c[even] //= 2
+        keys[..., 1] += even
+    # distinct keys through a raw-byte view of each contiguous key row
+    keys = keys.reshape(-1, phi + 2)
+    _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys.strides[0]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    zero = ",".join("0" * phi)
     tokens = []
-    for s, shift, *coeffs in distinct.tolist():
+    for s, shift, *coeffs in keys[first].tolist():
         parts, k = [zero] * 4, 0
         if any(coeffs):
             parts[s], k = ",".join(map(str, coeffs)), frame.k - shift
@@ -741,13 +778,14 @@ def _parse_frame(text: str) -> FrameMatrix:
             "one of 1, sqrt2, sqrt3, sqrt6 times a cyclotomic integer over 2^k"
         )
     k = max(kx for _, _, kx in parsed)
-    table = np.zeros((len(parsed), len(parsed[0][1])))
+    table = np.zeros((len(parsed), len(parsed[0][1])), dtype=np.int64)
     for u, (_, c, kx) in enumerate(parsed):
         if max(map(abs, c)).bit_length() + k - kx > 52:
             raise ValueError(f"entry coefficients reach 2^52; {_GUARD_NOTE}")
         table[u] = [x << (k - kx) for x in c]
-    return FrameMatrix(table.T[:, idx], np.take(_SURD_WEIGHTS, np.maximum(hi, 0)), k, order,
-                       *bands)
+    # np.take returns an array that owns its memory, so FrameMatrix adopts it uncopied
+    planes = np.take(table.astype(_plane_dtype(table), copy=False).T, idx, axis=1)
+    return FrameMatrix(planes, np.take(_SURD_WEIGHTS, np.maximum(hi, 0)), k, order, *bands)
 
 
 def store_frame_csv(path: str | Path, frame: FrameMatrix) -> None:

@@ -358,17 +358,18 @@ def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
         raise ValueError("frame was not built with a parallel-class-first embedding")
     # 3x in the frame's row grading: 3 on the class rows, and 1 (times sqrt6,
     # 3 * sqrt(2/3)) on the extra row, whose weight is 6; <3x, column j> at
-    # scale 2^k in one product.  Its slot sums are bounded over those support
-    # rows only.
+    # scale 2^k in one product.  Only those support rows of the planes are
+    # read: they bound the slot sums and make the product.
     rows = [*sorted(prov.embedding.parallel_class), frame.dim - 1]
     graded = np.zeros(frame.dim, dtype=np.int64)
     graded[rows[:-1]] = 3
     graded[-1] = 1
     graded.flags.writeable = False
-    left = np.zeros((len(frame.planes), 1, frame.dim))
-    left[0, 0] = graded * frame.weights
-    bound = float(sum(left[0, 0, rows] @ np.abs(p[rows]) for p in frame.planes).max())
-    ips = _cyclic_product(left, frame.planes, frame.order, np.matmul, bound, "flat functional")
+    support = [p.astype(np.float64) for p in frame.planes[:, rows]]
+    left = np.zeros((len(support), 1, len(rows)))
+    left[0, 0] = (graded * frame.weights)[rows]
+    bound = float(sum(left[0, 0] @ np.abs(p) for p in support).max())
+    ips = _cyclic_product(left, support, frame.order, np.matmul, bound, "flat functional")
     target = np.zeros((len(ips), 1), dtype=np.int64)
     target[0] = 3 << frame.k
     bad = (ips[:, 0] != target).any(axis=0)

@@ -12,7 +12,8 @@ straight into integer planes, and _cyclic_product is the one kernel that
 multiplies such planes, summing products in cyclic slots (a - b) mod m and
 reducing them modulo Phi_m.  _hermitian_tiles feeds it every Hermitian
 product V diag(w) V* (the Gram, the frame operator, H H*): it alone bounds
-the slot sums, picks float32 or float64 and tiles the rows.  CycInt and
+the slot sums, picks float32 or float64, tiles the rows and converts, per
+tile, only the coordinates the tile's rows touch.  CycInt and
 ExtScalar hold single values; they are the reference arithmetic that
 FrameMatrix.entry, frames.gram_matrix and the tests check the kernels
 against.
@@ -115,36 +116,81 @@ def _adopted(a, dtype) -> np.ndarray:
 
 
 _FLOAT32_EXACT = 2 ** 24  # float32 holds every integer up to 2^24
+_BOUND_CHUNK = 1 << 16  # entries per row chunk of the slot bound's float64 temporaries
+
+
+def _slot_bound(vectors: np.ndarray, weights=None) -> float:
+    """The largest sum_j w_j t_ij^2 over rows i of V, t the entries' coefficient size sums.
+
+    Computed in float64 row chunks straight from integer planes of any
+    width, so int8 -128 cannot overflow and no plane-sized temporary is
+    made.  Every partial sum below 2^53 is exact and rounding is monotone,
+    so the result is past 2^52 exactly when the true bound is.
+    """
+    n, d = vectors.shape[1:]
+    w = np.ones(d) if weights is None else np.asarray(weights, dtype=np.float64)
+    step = max(1, _BOUND_CHUNK // max(d, 1))
+    bound = 0.0
+    for i in range(0, n, step):
+        t = vectors[0, i:i + step].astype(np.float64)
+        if len(vectors) > 1:  # one plane: its square is its size's
+            np.abs(t, out=t)
+            for p in vectors[1:]:
+                x = p[i:i + step].astype(np.float64)
+                t += np.abs(x, out=x)
+        t *= t
+        bound = max(bound, float((t @ w).max(initial=0)))
+        del t  # before the next chunk is made
+    return bound
 
 
 def _hermitian_tiles(vectors: np.ndarray, m: int, what: str, weights=None, tile=None):
     """Yield (s, P) for the row tiles of the upper triangle of V diag(w) V*.
 
     Row i of V is sum_a vectors[a, i] zeta_m^a, the vectors integer planes
-    (phi(m), n, d), and w is ``weights`` (d,) or all ones.  P holds the
-    power-basis coefficients of rows s:s+tile and columns s:n, shape
-    (phi(m), rows, n - s); tile None makes one tile of all n rows.  A slot
-    sum of rows i and k is at most sum_j w_j t_ij t_kj, t the coefficient
-    size sums of the entries, hence at most the largest sum_j w_j t_ij^2:
-    the products run in float32 below 2^24 and in float64 below 2^52, and
-    _cyclic_product refuses past that.
+    (phi(m), n, d) of any integer (or integral float) dtype, and w is
+    ``weights`` (d,) or all ones.  P holds the power-basis coefficients of
+    rows s:s+tile and columns s:n, shape (phi(m), rows, n - s); tile None
+    makes one tile of all n rows.  A slot sum of rows i and k is at most
+    sum_j w_j t_ij t_kj, t the coefficient size sums of the entries, hence
+    at most the largest sum_j w_j t_ij^2 (_slot_bound): the products run in
+    float32 below 2^24 and in float64 below 2^52, and _cyclic_product
+    refuses past that.
+
+    Products are row-restricted (Gustavson): a tile multiplies only the
+    inner coordinates j that its own rows touch, and P is filled in column
+    blocks of ``tile`` rows of V.  Each operand is converted to float only
+    as a block of the tile's rows or of one column block, so no float copy
+    of the whole planes is ever made.
     """
-    t = vectors[0]  # one plane: its square is its size's
-    if len(vectors) > 1:
-        t = np.abs(t)
-        for p in vectors[1:]:
-            t += np.abs(p)
-    w = np.ones(t.shape[1]) if weights is None else np.asarray(weights)
-    bound = float(np.einsum("ij,ij,j->i", t, t, w, dtype=np.float64).max(initial=0))
-    del t
-    x = vectors.astype(np.float32 if bound < _FLOAT32_EXACT else np.float64, copy=False)
-    w = w.astype(x.dtype)
-    n = max(x.shape[1], 1)  # an empty V still gets its one (empty) tile
-    tile = tile or n
-    for s in range(0, n, tile):
-        left = (p[s:s + tile] if weights is None else p[s:s + tile] * w for p in x)
-        # a list made in the call: no weighted rows stay alive while the caller reads P
-        yield s, _cyclic_product(list(left), [p[s:].T for p in x], m, np.matmul, bound, what)
+    bound = _slot_bound(vectors, weights)
+    ftype = np.float32 if bound < _FLOAT32_EXACT else np.float64
+    phi, n, d = vectors.shape
+    w = None if weights is None else np.asarray(weights).astype(ftype)
+    tile = tile or max(n, 1)  # an empty V still gets its one (empty) tile
+
+    def product(s: int) -> np.ndarray:  # operands die on return, before the caller reads P
+        rows = vectors[:, s:s + tile]
+        touched = np.flatnonzero(rows.any(axis=(0, 1)))
+        # a tile that touches every coordinate reads plain slices: no gather
+        cols = slice(None) if len(touched) == d else touched
+        left = []
+        for p in rows:
+            x = p[:, cols].astype(ftype)
+            if w is not None:
+                x *= w[cols]
+            left.append(x)
+        out = np.empty((phi, rows.shape[1], n - s), dtype=np.int64)
+        for c in range(s, n, tile):
+            if c == s and w is None:  # the tile's own rows, already converted
+                right = [x.T for x in left]
+            else:
+                right = [p[c:c + tile][:, cols].astype(ftype).T for p in vectors]
+            out[:, :, c - s:c - s + tile] = _cyclic_product(left, right, m, np.matmul, bound, what)
+        return out
+
+    for s in range(0, max(n, 1), tile):
+        yield s, product(s)
 
 
 def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.ndarray:
@@ -155,10 +201,13 @@ def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.nda
     ``bound`` caps every partial sum, so below 2^52 (2^24 for float32
     operands) every float sum is an exact integer.  Each slot is folded
     into the phi(m) output planes, reduced modulo Phi_m, as soon as it is
-    summed.
+    summed.  One plane on each side (a real product) is one product, with
+    no slots and no zero-filled output.
     """
     if not bound < _EXACT_LIMIT:
         raise ValueError(f"{what} slot sums may reach {bound:.4g} >= 2^52; {_GUARD_NOTE}")
+    if len(left) == len(right) == 1:  # real: one product, slot 0 is the constant plane
+        return mul(left[0], right[0]).astype(np.int64, copy=False)[None]
     roots = root_coeffs(m)
     # an all-zero side keeps its plane 0, so the output shape is still known
     lhs = [(a, x) for a, x in enumerate(left) if x.any()] or [(0, left[0])]

@@ -5,6 +5,8 @@ import hashlib
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equiframes.designs import (
     EmbeddingAssignment,
@@ -225,3 +227,45 @@ def test_parallel_class_file_roundtrip(tmp_path):
     path = tmp_path / "pc.txt"
     store_parallel_class(path, cls)
     assert load_parallel_class(path) == cls
+
+
+_LOADERS = {"sts": load_sts, "class": load_parallel_class}
+_STS_V9 = b"9 12\n" + b"".join(f"{a} {b} {c}\n".encode() for a, b, c in bose(9).blocks)
+
+
+@pytest.mark.parametrize("loader", sorted(_LOADERS))
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe9 12\n", "can't decode"),  # not UTF-8
+    (b"9 x\n", "non-integer field"),
+    (b"9 12\n0 1 2.5\n", "non-integer field"),
+])
+def test_sts_and_class_loaders_name_the_file(tmp_path, loader, data, message):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=message) as info:
+        _LOADERS[loader](path)
+    assert type(info.value) is ValueError and str(info.value).startswith(f"{path}: ")
+
+
+@settings(max_examples=200, deadline=None)
+@example(loader="sts", data=b"\x80")
+@example(loader="class", data=b"0 3 \xc3")
+@given(
+    loader=st.sampled_from(sorted(_LOADERS)),
+    data=st.one_of(
+        st.binary(max_size=40),
+        st.text(alphabet="0123456789- \n\tx.", max_size=40).map(str.encode),
+        st.binary(max_size=8).map(lambda tail: _STS_V9 + tail),
+        st.tuples(st.integers(0, len(_STS_V9)), st.sampled_from([b"x", b"-", b"1.5", b"\xff", b""]))
+        .map(lambda cut: _STS_V9[:cut[0]] + cut[1] + _STS_V9[cut[0] + 1:]),
+    ),
+)
+def test_sts_and_class_loaders_load_or_raise_naming_the_file(tmp_path_factory, loader, data):
+    """Any bytes at all: the loader returns, or raises a plain ValueError
+    whose message starts with the path."""
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_bytes(data)
+    try:
+        _LOADERS[loader](path)
+    except ValueError as exc:
+        assert type(exc) is ValueError and str(exc).startswith(f"{path}: "), exc

@@ -350,6 +350,47 @@ def test_verify_and_signs_hold_no_dense_gram():
     assert peak <= 4 * n * n + 2 * f.planes.nbytes, (peak, n)
 
 
+@pytest.mark.parametrize("tile", [64, 256])
+def test_verify_holds_no_float_copy_of_the_planes(monkeypatch, tile):
+    """verify_etf on the h=32 gs frame, Gram pass included: the pass keeps
+    one phase byte per pair, and everything else is per tile, at most 16
+    bytes per entry of a tile x N band.  A float32 copy of the planes (4
+    bytes per coefficient: 45 and 11 such bands at these tiles) would not
+    fit."""
+    from equiframes import frames
+    from equiframes.pipelines import build_tremain as pipeline_build
+
+    f = pipeline_build(h=32, parallel=True)
+    n = f.count
+    monkeypatch.setattr(frames, "_GRAM_TILE", tile)
+    tracemalloc.start()
+    try:
+        assert verify_etf(f).is_etf
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.planes.dtype == np.int8
+    assert peak <= f.planes.nbytes + n * n + 16 * tile * n, (peak, tile, n)
+
+
+def test_int64_promoted_frame_gram_matches_the_dense_product():
+    """One coefficient past int8 promotes the planes to int64; the tiled
+    Gram still equals one dense int64 product, at tiles that cut supports."""
+    f = build_tremain(h=4)
+    planes = f.planes.astype(np.int64)
+    planes[0, 0, 0] = 300
+    g = dataclasses.replace(f, planes=planes)
+    assert g.planes.dtype == np.int64
+    x = g.planes[0]
+    want = (x.T * g.weights) @ x
+    for tile in (1, 3, 7, _GRAM_TILE):
+        for s, block in _hermitian_tiles(g.planes.transpose(0, 2, 1), g.order, "Gram",
+                                         g.weights, tile):
+            assert np.array_equal(block[0], want[s:s + tile, s:])
+    rep = verify_etf(g)
+    assert not rep.equal_norms and rep.witness == "norms differ at columns 0 and 1"
+
+
 def _with_zero_row():
     """The h=2 ETF with a zero row appended: norms and moduli are unchanged,
     but the frame operator is no longer a multiple of the identity."""
@@ -377,8 +418,8 @@ def test_frame_operator_witnesses_at_every_tile(monkeypatch, tile, make, witness
 
 
 def test_frame_operator_is_streamed_in_row_tiles(monkeypatch):
-    """After a cached Gram pass, verify_etf holds the planes' one float32
-    copy and a few row tiles: no phi(m) x M x M int64 frame operator."""
+    """After a cached Gram pass, verify_etf holds a few row tiles: no
+    phi(m) x M x M int64 frame operator (nor a float32 copy of the planes)."""
     from equiframes import frames
 
     f = build_tremain(h=16)
@@ -443,20 +484,33 @@ def test_frame_matrix_validates_its_arrays():
         dataclasses.replace(f, order=8)
 
 
-def test_frame_matrix_adopts_float64_planes_without_a_copy():
-    """A float64 array that owns its memory is taken as it is and turns
-    read-only; a view or another dtype is copied, leaving the input alone."""
+def test_frame_matrix_adopts_integer_planes_without_a_copy():
+    """An int8 or int64 array that owns its memory is taken as it is and
+    turns read-only; a view is copied, leaving the input alone.  Any other
+    array is converted, to int8 when every coefficient fits (-128 and 127
+    do) and to int64 otherwise; a float one must hold integers."""
     f = build_tremain(h=2)
-    planes = 2 * f.planes
-    g = dataclasses.replace(f, planes=planes)
-    assert g.planes is planes and not planes.flags.writeable
-    wide = np.zeros((1, f.dim, f.count + 1))
+    assert f.planes.dtype == np.int8
+    for dtype in (np.int8, np.int64):
+        planes = 2 * f.planes.astype(dtype)
+        g = dataclasses.replace(f, planes=planes)
+        assert g.planes is planes and not planes.flags.writeable
+    wide = np.zeros((1, f.dim, f.count + 1), dtype=np.int8)
     wide[..., :-1] = f.planes
     view = wide[..., :-1]
     h = dataclasses.replace(f, planes=view)
     assert not np.shares_memory(h.planes, wide) and wide.flags.writeable
-    k = dataclasses.replace(f, planes=f.planes.astype(np.int64))
-    assert k.planes.dtype == np.float64 and np.array_equal(k.planes, f.planes)
+    for low, high, dtype in [(-128, 127, np.int8), (-129, 0, np.int64), (0, 128, np.int64)]:
+        planes = f.planes.astype(np.float64)
+        planes[0, 0, :2] = low, high
+        k = dataclasses.replace(f, planes=planes)
+        assert k.planes.dtype == dtype and np.array_equal(k.planes, planes)
+        assert dataclasses.replace(f, planes=planes.astype(np.int32)).planes.dtype == dtype
+    for bad in (0.5, np.nan, np.inf, 2.0 ** 63):
+        planes = f.planes.astype(np.float64)
+        planes[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="integers|int64"):
+            dataclasses.replace(f, planes=planes)
 
 
 @pytest.mark.parametrize("coeff, raises", [(1 << 10, False), (1 << 27, True)])

@@ -262,6 +262,70 @@ def test_hermitian_tiles_reassemble_one_float64_product(data, m, n, d, tile, wei
     assert starts == list(range(0, n, tile))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 8, 12]), st.integers(1, 9), st.integers(1, 9),
+       st.integers(1, 10), st.booleans(), st.sampled_from([np.int8, np.int64]), st.booleans(),
+       st.booleans())
+def test_row_restricted_tiles_equal_the_dense_product(data, m, n, d, tile, sparse, dtype,
+                                                       weighted, transposed):
+    """Sparse (about 4 in 5 entries zero) and dense integer planes, int8 with
+    its extremes -128 and 127 or int64 past int8, contiguous or a transposed
+    view as the Gram passes them: the row-restricted tiles equal one dense
+    int64 slot product, at tile sizes that cut the supports."""
+    phi = len(cyclotomic_poly(m)) - 1
+    size = phi * n * d
+    values = (st.one_of(st.sampled_from([-128, 127]), st.integers(-128, 127)) if dtype == np.int8
+              else st.integers(-2**20, 2**20))
+    vectors = np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype)
+    if sparse:
+        zero = data.draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+        vectors[np.array(zero) > 0] = 0
+    if transposed:
+        vectors = vectors.reshape(phi, d, n).transpose(0, 2, 1)
+    vectors = vectors.reshape(phi, n, d)
+    w = np.array(data.draw(st.lists(st.sampled_from([1, 2, 3, 6]), min_size=d, max_size=d)))
+    wide = vectors.astype(np.int64)
+    want = _cyclic_product(wide * w if weighted else wide, [p.T for p in wide], m, np.matmul,
+                           0.0, "test")
+    starts = []
+    for s, block in _hermitian_tiles(vectors, m, "test", w if weighted else None, tile):
+        assert np.array_equal(block, want[:, s:s + tile, s:])
+        starts.append(s)
+    assert starts == list(range(0, n, tile))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, scalar._BOUND_CHUNK])
+def test_slot_bound_reads_int8_extremes_without_overflow(monkeypatch, chunk):
+    """int8 -128 in every plane, in row chunks of any size: the bound is
+    sum_j w_j (2 * 128)^2 with no int8 wrap-around, as for int64 planes."""
+    monkeypatch.setattr(scalar, "_BOUND_CHUNK", chunk)
+    v = np.full((2, 3, 4), -128, dtype=np.int8)
+    v[1, 2] = 0  # the last row's sizes are 128 only
+    w = np.array([1, 2, 3, 6])
+    assert scalar._slot_bound(v) == 4 * 256 ** 2
+    assert scalar._slot_bound(v, w) == 12 * 256 ** 2 == scalar._slot_bound(v.astype(np.int64), w)
+    assert scalar._slot_bound(v[:, 2:]) == 4 * 128 ** 2
+
+
+def test_tiles_multiply_only_the_coordinates_their_rows_touch(monkeypatch):
+    """Block-diagonal V, rows 0-2 on coordinates 0-1 and rows 3-5 on 2-6: in
+    tiles of 3 rows every product's inner size is its tile's support."""
+    seen = []
+
+    def spy(left, right, *args):
+        seen.append((left[0].shape[1], right[0].shape[0]))
+        return _cyclic_product(left, right, *args)
+
+    monkeypatch.setattr(scalar, "_cyclic_product", spy)
+    v = np.zeros((1, 6, 7), dtype=np.int8)
+    v[0, :3, :2] = -128
+    v[0, 3:, 2:] = 127
+    got = {s: block for s, block in _hermitian_tiles(v, 2, "test", tile=3)}
+    assert seen == [(2, 2), (2, 2), (5, 5)]
+    want = v[0].astype(np.int64) @ v[0].T.astype(np.int64)
+    assert np.array_equal(got[0][0], want[:3]) and np.array_equal(got[3][0], want[3:, 3:])
+
+
 @pytest.mark.parametrize("weight, dtype", [(2**24 - 1, np.float32), (2**24, np.float64),
                                            (2**52 - 1, np.float64)])
 def test_hermitian_tiles_switch_to_float64_at_2_24(monkeypatch, weight, dtype):
