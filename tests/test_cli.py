@@ -189,6 +189,75 @@ def test_tables_drackn(tmp_path, capsys):
     assert all(r["n-rc"] == r["h"] for r in rows)
 
 
+PINNED_TABLES = {
+    ("srg1", "--row-budget", "0"): """\
+ h    M     N     v    k  lambda   mu        status
+ 2    5    10     9    4       1    2  formula-only
+ 4   15    36    35   18       9    9  formula-only
+ 8   51   136   135   70      37   35  formula-only
+16  187   528   527  270     141  135  formula-only
+20  287   820   819  418     217  209  formula-only
+28  551  1596  1595  810     417  405  formula-only
+""",
+    ("srg1", "--row-budget", "2"): """\
+ h    M     N     v    k  lambda   mu        status
+ 2    5    10     9    4       1    2     certified
+ 4   15    36    35   18       9    9     certified
+ 8   51   136   135   70      37   35     certified
+16  187   528   527  270     141  135     certified
+20  287   820   819  418     217  209     certified
+28  551  1596  1595  810     417  405  formula-only
+""",
+    ("srg2", "--row-budget", "0"): """\
+ h     M     N     v     k  lambda    mu        status
+ 2     5    10    10     6       3     4  formula-only
+ 8    51   136   136    75      42    40  formula-only
+20   287   820   820   429     228   220  formula-only
+32   715  2080  2080  1071     558   544  formula-only
+44  1335  3916  3916  2001    1032  1012  formula-only
+56  2147  6328  6328  3219    1650  1624  formula-only
+""",
+    ("srg2", "--row-budget", "2"): """\
+ h     M     N     v     k  lambda    mu        status
+ 2     5    10    10     6       3     4     certified
+ 8    51   136   136    75      42    40     certified
+20   287   820   820   429     228   220     certified
+32   715  2080  2080  1071     558   544  formula-only
+44  1335  3916  3916  2001    1032  1012  formula-only
+56  2147  6328  6328  3219    1650  1624  formula-only
+""",
+    ("drackn", "--p", "2", "--row-budget", "2"): """\
+ h    M    N    n  r    c  n-rc        status
+ 2    5   10   10  2    4     2     certified
+ 4   15   36   36  2   16     4     certified
+ 8   51  136  136  2   64     8     certified
+16  187  528  528  2  256    16  formula-only
+""",
+    ("drackn", "--p", "5"): """\
+h   M   N   n  r   c  n-rc     status
+5  22  55  55  5  10     5  certified
+""",
+    ("drackn", "--p", "7"): """\
+h   M    N    n  r   c  n-rc            status
+7  40  105  105  7  14     7  no-H(p,2p)-input
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_TABLES), ids=" ".join)
+def test_tables_output_is_pinned(capsys, monkeypatch, argv):
+    """Text output byte for byte; the JSON output is the same rows, keyed by
+    the header, printed with indent 2.  --p 5 certifies from the bundled
+    H(5,10); --p 7 has no H(7,14) input."""
+    monkeypatch.delenv("EQUIFRAMES_H510", raising=False)
+    text = PINNED_TABLES[argv]
+    assert run(capsys, "tables", *argv) == (0, text)
+    header, *lines = [line.split() for line in text.splitlines()]
+    rows = [{key: value if key == "status" else int(value) for key, value in zip(header, line)}
+            for line in lines]
+    assert run(capsys, "--json", "tables", *argv) == (0, json.dumps(rows, indent=2) + "\n")
+
+
 def test_exit_code_certification_failure(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n0 0\n0 0\n")
