@@ -25,12 +25,13 @@ from equiframes.frames import (
     store_frame_exact,
     tremain_params,
     verify_etf,
-    welch_bound,
 )
 from equiframes.graphs import (
     CertificationError,
+    CoverResult,
     drackn_params,
     export_graph,
+    require_prime,
     srg_params_gs,
     srg_params_waldron,
 )
@@ -218,22 +219,42 @@ def cmd_make_etf(args) -> int:
     return 0
 
 
+def _second_hadamard_file(h: int, p: int, given: str | None) -> str | Path | None:
+    """The given file, else the published H(5,10) when h = p = 5 (None if absent)."""
+    if given is None and h == p == 5:
+        return h510_path()
+    return given
+
+
+def _srg_formula(kind: str, m: int, n: int):
+    return (srg_params_waldron if kind == "waldron" else srg_params_gs)(m, n)
+
+
+def certify_srg(kind: str, h: int):
+    """Build, count and compare with the closed form: (frame, result, formula)."""
+    frame, *_, res = waldron_pipeline(h) if kind == "waldron" else gs_pipeline(h)
+    formula = _srg_formula(kind, frame.dim, frame.count)
+    if res.params != formula:
+        raise CertificationError(
+            f"h={h}: counted {res.params.as_tuple()} != formula {formula.as_tuple()}")
+    return frame, res, formula
+
+
+def certify_cover(h: int, p: int, file1: str | None, file2: str | None) -> CoverResult:
+    """Build, count and compare with the closed form (N, p, c)."""
+    frame, cov = drackn_pipeline(h, p, h1=_load_slot(file1),
+                                 h2=_load_slot(_second_hadamard_file(h, p, file2)))
+    formula = (frame.count, p, drackn_params(frame.dim, frame.count, p))
+    if cov.params != formula:
+        raise CertificationError(f"h={h}: counted {cov.params} != formula {formula}")
+    return cov
+
+
 def cmd_derive_srg(args) -> int:
     if args.h is None:
         raise ConfigError("srg derivation needs --h")
-    if args.kind == "waldron":
-        frame, res = waldron_pipeline(args.h)
-        formula = srg_params_waldron(frame.dim, frame.count)
-        name = f"srg_waldron_h{args.h}"
-    else:
-        frame, _, res = gs_pipeline(args.h)
-        formula = srg_params_gs(frame.dim, frame.count)
-        name = f"srg_gs_h{args.h}"
-    if res.params != formula:
-        raise CertificationError(
-            f"counted {res.params.as_tuple()} != formula {formula.as_tuple()}"
-        )
-    path = _out_dir(args) / f"{name}.g6"
+    frame, res, formula = certify_srg(args.kind, args.h)
+    path = _out_dir(args) / f"srg_{args.kind}_h{args.h}.g6"
     export_graph(path, res.graph)
     emit(
         {"command": f"derive srg {args.kind}", "artifact": str(path),
@@ -248,15 +269,8 @@ def cmd_derive_srg(args) -> int:
 def cmd_derive_drackn(args) -> int:
     if args.h is None:
         raise ConfigError("drackn derivation needs --h")
-    h1 = _load_slot(args.hadamard_file1)
-    h2 = _load_slot(args.hadamard_file2)
-    if h2 is None and args.p == 5 and args.h == 5 and h510_path():
-        h2 = load_hadamard_file(str(h510_path()))
-    frame, cov = drackn_pipeline(args.h, args.p, h1=h1, h2=h2)
+    cov = certify_cover(args.h, args.p, args.hadamard_file1, args.hadamard_file2)
     n, r, c = cov.params
-    c_formula = drackn_params(frame.dim, frame.count, args.p)
-    if c != c_formula:
-        raise CertificationError(f"counted c={c} != formula c={c_formula}")
     path = _out_dir(args) / f"drackn_h{args.h}_p{args.p}.edges"
     export_graph(path, cov.graph, fmt="edges", fibers=cov.fibers)
     emit(
@@ -277,75 +291,57 @@ def _predicted_seconds(vertices: int) -> float:
     return 12.0 * (vertices / 2000.0) ** 3 + 1.0
 
 
-def cmd_tables(args) -> int:
-    rows = []
-    budget = args.row_budget
-    if args.which == "srg1":
-        header = ("h", "M", "N", "v", "k", "lambda", "mu", "status")
-        for h in SRG1_ROWS:
-            m, n = tremain_params(h=h)
-            formula = srg_params_waldron(m, n)
-            status = "formula-only"
-            if _predicted_seconds(n - 1) <= budget:
-                _, res = waldron_pipeline(h)
-                if res.params != formula:
-                    raise CertificationError(
-                        f"h={h}: counted {res.params.as_tuple()} != "
-                        f"formula {formula.as_tuple()}"
-                    )
-                status = "certified"
-            rows.append((h, m, n, *formula.as_tuple(), status))
-    elif args.which == "srg2":
-        header = ("h", "M", "N", "v", "k", "lambda", "mu", "status")
-        for h in SRG2_ROWS:
-            m, n = tremain_params(h=h)
-            formula = srg_params_gs(m, n)
-            status = "formula-only"
-            if _predicted_seconds(n) <= budget:
-                _, _, res = gs_pipeline(h)
-                if res.params != formula:
-                    raise CertificationError(
-                        f"h={h}: counted {res.params.as_tuple()} != "
-                        f"formula {formula.as_tuple()}"
-                    )
-                status = "certified"
-            rows.append((h, m, n, *formula.as_tuple(), status))
-    else:
-        header = ("h", "M", "N", "n", "r", "c", "n-rc", "status")
-        p = args.p
-        table_rows = DRACKN_ROWS if p == 2 else (p,)
-        for h in table_rows:
-            m, n = tremain_params(h=h)
-            c = drackn_params(m, n, p)
-            status = "formula-only"
-            if _predicted_seconds(n * p) <= budget:
-                h2 = None
-                if p != 2:
-                    src = args.hadamard_file2 or (
-                        str(h510_path()) if p == 5 and h == 5 and h510_path() else None
-                    )
-                    if src is None:
-                        rows.append((h, m, n, n, p, c, n - p * c, "no-H(p,2p)-input"))
-                        continue
-                    h2 = load_hadamard_file(src)
-                _, cov = drackn_pipeline(h, p, h2=h2)
-                if cov.params != (n, p, c):
-                    raise CertificationError(
-                        f"h={h}: counted {cov.params} != formula {(n, p, c)}"
-                    )
-                status = "certified"
-            rows.append((h, m, n, n, p, c, n - p * c, status))
+def _table(which: str, p: int, file2: str | None):
+    """The rows h, the closed form (M, N) -> (cells, vertices) and the
+    certifier h -> status of one table."""
+    if which == "drackn":
+        require_prime(p)
+        if p % 3 == 0:  # an odd p has the one row h = p
+            raise ConfigError(f"--p {p} asks for the row h = {p}, and no Tremain frame "
+                              f"has h = 0 (mod 3)")
 
+        def closed(m, n):
+            c = drackn_params(m, n, p)
+            return {"n": n, "r": p, "c": c, "n-rc": n - p * c}, n * p
+
+        def certify(h):
+            src = None if p == 2 else _second_hadamard_file(h, p, file2)  # p = 2 takes no file
+            if p != 2 and src is None:
+                return "no-H(p,2p)-input"
+            certify_cover(h, p, None, src)
+            return "certified"
+
+        return DRACKN_ROWS if p == 2 else (p,), closed, certify
+    kind, hs = ("waldron", SRG1_ROWS) if which == "srg1" else ("gs", SRG2_ROWS)
+
+    def closed(m, n):
+        f = _srg_formula(kind, m, n)
+        return {"v": f.v, "k": f.k, "lambda": f.lam, "mu": f.mu}, f.v
+
+    def certify(h):
+        certify_srg(kind, h)
+        return "certified"
+
+    return hs, closed, certify
+
+
+def cmd_tables(args) -> int:
+    hs, closed, certify = _table(args.which, args.p, args.hadamard_file2)
+    rows = []
+    for h in hs:
+        m, n = tremain_params(h=h)
+        cells, vertices = closed(m, n)
+        status = "formula-only"
+        if _predicted_seconds(vertices) <= args.row_budget:
+            status = certify(h)
+        rows.append({"h": h, "M": m, "N": n, **cells, "status": status})
     if args.json:
-        print(json.dumps([dict(zip(header, r)) for r in rows], indent=2))
-    else:
-        widths = [
-            max(len(str(header[i])), max(len(str(r[i])) for r in rows))
-            for i in range(len(header))
-        ]
-        print("  ".join(str(header[i]).rjust(widths[i]) for i in range(len(header))))
-        for r in rows:
-            print("  ".join(str(r[i]).rjust(widths[i]) for i in range(len(r))))
+        print(json.dumps(rows, indent=2))
+        return 0
+    header = {key: key for key in rows[0]}
+    widths = {key: max(len(str(r[key])) for r in (header, *rows)) for key in header}
+    for r in (header, *rows):
+        print("  ".join(str(r[key]).rjust(width) for key, width in widths.items()))
     return 0
 
 

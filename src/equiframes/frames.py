@@ -13,8 +13,9 @@ Naimark complement.  Frames are stored unscaled: every vector of
 a Tremain frame has squared norm R + 2 and distinct vectors meet in a
 unimodular inner product, so the coherence of the unit-normalized family
 is 1/(R + 2), the Welch bound for these dimensions.  Verification
-recomputes the Gram matrix and frame operator from the planes; it never
-trusts the construction.
+recomputes the Gram matrix from the planes, and the frame operator when
+the Welch equality does not already prove tightness; it never trusts the
+construction.
 
 Exact verification runs one kernel for real and complex frames: Gram
 entries are sum_{a,b} X_a^T diag(w) X_b zeta_m^(a-b) / 4^k, BLAS products
@@ -558,6 +559,27 @@ def _report(
     )
 
 
+def _frame_operator_witness(frame: FrameMatrix) -> str | None:
+    """The first entry, walking row tiles, at which the frame operator is
+    off (N/M) norm times the identity; None when the frame is tight."""
+    m, n = frame.dim, frame.count
+    # M * w_r * fo[r, r] == N * norm, compared in Python integers
+    target = [n * int(c) for c in frame.gram_pass.norm]
+    weights = frame.weights.tolist()
+    for s, fo in _hermitian_tiles(frame.planes, frame.order, "frame operator",
+                                  tile=_GRAM_TILE):
+        bad = fo.any(axis=0)
+        for r, diag in enumerate(fo[:, range(len(bad)), range(len(bad))].T.tolist()):
+            bad[r, r] = [m * weights[s + r] * c for c in diag] != target
+        bad = np.triu(bad)
+        if bad.any():
+            r, c = np.unravel_index(bad.argmax(), bad.shape)
+            r, c = s + int(r), s + int(c)
+            return (f"frame operator diagonal off at {r}" if r == c
+                    else f"frame operator off-diagonal ({r},{c})")
+    return None
+
+
 def _verify_exact(frame: FrameMatrix) -> ETFReport:
     m, n = frame.dim, frame.count
     gp = frame.gram_pass
@@ -578,27 +600,13 @@ def _verify_exact(frame: FrameMatrix) -> ETFReport:
         i, j = gp.pair_witness
         witness = witness or f"|Gram| differs at pair (0,1) vs ({i},{j})"
 
-    is_tight = equal_norms
-    if is_tight:
-        # M * w_r * fo[r, r] == N * norm, compared in Python integers
-        target = [n * int(c) for c in norm0]
-        weights = frame.weights.tolist()
-        for s, fo in _hermitian_tiles(frame.planes, frame.order, "frame operator",
-                                      tile=_GRAM_TILE):
-            bad = fo.any(axis=0)
-            for r, diag in enumerate(fo[:, range(len(bad)), range(len(bad))].T.tolist()):
-                bad[r, r] = [m * weights[s + r] * c for c in diag] != target
-            bad = np.triu(bad)
-            if bad.any():
-                is_tight = False
-                r, c = np.unravel_index(bad.argmax(), bad.shape)
-                r, c = s + int(r), s + int(c)
-                witness = witness or (
-                    f"frame operator diagonal off at {r}" if r == c
-                    else f"frame operator off-diagonal ({r},{c})"
-                )
-                break
-
+    # At the Welch bound tr S^2 = ||Gram||_F^2 = (tr S)^2 / M for the frame
+    # operator S, so Cauchy-Schwarz on its eigenvalues forces S = (tr S / M) I
+    welch = (equal_norms and norm_frac and gram_abs is not None
+             and gram_abs / (norm_frac * norm_frac) == welch_bound(m, n).squared)
+    off = None if welch or not equal_norms else _frame_operator_witness(frame)
+    is_tight = equal_norms and off is None
+    witness = witness or off
     return _report(
         frame, "exact", equal_norms, norm_frac, is_tight, is_equi, gram_abs,
         witness=witness,
@@ -650,9 +658,10 @@ def verify_etf(frame: FrameMatrix, mode: str = "exact", tol: float = 1e-10) -> E
     """Certify equal norms, tightness, and equiangularity of a frame.
 
     Exact mode reads the frame's one Gram pass (norms, moduli, phases; made
-    on first use and cached on the frame) and computes the frame operator
-    with the exact kernel; float mode does the same numerically under
-    ``tol``.
+    on first use and cached on the frame); equal norms and moduli at the
+    Welch bound prove tightness, and otherwise the frame operator is
+    computed with the exact kernel.  Float mode computes both numerically
+    under ``tol``.
     """
     if mode == "float":
         return _verify_float(frame, tol)

@@ -34,6 +34,7 @@ from equiframes.frames import (
     verify_etf,
     welch_bound,
 )
+from equiframes.hadamard import _is_prime
 from equiframes.scalar import _FLOAT32_EXACT, _adopted, _cyclic_product
 
 _TILE = 256  # rows of A read at once, by counting and every other pass
@@ -508,6 +509,12 @@ def drackn_params(m: int, n: int, p: int) -> int:
     return c_int
 
 
+def require_prime(p: int) -> None:
+    """ValueError unless ``p``, the fiber size of a cover, is a prime."""
+    if not _is_prime(p):
+        raise ValueError(f"p must equal a prime, got {p}")
+
+
 @dataclass(frozen=True)
 class CoverResult:
     graph: Graph
@@ -547,8 +554,7 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     for i < j, (i, a) ~ (j, b) iff Gram(i, j) = zeta_p^(b - a), the exponent
     read off exactly.  The result must pass drackn_check.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
-        raise ValueError(f"p must equal a prime, got {p}")
+    require_prime(p)
     rep = verify_etf(frame)
     if not rep.is_etf:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")

@@ -49,7 +49,7 @@ def default_hadamard(n: int) -> ButsonMatrix:
         return fourier(n)
 
 
-def tremain_ingredients(
+def build_tremain(
     v: int | None = None,
     h: int | None = None,
     h1: ButsonMatrix | None = None,
@@ -58,8 +58,8 @@ def tremain_ingredients(
     row2: int | None = None,
     parallel: bool = False,
     real: bool = False,
-):
-    """Resolve a Tremain build request to (sts, embedding, sim_r, sim_v).
+) -> FrameMatrix:
+    """The Tremain frame of exactly one of ``v`` and ``h``.
 
     With ``real`` every Hadamard input must be real and the default one
     must come from a built-in real construction; otherwise the request is
@@ -96,24 +96,12 @@ def tremain_ingredients(
         cls = find_parallel_class(sts)
         if cls is None:
             raise ValueError(f"no parallel class available for V={v}")
-    emb = standard_embedding(sts, cls)
-    sim_r = simplex_from_hadamard(h1, h1.order - 1 if row1 is None else row1)
-    sim_v = simplex_from_hadamard(h2, 0 if row2 is None else row2)
-    return sts, emb, sim_r, sim_v
-
-
-def build_tremain(
-    v: int | None = None,
-    h: int | None = None,
-    h1: ButsonMatrix | None = None,
-    h2: ButsonMatrix | None = None,
-    row1: int | None = None,
-    row2: int | None = None,
-    parallel: bool = False,
-    real: bool = False,
-) -> FrameMatrix:
-    sts, emb, sim_r, sim_v = tremain_ingredients(v, h, h1, h2, row1, row2, parallel, real)
-    return tremain_etf(sts, emb, sim_r, sim_v)
+    return tremain_etf(
+        sts,
+        standard_embedding(sts, cls),
+        simplex_from_hadamard(h1, h1.order - 1 if row1 is None else row1),
+        simplex_from_hadamard(h2, 0 if row2 is None else row2),
+    )
 
 
 def build_steiner(

@@ -182,10 +182,7 @@ def _hermitian_tiles(vectors: np.ndarray, m: int, what: str, weights=None, tile=
             left.append(x)
         out = np.empty((phi, rows.shape[1], n - s), dtype=np.int64)
         for c in range(s, n, tile):
-            if c == s and w is None:  # the tile's own rows, already converted
-                right = [x.T for x in left]
-            else:
-                right = [p[c:c + tile][:, cols].astype(ftype).T for p in vectors]
+            right = [p[c:c + tile][:, cols].astype(ftype).T for p in vectors]
             out[:, :, c - s:c - s + tile] = _cyclic_product(left, right, m, np.matmul, bound, what)
         return out
 

@@ -258,6 +258,20 @@ def test_tables_output_is_pinned(capsys, monkeypatch, argv):
     assert run(capsys, "--json", "tables", *argv) == (0, json.dumps(rows, indent=2) + "\n")
 
 
+@pytest.mark.parametrize("p, message", [
+    (0, "p must equal a prime, got 0"),
+    (1, "p must equal a prime, got 1"),
+    (3, "--p 3 asks for the row h = 3, and no Tremain frame has h = 0 (mod 3)"),
+    (4, "p must equal a prime, got 4"),
+])
+def test_tables_drackn_refuses_a_p_with_no_cover_row(capsys, p, message):
+    """No row for a fiber size drackn_cover refuses, and every message names
+    p, not only the row h = p that an odd p asks for."""
+    assert main(["tables", "drackn", "--p", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"configuration error: {message}\n")
+
+
 def test_exit_code_certification_failure(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n0 0\n0 0\n")

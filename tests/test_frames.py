@@ -428,8 +428,9 @@ def test_frame_operator_witnesses_at_every_tile(monkeypatch, tile, make, witness
 
 
 def test_frame_operator_is_streamed_in_row_tiles(monkeypatch):
-    """After a cached Gram pass, verify_etf holds a few row tiles: no
-    phi(m) x M x M int64 frame operator (nor a float32 copy of the planes)."""
+    """The frame operator walk on the tight h=16 frame reads every tile and
+    holds a few of them: no phi(m) x M x M int64 frame operator (nor a
+    float32 copy of the planes)."""
     from equiframes import frames
 
     f = build_tremain(h=16)
@@ -437,12 +438,39 @@ def test_frame_operator_is_streamed_in_row_tiles(monkeypatch):
     monkeypatch.setattr(frames, "_GRAM_TILE", 16)
     tracemalloc.start()
     try:
-        assert verify_etf(f).is_etf
+        assert frames._frame_operator_witness(f) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     copy, operator = 4 * f.planes.size, 8 * len(f.planes) * f.dim * f.dim
     assert peak < copy + operator, (peak, copy, operator)
+
+
+def test_certified_etfs_take_tightness_from_the_welch_equality(monkeypatch):
+    """Equal norms and moduli at the Welch bound force a tight frame, so
+    verify_etf makes no frame-operator product on a built ETF; the streamed
+    frame operator, run directly, agrees that each one is tight."""
+    from equiframes import frames
+    from equiframes.cli import BUNDLED_H510
+    from equiframes.hadamard import load_butson
+    from equiframes.pipelines import build_steiner, drackn_pipeline
+
+    products = []
+    real_tiles = frames._hermitian_tiles
+
+    def counted(vectors, m, what, *args, **kwargs):
+        products.append(what)
+        return real_tiles(vectors, m, what, *args, **kwargs)
+
+    built = [*_kernel_cases(), ("Steiner V=7", build_steiner(7)), ("Steiner V=9", build_steiner(9)),
+             ("cover h=5 p=5", drackn_pipeline(5, 5, h2=load_butson(BUNDLED_H510))[0])]
+    monkeypatch.setattr(frames, "_hermitian_tiles", counted)
+    for name, f in built:
+        assert verify_etf(f).is_etf, name
+    assert "Gram" in products and "frame operator" not in products
+    monkeypatch.undo()
+    for name, f in built:
+        assert frames._frame_operator_witness(f) is None, name
 
 
 def test_report_dict_is_pinned():
