@@ -65,10 +65,7 @@ BUNDLED_H510 = Path(__file__).parent / "data" / "butson_5_10.txt"
 
 
 def h510_path() -> Path | None:
-    """Published H(5,10) input: env override first, then the bundled file."""
-    env = os.environ.get("EQUIFRAMES_H510")
-    if env:
-        return Path(env)
+    """The bundled published H(5,10) input, None if the file is absent."""
     return BUNDLED_H510 if BUNDLED_H510.exists() else None
 
 
@@ -294,6 +291,9 @@ def _predicted_seconds(vertices: int) -> float:
 def _table(which: str, p: int, file2: str | None):
     """The rows h, the closed form (M, N) -> (cells, vertices) and the
     certifier h -> status of one table."""
+    if file2 is not None and (which != "drackn" or p == 2):  # only an odd p's row reads it
+        table = f"drackn --p {p}" if which == "drackn" else which
+        raise ConfigError(f"--hadamard-file2 is read by no row of tables {table}")
     if which == "drackn":
         require_prime(p)
         if p % 3 == 0:  # an odd p has the one row h = p
@@ -305,7 +305,7 @@ def _table(which: str, p: int, file2: str | None):
             return {"n": n, "r": p, "c": c, "n-rc": n - p * c}, n * p
 
         def certify(h):
-            src = None if p == 2 else _second_hadamard_file(h, p, file2)  # p = 2 takes no file
+            src = _second_hadamard_file(h, p, file2)
             if p != 2 and src is None:
                 return "no-H(p,2p)-input"
             certify_cover(h, p, None, src)

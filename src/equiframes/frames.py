@@ -474,8 +474,8 @@ def _rational(coeffs, scale: int) -> Fraction | None:
     return None if any(coeffs[1:]) else Fraction(int(coeffs[0]), scale)
 
 
-def real_gram_phases(frame: FrameMatrix) -> np.ndarray:
-    """The phases of a real frame's Gram pass: 0 where Gram(i, j) > 0, 1 where < 0.
+def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
+    """Sign matrix (int8, zero diagonal) of a real frame's exact Gram.
 
     Requires every off-diagonal Gram value to be nonzero, which holds for
     real Steiner and Tremain frames; that is checked in row tiles, so no
@@ -488,12 +488,7 @@ def real_gram_phases(frame: FrameMatrix) -> np.ndarray:
     for s in range(0, len(phase), _GRAM_TILE):
         if (phase[s:s + _GRAM_TILE] < 0).any():
             raise ValueError("some off-diagonal Gram values vanish")
-    return phase
-
-
-def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
-    """Sign matrix (int8, zero diagonal) of a real frame's exact Gram."""
-    signs = real_gram_phases(frame) * np.int8(-2)  # phase 0 -> +1, phase 1 -> -1
+    signs = phase * np.int8(-2)  # phase 0 -> +1, phase 1 -> -1
     signs += 1
     np.fill_diagonal(signs, 0)
     return signs

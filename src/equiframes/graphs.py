@@ -1,11 +1,11 @@
-"""Strongly regular graphs and antipodal covers derived from real frames.
+"""Strongly regular graphs and antipodal covers derived from certified ETFs.
 
-Both read the phases of the frame's one exact Gram pass (frames.py): the
-SRGs take the sign bits of a real Gram, switched by XOR; the covers take
-the root-of-unity exponent of each Gram entry.  A graph is a read-only
-boolean adjacency matrix, one byte per vertex pair, and it is the only
-N x N array this module makes: validation, derivation, counting and I/O
-read it in tiles of _TILE rows, so every other array scales with
+All three builders read the frame's one exact Gram pass (frames.py)
+through _certified_phases: the covers take the p-th-root exponent of each
+Gram value, the SRGs its sign (p = 2), switched by XOR.  A graph is a
+read-only boolean adjacency matrix, one byte per vertex pair, and it is
+the only N x N array this module makes: validation, derivation, counting
+and I/O read it in tiles of _TILE rows, so every other array scales with
 _TILE * N.  Certification is pure counting: degrees are row sums and
 common-neighbor counts are the entries of A·A, each row tile times each
 block of _BLOCK columns (A[:, c:c2] is A[c:c2].T by symmetry), both
@@ -30,7 +30,6 @@ from equiframes.frames import (
     ETFReport,
     FrameMatrix,
     TremainProvenance,
-    real_gram_phases,
     verify_etf,
     welch_bound,
 )
@@ -229,13 +228,13 @@ def srg_check(g: Graph) -> SRGCertificate:
     return SRGCertificate(True, SRGParams(n, int(deg[0]), lam, mu))
 
 
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    pn, pd = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
+def _welch_beta(m: int, n: int) -> Fraction:
+    """The Welch bound of (M, N) as a Fraction; ValueError when irrational."""
+    sq = welch_bound(m, n).squared  # positive, in lowest terms
+    num, den = isqrt(sq.numerator), isqrt(sq.denominator)
+    if num * num != sq.numerator or den * den != sq.denominator:
+        raise ValueError(f"irrational Welch bound for (M,N)=({m},{n})")
+    return Fraction(num, den)
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -246,9 +245,7 @@ def _as_int(x: Fraction, what: str) -> int:
 
 def srg_params_waldron(m: int, n: int) -> SRGParams:
     """Closed-form SRG parameters on N-1 vertices for a real M,N frame."""
-    beta = _fraction_sqrt(welch_bound(m, n).squared)
-    if beta is None or beta == 0:
-        raise ValueError(f"irrational Welch bound for (M,N)=({m},{n})")
+    beta = _welch_beta(m, n)
     k = Fraction(n, 2) - 1 + (Fraction(n, m) - 2) / (2 * beta)
     v = n - 1
     lam = (3 * k - v - 1) / 2
@@ -263,14 +260,41 @@ def srg_params_waldron(m: int, n: int) -> SRGParams:
 
 def srg_params_gs(m: int, n: int) -> SRGParams:
     """Closed-form SRG parameters on N vertices (flat-functional family)."""
-    beta = _fraction_sqrt(welch_bound(m, n).squared)
-    if beta is None or beta == 0:
-        raise ValueError(f"irrational Welch bound for (M,N)=({m},{n})")
+    beta = _welch_beta(m, n)
     alpha = Fraction(n, m)
     k = Fraction(n - 1, 2) + (alpha - 1) / (2 * beta)
     lam = Fraction(n, 4) - 1 + (3 * alpha - 4) / (4 * beta)
     mu = Fraction(n, 4) + alpha / (4 * beta)
     return SRGParams(n, _as_int(k, "k"), _as_int(lam, "lambda"), _as_int(mu, "mu"))
+
+
+def _certified_phases(frame: FrameMatrix, p: int) -> tuple[ETFReport, np.ndarray, int]:
+    """(report, phase, step) of a certified ETF whose Gram(i, j), i != j, is
+    a positive multiple of zeta_p^(phase // step): negative at step if p = 2.
+
+    Gram(i, j) is a positive multiple of zeta_(m')^f, f its phase, m' =
+    lcm(2, m), so m'/p must divide f.  The phases are checked in row tiles
+    (the remainder only past step 1); the witness is the first failing pair
+    i < j.
+    """
+    rep = verify_etf(frame)
+    if not rep.is_etf:
+        raise CertificationError(f"input is not a certified ETF: {rep.witness}")
+    m2 = lcm(2, frame.order)
+    if m2 % p:
+        raise ValueError(f"order-{frame.order} Gram values are not {p}-th roots of unity")
+    step = m2 // p
+    phase = frame.gram_pass.phase
+    for s in range(0, len(phase), _TILE):
+        tile = phase[s:s + _TILE, s:]
+        missing = tile < 0
+        if step > 1:
+            missing |= tile % step != 0
+        missing[:, :len(tile)][np.tri(len(tile), dtype=bool)] = False
+        if missing.any():
+            i, j = np.unravel_index(missing.argmax(), missing.shape)
+            raise ValueError(f"Gram entry at ({s + i},{s + j}) is not a {p}-th root of unity")
+    return rep, phase, step
 
 
 @dataclass(frozen=True)
@@ -308,15 +332,12 @@ def waldron_srg(frame: FrameMatrix) -> SRGResult:
     switched signs; if the count matches the closed form only after
     complementing, the complement is returned and the convention recorded.
     """
-    rep = verify_etf(frame)
-    if not rep.is_etf:
-        raise CertificationError(f"input is not a certified ETF: {rep.witness}")
+    _, phase, step = _certified_phases(frame, 2)
     n = frame.count
-    phase = real_gram_phases(frame)
-    negative = phase[: n - 1, : n - 1] == 1
+    negative = phase[: n - 1, : n - 1] == step
     # switching against the last vector flips bit (i, j) once for each of i, j
     # whose Gram value with it is negative
-    flip = phase[: n - 1, n - 1] == 1
+    flip = phase[: n - 1, n - 1] == step
     negative ^= flip[:, None]
     negative ^= flip
     expected = srg_params_waldron(frame.dim, frame.count)
@@ -385,12 +406,10 @@ def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
 
 def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
     """Graph on all N vectors from the Gram sign pattern fixed by the functional."""
-    rep = verify_etf(frame)
-    if not rep.is_etf:
-        raise CertificationError(f"input is not a certified ETF: {rep.witness}")
+    _, phase, step = _certified_phases(frame, 2)
     if len(functional.graded) != frame.dim:
         raise ValueError("functional dimension does not match the frame")
-    negative = real_gram_phases(frame) == 1
+    negative = phase == step
     expected = srg_params_gs(frame.dim, frame.count)
     return _certify_sign_graph(negative, expected, "flat-functional graph")
 
@@ -490,9 +509,7 @@ def drackn_params(m: int, n: int, p: int) -> int:
     Tremain curve N = h(2h+1), M = (h+1)(2h+1)/3, the value must also equal
     2h^2/p.
     """
-    beta = _fraction_sqrt(welch_bound(m, n).squared)
-    if beta is None or beta == 0:
-        raise ValueError(f"irrational Welch bound for (M,N)=({m},{n})")
+    beta = _welch_beta(m, n)
     c = Fraction(n - 2 + Fraction(2 * m - n) / (beta * m), p)
     c_int = _as_int(c, "c")
     disc = 1 + 8 * n
@@ -522,31 +539,6 @@ class CoverResult:
     params: tuple[int, int, int]
 
 
-def _root_exponent_step(frame: FrameMatrix, rep: ETFReport, p: int) -> int:
-    """The step with Gram(i, j) = zeta_p^(phase // step) for every pair i != j.
-
-    Gram(i, j) is a positive multiple of zeta_(m')^f, f its phase, m' =
-    lcm(2, m), and it equals zeta_p^e, e = f p / m', exactly when m'/p
-    divides f and the certified report says |Gram|^2 = 1.  The phases are
-    checked in row tiles; the witness is the first failing pair i < j.
-    """
-    m2 = lcm(2, frame.order)
-    if m2 % p:
-        raise ValueError(f"order-{frame.order} Gram values are not {p}-th roots of unity")
-    step = m2 // p
-    if rep.gram_abs_sq != 1:  # every pair misses; the first one is the witness
-        raise ValueError(f"Gram entry at (0,1) is not a {p}-th root of unity")
-    phase = frame.gram_pass.phase
-    for s in range(0, len(phase), _TILE):
-        tile = phase[s:s + _TILE, s:]
-        missing = (tile < 0) | (tile % step != 0)
-        missing[:, :len(tile)][np.tri(len(tile), dtype=bool)] = False
-        if missing.any():
-            i, j = np.unravel_index(missing.argmax(), missing.shape)
-            raise ValueError(f"Gram entry at ({s + i},{s + j}) is not a {p}-th root of unity")
-    return step
-
-
 def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     """Antipodal cover on N*p vertices from a frame with root-of-unity Gram.
 
@@ -555,11 +547,9 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     read off exactly.  The result must pass drackn_check.
     """
     require_prime(p)
-    rep = verify_etf(frame)
-    if not rep.is_etf:
-        raise CertificationError(f"input is not a certified ETF: {rep.witness}")
-    step = _root_exponent_step(frame, rep, p)
-    phase = frame.gram_pass.phase
+    rep, phase, step = _certified_phases(frame, p)
+    if rep.gram_abs_sq != 1:  # every pair misses; the first one is the witness
+        raise ValueError(f"Gram entry at (0,1) is not a {p}-th root of unity")
     n = frame.count
     # adj[i, a, j, b] iff the exponent of Gram(i, j) is (b - a) mod p; below the
     # diagonal this mirrors the upper half, as phase[j, i] is -phase[i, j]

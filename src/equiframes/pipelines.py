@@ -28,6 +28,7 @@ from equiframes.graphs import (
     SRGResult,
     drackn_cover,
     gs_srg,
+    require_prime,
     tremain_flat_functional,
     waldron_srg,
 )
@@ -137,6 +138,7 @@ def drackn_pipeline(
     h2: ButsonMatrix | None = None,
 ) -> tuple[FrameMatrix, CoverResult]:
     """Cover from a Tremain frame whose Gram entries are p-th roots of unity."""
+    require_prime(p)  # before any default input is chosen or any frame is built
     if p == 2:
         frame = build_tremain(h=h, h1=h1, h2=h2, real=True)
     else:

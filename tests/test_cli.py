@@ -7,11 +7,11 @@ from unittest import mock
 
 import pytest
 
-from equiframes.cli import main, parse_hadamard_spec
+from equiframes.cli import BUNDLED_H510, h510_path, main, parse_hadamard_spec
 from equiframes.designs import load_sts, verify_sts
 from equiframes.frames import load_frame_exact, verify_etf
 from equiframes.graphs import drackn_check, load_graph, srg_check
-from equiframes.hadamard import load_butson, verify_hadamard
+from equiframes.hadamard import fourier, load_butson, store_butson, verify_hadamard
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -245,11 +245,10 @@ h   M    N    n  r   c  n-rc            status
 
 
 @pytest.mark.parametrize("argv", list(PINNED_TABLES), ids=" ".join)
-def test_tables_output_is_pinned(capsys, monkeypatch, argv):
+def test_tables_output_is_pinned(capsys, argv):
     """Text output byte for byte; the JSON output is the same rows, keyed by
     the header, printed with indent 2.  --p 5 certifies from the bundled
     H(5,10); --p 7 has no H(7,14) input."""
-    monkeypatch.delenv("EQUIFRAMES_H510", raising=False)
     text = PINNED_TABLES[argv]
     assert run(capsys, "tables", *argv) == (0, text)
     header, *lines = [line.split() for line in text.splitlines()]
@@ -270,6 +269,59 @@ def test_tables_drackn_refuses_a_p_with_no_cover_row(capsys, p, message):
     assert main(["tables", "drackn", "--p", str(p)]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"configuration error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, table", [
+    (("srg1",), "srg1"),
+    (("srg2", "--row-budget", "0"), "srg2"),
+    (("drackn", "--p", "2", "--row-budget", "2"), "drackn --p 2"),
+], ids=["srg1", "srg2", "drackn-p2"])
+def test_tables_refuse_a_second_hadamard_file_no_row_reads(capsys, tmp_path, argv, table):
+    """A missing file too: the option is refused before any row is computed."""
+    missing = tmp_path / "missing.txt"
+    assert main(["tables", *argv, "--hadamard-file2", str(missing)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "configuration error: --hadamard-file2 is read by no row "
+                              f"of tables {table}\n")
+
+
+def test_tables_odd_p_reads_the_second_hadamard_file(capsys, tmp_path):
+    """--p 5 certifies its row from the given file; --p 7 fails to read a
+    missing one (exit 3)."""
+    bundled = h510_path()
+    assert run(capsys, "tables", "drackn", "--p", "5", "--hadamard-file2", str(bundled)) \
+        == (0, PINNED_TABLES[("drackn", "--p", "5")])
+    assert main(["tables", "drackn", "--p", "7", "--hadamard-file2",
+                 str(tmp_path / "missing.txt")]) == 3
+
+
+@pytest.mark.parametrize("with_files", [False, True])
+def test_derive_drackn_refuses_a_composite_p_before_building(tmp_path, capsys, with_files):
+    """p = 4 is refused as p, not as a missing H(4,8), and no frame is built
+    even when both Hadamard files are given."""
+    files = []
+    if with_files:
+        for flag, n in (("--hadamard-file1", 4), ("--hadamard-file2", 8)):
+            path = tmp_path / f"fourier{n}.txt"
+            store_butson(path, fourier(n))
+            files += [flag, str(path)]
+    refuse = mock.Mock(side_effect=AssertionError("built before refusing"))
+    with mock.patch("equiframes.pipelines.build_tremain", refuse):
+        code = main(["--out", str(tmp_path), "derive", "drackn", "--h", "4", "--p", "4", *files])
+    assert code == 1
+    assert capsys.readouterr().err == "configuration error: p must equal a prime, got 4\n"
+    refuse.assert_not_called()
+
+
+def test_h510_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    """The cover's second input comes only from the command line or the
+    bundled file: a variable naming a missing file changes nothing."""
+    monkeypatch.setenv("EQUIFRAMES_H510", str(tmp_path / "missing.txt"))
+    assert h510_path() == BUNDLED_H510
+    code, out = run(capsys, "--json", "--out", str(tmp_path), "derive",
+                    "drackn", "--h", "5", "--p", "5")
+    assert code == 0
+    assert json.loads(out)["certified"] is True
 
 
 def test_exit_code_certification_failure(tmp_path, capsys):

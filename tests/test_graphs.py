@@ -551,6 +551,60 @@ def test_drackn_cover_rejects_non_unit_gram():
         drackn_cover(scaled, 2)
 
 
+@pytest.mark.parametrize("tile", [1, 7, graphs_module._TILE])
+def test_drackn_cover_names_the_first_phase_pair_before_the_modulus(tile):
+    """An ETF whose Gram values have modulus 4, not 1, and whose phases also
+    miss the 5-th roots: the witness is the first pair the phase scan fails."""
+    f = build_tremain(v=9)
+    scaled = dataclasses.replace(f, planes=2 * f.planes)
+    assert verify_etf(scaled).is_etf and verify_etf(scaled).gram_abs_sq == 16
+    with tiled(tile), pytest.raises(
+            ValueError, match=r"^Gram entry at \(0,46\) is not a 5-th root of unity$"):
+        drackn_cover(scaled, 5)
+
+
+@lru_cache(maxsize=None)
+def _parallel_frame(h):
+    return build_tremain(h=h, parallel=True, real=True)
+
+
+PHASE_BUILDERS = {
+    "waldron": waldron_srg,
+    "gs": lambda f: gs_srg(f, tremain_flat_functional(_parallel_frame(2))),
+    "drackn": lambda f: drackn_cover(f, 2),
+}
+
+
+@pytest.mark.parametrize("builder", list(PHASE_BUILDERS))
+def test_phase_builders_refuse_a_non_etf_with_one_witness(builder):
+    f = _parallel_frame(2)
+    planes = f.planes.copy()
+    planes[:, :, 3] *= 2  # column 3's norm is four times the others'
+    broken = dataclasses.replace(f, planes=planes)
+    assert verify_etf(broken).witness == "norms differ at columns 0 and 3"
+    with pytest.raises(CertificationError,
+                       match=r"^input is not a certified ETF: norms differ at columns 0 and 3$"):
+        PHASE_BUILDERS[builder](broken)
+
+
+@pytest.mark.parametrize("h", [2, 8])
+def test_real_gram_over_root_order_4_gives_the_same_graphs(h):
+    """The real frame written over the 4th roots of unity (planes [X, 0]):
+    its Gram values are the same reals, so the sign graphs, their
+    convention and the p = 2 cover are too."""
+    real = _parallel_frame(h)
+    four = dataclasses.replace(real, planes=np.stack([real.planes[0], 0 * real.planes[0]]),
+                               order=4)
+    assert not four.is_real_rational()
+    functional = tremain_flat_functional(real)
+    for build in (waldron_srg, lambda f: gs_srg(f, functional)):
+        want, got = build(real), build(four)
+        assert np.array_equal(got.graph.adj, want.graph.adj)
+        assert (got.params, got.convention) == (want.params, want.convention)
+    want, got = drackn_cover(real, 2), drackn_cover(four, 2)
+    assert np.array_equal(got.graph.adj, want.graph.adj) and got.params == want.params
+
+
 def mask_graph6_bytes(g):
     """The whole-matrix graph6 writer the streamed one replaced: the reference."""
     n = g.order
