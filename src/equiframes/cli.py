@@ -37,6 +37,7 @@ from equiframes.graphs import (
 )
 from equiframes.hadamard import (
     ButsonMatrix,
+    NotHadamardError,
     fourier,
     kronecker,
     load_butson,
@@ -111,10 +112,8 @@ def parse_hadamard_spec(spec: str, seed: int = 0) -> ButsonMatrix:
 def load_hadamard_file(path: str) -> ButsonMatrix:
     try:
         return load_butson(path)
-    except ValueError as exc:
-        if "not a Hadamard" in str(exc):
-            raise CertificationError(str(exc)) from exc
-        raise ConfigError(str(exc)) from exc
+    except NotHadamardError as exc:
+        raise CertificationError(str(exc)) from exc
 
 
 def emit(report: dict, as_json: bool) -> None:
@@ -152,12 +151,10 @@ def cmd_make_sts(args) -> int:
 
 
 def cmd_make_hadamard(args) -> int:
-    if args.hadamard_file:
+    if args.hadamard_file is not None:
         h = load_hadamard_file(args.hadamard_file)
-    elif args.spec:
-        h = parse_hadamard_spec(args.spec, args.seed)
     else:
-        raise ConfigError("give --spec or --hadamard-file")
+        h = parse_hadamard_spec(args.spec, args.seed)
     rep = verify_hadamard(h)
     if not rep.ok:
         raise CertificationError(f"Hadamard check failed at rows {rep.failure}")
@@ -165,10 +162,7 @@ def cmd_make_hadamard(args) -> int:
         h = normalize(h)
     path = _out_dir(args) / f"butson_n{h.order}_q{h.root_order}.txt"
     store_butson(path, h)
-    emit(
-        {"command": "make hadamard", "artifact": str(path), **rep.to_dict()},
-        args.json,
-    )
+    emit({"command": "make hadamard", "artifact": str(path), **rep.to_dict()}, args.json)
     return 0
 
 
@@ -176,41 +170,36 @@ def _load_slot(path: str | None) -> ButsonMatrix | None:
     return load_hadamard_file(path) if path else None
 
 
-def cmd_make_etf(args) -> int:
-    h1 = _load_slot(args.hadamard_file1)
-    if args.kind == "steiner":
-        if args.V is None:
-            raise ConfigError("steiner frames need --V")
-        frame = build_steiner(args.V, h1=h1, row1=args.remove_row1)
-        name = f"steiner_v{args.V}"
-    else:
-        if args.real and args.h is None:
-            raise ConfigError("--real qualifies --h")
-        h2 = _load_slot(args.hadamard_file2)
-        frame = build_tremain(
-            v=args.V,
-            h=args.h,
-            h1=h1,
-            h2=h2,
-            row1=args.remove_row1,
-            row2=args.remove_row2,
-            parallel=args.parallel_class,
-            real=args.real,
-        )
-        name = f"tremain_h{args.h}" if args.h is not None else f"tremain_v{args.V}"
-    rep = verify_etf(frame, mode=args.mode, tol=args.tol)
-    out = _out_dir(args)
-    if args.format == "csv":
-        path = out / f"{name}.csv"
-        store_frame_csv(path, frame)
-    else:
-        path = out / f"{name}.etf"
-        store_frame_exact(path, frame)
-    emit(
-        {"command": f"make etf {args.kind}", "artifact": str(path),
-         **rep.to_dict()},
-        args.json,
+def cmd_make_etf_steiner(args) -> int:
+    frame = build_steiner(args.V, h1=_load_slot(args.hadamard_file1), row1=args.remove_row1)
+    return _certify_frame(args, frame, f"steiner_v{args.V}")
+
+
+def cmd_make_etf_tremain(args) -> int:
+    if args.real and args.h is None:
+        raise ConfigError("--real qualifies --h")
+    frame = build_tremain(
+        v=args.V,
+        h=args.h,
+        h1=_load_slot(args.hadamard_file1),
+        h2=_load_slot(args.hadamard_file2),
+        row1=args.remove_row1,
+        row2=args.remove_row2,
+        parallel=args.parallel_class,
+        real=args.real,
     )
+    name = f"tremain_h{args.h}" if args.h is not None else f"tremain_v{args.V}"
+    return _certify_frame(args, frame, name)
+
+
+def _certify_frame(args, frame, name: str) -> int:
+    """Verify, write in --format and report; exit 2 after writing a non-ETF."""
+    rep = verify_etf(frame, mode=args.mode, tol=args.tol)
+    store, suffix = (store_frame_csv, "csv") if args.format == "csv" else (store_frame_exact, "etf")
+    path = _out_dir(args) / f"{name}.{suffix}"
+    store(path, frame)
+    emit({"command": f"make etf {args.kind}", "artifact": str(path), **rep.to_dict()},
+         args.json)
     if not rep.is_etf:
         raise CertificationError(rep.witness or "frame failed ETF certification")
     return 0
@@ -239,6 +228,7 @@ def certify_srg(kind: str, h: int):
 
 def certify_cover(h: int, p: int, file1: str | None, file2: str | None) -> CoverResult:
     """Build, count and compare with the closed form (N, p, c)."""
+    require_prime(p)  # before either Hadamard file is read
     frame, cov = drackn_pipeline(h, p, h1=_load_slot(file1),
                                  h2=_load_slot(_second_hadamard_file(h, p, file2)))
     formula = (frame.count, p, drackn_params(frame.dim, frame.count, p))
@@ -248,8 +238,6 @@ def certify_cover(h: int, p: int, file1: str | None, file2: str | None) -> Cover
 
 
 def cmd_derive_srg(args) -> int:
-    if args.h is None:
-        raise ConfigError("srg derivation needs --h")
     frame, res, formula = certify_srg(args.kind, args.h)
     path = _out_dir(args) / f"srg_{args.kind}_h{args.h}.g6"
     export_graph(path, res.graph)
@@ -264,8 +252,6 @@ def cmd_derive_srg(args) -> int:
 
 
 def cmd_derive_drackn(args) -> int:
-    if args.h is None:
-        raise ConfigError("drackn derivation needs --h")
     cov = certify_cover(args.h, args.p, args.hadamard_file1, args.hadamard_file2)
     n, r, c = cov.params
     path = _out_dir(args) / f"drackn_h{args.h}_p{args.p}.edges"
@@ -288,31 +274,8 @@ def _predicted_seconds(vertices: int) -> float:
     return 12.0 * (vertices / 2000.0) ** 3 + 1.0
 
 
-def _table(which: str, p: int, file2: str | None):
-    """The rows h, the closed form (M, N) -> (cells, vertices) and the
-    certifier h -> status of one table."""
-    if file2 is not None and (which != "drackn" or p == 2):  # only an odd p's row reads it
-        table = f"drackn --p {p}" if which == "drackn" else which
-        raise ConfigError(f"--hadamard-file2 is read by no row of tables {table}")
-    if which == "drackn":
-        require_prime(p)
-        if p % 3 == 0:  # an odd p has the one row h = p
-            raise ConfigError(f"--p {p} asks for the row h = {p}, and no Tremain frame "
-                              f"has h = 0 (mod 3)")
-
-        def closed(m, n):
-            c = drackn_params(m, n, p)
-            return {"n": n, "r": p, "c": c, "n-rc": n - p * c}, n * p
-
-        def certify(h):
-            src = _second_hadamard_file(h, p, file2)
-            if p != 2 and src is None:
-                return "no-H(p,2p)-input"
-            certify_cover(h, p, None, src)
-            return "certified"
-
-        return DRACKN_ROWS if p == 2 else (p,), closed, certify
-    kind, hs = ("waldron", SRG1_ROWS) if which == "srg1" else ("gs", SRG2_ROWS)
+def cmd_tables_srg(args) -> int:
+    kind, hs = ("waldron", SRG1_ROWS) if args.which == "srg1" else ("gs", SRG2_ROWS)
 
     def closed(m, n):
         f = _srg_formula(kind, m, n)
@@ -322,11 +285,35 @@ def _table(which: str, p: int, file2: str | None):
         certify_srg(kind, h)
         return "certified"
 
-    return hs, closed, certify
+    return _print_table(args, hs, closed, certify)
 
 
-def cmd_tables(args) -> int:
-    hs, closed, certify = _table(args.which, args.p, args.hadamard_file2)
+def cmd_tables_drackn(args) -> int:
+    p, file2 = args.p, args.hadamard_file2
+    if file2 is not None and p == 2:  # only an odd p's row reads it
+        raise ConfigError("--hadamard-file2 is read by no row of tables drackn --p 2")
+    require_prime(p)
+    if p % 3 == 0:  # an odd p has the one row h = p
+        raise ConfigError(f"--p {p} asks for the row h = {p}, and no Tremain frame "
+                          f"has h = 0 (mod 3)")
+
+    def closed(m, n):
+        c = drackn_params(m, n, p)
+        return {"n": n, "r": p, "c": c, "n-rc": n - p * c}, n * p
+
+    def certify(h):
+        src = _second_hadamard_file(h, p, file2)
+        if p != 2 and src is None:
+            return "no-H(p,2p)-input"
+        certify_cover(h, p, None, src)
+        return "certified"
+
+    return _print_table(args, DRACKN_ROWS if p == 2 else (p,), closed, certify)
+
+
+def _print_table(args, hs, closed, certify) -> int:
+    """One row per h: the closed form's cells (M, N) -> (cells, vertices), and
+    the certifier's status when the row fits the --row-budget."""
     rows = []
     for h in hs:
         m, n = tremain_params(h=h)
@@ -361,75 +348,76 @@ def _add_globals(parser: argparse.ArgumentParser, leaf: bool) -> None:
                         default=dflt(False), help="emit JSON reports")
     parser.add_argument("--out", default=dflt(None),
                         help="output directory (default: $EQUIFRAMES_OUT or .)")
-    parser.add_argument("--mode", choices=("exact", "float"), default=dflt("exact"))
-    parser.add_argument("--tol", type=float, default=dflt(1e-10))
     parser.add_argument("--seed", type=int, default=dflt(0))
 
 
 def build_parser() -> _Parser:
+    """Each leaf command declares exactly the options its handler reads; only
+    --json, --out and --seed are global, before the command or after a leaf."""
     parser = _Parser(prog="equiframes", description=__doc__)
     _add_globals(parser, leaf=False)
+    common = argparse.ArgumentParser(add_help=False)
+    _add_globals(common, leaf=True)
+
+    def branch(parent, name, dest, **kw):
+        return parent.add_parser(name, **kw).add_subparsers(dest=dest, required=True)
+
+    def leaf(parent, name, func, parents=()):
+        p = parent.add_parser(name, parents=[*parents, common])
+        p.set_defaults(func=func)
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    mk = sub.add_parser("make", help="construct and certify an artifact")
-    mk_sub = mk.add_subparsers(dest="what", required=True)
-
-    mk_sts = mk_sub.add_parser("sts")
+    mk = branch(sub, "make", "what", help="construct and certify an artifact")
+    mk_sts = leaf(mk, "sts", cmd_make_sts)
     mk_sts.add_argument("--V", type=int, required=True)
     mk_sts.add_argument("--parallel-class", action="store_true",
                         help="also find and write a parallel class")
-    _add_globals(mk_sts, leaf=True)
-    mk_sts.set_defaults(func=cmd_make_sts)
 
-    mk_had = mk_sub.add_parser("hadamard")
-    mk_had.add_argument("--spec", default=None,
-                        help="sylvester:K | paley:Q | fourier:N | real:N | "
-                             "search:N:Q | kron(A,B)")
-    mk_had.add_argument("--hadamard-file", default=None)
+    mk_had = leaf(mk, "hadamard", cmd_make_hadamard)
+    source = mk_had.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", help="sylvester:K | paley:Q | fourier:N | real:N | "
+                                       "search:N:Q | kron(A,B)")
+    source.add_argument("--hadamard-file")
     mk_had.add_argument("--normalize", action="store_true")
-    _add_globals(mk_had, leaf=True)
-    mk_had.set_defaults(func=cmd_make_hadamard)
 
-    mk_etf = mk_sub.add_parser("etf")
-    mk_etf.add_argument("kind", choices=("steiner", "tremain"))
-    mk_etf.add_argument("--V", type=int, default=None)
-    mk_etf.add_argument("--h", type=int, default=None)
-    mk_etf.add_argument("--real", action="store_true",
-                        help="real family parametrized by --h")
-    mk_etf.add_argument("--hadamard-file1", default=None)
-    mk_etf.add_argument("--hadamard-file2", default=None)
-    mk_etf.add_argument("--remove-row1", type=int, default=None)
-    mk_etf.add_argument("--remove-row2", type=int, default=None)
-    mk_etf.add_argument("--parallel-class", action="store_true")
-    mk_etf.add_argument("--format", choices=("exact", "csv"), default="exact")
-    _add_globals(mk_etf, leaf=True)
-    mk_etf.set_defaults(func=cmd_make_etf)
+    etf = argparse.ArgumentParser(add_help=False)
+    etf.add_argument("--hadamard-file1")
+    etf.add_argument("--remove-row1", type=int)
+    etf.add_argument("--format", choices=("exact", "csv"), default="exact")
+    etf.add_argument("--mode", choices=("exact", "float"), default="exact")
+    etf.add_argument("--tol", type=float, default=1e-10)
+    mk_etf = branch(mk, "etf", "kind")
+    steiner = leaf(mk_etf, "steiner", cmd_make_etf_steiner, [etf])
+    steiner.add_argument("--V", type=int, required=True)
+    tremain = leaf(mk_etf, "tremain", cmd_make_etf_tremain, [etf])
+    size = tremain.add_mutually_exclusive_group(required=True)
+    size.add_argument("--V", type=int)
+    size.add_argument("--h", type=int)
+    tremain.add_argument("--real", action="store_true", help="real family parametrized by --h")
+    tremain.add_argument("--hadamard-file2")
+    tremain.add_argument("--remove-row2", type=int)
+    tremain.add_argument("--parallel-class", action="store_true")
 
-    dv = sub.add_parser("derive", help="derive and certify a graph")
-    dv_sub = dv.add_subparsers(dest="what", required=True)
-
-    dv_srg = dv_sub.add_parser("srg")
-    dv_srg.add_argument("kind", choices=("waldron", "gs"))
-    dv_srg.add_argument("--h", type=int, default=None)
-    _add_globals(dv_srg, leaf=True)
-    dv_srg.set_defaults(func=cmd_derive_srg)
-
-    dv_dr = dv_sub.add_parser("drackn")
-    dv_dr.add_argument("--h", type=int, default=None)
+    dv = branch(sub, "derive", "what", help="derive and certify a graph")
+    dv_srg = branch(dv, "srg", "kind")
+    for kind in ("waldron", "gs"):
+        leaf(dv_srg, kind, cmd_derive_srg).add_argument("--h", type=int, required=True)
+    dv_dr = leaf(dv, "drackn", cmd_derive_drackn)
+    dv_dr.add_argument("--h", type=int, required=True)
     dv_dr.add_argument("--p", type=int, required=True)
-    dv_dr.add_argument("--hadamard-file1", default=None)
-    dv_dr.add_argument("--hadamard-file2", default=None)
-    _add_globals(dv_dr, leaf=True)
-    dv_dr.set_defaults(func=cmd_derive_drackn)
+    dv_dr.add_argument("--hadamard-file1")
+    dv_dr.add_argument("--hadamard-file2")
 
-    tb = sub.add_parser("tables", help="recompute a parameter table")
-    tb.add_argument("which", choices=("srg1", "srg2", "drackn"))
-    tb.add_argument("--row-budget", type=float, default=60.0,
-                    help="per-row certification time budget in seconds")
-    tb.add_argument("--p", type=int, default=2)
-    tb.add_argument("--hadamard-file2", default=None)
-    _add_globals(tb, leaf=True)
-    tb.set_defaults(func=cmd_tables)
+    tb = branch(sub, "tables", "which", help="recompute a parameter table")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--row-budget", type=float, default=60.0,
+                        help="per-row certification time budget in seconds")
+    for which in ("srg1", "srg2"):
+        leaf(tb, which, cmd_tables_srg, [budget])
+    tb_dr = leaf(tb, "drackn", cmd_tables_drackn, [budget])
+    tb_dr.add_argument("--p", type=int, default=2)
+    tb_dr.add_argument("--hadamard-file2")
 
     return parser
 

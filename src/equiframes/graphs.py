@@ -434,6 +434,12 @@ class FiberPartition:
     def fiber_size(self) -> int:
         return len(self.fibers[0])
 
+    @classmethod
+    def blocks(cls, order: int, size: int) -> FiberPartition:
+        """Consecutive blocks of ``size`` vertices: the one partition an edge
+        list's ``p`` line can describe."""
+        return cls(tuple(tuple(range(i, i + size)) for i in range(0, order, size)))
+
 
 @dataclass(frozen=True)
 class DracknCertificate:
@@ -561,7 +567,7 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     adj[np.arange(n), :, np.arange(n)] = False  # no edges inside a fiber
     adj.shape = (n * p, n * p)
     g = Graph(adj)
-    fibers = FiberPartition(tuple(tuple(range(i * p, i * p + p)) for i in range(n)))
+    fibers = FiberPartition.blocks(n * p, p)
     cert = drackn_check(g, fibers)
     if not cert.ok:
         raise CertificationError(f"cover failed certification: {cert.witness}")
@@ -653,7 +659,11 @@ def export_graph(
     fmt: str = "graph6",
     fibers: FiberPartition | None = None,
 ) -> None:
-    """graph6 (standard bit packing) or edge list with n/p header lines."""
+    """graph6 (standard bit packing) or edge list with n/p header lines.
+
+    The ``p`` line records only the fiber size, so the edge list refuses
+    any partition other than consecutive blocks before opening the file.
+    """
     path = Path(path)
     if fmt == "graph6":
         head = _graph6_header(g.order)
@@ -663,6 +673,9 @@ def export_graph(
             fh.write(b"\n")
     elif fmt == "edges":
         n = g.order
+        if fibers is not None and fibers != FiberPartition.blocks(n, fibers.fiber_size):
+            raise ValueError(f"an edge list records only consecutive fibers of "
+                             f"{fibers.fiber_size} of its {n} vertices")
         # one "u " and one "v\n" label per vertex; each tile's lines interleave them
         heads = np.array([f"{u} " for u in range(n)], dtype=object)
         tails = np.array([f"{v}\n" for v in range(n)], dtype=object)
@@ -714,7 +727,7 @@ def _edge_list_parse(data: bytes) -> tuple[Graph, FiberPartition | None]:
         return g, None
     if size < 1 or order % size:
         raise ValueError(f"fiber size {size} does not split {order} vertices")
-    return g, FiberPartition(tuple(tuple(range(i, i + size)) for i in range(0, order, size)))
+    return g, FiberPartition.blocks(order, size)
 
 
 def _count_field(token: str, what: str) -> int:

@@ -190,8 +190,13 @@ def store_butson(path: str | Path, h: ButsonMatrix) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+class NotHadamardError(ValueError):
+    """A Butson file that parses but whose table is not Hadamard."""
+
+
 def load_butson(path: str | Path) -> ButsonMatrix:
-    """Parse and exactly verify a Butson exponent file; raises ValueError naming the file."""
+    """Parse and exactly verify a Butson exponent file; raises ValueError naming
+    the file, NotHadamardError when the table parses but is not Hadamard."""
     try:
         raw = [ln for ln in Path(path).read_text().split("\n") if ln.strip()]
         if not raw:
@@ -220,10 +225,10 @@ def load_butson(path: str | Path) -> ButsonMatrix:
             rows.append(row)
         h = ButsonMatrix(n, q, rows)  # refuses exponents outside [0, q)
         rep = verify_hadamard(h)
-        if not rep.ok:
-            raise ValueError(f"not a Hadamard matrix (rows {rep.failure})")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if not rep.ok:
+        raise NotHadamardError(f"{path}: not a Hadamard matrix (rows {rep.failure})")
     return h
 
 

@@ -1,13 +1,17 @@
 """CLI surface: subcommands, exit codes, file outputs, determinism."""
 from __future__ import annotations
 
+import argparse
+import ast
 import json
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from equiframes.cli import BUNDLED_H510, h510_path, main, parse_hadamard_spec
+from equiframes import cli
+from equiframes.cli import BUNDLED_H510, build_parser, h510_path, main, parse_hadamard_spec
 from equiframes.designs import load_sts, verify_sts
 from equiframes.frames import load_frame_exact, verify_etf
 from equiframes.graphs import drackn_check, load_graph, srg_check
@@ -104,8 +108,9 @@ def test_make_etf_csv_format(tmp_path, capsys):
 
 
 def test_make_etf_float_mode(tmp_path, capsys):
-    code, out = run(capsys, "--json", "--out", str(tmp_path), "--mode", "float",
-                    "make", "etf", "tremain", "--V", "7")
+    """--mode is an option of make etf, given after the leaf."""
+    code, out = run(capsys, "--json", "--out", str(tmp_path),
+                    "make", "etf", "tremain", "--V", "7", "--mode", "float")
     assert code == 0
     rep = json.loads(out)
     assert rep["mode"] == "float"
@@ -271,18 +276,20 @@ def test_tables_drackn_refuses_a_p_with_no_cover_row(capsys, p, message):
     assert (out, err) == ("", f"configuration error: {message}\n")
 
 
-@pytest.mark.parametrize("argv, table", [
-    (("srg1",), "srg1"),
-    (("srg2", "--row-budget", "0"), "srg2"),
-    (("drackn", "--p", "2", "--row-budget", "2"), "drackn --p 2"),
+@pytest.mark.parametrize("argv, message", [
+    (("srg1",), "unrecognized arguments: --hadamard-file2 {missing}"),
+    (("srg2", "--row-budget", "0"), "unrecognized arguments: --hadamard-file2 {missing}"),
+    (("drackn", "--p", "2", "--row-budget", "2"),
+     "--hadamard-file2 is read by no row of tables drackn --p 2"),
 ], ids=["srg1", "srg2", "drackn-p2"])
-def test_tables_refuse_a_second_hadamard_file_no_row_reads(capsys, tmp_path, argv, table):
-    """A missing file too: the option is refused before any row is computed."""
+def test_tables_refuse_a_second_hadamard_file_no_row_reads(capsys, tmp_path, argv, message):
+    """A missing file too: the option is refused before any row is computed;
+    the SRG tables do not declare it, so the parser refuses it."""
     missing = tmp_path / "missing.txt"
     assert main(["tables", *argv, "--hadamard-file2", str(missing)]) == 1
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "configuration error: --hadamard-file2 is read by no row "
-                              f"of tables {table}\n")
+    assert out == ""
+    assert err.endswith(f"configuration error: {message.format(missing=missing)}\n")
 
 
 def test_tables_odd_p_reads_the_second_hadamard_file(capsys, tmp_path):
@@ -295,12 +302,14 @@ def test_tables_odd_p_reads_the_second_hadamard_file(capsys, tmp_path):
                  str(tmp_path / "missing.txt")]) == 3
 
 
-@pytest.mark.parametrize("with_files", [False, True])
+@pytest.mark.parametrize("with_files", [False, True, "missing"])
 def test_derive_drackn_refuses_a_composite_p_before_building(tmp_path, capsys, with_files):
     """p = 4 is refused as p, not as a missing H(4,8), and no frame is built
-    even when both Hadamard files are given."""
+    even when both Hadamard files are given; a missing file is never read."""
     files = []
-    if with_files:
+    if with_files == "missing":
+        files = ["--hadamard-file1", str(tmp_path / "missing.txt")]
+    elif with_files:
         for flag, n in (("--hadamard-file1", 4), ("--hadamard-file2", 8)):
             path = tmp_path / f"fourier{n}.txt"
             store_butson(path, fourier(n))
@@ -342,6 +351,88 @@ def test_exit_code_bad_usage():
     assert main(["make", "etf", "tremain"]) == 1  # neither --V nor --h
     assert main(["derive", "srg", "nonsense", "--h", "2"]) == 1
     assert main(["--threads", "2", "derive", "srg", "gs", "--h", "2"]) == 1  # removed flag
+
+
+@pytest.mark.parametrize("text, code, prefix", [
+    ("2 2\n0 0\n", 1, "configuration error"),
+    ("2 2\n0 0\n0 0\n", 2, "certification failure"),
+], ids=["truncated", "not-hadamard"])
+def test_butson_file_exit_code_does_not_depend_on_its_path(tmp_path, capsys, text, code, prefix):
+    """A malformed file exits 1 and a table that is not Hadamard exits 2, even
+    under a directory named like the not-Hadamard message."""
+    path = tmp_path / "not a Hadamard" / "h.txt"
+    path.parent.mkdir()
+    path.write_text(text)
+    assert main(["--out", str(tmp_path / "out"), "make", "hadamard",
+                 "--hadamard-file", str(path)]) == code
+    assert capsys.readouterr().err.startswith(f"{prefix}: {path}: ")
+
+
+GLOBALS = {"help", "json", "out", "seed"}
+CLI_FUNCTIONS = {node.name: node for node in ast.parse(Path(cli.__file__).read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+
+
+def _leaves(parser, words=()):
+    """(command words, parser) of every leaf command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, (*words, name))
+
+
+def _args_read(name: str, seen: set) -> set:
+    """Every ``args.<name>`` read in cli function ``name`` and in the cli
+    functions it passes ``args`` to."""
+    seen.add(name)
+    read = set()
+    for node in ast.walk(CLI_FUNCTIONS[name]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in CLI_FUNCTIONS
+              and node.func.id not in seen
+              and any(getattr(arg, "id", None) == "args" for arg in node.args)):
+            read |= _args_read(node.func.id, seen)
+    return read
+
+
+def test_every_option_of_a_command_is_read_by_its_handler():
+    """No option is accepted and then ignored: each leaf declares only the
+    options its handler reads (the globals --json, --out and --seed aside)."""
+    leaves = dict(_leaves(build_parser()))
+    assert len(leaves) == 10
+    unread = [(words, action.option_strings[0])
+              for words, leaf in leaves.items()
+              for action in leaf._actions
+              if action.option_strings and action.dest not in GLOBALS
+              and action.dest not in _args_read(leaf.get_default("func").__name__, set())]
+    assert not unread
+
+
+REFUSED = [
+    ("derive", "srg", "gs", "--h", "2", "--mode", "float"),
+    ("derive", "drackn", "--h", "2", "--p", "2", "--tol", "1"),
+    ("make", "sts", "--V", "9", "--mode", "float"),
+    *[("make", "etf", "steiner", "--V", "7", *extra) for extra in (
+        ("--h", "2"), ("--real",), ("--hadamard-file2", "F"), ("--remove-row2", "1"),
+        ("--parallel-class",))],
+    ("tables", "srg1", "--p", "5"),
+    ("tables", "srg2", "--hadamard-file2", "F"),
+    ("make", "hadamard", "--spec", "fourier:3", "--hadamard-file", "F"),
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_an_option_the_command_does_not_read_is_refused(tmp_path, capsys, argv):
+    """Exit 1, nothing on stdout and no file written; F is a valid H(3,3)."""
+    given = tmp_path / "fourier3.txt"
+    store_butson(given, fourier(3))
+    argv = [str(given) if word == "F" else word for word in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == [given]
 
 
 def test_env_var_output_dir(tmp_path, capsys, monkeypatch):

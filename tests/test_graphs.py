@@ -665,6 +665,19 @@ def test_edge_list_roundtrip_with_fibers(tmp_path):
     assert drackn_check(loaded, fibers).ok
 
 
+def test_edge_list_refuses_fibers_it_cannot_record(tmp_path):
+    """The p line records only a fiber size, so a certified cover whose
+    fibers are not consecutive blocks is refused before the file is opened
+    (it would reload with fibers {0,1},{2,3}, an edge inside fiber 0)."""
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    fibers = FiberPartition(((0, 2), (1, 3)))
+    assert drackn_check(g, fibers).params == (2, 2, 0)
+    path = tmp_path / "cover.edges"
+    with pytest.raises(ValueError, match="only consecutive fibers of 2 of its 4 vertices"):
+        export_graph(path, g, fmt="edges", fibers=fibers)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("name, text", [
     ("huge.edges", "n 100000\n0 1\n"),
     ("huge.g6", "~" + "".join(chr(63 + (258047 >> k & 63)) for k in (12, 6, 0)) + "??\n"),
