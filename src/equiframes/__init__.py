@@ -30,7 +30,6 @@ from equiframes.frames import (
 )
 from equiframes.graphs import (
     CertificationError,
-    FiberPartition,
     Graph,
     SRGParams,
     drackn_check,
@@ -67,7 +66,7 @@ from equiframes.scalar import CycInt, ExtScalar, cyclotomic_poly
 
 __all__ = [
     "ButsonMatrix", "CertificationError", "CycInt", "ETFReport",
-    "EmbeddingAssignment", "ExtScalar", "FiberPartition", "FrameMatrix",
+    "EmbeddingAssignment", "ExtScalar", "FrameMatrix",
     "Graph", "SRGParams", "SteinerTripleSystem", "UnimodularSimplex",
     "bose", "build_steiner", "build_tremain", "cyclotomic_poly",
     "drackn_check", "drackn_cover", "drackn_params", "drackn_pipeline",

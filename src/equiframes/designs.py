@@ -89,7 +89,7 @@ def skolem(v: int) -> SteinerTripleSystem:
     fall into exactly one of the three block families below.
     """
     if v < 7 or v % 6 != 1:
-        raise ValueError(f"Skolem construction needs V = 1 (mod 6), got {v}")
+        raise ValueError(f"Skolem construction needs V = 1 (mod 6) and V >= 7, got {v}")
     n = (v - 1) // 6
     inf = v - 1
     two_n = 2 * n

@@ -131,8 +131,8 @@ def tremain_params(v: int | None = None, h: int | None = None) -> tuple[int, int
         if v < 3 or v % 6 not in (1, 3):
             raise ValueError(f"V must be 1 or 3 (mod 6) and >= 3, got {v}")
         return (v + 2) * (v + 3) // 6, (v + 1) * (v + 2) // 2
-    if h < 1 or h % 3 == 0:
-        raise ValueError(f"h must be 1 or 2 (mod 3) and >= 1, got {h}")
+    if h < 2 or h % 3 == 0:  # h = 1 would be V = 2h - 1 = 1, below the V >= 3 above
+        raise ValueError(f"h must be 1 or 2 (mod 3) and >= 2, got {h}")
     return (h + 1) * (2 * h + 1) // 3, h * (2 * h + 1)
 
 

@@ -2,13 +2,14 @@
 
 A matrix of order n with entries that are q-th roots of unity is its
 exponent table mod q, a read-only (n, n) int64 array; q = 2 is the real
-+-1 case, and q is at most scalar.MAX_ROOT_ORDER.  The builders are array
-expressions on that table.  ButsonMatrix compares by identity, as
-FrameMatrix does: compare two tables with np.array_equal.  The Hadamard
-property H H* = n I is checked exactly and for all row pairs at once: the
-table indexes root_coeffs(q) into integer planes, and the slot kernel
-multiplies them and reduces the products modulo the q-th cyclotomic
-polynomial.
++-1 case, q is at most scalar.MAX_ROOT_ORDER and n at most
+scalar.MAX_HADAMARD_ORDER, both checked before any table is made.  The
+builders are array expressions on that table.  ButsonMatrix compares by
+identity, as FrameMatrix does: compare two tables with np.array_equal.
+The Hadamard property H H* = n I is checked exactly and for all row pairs
+at once: the table indexes root_coeffs(q) into integer planes, and the
+slot kernel multiplies them and reduces the products modulo the q-th
+cyclotomic polynomial.
 """
 from __future__ import annotations
 
@@ -19,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from equiframes.scalar import MAX_ROOT_ORDER, _adopted, _hermitian_tiles, root_coeffs
+from equiframes.scalar import (
+    MAX_HADAMARD_ORDER,
+    MAX_ROOT_ORDER,
+    _adopted,
+    _hermitian_tiles,
+    root_coeffs,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,8 +42,7 @@ class ButsonMatrix:
 
     def __post_init__(self) -> None:
         n, q = self.order, self.root_order
-        if q > MAX_ROOT_ORDER:
-            raise ValueError(f"root order {q} exceeds the supported {MAX_ROOT_ORDER}")
+        _check_size(n, q)
         shape_error = ValueError(f"exponent table is not {n}x{n}")
         range_error = ValueError(f"exponents must lie in [0,{q})")
         try:
@@ -56,6 +62,14 @@ class ButsonMatrix:
 
     def is_real(self) -> bool:
         return self.root_order in (1, 2)
+
+
+def _check_size(n: int, q: int) -> None:
+    """Refuse an order or root order past its bound, before any table is made."""
+    if n > MAX_HADAMARD_ORDER:
+        raise ValueError(f"order {n} exceeds the supported {MAX_HADAMARD_ORDER}")
+    if q > MAX_ROOT_ORDER:
+        raise ValueError(f"root order {q} exceeds the supported {MAX_ROOT_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +117,8 @@ def sylvester(k: int) -> ButsonMatrix:
     """k-fold Kronecker power of the 2x2 sign matrix [[+,+],[+,-]]."""
     if k < 0:
         raise ValueError("Kronecker power must be non-negative")
+    if k >= MAX_HADAMARD_ORDER.bit_length():  # not 2**k: k may be huge
+        raise ValueError(f"order 2^{k} exceeds the supported {MAX_HADAMARD_ORDER}")
     # exponent of entry (i, j) is the parity of popcount(i & j)
     e = np.zeros((1, 1), dtype=np.int64)
     for _ in range(k):
@@ -120,6 +136,7 @@ def paley(q: int) -> ButsonMatrix:
     q = 3 (mod 4) gives order q + 1 via the skew conference matrix;
     q = 1 (mod 4) gives order 2(q + 1) via the symmetric one.
     """
+    _check_size(q + 1 if q % 4 == 3 else 2 * (q + 1), 2)  # first: the prime test is O(sqrt q)
     if q == 2 or not _is_prime(q):
         raise ValueError(f"Paley construction needs an odd prime, got {q}")
     chi = np.full(q, -1, dtype=np.int64)  # quadratic character of Z_q
@@ -143,12 +160,14 @@ def fourier(n: int) -> ButsonMatrix:
     """Character table of Z_n: exponent of entry (i, j) is i*j mod n."""
     if n < 1:
         raise ValueError("order must be positive")
+    _check_size(n, n)
     return ButsonMatrix(n, n, np.outer(np.arange(n), np.arange(n)) % n)
 
 
 def kronecker(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:
     """Kronecker product; the root order is the lcm of the factors'."""
     q = lcm(h1.root_order, h2.root_order)
+    _check_size(h1.order * h2.order, q)
     e1 = h1.exponents[:, None, :, None] * (q // h1.root_order)
     e2 = h2.exponents[None, :, None, :] * (q // h2.root_order)
     n = h1.order * h2.order
@@ -167,6 +186,7 @@ def real_hadamard(n: int) -> ButsonMatrix:
     Uses Sylvester for powers of two, Paley when n-1 (or n/2-1) is a
     suitable prime, and Kronecker doubling otherwise.
     """
+    _check_size(n, 2)
     if n == 1:
         return ButsonMatrix(1, 2, np.zeros((1, 1), dtype=np.int64))
     if n == 2:
@@ -210,8 +230,7 @@ def load_butson(path: str | Path) -> ButsonMatrix:
             raise ValueError(f"non-integer field in header {raw[0]!r}") from None
         if n < 1 or q < 1:
             raise ValueError(f"order and root order must be positive, got {n} {q}")
-        if q > MAX_ROOT_ORDER:
-            raise ValueError(f"root order {q} exceeds the supported {MAX_ROOT_ORDER}")
+        _check_size(n, q)
         if len(raw) != n + 1:
             raise ValueError(f"expected {n} rows, found {len(raw) - 1}")
         rows = []
@@ -241,6 +260,9 @@ def search_butson(n: int, q: int, seed: int = 0, budget: int = 20000) -> ButsonM
     """
     if n < 2 or q < 2:
         raise ValueError("need n, q >= 2")
+    if n * n * max(n, q) > MAX_HADAMARD_ORDER**2:  # the diff and counts tables below
+        raise ValueError(f"search tables of {n}x{n}x{max(n, q)} entries exceed an "
+                         f"order-{MAX_HADAMARD_ORDER} table's {MAX_HADAMARD_ORDER}^2")
     roots = root_coeffs(q)
     rng = random.Random(seed)
     vertices = np.arange(n)

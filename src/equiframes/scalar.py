@@ -79,6 +79,11 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 # cyclotomic_poly and the root table cost time that no certifiable input needs.
 MAX_ROOT_ORDER = 1024
 
+# Largest order of a Butson matrix: the builders and the loader's header refuse
+# a larger one before making any table.  The pipelines need at most order 2h,
+# 256 at h = 128; an order-4096 int64 exponent table is already 128 MB.
+MAX_HADAMARD_ORDER = 4096
+
 
 @lru_cache(maxsize=None)
 def root_coeffs(m: int) -> np.ndarray:

@@ -87,6 +87,8 @@ def test_skolem_rejects_wrong_congruence():
     for v in (5, 9, 11):
         with pytest.raises(ValueError):
             skolem(v)
+    with pytest.raises(ValueError, match="V >= 7, got 1"):
+        skolem(1)
 
 
 # Frozen at first build; the constructions are deterministic, so any change

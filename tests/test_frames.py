@@ -115,6 +115,10 @@ def test_tremain_params_examples():
         tremain_params(v=5)
     with pytest.raises(ValueError):
         tremain_params(h=6)
+    # h = 1 is the frame at V = 2h - 1 = 1, which the V form refuses
+    for kw in ({"h": 1}, {"v": 1}):
+        with pytest.raises(ValueError, match=">= [23], got 1"):
+            tremain_params(**kw)
     with pytest.raises(ValueError):
         tremain_params()
 

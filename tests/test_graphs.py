@@ -17,7 +17,6 @@ from equiframes import graphs as graphs_module
 from equiframes.frames import verify_etf
 from equiframes.graphs import (
     CertificationError,
-    FiberPartition,
     Graph,
     SRGParams,
     drackn_check,
@@ -145,31 +144,30 @@ def reference_srg(g):
     return True, (n, deg[0], first.get("adjacent", 0), first.get("non-adjacent")), None
 
 
-def reference_drackn(g, fibers):
-    n_fibers, r = len(fibers.fibers), fibers.fiber_size
+def reference_drackn(g, r):
     if r < 2:
         return False, None, "fiber size must be at least 2"
-    if g.order != n_fibers * r:
+    if g.order % r:
         return False, None, "fibers do not cover the graph"
-    for fi, f in enumerate(fibers.fibers):
+    fibers = [range(f, f + r) for f in range(0, g.order, r)]
+    for fi, f in enumerate(fibers):
         for v in f:
             if any(g.has_edge(v, u) for u in f):
                 return False, None, f"edge inside fiber {fi} at vertex {v}"
-    for fi, f in enumerate(fibers.fibers):
-        for fj, other in enumerate(fibers.fibers):
+    for fi, f in enumerate(fibers):
+        for fj, other in enumerate(fibers):
             for v in f:
                 hits = sum(g.has_edge(v, u) for u in other)
                 if fi != fj and hits != 1:
                     return (False, None,
                             f"vertex {v} has {hits} neighbors in fiber {fj}, not 1")
-    fiber_of = {v: fi for fi, f in enumerate(fibers.fibers) for v in f}
     first, bad = reference_pairs(
-        g, lambda i, j: None if fiber_of[i] == fiber_of[j] or g.has_edge(i, j) else 1
+        g, lambda i, j: None if i // r == j // r or g.has_edge(i, j) else 1
     )
     if bad:
         return False, None, (f"non-adjacent pair ({bad[0]},{bad[1]}) has {bad[2]} "
                              f"common neighbors, expected {first[1]}")
-    return True, (n_fibers, r, first.get(1, 0)), None
+    return True, (len(fibers), r, first.get(1, 0)), None
 
 
 def outcome(cert):
@@ -246,13 +244,10 @@ def test_srg_check_matches_reference_on_edited_waldron_graphs(h, seed, swap, til
 
 @st.composite
 def fibered_graphs(draw):
-    """Random matchings between shuffled fibers, then up to two flipped pairs."""
+    """Random matchings between fibers, then up to two flipped pairs."""
     n_fibers, r = draw(st.integers(1, 7)), draw(st.integers(2, 4))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    verts = list(range(n_fibers * r))
-    if draw(st.booleans()):
-        rng.shuffle(verts)
-    fibers = [verts[f * r:(f + 1) * r] for f in range(n_fibers)]
+    fibers = [range(f * r, (f + 1) * r) for f in range(n_fibers)]
     edges = []
     for fi in range(n_fibers):
         for fj in range(fi + 1, n_fibers):
@@ -262,15 +257,15 @@ def fibered_graphs(draw):
     for _ in range(draw(st.integers(0, 2))):
         if g.order > 1:
             g = g.with_edge_flipped(*rng.sample(range(g.order), 2))
-    return g, FiberPartition(tuple(tuple(f) for f in fibers))
+    return g, r
 
 
 @settings(max_examples=150, deadline=None)
 @given(fibered_graphs(), tiles, blocks)
 def test_drackn_check_matches_reference_on_random_covers(case, tile, block):
-    g, fibers = case
+    g, r = case
     with tiled(tile, block):
-        assert outcome(drackn_check(g, fibers)) == reference_drackn(g, fibers)
+        assert outcome(drackn_check(g, r)) == reference_drackn(g, r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -523,10 +518,11 @@ def test_drackn_check_rejects_edge_removal():
 
 
 def test_drackn_check_rejects_fiber_size_one():
+    """Fiber size 1, and a fiber size that does not divide the order."""
     k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    fibers = FiberPartition(((0,), (1,), (2,)))
-    cert = drackn_check(k3, fibers)
-    assert not cert.ok and "fiber size" in cert.witness
+    for r, message in ((1, "fiber size must be at least 2"), (2, "fibers do not cover the graph")):
+        cert = drackn_check(k3, r)
+        assert not cert.ok and cert.witness == message
 
 
 def test_drackn_params():
@@ -665,19 +661,6 @@ def test_edge_list_roundtrip_with_fibers(tmp_path):
     assert drackn_check(loaded, fibers).ok
 
 
-def test_edge_list_refuses_fibers_it_cannot_record(tmp_path):
-    """The p line records only a fiber size, so a certified cover whose
-    fibers are not consecutive blocks is refused before the file is opened
-    (it would reload with fibers {0,1},{2,3}, an edge inside fiber 0)."""
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    fibers = FiberPartition(((0, 2), (1, 3)))
-    assert drackn_check(g, fibers).params == (2, 2, 0)
-    path = tmp_path / "cover.edges"
-    with pytest.raises(ValueError, match="only consecutive fibers of 2 of its 4 vertices"):
-        export_graph(path, g, fmt="edges", fibers=fibers)
-    assert not path.exists()
-
-
 @pytest.mark.parametrize("name, text", [
     ("huge.edges", "n 100000\n0 1\n"),
     ("huge.g6", "~" + "".join(chr(63 + (258047 >> k & 63)) for k in (12, 6, 0)) + "??\n"),
@@ -764,7 +747,7 @@ def _stored_edge_list(which):
         g, fibers = cov.graph, cov.fibers
     else:
         g, fibers = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), None
-    lines = [f"n {g.order}"] + ([f"p {fibers.fiber_size}"] if fibers else [])
+    lines = [f"n {g.order}"] + ([f"p {fibers}"] if fibers else [])
     return "\n".join(lines + [f"{u} {v}" for u, v in g.edges()]) + "\n"
 
 

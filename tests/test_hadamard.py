@@ -8,6 +8,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,13 @@ from equiframes.hadamard import (
     sylvester,
     verify_hadamard,
 )
-from equiframes.scalar import MAX_ROOT_ORDER, CycInt, _cyclic_product, root_coeffs
+from equiframes.scalar import (
+    MAX_HADAMARD_ORDER,
+    MAX_ROOT_ORDER,
+    CycInt,
+    _cyclic_product,
+    root_coeffs,
+)
 
 
 def numeric_gram_residual(h: ButsonMatrix) -> float:
@@ -312,6 +319,42 @@ def test_huge_root_order_is_refused_before_any_table(tmp_path, capsys):
 def test_largest_root_order_is_accepted():
     assert root_coeffs(MAX_ROOT_ORDER).shape == (MAX_ROOT_ORDER, MAX_ROOT_ORDER // 2)
     assert ButsonMatrix(1, MAX_ROOT_ORDER, ((0,),)).root_order == MAX_ROOT_ORDER
+
+
+# --- the order bound ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec, build, args", [
+    ("sylvester:16", sylvester, (16,)),
+    ("paley:19997", paley, (19997,)),
+    ("fourier:20000", fourier, (20000,)),
+    ("search:2000:2", search_butson, (2000, 2)),
+    ("kron(fourier:200,fourier:200)", kronecker, (fourier(200), fourier(200))),
+    ("real:8192", real_hadamard, (8192,)),
+])
+def test_an_order_past_the_bound_is_refused_before_any_table(tmp_path, capsys, spec, build,
+                                                             args):
+    """The builder raises ValueError having allocated under 1 MB, and the
+    CLI exits 1 naming the bound and writes nothing."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(MAX_HADAMARD_ORDER)):
+            build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert cli.main(["--out", str(tmp_path), "make", "hadamard", "--spec", spec]) == 1
+    assert str(MAX_HADAMARD_ORDER) in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_butson_header_past_the_order_bound_is_refused_before_the_rows(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{MAX_HADAMARD_ORDER + 1} 2\n0 0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: order {MAX_HADAMARD_ORDER + 1} "
+                                                   f"exceeds the supported {MAX_HADAMARD_ORDER}")):
+        load_butson(path)
 
 
 # --- loader fuzz --------------------------------------------------------------
