@@ -4,18 +4,18 @@ A frame is its row-graded integer planes: entry (r, j) is
 s_r * sum_a X[a, r, j] zeta_m^a / 2^k, with one surd s_r in {1, sqrt2,
 sqrt3, sqrt6} per row (row weight w_r = s_r^2), integer planes X of shape
 (phi(m), M, N) in the power basis (int8 when every coefficient fits, else
-int64), and one power of two.  The builders
-fill X by indexing a table of root-of-unity coefficients with the Hadamard
-exponent tables; the .etf reader and writer convert between planes and
-per-entry (a|b|c|d|k) tokens.  Simplices are exponent arrays too: the
-rows of a Butson matrix without the removed one, and that row as the
-Naimark complement.  Frames are stored unscaled: every vector of
-a Tremain frame has squared norm R + 2 and distinct vectors meet in a
-unimodular inner product, so the coherence of the unit-normalized family
-is 1/(R + 2), the Welch bound for these dimensions.  Verification
-recomputes the Gram matrix from the planes, and the frame operator when
-the Welch equality does not already prove tightness; it never trusts the
-construction.
+int64), and one power of two.  The builders fill X, refused past
+scalar._ARRAY_LIMIT_BYTES, by indexing a table of root-of-unity
+coefficients with the Hadamard exponent tables; the .etf reader and
+writer convert between planes and per-entry (a|b|c|d|k) tokens.
+Simplices are exponent arrays too: the rows of a Butson matrix without
+the removed one, and that row as the Naimark complement.  Frames are
+stored unscaled: every vector of a Tremain frame has squared norm R + 2
+and distinct vectors meet in a unimodular inner product, so the
+coherence of the unit-normalized family is 1/(R + 2), the Welch bound
+for these dimensions.  Verification recomputes the Gram matrix from the
+planes, and the frame operator when the Welch equality does not already
+prove tightness; it never trusts the construction.
 
 Exact verification runs one kernel for real and complex frames: Gram
 entries are sum_{a,b} X_a^T diag(w) X_b zeta_m^(a-b) / 4^k, BLAS products
@@ -24,12 +24,13 @@ no surd left.  The products run in float32 when an a-priori bound on every
 slot sum is below 2^24 and in float64 below 2^52; past that the kernel
 raises ValueError.  Each row tile multiplies only the coordinates its
 vectors touch, converted to float tile by tile: no float copy of the
-planes is made.  The Gram is never held whole: one pass per frame walks
+planes is made.  The Gram is never held whole: one pass, _gram_pass, walks
 its upper triangle in row tiles, checks norms and moduli tile by tile and
-keeps one small integer per pair, the phase e with Gram(i, j) a positive
-rational multiple of zeta_(m')^e, m' = lcm(2, m) (-1 when there is none).
-Real frames compare |Gram| directly; complex ones compare |Gram|^2, the
-same slot products taken elementwise in int64.  The Gram, the frame
+returns the ETF report with one small integer per pair, the phase e with
+Gram(i, j) a positive rational multiple of zeta_(m')^e, m' = lcm(2, m) (-1
+when there is none); nothing is cached on the frame.  Real frames compare
+|Gram| directly; complex ones compare |Gram|^2, the same slot products
+taken elementwise in int64.  The Gram, the frame
 operator (also in row tiles) and the Naimark identity are one Hermitian
 product, scalar._hermitian_tiles; the flat functional's inner products
 are slot products too (scalar._cyclic_product).  FrameMatrix.entry and
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm, pi
 from pathlib import Path
 
@@ -59,6 +59,7 @@ from equiframes.scalar import (
     _adopted,
     _cyclic_product,
     _hermitian_tiles,
+    _refuse_array,
     _unit_roots,
     cyclotomic_poly,
     root_coeffs,
@@ -210,11 +211,6 @@ class FrameMatrix:
             self.order, [int(c) for c in self.planes[:, r, j]])
         return ExtScalar(*parts, k=self.k)
 
-    @cached_property
-    def gram_pass(self) -> GramPass:
-        """The one streaming pass over the exact Gram, made on first use."""
-        return _gram_pass(self)
-
     def to_complex_array(self) -> np.ndarray:
         """Entries as complex128, rounded exactly as ExtScalar.to_complex rounds."""
         roots = _unit_roots(self.order)
@@ -249,6 +245,13 @@ def _plane_dtype(*tables) -> type:
     return np.int8 if fits else np.int64
 
 
+def _zero_planes(shape: tuple[int, int, int], *tables) -> np.ndarray:
+    """Zero planes that hold the tables' values, refused past the array limit."""
+    dtype = _plane_dtype(*tables)
+    _refuse_array(shape, "plane array", np.dtype(dtype).itemsize)
+    return np.zeros(shape, dtype=dtype)
+
+
 def _embed_blocks(planes: np.ndarray, table: np.ndarray, emb: EmbeddingAssignment,
                   exps: np.ndarray) -> None:
     """Simplex vector s at point v is column v(R+1)+s; coordinate pos goes to
@@ -276,7 +279,7 @@ def steiner_etf(
     q = sim.source.root_order
     table = root_coeffs(q)
     b = sts.block_count
-    planes = np.zeros((table.shape[1], b, sts.num_points * (r + 1)), dtype=_plane_dtype(table))
+    planes = _zero_planes((table.shape[1], b, sts.num_points * (r + 1)), table)
     _embed_blocks(planes, table, emb, sim.exponents)
     return FrameMatrix(
         planes,
@@ -319,7 +322,7 @@ def tremain_etf(
     b = sts.block_count
     m = b + v_pts + 1
     first = v_pts * (r + 1)
-    planes = np.zeros((t1.shape[1], m, first + v_pts + 1), dtype=_plane_dtype(t1, t2))
+    planes = _zero_planes((t1.shape[1], m, first + v_pts + 1), t1, t2)
     points = b + np.arange(v_pts)
 
     _embed_blocks(planes, t1, emb, sim_r.exponents)
@@ -406,37 +409,28 @@ def _phase_dtype(m: int):
     return np.int8 if lcm(2, m) < 128 else np.int16
 
 
-@dataclass(frozen=True, eq=False)
-class GramPass:
-    """What one streaming pass over a frame's exact Gram keeps.
+def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
+    """The exact ETF report and the phases, from one walk over the Gram's
+    upper triangle in row tiles of _GRAM_TILE rows.
 
-    ``phase[i, j]`` is the e for which Gram(i, j) is a positive rational
-    multiple of zeta_(m')^e, m' = lcm(2, m), or -1 (a zero entry, say); for
-    a real frame 0 is positive and 1 negative.  ``norm`` and ``abs_sq`` are
-    the power-basis coefficients of Gram(0, 0) at scale 4^k and of
-    |Gram(0, 1)|^2 at scale 16^k.  The witnesses name the first column
-    whose norm differs from column 0's and the first pair (i, j), i < j in
-    row-major order, whose modulus differs from that of pair (0, 1).
+    ``phase[i, j]`` (read-only, int8, int16 past m' = 127) is the e for which
+    Gram(i, j) is a positive rational multiple of zeta_(m')^e, m' = lcm(2, m),
+    or -1 (a zero entry, say); for a real frame 0 is positive and 1 negative.
+    The witness is the first column whose norm differs from column 0's, else
+    the first pair (i, j), i < j in row-major order, whose modulus differs
+    from pair (0, 1)'s, else the frame operator's, computed only when the
+    Welch equality does not already prove tightness.
     """
-
-    phase: np.ndarray  # (N, N) int8 (int16 past m' = 127), read-only
-    norm: tuple[int, ...]
-    abs_sq: tuple[int, ...]
-    norm_witness: int | None
-    pair_witness: tuple[int, int] | None
-
-
-def _gram_pass(frame: FrameMatrix, tile: int | None = None) -> GramPass:
-    """Walk the Gram's upper triangle in row tiles (default _GRAM_TILE); keep
-    only what GramPass holds."""
     n, m = frame.count, frame.order
-    tile = tile or _GRAM_TILE
-    welch_bound(frame.dim, n)  # reject degenerate shapes before any array work
+    wb = welch_bound(frame.dim, n)  # reject degenerate shapes before any array work
+    dtype = _phase_dtype(m)
+    _refuse_array((n, n), "Gram phase matrix", np.dtype(dtype).itemsize)
     real = len(frame.planes) == 1
     m2 = lcm(2, m)
-    phase = np.empty((n, n), dtype=_phase_dtype(m))
+    phase = np.empty((n, n), dtype=dtype)
     norm = ref = norm_at = pair_at = None
-    for s, g in _hermitian_tiles(frame.planes.transpose(0, 2, 1), m, "Gram", frame.weights, tile):
+    columns = frame.planes.transpose(0, 2, 1)
+    for s, g in _hermitian_tiles(columns, m, "Gram", frame.weights, _GRAM_TILE):
         e = s + g.shape[1]
         rows = np.arange(e - s)
         if s == 0:
@@ -464,9 +458,26 @@ def _gram_pass(frame: FrameMatrix, tile: int | None = None) -> GramPass:
             tile_phase = np.where(tile_phase >= 0, -tile_phase % m2, -1)
         phase[s:, s:e] = tile_phase.T
         del g  # before the next tile is made
-    abs_sq = (ref * ref,) if real else tuple(int(c) for c in ref)
     phase.flags.writeable = False
-    return GramPass(phase, tuple(int(c) for c in norm), abs_sq, norm_at, pair_at)
+
+    norm = tuple(int(c) for c in norm)  # Gram(0, 0) at scale 4^k
+    scale = 1 << (2 * frame.k)
+    norm_frac = _rational(norm, scale)
+    equal_norms = norm_at is None
+    witness = None if equal_norms else f"norms differ at columns 0 and {norm_at}"
+    gram_abs = None  # |Gram(0, 1)|^2, at scale 16^k
+    if pair_at is None:
+        gram_abs = _rational((ref * ref,) if real else tuple(int(c) for c in ref), scale * scale)
+    else:
+        witness = witness or f"|Gram| differs at pair (0,1) vs ({pair_at[0]},{pair_at[1]})"
+    # At the Welch bound tr S^2 = ||Gram||_F^2 = (tr S)^2 / M for the frame
+    # operator S, so Cauchy-Schwarz on its eigenvalues forces S = (tr S / M) I
+    welch = (equal_norms and norm_frac and gram_abs is not None
+             and gram_abs / (norm_frac * norm_frac) == wb.squared)
+    off = None if welch or not equal_norms else _frame_operator_witness(frame, norm)
+    rep = _report(frame, "exact", equal_norms, norm_frac, equal_norms and off is None,
+                  pair_at is None, gram_abs, witness=witness or off)
+    return rep, phase
 
 
 def _rational(coeffs, scale: int) -> Fraction | None:
@@ -475,7 +486,7 @@ def _rational(coeffs, scale: int) -> Fraction | None:
 
 
 def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
-    """Sign matrix (int8, zero diagonal) of a real frame's exact Gram.
+    """Sign matrix (int8, zero diagonal) of a real frame's exact Gram (own pass).
 
     Requires every off-diagonal Gram value to be nonzero, which holds for
     real Steiner and Tremain frames; that is checked in row tiles, so no
@@ -484,7 +495,7 @@ def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
     """
     if not frame.is_real_rational():
         raise ValueError("frame has genuine root-of-unity entries")
-    phase = frame.gram_pass.phase
+    phase = _gram_pass(frame)[1]
     for s in range(0, len(phase), _GRAM_TILE):
         if (phase[s:s + _GRAM_TILE] < 0).any():
             raise ValueError("some off-diagonal Gram values vanish")
@@ -554,12 +565,13 @@ def _report(
     )
 
 
-def _frame_operator_witness(frame: FrameMatrix) -> str | None:
+def _frame_operator_witness(frame: FrameMatrix, norm: tuple[int, ...]) -> str | None:
     """The first entry, walking row tiles, at which the frame operator is
-    off (N/M) norm times the identity; None when the frame is tight."""
+    off (N/M) norm times the identity; None when the frame is tight.
+    ``norm`` is the power basis of every column's squared norm at scale 4^k."""
     m, n = frame.dim, frame.count
     # M * w_r * fo[r, r] == N * norm, compared in Python integers
-    target = [n * int(c) for c in frame.gram_pass.norm]
+    target = [n * c for c in norm]
     weights = frame.weights.tolist()
     for s, fo in _hermitian_tiles(frame.planes, frame.order, "frame operator",
                                   tile=_GRAM_TILE):
@@ -573,39 +585,6 @@ def _frame_operator_witness(frame: FrameMatrix) -> str | None:
             return (f"frame operator diagonal off at {r}" if r == c
                     else f"frame operator off-diagonal ({r},{c})")
     return None
-
-
-def _verify_exact(frame: FrameMatrix) -> ETFReport:
-    m, n = frame.dim, frame.count
-    gp = frame.gram_pass
-    scale = 1 << (2 * frame.k)
-    witness = None
-
-    norm0 = gp.norm
-    equal_norms = gp.norm_witness is None
-    if not equal_norms:
-        witness = f"norms differ at columns 0 and {gp.norm_witness}"
-    norm_frac = _rational(norm0, scale)
-
-    is_equi = gp.pair_witness is None
-    gram_abs = None
-    if is_equi:
-        gram_abs = _rational(gp.abs_sq, scale * scale)
-    else:
-        i, j = gp.pair_witness
-        witness = witness or f"|Gram| differs at pair (0,1) vs ({i},{j})"
-
-    # At the Welch bound tr S^2 = ||Gram||_F^2 = (tr S)^2 / M for the frame
-    # operator S, so Cauchy-Schwarz on its eigenvalues forces S = (tr S / M) I
-    welch = (equal_norms and norm_frac and gram_abs is not None
-             and gram_abs / (norm_frac * norm_frac) == welch_bound(m, n).squared)
-    off = None if welch or not equal_norms else _frame_operator_witness(frame)
-    is_tight = equal_norms and off is None
-    witness = witness or off
-    return _report(
-        frame, "exact", equal_norms, norm_frac, is_tight, is_equi, gram_abs,
-        witness=witness,
-    )
 
 
 def _verify_float(frame: FrameMatrix, tol: float) -> ETFReport:
@@ -649,20 +628,21 @@ def _verify_float(frame: FrameMatrix, tol: float) -> ETFReport:
     )
 
 
-def verify_etf(frame: FrameMatrix, mode: str = "exact", tol: float = 1e-10) -> ETFReport:
+def verify_etf(frame: FrameMatrix, mode: str = "exact", tol: float = 1e-10, *,
+               phases: bool = False) -> ETFReport | tuple[ETFReport, np.ndarray]:
     """Certify equal norms, tightness, and equiangularity of a frame.
 
-    Exact mode reads the frame's one Gram pass (norms, moduli, phases; made
-    on first use and cached on the frame); equal norms and moduli at the
-    Welch bound prove tightness, and otherwise the frame operator is
-    computed with the exact kernel.  Float mode computes both numerically
-    under ``tol``.
+    Exact mode makes one pass over the Gram (see _gram_pass); equal norms
+    and moduli at the Welch bound prove tightness, and otherwise the frame
+    operator is computed with the exact kernel.  It keeps nothing of the
+    pass unless ``phases`` asks for ``(report, phase)``, as the graph
+    builders do.  Float mode computes both numerically under ``tol``.
     """
-    if mode == "float":
+    if mode == "float" and not phases:
         return _verify_float(frame, tol)
     if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    return _verify_exact(frame)
+        raise ValueError(f"no phases in {mode!r} mode" if phases else f"unknown mode {mode!r}")
+    return _gram_pass(frame) if phases else _gram_pass(frame)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,23 @@
 """Strongly regular graphs and antipodal covers derived from certified ETFs.
 
-All three builders read the frame's one exact Gram pass (frames.py)
-through _certified_phases: the covers take the p-th-root exponent of each
-Gram value, the SRGs its sign (p = 2), switched by XOR.  A graph is a
-read-only boolean adjacency matrix, one byte per vertex pair, and it is
-the only N x N array this module makes: validation, derivation, counting
-and I/O read it in tiles of _TILE rows, so every other array scales with
-_TILE * N.  Certification is pure counting: degrees are row sums and
-common-neighbor counts are the entries of A·A, each row tile times each
-block of _BLOCK columns (A[:, c:c2] is A[c:c2].T by symmetry), both
-converted to float32 as the loop reaches them (exact, since every count
-is below 2^24).  Strongly regular graphs need constant degree and
-constant counts over adjacent and non-adjacent pairs; covers of the
-complete graph need fiber matchings, read off A·F for the fiber indicator
-F, and a constant count over non-adjacent pairs in distinct fibers, fiber
-f being the r consecutive vertices f*r .. f*r + r - 1.  The certifiers
-never read the closed-form parameters they are compared against.
+All three builders certify the frame and read its Gram phases in one
+exact pass (verify_etf with ``phases``) through _certified_phases: the
+covers take the p-th-root exponent of each Gram value, the SRGs its sign
+(p = 2), switched by XOR.  Each builder drops the phases once its
+adjacency is made.  A graph is a read-only boolean adjacency matrix, one
+byte per vertex pair, and it is the only N x N array counting holds:
+validation, derivation, counting and I/O read it in tiles of _TILE rows,
+so every other array scales with _TILE * N.  Certification is pure
+counting: degrees are row sums and common-neighbor counts are the
+entries of A·A, each row tile times each block of _BLOCK columns
+(A[:, c:c2] is A[c:c2].T by symmetry), both converted to float32 as the
+loop reaches them (exact, since every count is below 2^24).  Strongly
+regular graphs need constant degree and constant counts over adjacent
+and non-adjacent pairs; covers of the complete graph need fiber
+matchings, read off A·F for the fiber indicator F, and a constant count
+over non-adjacent pairs in distinct fibers, fiber f being the r
+consecutive vertices f*r .. f*r + r - 1.  The certifiers never read the
+closed-form parameters they are compared against.
 """
 from __future__ import annotations
 
@@ -34,11 +36,11 @@ from equiframes.frames import (
     welch_bound,
 )
 from equiframes.hadamard import _is_prime
-from equiframes.scalar import _FLOAT32_EXACT, _adopted, _cyclic_product
+from equiframes.scalar import _FLOAT32_EXACT, _adopted, _cyclic_product, _refuse_array
 
 _TILE = 256  # rows of A read at once, by counting and every other pass
 _BLOCK = 256  # rows of A converted to float32 at once: the columns of one A·A block
-_LOAD_LIMIT_BYTES = 2**31  # largest n x n adjacency the loaders allocate (n < 46341)
+_WRITE_EDGES = 1 << 14  # edges formatted per write of the edge-list writer
 
 
 class CertificationError(RuntimeError):
@@ -277,14 +279,13 @@ def _certified_phases(frame: FrameMatrix, p: int) -> tuple[ETFReport, np.ndarray
     (the remainder only past step 1); the witness is the first failing pair
     i < j.
     """
-    rep = verify_etf(frame)
+    rep, phase = verify_etf(frame, phases=True)
     if not rep.is_etf:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
     m2 = lcm(2, frame.order)
     if m2 % p:
         raise ValueError(f"order-{frame.order} Gram values are not {p}-th roots of unity")
     step = m2 // p
-    phase = frame.gram_pass.phase
     for s in range(0, len(phase), _TILE):
         tile = phase[s:s + _TILE, s:]
         missing = tile < 0
@@ -340,6 +341,7 @@ def waldron_srg(frame: FrameMatrix) -> SRGResult:
     flip = phase[: n - 1, n - 1] == step
     negative ^= flip[:, None]
     negative ^= flip
+    del phase  # counting holds only the adjacency
     expected = srg_params_waldron(frame.dim, frame.count)
     return _certify_sign_graph(negative, expected, "waldron graph")
 
@@ -410,6 +412,7 @@ def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
     if len(functional.graded) != frame.dim:
         raise ValueError("functional dimension does not match the frame")
     negative = phase == step
+    del phase  # counting holds only the adjacency
     expected = srg_params_gs(frame.dim, frame.count)
     return _certify_sign_graph(negative, expected, "flat-functional graph")
 
@@ -433,10 +436,12 @@ def drackn_check(g: Graph, r: int) -> DracknCertificate:
     constant common-neighbor count over non-adjacent pairs in distinct
     fibers.  Same-fiber pairs are antipodal: (ii) already forces their
     common-neighbor count to zero, so they carry no constant to check.
-    Fiber size 1 is rejected: the axioms hold vacuously on complete graphs.
+    Fiber size 1 and the empty graph are rejected: the axioms hold vacuously.
     """
     if r < 2:
         return DracknCertificate(False, None, "fiber size must be at least 2")
+    if g.order == 0:
+        return DracknCertificate(False, None, "empty graph")
     if g.order % r:
         return DracknCertificate(False, None, "fibers do not cover the graph")
     n_fibers = g.order // r
@@ -542,6 +547,7 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
         np.equal(exps[:, None, :, None], b_minus_a[:, None, :], out=adj[s:s + _TILE])
     adj[np.arange(n), :, np.arange(n)] = False  # no edges inside a fiber
     adj.shape = (n * p, n * p)
+    del phase  # counting holds only the adjacency
     g = Graph(adj)
     cert = drackn_check(g, p)
     if not cert.ok:
@@ -601,7 +607,7 @@ def _graph6_parse(data: bytes) -> Graph:
     else:
         n = data[0] - 63
         body = raw[1:]
-    _check_load_size(n)
+    _refuse_array((n, n), "adjacency")
     need = -(-n * (n - 1) // 12)  # ceil(n(n-1)/2 bits / 6 bits per byte)
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, {n} vertices need {need}")
@@ -619,13 +625,6 @@ def _graph6_parse(data: bytes) -> Graph:
         corner |= corner.T
         done += size
     return Graph(adj)
-
-
-def _check_load_size(n: int) -> None:
-    """Refuse, before allocating it, an adjacency past _LOAD_LIMIT_BYTES."""
-    if n * n > _LOAD_LIMIT_BYTES:
-        raise ValueError(f"{n} vertices need a {n * n}-byte adjacency, past the "
-                         f"{_LOAD_LIMIT_BYTES}-byte limit of the graph loaders")
 
 
 def export_graph(
@@ -656,10 +655,12 @@ def export_graph(
             if fibers is not None:
                 fh.write(f"p {fibers}\n")
             for us, vs in _edge_tiles(g.adj):
-                lines = np.empty(2 * len(us), dtype=object)
-                lines[0::2] = heads[us]
-                lines[1::2] = tails[vs]
-                fh.write("".join(lines.tolist()))
+                for c in range(0, len(us), _WRITE_EDGES):
+                    u, v = us[c:c + _WRITE_EDGES], vs[c:c + _WRITE_EDGES]
+                    lines = np.empty(2 * len(u), dtype=object)
+                    lines[0::2] = heads[u]
+                    lines[1::2] = tails[v]
+                    fh.write("".join(lines.tolist()))
     else:
         raise ValueError(f"unknown graph format {fmt!r}")
 
@@ -681,7 +682,7 @@ def _edge_list_parse(data: bytes) -> tuple[Graph, int | None]:
     if len(lines[0]) != 2:
         raise ValueError(f"bad header {' '.join(lines[0])!r}")
     order = _count_field(lines[0][1], "vertex count")
-    _check_load_size(order)
+    _refuse_array((order, order), "adjacency")
     edge_lines = lines[1:]
     size = None
     if edge_lines and edge_lines[0][0] == "p" and len(edge_lines[0]) == 2:

@@ -40,6 +40,7 @@ from equiframes.hadamard import (
     real_hadamard,
     sylvester,
 )
+from equiframes.scalar import _refuse_array
 
 
 def default_hadamard(n: int) -> ButsonMatrix:
@@ -64,11 +65,13 @@ def build_tremain(
 
     With ``real`` every Hadamard input must be real and the default one
     must come from a built-in real construction; otherwise the request is
-    refused before anything is built.
+    refused before anything is built, as is a frame whose Gram phase matrix
+    would pass the array limit at one byte per pair.  Past m' = 127 a phase
+    takes two, but then the planes (phi(m) >= 40 bytes per entry of M > N/3
+    rows) are larger still, and tremain_etf refuses them.
     """
-    if (v is None) == (h is None):
-        raise ValueError("give exactly one of v, h")
-    tremain_params(v=v, h=h)
+    n = tremain_params(v=v, h=h)[1]  # refuses all but exactly one of v, h
+    _refuse_array((n, n), "Gram phase matrix")
     if v is None:
         v = 2 * h - 1
     r_dim = (v - 1) // 2
@@ -110,6 +113,10 @@ def build_steiner(
     h1: ButsonMatrix | None = None,
     row1: int | None = None,
 ) -> FrameMatrix:
+    """The Steiner frame of ``v`` points, refused as build_tremain's is:
+    two-byte phases come with planes of phi(m) >= 40 bytes per entry of
+    M >= N/6 rows, which steiner_etf refuses."""
+    _refuse_array((v * (v + 1) // 2,) * 2, "Gram phase matrix")  # V points, (V + 1)/2 vectors each
     sts = make_sts(v)
     emb = standard_embedding(sts)
     if h1 is None:
@@ -139,6 +146,7 @@ def drackn_pipeline(
 ) -> tuple[FrameMatrix, CoverResult]:
     """Cover from a Tremain frame whose Gram entries are p-th roots of unity."""
     require_prime(p)  # before any default input is chosen or any frame is built
+    _refuse_array((h * (2 * h + 1) * p,) * 2, "cover adjacency")  # N = h(2h + 1) fibers of p
     if p == 2:
         frame = build_tremain(h=h, h1=h1, h2=h2, real=True)
     else:

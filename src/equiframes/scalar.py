@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -83,6 +83,20 @@ MAX_ROOT_ORDER = 1024
 # a larger one before making any table.  The pipelines need at most order 2h,
 # 256 at h = 128; an order-4096 int64 exponent table is already 128 MB.
 MAX_HADAMARD_ORDER = 4096
+
+# Largest array a builder, the Gram pass or a loader allocates, refused before
+# it is: an N x N phase matrix or adjacency (one byte per entry, so N <= 46340;
+# two for phases past m' = 127) or a frame's phi(m) x M x N planes.
+_ARRAY_LIMIT_BYTES = 2**31
+
+
+def _refuse_array(shape: tuple[int, ...], what: str, itemsize: int = 1) -> None:
+    """ValueError, before anything is allocated, when a ``shape`` array of
+    ``itemsize``-byte entries would pass _ARRAY_LIMIT_BYTES."""
+    size = prod(shape) * itemsize
+    if size > _ARRAY_LIMIT_BYTES:
+        raise ValueError(f"{' x '.join(map(str, shape))} {what} needs {size} bytes, past the "
+                         f"{_ARRAY_LIMIT_BYTES}-byte limit")
 
 
 @lru_cache(maxsize=None)

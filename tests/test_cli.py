@@ -5,6 +5,7 @@ import argparse
 import ast
 import json
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -531,6 +532,26 @@ def test_real_family_refuses_missing_real_hadamard_before_building(tmp_path, cap
     assert f"no real Hadamard matrix of order {order}" in capsys.readouterr().err
     refuse.assert_not_called()
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("make", "etf", "tremain", "--V", "999"),
+    ("derive", "srg", "gs", "--h", "500"),
+])
+def test_a_frame_past_the_array_limit_is_refused_before_building(tmp_path, capsys, argv):
+    """N = 500500: its Gram phase matrix would need 250 GB.  Exit 1 naming
+    the limit, having allocated under 1 MB and written nothing."""
+    tracemalloc.start()
+    try:
+        code = main(["--out", str(tmp_path), *argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and peak < 2**20, (code, peak)
+    assert "500500 x 500500 Gram phase matrix needs 250500250000 bytes, past the " \
+           "2147483648-byte limit" in err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
 
 
 def test_real_family_refuses_complex_hadamard_file(tmp_path, capsys):

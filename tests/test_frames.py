@@ -44,7 +44,7 @@ from equiframes.hadamard import (
     real_hadamard,
     sylvester,
 )
-from equiframes.scalar import CycInt, ExtScalar, _hermitian_tiles
+from equiframes.scalar import MAX_ROOT_ORDER, CycInt, ExtScalar, _hermitian_tiles, cyclotomic_poly
 
 
 def build_tremain(v=None, h=None, parallel=False, rows=None):
@@ -220,10 +220,11 @@ def _oracle_phases(ref, order):
     return np.array([[phase(x) for x in row] for row in ref])
 
 
-def test_kernel_gram_matches_extscalar_oracle():
+def test_kernel_gram_matches_extscalar_oracle(monkeypatch):
     """The tiled kernel equals the ExtScalar Gram entry for entry, and the
     pass's phases name each entry's root of unity, at tile sizes that put
     tile boundaries inside the frames."""
+    from equiframes import frames
     from equiframes.pipelines import build_steiner
 
     def zeroed(f):  # one entry zeroed: some Gram values leave every root's ray
@@ -254,7 +255,8 @@ def test_kernel_gram_matches_extscalar_oracle():
                         got = ExtScalar.from_cyc(CycInt(f.order, g[:, i, j].tolist()), 2 * f.k)
                         assert got == ref[i][j], f"{name}: Gram mismatch at ({i},{j})"
             assert np.array_equal(g, first), f"{name}: tile {tile} changes the Gram"
-            phase = _gram_pass(f, tile).phase
+            monkeypatch.setattr(frames, "_GRAM_TILE", tile)
+            phase = _gram_pass(f)[1]
             assert np.array_equal(phase, want_phase), f"{name}: tile {tile} phases"
         orders.add(f.order)
     assert orders == {2, 5, 8, 10, 14}
@@ -431,6 +433,13 @@ def test_frame_operator_witnesses_at_every_tile(monkeypatch, tile, make, witness
     assert rep.witness == witness
 
 
+def _norm_coeffs(f):
+    """The power basis of a certified frame's squared column norm at scale 4^k."""
+    rep = verify_etf(f)
+    assert rep.equal_norms
+    return (int(rep.norm_sq * 4 ** f.k),) + (0,) * (len(f.planes) - 1)
+
+
 def test_frame_operator_is_streamed_in_row_tiles(monkeypatch):
     """The frame operator walk on the tight h=16 frame reads every tile and
     holds a few of them: no phi(m) x M x M int64 frame operator (nor a
@@ -438,11 +447,11 @@ def test_frame_operator_is_streamed_in_row_tiles(monkeypatch):
     from equiframes import frames
 
     f = build_tremain(h=16)
-    assert f.gram_pass.norm_witness is None  # cached before tracing starts
+    norm = _norm_coeffs(f)  # the Gram pass runs before tracing starts
     monkeypatch.setattr(frames, "_GRAM_TILE", 16)
     tracemalloc.start()
     try:
-        assert frames._frame_operator_witness(f) is None
+        assert frames._frame_operator_witness(f, norm) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -474,7 +483,103 @@ def test_certified_etfs_take_tightness_from_the_welch_equality(monkeypatch):
     assert "Gram" in products and "frame operator" not in products
     monkeypatch.undo()
     for name, f in built:
-        assert frames._frame_operator_witness(f) is None, name
+        assert frames._frame_operator_witness(f, _norm_coeffs(f)) is None, name
+
+
+def test_gram_pass_refuses_phases_past_the_array_limit(monkeypatch):
+    """The N x N phase matrix is refused before it is allocated: one byte
+    per pair, two past m' = 127."""
+    from equiframes import frames, scalar
+
+    f = build_tremain(h=2)  # N = 10, m' = 2
+    planes = np.zeros((64, 1, 2), dtype=np.int8)  # order 128: N = 2, m' = 128
+    planes[0, 0] = 1
+    g = FrameMatrix(planes, np.ones(1, dtype=np.int64), 0, 128, 1, 0, 0)
+    for frame, fits, n, needs in ((f, 100, 10, 100), (g, 8, 2, 8)):
+        monkeypatch.setattr(scalar, "_ARRAY_LIMIT_BYTES", fits)
+        verify_etf(frame)
+        monkeypatch.setattr(scalar, "_ARRAY_LIMIT_BYTES", fits - 1)
+        monkeypatch.setattr(frames, "_hermitian_tiles", None)  # no tile is made
+        with pytest.raises(ValueError, match=rf"^{n} x {n} Gram phase matrix needs {needs} "
+                                             rf"bytes, past the {fits - 1}-byte limit$"):
+            verify_etf(frame)
+        monkeypatch.undo()
+
+
+def test_builders_refuse_past_the_array_limit_before_the_triple_system():
+    """At one byte per pair the limit admits N <= 46340: real Tremain frames
+    up to V = 301 (h = 151), Steiner frames up to V = 303 and p = 2 covers
+    up to h = 107 (N p = 46010).  Past it the builders refuse before any
+    triple system is made; below it they go on to build (here: stopped at
+    make_sts, or at a missing real Hadamard matrix)."""
+    from unittest import mock
+
+    from equiframes import pipelines
+
+    cases = [
+        (lambda v: pipelines.build_tremain(v=v, real=True), 301, 303,
+         "46360 x 46360 Gram phase matrix"),
+        (lambda h: pipelines.build_tremain(h=h, real=True), 151, 152,
+         "46360 x 46360 Gram phase matrix"),
+        (pipelines.build_steiner, 303, 307, "47278 x 47278 Gram phase matrix"),
+        (lambda h: pipelines.drackn_pipeline(h, 2), 107, 108, "46872 x 46872 cover adjacency"),
+    ]
+    built = mock.Mock(side_effect=RuntimeError("make_sts reached"))
+    with mock.patch.object(pipelines, "make_sts", built):
+        for build, fits, past, what in cases:
+            with pytest.raises((RuntimeError, ValueError), match="reached|no real Hadamard"):
+                build(fits)
+            calls = built.call_count
+            with pytest.raises(ValueError, match=rf"^{what} needs \d+ bytes, past the "
+                                                 rf"2147483648-byte limit$"):
+                build(past)
+            assert built.call_count == calls
+
+
+def test_planes_outgrow_two_byte_phases():
+    """The builders check the phase matrix at one byte per pair only.  A
+    phase takes two past m' = 127, and there phi(m) >= 40, while M > N/3
+    for a Tremain frame and M >= N/6 for a Steiner one: the phi(m) x M x N
+    planes are always the larger array, refused before the phases."""
+    two_byte = [m for m in range(1, MAX_ROOT_ORDER + 1) if lcm(2, m) >= 128]
+    assert min(len(cyclotomic_poly(m)) - 1 for m in two_byte) == 40
+    for v in range(3, 400, 2):
+        if v % 6 in (1, 3):
+            m, n = tremain_params(v=v)
+            assert 3 * m > n and 6 * (v * (v - 1) // 6) >= v * (v + 1) // 2
+
+
+@pytest.mark.parametrize("family, v, shape", [
+    ("tremain", 9, (4, 22, 55)),  # m = 10, phi = 4
+    ("steiner", 9, (4, 12, 45)),  # m = 5
+    ("tremain", 141, (70, 3432, 10153)),  # m = 142: 2.4 GB of int8 planes
+    ("tremain", 301, (150, 15352, 45753)),  # m' = 302: the 4.2 GB phase matrix would pass too
+    ("steiner", 259, (48, 11137, 33670)),  # m' = 130: so would its 2.3 GB phases
+])
+def test_frame_planes_past_the_array_limit_are_refused(monkeypatch, family, v, shape):
+    """The phi(m) x M x N planes of the default frame are refused before
+    they are allocated: at the limit the frame builds, one byte under it
+    the request is refused."""
+    from equiframes import pipelines, scalar
+
+    def build():
+        return pipelines.build_steiner(v) if family == "steiner" else pipelines.build_tremain(v=v)
+
+    needs = shape[0] * shape[1] * shape[2]
+    if needs < 2**31:
+        monkeypatch.setattr(scalar, "_ARRAY_LIMIT_BYTES", needs)
+        assert build().planes.shape == shape
+        monkeypatch.setattr(scalar, "_ARRAY_LIMIT_BYTES", needs - 1)
+    zeros = np.zeros
+
+    def no_planes(size, *args, **kwargs):
+        assert size != shape, "the plane array was allocated"
+        return zeros(size, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", no_planes)
+    with pytest.raises(ValueError, match=rf"^{' x '.join(map(str, shape))} plane array needs "
+                                         rf"{needs} bytes, past the \d+-byte limit$"):
+        build()
 
 
 def test_report_dict_is_pinned():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiframes import graphs as graphs_module
+from equiframes import scalar as scalar_module
 from equiframes.frames import verify_etf
 from equiframes.graphs import (
     CertificationError,
@@ -147,6 +148,8 @@ def reference_srg(g):
 def reference_drackn(g, r):
     if r < 2:
         return False, None, "fiber size must be at least 2"
+    if g.order == 0:
+        return False, None, "empty graph"
     if g.order % r:
         return False, None, "fibers do not cover the graph"
     fibers = [range(f, f + r) for f in range(0, g.order, r)]
@@ -518,11 +521,17 @@ def test_drackn_check_rejects_edge_removal():
 
 
 def test_drackn_check_rejects_fiber_size_one():
-    """Fiber size 1, and a fiber size that does not divide the order."""
+    """Fiber size 1, a fiber size that does not divide the order, and the
+    empty graph, which srg_check refuses too."""
     k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    for r, message in ((1, "fiber size must be at least 2"), (2, "fibers do not cover the graph")):
-        cert = drackn_check(k3, r)
+    empty = Graph.from_edges(0, [])
+    for g, r, message in ((k3, 1, "fiber size must be at least 2"),
+                          (k3, 2, "fibers do not cover the graph"),
+                          (empty, 2, "empty graph")):
+        cert = drackn_check(g, r)
         assert not cert.ok and cert.witness == message
+        assert outcome(cert) == reference_drackn(g, r)
+    assert srg_check(empty).witness == "empty graph"
 
 
 def test_drackn_params():
@@ -671,7 +680,7 @@ def test_loaders_refuse_a_huge_order_before_allocating(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
-        with pytest.raises(ValueError, match=rf"^{path}: .*-byte limit of the graph loaders"):
+        with pytest.raises(ValueError, match=rf"^{path}: .* adjacency needs .*-byte limit$"):
             load_graph(path)
 
 
@@ -682,12 +691,22 @@ def test_load_limit_is_the_adjacency_size(tmp_path, fmt):
     for n, ok in ((10, True), (11, False)):
         path = tmp_path / f"c{n}.{fmt}"
         export_graph(path, Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]), fmt=fmt)
-        with mock.patch.object(graphs_module, "_LOAD_LIMIT_BYTES", 100):
+        with mock.patch.object(scalar_module, "_ARRAY_LIMIT_BYTES", 100):
             if ok:
                 assert load_graph(path)[0].order == n
             else:
-                with pytest.raises(ValueError, match="121-byte adjacency"):
+                with pytest.raises(ValueError, match="11 x 11 adjacency needs 121 bytes"):
                     load_graph(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("tile", [1, 7])
+def test_edge_list_bytes_do_not_depend_on_the_write_chunk(tmp_path, chunk, tile):
+    cov = cover_h2()
+    export_graph(tmp_path / "want.edges", cov.graph, fmt="edges", fibers=cov.fibers)
+    with tiled(tile), mock.patch.object(graphs_module, "_WRITE_EDGES", chunk):
+        export_graph(tmp_path / "got.edges", cov.graph, fmt="edges", fibers=cov.fibers)
+    assert (tmp_path / "got.edges").read_bytes() == (tmp_path / "want.edges").read_bytes()
 
 
 def test_edge_list_roundtrip_plain(tmp_path):
@@ -806,7 +825,7 @@ def traced_peak(fn):
 @lru_cache(maxsize=None)
 def verified_gs_frame():
     frame = build_tremain(h=32, parallel=True)
-    assert verify_etf(frame).is_etf  # the Gram pass is made and cached here
+    assert verify_etf(frame).is_etf
     return frame
 
 
@@ -845,3 +864,47 @@ def test_drackn_cover_holds_at_most_four_bytes_per_pair():
     n = cov.graph.order
     assert cov.params == (528, 2, 256)
     assert peak <= 4 * n * n, peak / (n * n)
+
+
+def test_edge_list_writer_formats_a_bounded_number_of_edges_at_once(tmp_path):
+    """The h=16, p=2 cover (1056 vertices, 278256 edges): the writer formats
+    at most _WRITE_EDGES lines per write, so beside the row tile's edge
+    indices it holds one chunk of labels.  Measured peak 5.1 MB; joining a
+    whole row tile's lines (up to 135k of them) at once peaks at 7.7 MB."""
+    cov = drackn_pipeline(16, 2)[1]
+    path = tmp_path / "cover.edges"
+    _, peak = traced_peak(lambda: export_graph(path, cov.graph, fmt="edges",
+                                               fibers=cov.fibers))
+    assert peak <= 6 * 2**20, peak
+
+
+def test_graph_builders_leave_the_frame_as_it_was():
+    """The Gram pass is not cached on the frame: verify_etf and the three
+    builders add no attribute to it."""
+    frame = build_tremain(h=8, parallel=True, real=True)
+    keys = list(vars(frame))
+    functional = tremain_flat_functional(frame)
+    for build in (verify_etf, waldron_srg, lambda f: gs_srg(f, functional),
+                  lambda f: drackn_cover(f, 2)):
+        build(frame)
+        assert list(vars(frame)) == keys
+
+
+def test_srg_counting_holds_the_adjacency_but_not_the_phases(monkeypatch):
+    """When srg_check starts inside gs_srg at h=20 (N = 820), the memory
+    traced since the frame was built is at most 1.5 N^2: the adjacency,
+    one byte per pair, and no N x N phase matrix beside it (2 N^2)."""
+    frame = build_tremain(h=20, parallel=True, real=True)
+    functional = tremain_flat_functional(frame)
+    n = frame.count
+    current = []
+    real_check = graphs_module.srg_check
+
+    def check(g):
+        current.append(tracemalloc.get_traced_memory()[0])
+        return real_check(g)
+
+    monkeypatch.setattr(graphs_module, "srg_check", check)
+    res, _ = traced_peak(lambda: gs_srg(frame, functional))
+    assert res.params == srg_params_gs(frame.dim, n)
+    assert len(current) == 1 and current[0] <= 1.5 * n * n, (current, n * n)
