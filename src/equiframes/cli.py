@@ -194,7 +194,7 @@ def cmd_make_etf_tremain(args) -> int:
 
 def _certify_frame(args, frame, name: str) -> int:
     """Verify, write in --format and report; exit 2 after writing a non-ETF."""
-    rep = verify_etf(frame, mode=args.mode, tol=args.tol)
+    rep = verify_etf(frame)
     store, suffix = (store_frame_csv, "csv") if args.format == "csv" else (store_frame_exact, "etf")
     path = _out_dir(args) / f"{name}.{suffix}"
     store(path, frame)
@@ -381,8 +381,6 @@ def build_parser() -> _Parser:
     etf.add_argument("--hadamard-file1")
     etf.add_argument("--remove-row1", type=int)
     etf.add_argument("--format", choices=("exact", "csv"), default="exact")
-    etf.add_argument("--mode", choices=("exact", "float"), default="exact")
-    etf.add_argument("--tol", type=float, default=1e-10)
     mk_etf = branch(mk, "etf", "kind")
     steiner = leaf(mk_etf, "steiner", cmd_make_etf_steiner, [etf])
     steiner.add_argument("--V", type=int, required=True)
@@ -423,13 +421,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -13,16 +13,17 @@ the removed one, and that row as the Naimark complement.  Frames are
 stored unscaled: every vector of a Tremain frame has squared norm R + 2
 and distinct vectors meet in a unimodular inner product, so the
 coherence of the unit-normalized family is 1/(R + 2), the Welch bound
-for these dimensions.  Verification recomputes the Gram matrix from the
-planes, and the frame operator when the Welch equality does not already
-prove tightness; it never trusts the construction.
+for these dimensions.  Verification is one exact pass with zero
+tolerance: it recomputes the Gram matrix from the planes, and the frame
+operator when the Welch equality does not already prove tightness; it
+never trusts the construction.
 
-Exact verification runs one kernel for real and complex frames: Gram
-entries are sum_{a,b} X_a^T diag(w) X_b zeta_m^(a-b) / 4^k, BLAS products
-summed in cyclic slots (a - b) mod m, reduced modulo Phi_m, with
-no surd left.  The products run in float32 when an a-priori bound on every
-slot sum is below 2^24 and in float64 below 2^52; past that the kernel
-raises ValueError.  Each row tile multiplies only the coordinates its
+That pass runs one kernel for real and complex frames: Gram entries are
+sum_{a,b} X_a^T diag(w) X_b zeta_m^(a-b) / 4^k, BLAS products summed in
+cyclic slots (a - b) mod m, reduced modulo Phi_m, with no surd left.
+The products run in float32 when an a-priori bound on every slot sum is
+below 2^24 and in float64 below 2^52; past that the kernel raises
+ValueError.  Each row tile multiplies only the coordinates its
 vectors touch, converted to float tile by tile: no float copy of the
 planes is made.  The Gram is never held whole: one pass, _gram_pass, walks
 its upper triangle in row tiles, checks norms and moduli tile by tile and
@@ -212,7 +213,9 @@ class FrameMatrix:
         return ExtScalar(*parts, k=self.k)
 
     def to_complex_array(self) -> np.ndarray:
-        """Entries as complex128, rounded exactly as ExtScalar.to_complex rounds."""
+        """Entries as complex128, rounded exactly as ExtScalar.to_complex rounds;
+        refused past scalar._ARRAY_LIMIT_BYTES before anything is allocated."""
+        _refuse_array(self.planes.shape[1:], "complex frame array", 16)
         roots = _unit_roots(self.order)
         # ascending powers from +0.0, as CycInt.to_complex sums: no -0.0 appears
         out = np.zeros(self.planes.shape[1:], dtype=np.complex128)
@@ -462,21 +465,27 @@ def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
 
     norm = tuple(int(c) for c in norm)  # Gram(0, 0) at scale 4^k
     scale = 1 << (2 * frame.k)
-    norm_frac = _rational(norm, scale)
-    equal_norms = norm_at is None
+    norm_sq = _rational(norm, scale)
+    equal_norms, is_equiangular = norm_at is None, pair_at is None
     witness = None if equal_norms else f"norms differ at columns 0 and {norm_at}"
-    gram_abs = None  # |Gram(0, 1)|^2, at scale 16^k
-    if pair_at is None:
-        gram_abs = _rational((ref * ref,) if real else tuple(int(c) for c in ref), scale * scale)
+    gram_abs_sq = coherence_sq = coherence = tight_constant = None
+    if is_equiangular:  # |Gram(0, 1)|^2, at scale 16^k
+        gram_abs_sq = _rational((ref * ref,) if real else tuple(int(c) for c in ref), scale * scale)
     else:
         witness = witness or f"|Gram| differs at pair (0,1) vs ({pair_at[0]},{pair_at[1]})"
+    if equal_norms and norm_sq and gram_abs_sq is not None:
+        coherence_sq = gram_abs_sq / (norm_sq * norm_sq)
+        coherence = float(coherence_sq) ** 0.5
     # At the Welch bound tr S^2 = ||Gram||_F^2 = (tr S)^2 / M for the frame
     # operator S, so Cauchy-Schwarz on its eigenvalues forces S = (tr S / M) I
-    welch = (equal_norms and norm_frac and gram_abs is not None
-             and gram_abs / (norm_frac * norm_frac) == wb.squared)
-    off = None if welch or not equal_norms else _frame_operator_witness(frame, norm)
-    rep = _report(frame, "exact", equal_norms, norm_frac, equal_norms and off is None,
-                  pair_at is None, gram_abs, witness=witness or off)
+    meets = coherence_sq == wb.squared
+    off = None if meets or not equal_norms else _frame_operator_witness(frame, norm)
+    is_tight = equal_norms and off is None
+    if is_tight and norm_sq is not None:
+        tight_constant = Fraction(n, frame.dim) * norm_sq
+    rep = ETFReport(frame.dim, n, equal_norms, norm_sq, is_tight, tight_constant,
+                    is_equiangular, gram_abs_sq, coherence_sq, coherence, wb.squared,
+                    wb.value, is_tight and is_equiangular, meets, witness or off)
     return rep, phase
 
 
@@ -507,7 +516,6 @@ def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ETFReport:
-    mode: str
     dim: int
     count: int
     equal_norms: bool
@@ -522,8 +530,7 @@ class ETFReport:
     welch: float
     is_etf: bool
     meets_welch: bool
-    max_residual: float | None = None
-    witness: str | None = None
+    witness: str | None
 
     def to_dict(self) -> dict:
         """The fields in order, dim and count as M and N, each Fraction as [num, den]."""
@@ -533,36 +540,6 @@ class ETFReport:
             out[keys.get(f.name, f.name)] = (
                 [x.numerator, x.denominator] if isinstance(x, Fraction) else x)
         return out
-
-
-def _report(
-    frame: FrameMatrix,
-    mode: str,
-    equal_norms: bool,
-    norm_sq: Fraction | None,
-    is_tight: bool,
-    is_equiangular: bool,
-    gram_abs_sq: Fraction | None,
-    max_residual: float | None = None,
-    witness: str | None = None,
-) -> ETFReport:
-    m, n = frame.dim, frame.count
-    wb = welch_bound(m, n)
-    tight_constant = None
-    if is_tight and norm_sq is not None:
-        tight_constant = Fraction(n, m) * norm_sq
-    coherence_sq = None
-    coherence = None
-    if equal_norms and norm_sq and gram_abs_sq is not None:
-        coherence_sq = gram_abs_sq / (norm_sq * norm_sq)
-        coherence = float(coherence_sq) ** 0.5
-    is_etf = is_tight and is_equiangular
-    meets = coherence_sq == wb.squared if coherence_sq is not None else False
-    return ETFReport(
-        mode, m, n, equal_norms, norm_sq, is_tight, tight_constant,
-        is_equiangular, gram_abs_sq, coherence_sq, coherence,
-        wb.squared, wb.value, is_etf, meets, max_residual, witness,
-    )
 
 
 def _frame_operator_witness(frame: FrameMatrix, norm: tuple[int, ...]) -> str | None:
@@ -587,61 +564,16 @@ def _frame_operator_witness(frame: FrameMatrix, norm: tuple[int, ...]) -> str | 
     return None
 
 
-def _verify_float(frame: FrameMatrix, tol: float) -> ETFReport:
-    a = frame.to_complex_array()
-    n, m = frame.count, frame.dim
-    g = a.conj().T @ a
-    norms = g.diagonal().real
-    norm_mean = norms.mean()
-    dev_norms = np.abs(norms - norm_mean)
-    res_norms = float(dev_norms.max())
-    off = ~np.eye(n, dtype=bool)
-    mods = np.abs(g)
-    mod_mean = mods[off].mean()
-    dev_equi = np.where(off, np.abs(mods - mod_mean), 0)
-    res_equi = float(dev_equi.max())
-    fo = a @ a.conj().T
-    const = n * norm_mean / m
-    dev_tight = np.abs(fo - const * np.eye(m))
-    res_tight = float(dev_tight.max())
-    max_res = max(res_norms, res_equi, res_tight)
-    equal_norms = res_norms <= tol
-    is_equi = res_equi <= tol
-    is_tight = res_tight <= tol and equal_norms
-    witness = None
-    if not equal_norms:
-        witness = f"norm of column {int(dev_norms.argmax())} off the mean by {res_norms:.3g}"
-    elif not is_equi:
-        i, j = np.unravel_index(dev_equi.argmax(), dev_equi.shape)
-        witness = f"|Gram| at pair ({i},{j}) off the mean by {res_equi:.3g}"
-    elif not is_tight:
-        r, s = np.unravel_index(dev_tight.argmax(), dev_tight.shape)
-        witness = f"frame operator off a multiple of the identity at ({r},{s}) by {res_tight:.3g}"
-    norm_frac = Fraction(round(norm_mean)) if abs(norm_mean - round(norm_mean)) < tol else None
-    gram_sq = mod_mean * mod_mean
-    gram_frac = None
-    if gram_sq and abs(gram_sq - round(gram_sq)) < max(tol, 1e-8):
-        gram_frac = Fraction(round(gram_sq))
-    return _report(
-        frame, "float", equal_norms, norm_frac, is_tight, is_equi, gram_frac,
-        max_residual=max_res, witness=witness,
-    )
-
-
-def verify_etf(frame: FrameMatrix, mode: str = "exact", tol: float = 1e-10, *,
+def verify_etf(frame: FrameMatrix, *,
                phases: bool = False) -> ETFReport | tuple[ETFReport, np.ndarray]:
-    """Certify equal norms, tightness, and equiangularity of a frame.
+    """Certify equal norms, tightness, and equiangularity of a frame exactly.
 
-    Exact mode makes one pass over the Gram (see _gram_pass); equal norms
-    and moduli at the Welch bound prove tightness, and otherwise the frame
-    operator is computed with the exact kernel.  It keeps nothing of the
-    pass unless ``phases`` asks for ``(report, phase)``, as the graph
-    builders do.  Float mode computes both numerically under ``tol``.
+    One pass over the Gram (see _gram_pass) decides all three with zero
+    tolerance: equal norms and moduli at the Welch bound prove tightness,
+    and otherwise the frame operator is computed with the exact kernel.  It
+    keeps nothing of the pass unless ``phases`` asks for ``(report, phase)``,
+    as the graph builders do.
     """
-    if mode == "float" and not phases:
-        return _verify_float(frame, tol)
-    if mode != "exact":
-        raise ValueError(f"no phases in {mode!r} mode" if phases else f"unknown mode {mode!r}")
     return _gram_pass(frame) if phases else _gram_pass(frame)[0]
 
 

@@ -90,10 +90,10 @@ def drackn_runs():
     return runs
 
 
-def test_criterion_1_tremain_v7_exact():
+def test_criterion_1_tremain_v7_exact(frame_residual):
     t0 = time.perf_counter()
     frame = build_tremain(v=7)
-    rep = verify_etf(frame, mode="exact")
+    rep = verify_etf(frame)
     elapsed = time.perf_counter() - t0
     assert (rep.dim, rep.count) == (15, 36)
     assert rep.equal_norms and rep.norm_sq == 5
@@ -102,10 +102,10 @@ def test_criterion_1_tremain_v7_exact():
     assert rep.coherence_sq == Fraction(1, 25) == rep.welch_sq
     assert rep.is_etf and rep.meets_welch
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
-    float_rep = verify_etf(frame, mode="float", tol=1e-10)
-    assert float_rep.is_etf and float_rep.max_residual < 1e-10
+    residual = frame_residual(frame)
+    assert residual < 1e-10
     print(f"\nACCEPTANCE 1: PASS (15x36, norms 5, tight 12, coherence 1/5, "
-          f"{elapsed:.3f}s, float residual {float_rep.max_residual:.2e})")
+          f"{elapsed:.3f}s, float residual {residual:.2e})")
 
 
 def test_criterion_2_parameter_tables():

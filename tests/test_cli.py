@@ -108,16 +108,6 @@ def test_make_etf_csv_format(tmp_path, capsys):
     assert (tmp_path / "tremain_h2.csv").exists()
 
 
-def test_make_etf_float_mode(tmp_path, capsys):
-    """--mode is an option of make etf, given after the leaf."""
-    code, out = run(capsys, "--json", "--out", str(tmp_path),
-                    "make", "etf", "tremain", "--V", "7", "--mode", "float")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["mode"] == "float"
-    assert rep["max_residual"] < 1e-10
-
-
 def test_derive_srg_waldron_h2(tmp_path, capsys):
     code, out = run(capsys, "--json", "--out", str(tmp_path), "derive", "srg",
                     "waldron", "--h", "2")
@@ -416,6 +406,8 @@ REFUSED = [
     ("derive", "srg", "gs", "--h", "2", "--mode", "float"),
     ("derive", "drackn", "--h", "2", "--p", "2", "--tol", "1"),
     ("make", "sts", "--V", "9", "--mode", "float"),
+    ("make", "etf", "tremain", "--V", "7", "--mode", "float"),
+    ("make", "etf", "steiner", "--V", "7", "--tol", "1"),
     *[("make", "etf", "steiner", "--V", "7", *extra) for extra in (
         ("--h", "2"), ("--real",), ("--hadamard-file2", "F"), ("--remove-row2", "1"),
         ("--parallel-class",))],
@@ -551,6 +543,19 @@ def test_a_frame_past_the_array_limit_is_refused_before_building(tmp_path, capsy
     assert code == 1 and peak < 2**20, (code, peak)
     assert "500500 x 500500 Gram phase matrix needs 250500250000 bytes, past the " \
            "2147483648-byte limit" in err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
+def test_a_csv_copy_past_the_array_limit_is_refused(tmp_path, capsys, monkeypatch):
+    """The V=7 frame (15 x 36) certifies under a limit of 8000 bytes: its
+    planes take 540 and its phases 1296.  Its complex128 copy for --format
+    csv needs 16 * 15 * 36 = 8640, so the writer exits 1 and writes nothing."""
+    monkeypatch.setattr("equiframes.scalar._ARRAY_LIMIT_BYTES", 8000)
+    code = main(["--out", str(tmp_path), "make", "etf", "tremain", "--V", "7",
+                 "--format", "csv"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "15 x 36 complex frame array needs 8640 bytes, past the 8000-byte limit" in err
     assert "Traceback" not in err and not list(tmp_path.iterdir())
 
 

@@ -586,11 +586,11 @@ def test_report_dict_is_pinned():
     """Key order and values of the JSON report, dim and count as M and N."""
     got = verify_etf(build_tremain(h=2)).to_dict()
     assert list(got.items()) == list({
-        "mode": "exact", "M": 5, "N": 10, "equal_norms": True, "norm_sq": [3, 1],
+        "M": 5, "N": 10, "equal_norms": True, "norm_sq": [3, 1],
         "is_tight": True, "tight_constant": [6, 1], "is_equiangular": True,
         "gram_abs_sq": [1, 1], "coherence_sq": [1, 9], "coherence": 0.3333333333333333,
         "welch_sq": [1, 9], "welch": 0.3333333333333333, "is_etf": True,
-        "meets_welch": True, "max_residual": None, "witness": None,
+        "meets_welch": True, "witness": None,
     }.items())
 
 
@@ -694,19 +694,20 @@ def _perturbation_base(which):
     pick=st.integers(min_value=0),
     negate=st.booleans(),
 )
-def test_one_perturbed_entry_fails_both_modes(which, pick, negate):
+def test_one_perturbed_entry_fails_both_modes(frame_residual, which, pick, negate):
+    """The exact certifier rejects with a witness, and the float oracle sees it too."""
     f, nonzero = _perturbation_base(which)
     r, j = nonzero[pick % len(nonzero)]
     planes = f.planes.copy()
     planes[:, r, j] = -planes[:, r, j] if negate else 0
     broken = dataclasses.replace(f, planes=planes)
-    for mode in ("exact", "float"):
-        rep = verify_etf(broken, mode=mode)
-        assert not rep.is_etf, (mode, r, j)
-        assert rep.witness, (mode, r, j)
+    rep = verify_etf(broken)
+    assert not rep.is_etf, (r, j)
+    assert rep.witness, (r, j)
+    assert frame_residual(broken) > 1e-10, (r, j)
 
 
-def test_verifier_flags_broken_frame():
+def test_verifier_flags_broken_frame(frame_residual):
     f = build_tremain(v=7)
     # zero out the first nonzero entry
     r, j = np.argwhere(f.planes.any(axis=0))[0]
@@ -716,20 +717,17 @@ def test_verifier_flags_broken_frame():
     rep = verify_etf(broken)
     assert not rep.is_etf
     assert rep.witness is not None
-    repf = verify_etf(broken, mode="float")
-    assert not repf.is_etf
+    assert frame_residual(broken) > 1e-10
 
 
-def test_float_and_exact_agree():
+def test_float_and_exact_agree(frame_residual):
     from equiframes.pipelines import build_tremain as pipeline_build
 
     for make in (lambda: build_tremain(v=7), lambda: build_tremain(h=2),
                  lambda: build_tremain(h=8), lambda: pipeline_build(v=9)):
         f = make()
-        exact = verify_etf(f)
-        approx = verify_etf(f, mode="float")
-        assert exact.is_etf and approx.is_etf
-        assert approx.max_residual < 1e-10
+        assert verify_etf(f).is_etf
+        assert frame_residual(f) < 1e-10
 
 
 def test_tremain_rejects_bad_simplex_sizes():
