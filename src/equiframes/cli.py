@@ -251,7 +251,7 @@ def cmd_derive_drackn(args) -> int:
     cov = certify_cover(args.h, args.p, args.hadamard_file1, args.hadamard_file2)
     n, r, c = cov.params
     path = _out_dir(args) / f"drackn_h{args.h}_p{args.p}.edges"
-    export_graph(path, cov.graph, fmt="edges", fibers=cov.fibers)
+    export_graph(path, cov.graph, fmt="edges", fibers=r)
     emit(
         {"command": "derive drackn", "artifact": str(path),
          "params": [n, r, c], "n_minus_rc": n - r * c, "certified": True},

@@ -227,23 +227,6 @@ class EmbeddingAssignment:
     orders: tuple[tuple[int, ...], ...]
     parallel_class: tuple[int, ...] | None = None
 
-    @cached_property
-    def _positions(self) -> tuple[dict[int, int], ...]:
-        return tuple(
-            {blk: pos for pos, blk in enumerate(row)} for row in self.orders
-        )
-
-    def position_of(self, point: int, block_index: int) -> int:
-        return self._positions[point][block_index]
-
-    def shared_block(self, v: int, w: int) -> tuple[int, int, int]:
-        """The unique common block of two points and its positions (in v, in w)."""
-        common = set(self.orders[v]) & set(self.orders[w])
-        if len(common) != 1:
-            raise ValueError(f"points {v},{w} share {len(common)} blocks")
-        blk = common.pop()
-        return blk, self.position_of(v, blk), self.position_of(w, blk)
-
 
 def standard_embedding(
     s: SteinerTripleSystem,

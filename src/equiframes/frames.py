@@ -32,8 +32,8 @@ Gram(i, j) a positive rational multiple of zeta_(m')^e, m' = lcm(2, m) (-1
 when there is none); nothing is cached on the frame.  Real frames compare
 |Gram| directly; complex ones compare |Gram|^2, the same slot products
 taken elementwise in int64.  The Gram, the frame
-operator (also in row tiles) and the Naimark identity are one Hermitian
-product, scalar._hermitian_tiles; the flat functional's inner products
+operator (also in row tiles) and a Hadamard matrix's H H* are one
+Hermitian product, scalar._hermitian_tiles; the flat functional's inner products
 are slot products too (scalar._cyclic_product).  FrameMatrix.entry and
 gram_matrix are the only code here that builds ExtScalar values: gram_matrix
 recomputes the Gram entry by entry, as the tests' independent reference.
@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from equiframes.designs import EmbeddingAssignment, SteinerTripleSystem
-from equiframes.hadamard import ButsonMatrix, _identity_misses
+from equiframes.hadamard import ButsonMatrix
 from equiframes.scalar import (
     _GUARD_NOTE,
     _SQRT2_F,
@@ -98,17 +98,6 @@ def simplex_from_hadamard(h: ButsonMatrix, row: int) -> UnimodularSimplex:
     rows = np.delete(h.exponents, row, axis=0)
     rows.flags.writeable = False
     return UnimodularSimplex(rows, h.exponents[row], h, row)
-
-
-def naimark_residuals(sim: UnimodularSimplex) -> list[tuple[int, int]]:
-    """Pairs (i, j) violating the complement identity; empty when exact.
-
-    <phi_i, phi_j> + a_i * conj(a_j) is column i times conj(column j) of the
-    whole Butson matrix, so the pairs are where its H^T conj(H) misses n I.
-    """
-    e = np.vstack([sim.exponents, sim.complement])
-    bad = _identity_misses(e.T, sim.source.root_order)
-    return [(int(i), int(j)) for i, j in np.argwhere(bad)]
 
 
 @dataclass(frozen=True)
@@ -217,12 +206,15 @@ class FrameMatrix:
         refused past scalar._ARRAY_LIMIT_BYTES before anything is allocated."""
         _refuse_array(self.planes.shape[1:], "complex frame array", 16)
         roots = _unit_roots(self.order)
-        # ascending powers from +0.0, as CycInt.to_complex sums: no -0.0 appears
+        # ascending powers from +0.0, as CycInt.to_complex sums: no -0.0 appears,
+        # so the real and imaginary parts can be summed apart, in place
         out = np.zeros(self.planes.shape[1:], dtype=np.complex128)
         for a, p in enumerate(self.planes):
-            out += p * roots[a]
+            out.real += p * roots[a].real
+            out.imag += p * roots[a].imag
         surd = np.take(_SURD_FLOATS, np.searchsorted(_SURD_WEIGHTS, self.weights))
-        return out * surd[:, None] * 0.5 ** self.k
+        out *= (surd * 0.5 ** self.k)[:, None]  # exact: a power of two does not round
+        return out
 
 
 def _integer_planes(a) -> np.ndarray:
@@ -375,6 +367,7 @@ def gram_matrix(frame: FrameMatrix) -> list[list[ExtScalar]]:
 _SURD_WEIGHTS = (1, 2, 3, 6)  # squares of the ExtScalar surds 1, sqrt2, sqrt3, sqrt6
 _SURD_FLOATS = (1.0, _SQRT2_F, _SQRT3_F, _SQRT6_F)
 _GRAM_TILE = 256  # Gram rows per tile of the streaming pass
+_CSV_ROWS = 16  # frame rows formatted per write of the CSV writer
 
 
 def _phase_roots(m: int) -> np.ndarray:
@@ -708,10 +701,15 @@ def store_frame_csv(path: str | Path, frame: FrameMatrix) -> None:
     """Float CSV: M rows of alternating real,imag parts (2N fields).
 
     Each field is the repr of its value as a Python float, whatever the
-    numpy version; every distinct bit pattern is formatted once.
+    numpy version.  Rows are formatted and written _CSV_ROWS at a time, each
+    distinct bit pattern of a block formatted once, so beside the complex
+    copy the writer holds one block.
     """
     fields = frame.to_complex_array().view(np.float64)  # (M, 2N): real, imag, ...
-    distinct, inverse = np.unique(fields.view(np.uint64), return_inverse=True)
-    tokens = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-    lines = [",".join(row) for row in tokens[inverse.reshape(fields.shape)].tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as fh:
+        for s in range(0, len(fields), _CSV_ROWS):
+            block = fields[s:s + _CSV_ROWS]
+            distinct, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+            tokens = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+            grid = tokens[inverse.reshape(block.shape)].tolist()
+            fh.writelines(",".join(row) + "\n" for row in grid)

@@ -16,8 +16,10 @@ regular graphs need constant degree and constant counts over adjacent
 and non-adjacent pairs; covers of the complete graph need fiber
 matchings, read off A·F for the fiber indicator F, and a constant count
 over non-adjacent pairs in distinct fibers, fiber f being the r
-consecutive vertices f*r .. f*r + r - 1.  The certifiers never read the
-closed-form parameters they are compared against.
+consecutive vertices f*r .. f*r + r - 1.  Each certifier reads the counts
+it expects off row 0, at the first pair of each kind, and marks the off
+counts of each block; the scan names the first pair marked.  The
+certifiers never read the closed-form parameters they are compared against.
 """
 from __future__ import annotations
 
@@ -90,33 +92,6 @@ class Graph:
     def order(self) -> int:
         return self.adj.shape[0]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
-    def degree(self, u: int) -> int:
-        return int(np.count_nonzero(self.adj[u]))
-
-    @property
-    def num_edges(self) -> int:
-        return int(np.count_nonzero(self.adj)) // 2
-
-    def with_edge_flipped(self, u: int, v: int) -> Graph:
-        if u == v:
-            raise ValueError("cannot flip a loop")
-        adj = self.adj.copy()
-        adj[u, v] = adj[v, u] = not adj[u, v]
-        return Graph(adj)
-
-    def complement(self) -> Graph:
-        adj = ~self.adj
-        np.fill_diagonal(adj, False)
-        return Graph(adj)
-
-    def edges(self):
-        """Edges (u, v), u < v, in lexicographic order."""
-        for us, vs in _edge_tiles(self.adj):
-            yield from zip(us.tolist(), vs.tolist())
-
 
 def _edge_tiles(adj: np.ndarray):
     """The edges u < v as arrays (us, vs), one row tile at a time."""
@@ -132,11 +107,6 @@ class SRGParams:
     lam: int
     mu: int | None  # None on graphs with no non-adjacent pairs
 
-    def feasible(self) -> bool:
-        if self.mu is None:
-            return True
-        return self.k * (self.k - self.lam - 1) == (self.v - self.k - 1) * self.mu
-
     def as_tuple(self) -> tuple:
         return (self.v, self.k, self.lam, self.mu)
 
@@ -149,85 +119,76 @@ class SRGParams:
 
 
 @dataclass(frozen=True)
-class SRGCertificate:
+class Certificate:
+    """An exhaustive count's verdict: its parameters or the first witness."""
+
     ok: bool
-    params: SRGParams | None
+    params: SRGParams | tuple[int, int, int] | None  # a cover's are (n, r, c)
     witness: str | None = None
 
 
-def _scan_pair_counts(adj: np.ndarray, kinds, n_kinds: int):
-    """Check common-neighbor counts against the first count of each kind.
+def _scan_pair_counts(adj: np.ndarray, off):
+    """The first pair (i, j), i < j, in lexicographic order whose
+    common-neighbor count is off, as (i, j, count), or None.
 
-    Walks the pairs (i, j), i < j, in lexicographic order, one tile of rows
-    of A·A at a time.  kinds(s, e) gives the kind (0 = unchecked, else
-    1..n_kinds) of the pairs in rows s:e and columns s:.  Returns (ref,
-    witness): ref[t] is the count at the first pair of kind t (None if no
-    pair has it; ref[0] is always None) and witness is (i, j, count, kind)
-    at the first pair whose count differs from ref[kind], or None.
-
-    A tile's counts are its rows times one block of _BLOCK rows of A at a
-    time, both in float32; each row keeps the first column whose count is
-    off.  A single count (the first of a kind, a witness's) is the size of
-    a row intersection.
+    Counts are A·A, one tile of _TILE rows times one block of _BLOCK rows
+    of A at a time, both in float32.  off(counts, rows, cols) marks the off
+    counts of one block, rows and cols being the slices of its pairs; each
+    row keeps the first column marked.  A witness's count is the size of a
+    row intersection.
     """
     n = adj.shape[0]
     if n - 2 >= _FLOAT32_EXACT:
         raise ValueError(f"{n} vertices: float32 common-neighbor counts not exact")
-    ref: list[int | None] = [None] * (n_kinds + 1)
     for s in range(0, n, _TILE):
         e = min(s + _TILE, n)
-        kind = np.asarray(kinds(s, e), dtype=np.int8)
-        kind[:, :e - s][np.tri(e - s, dtype=bool)] = 0  # pairs i < j only
-        for t in range(1, n_kinds + 1):
-            if ref[t] is None:
-                r, c = divmod(int((kind == t).argmax()), kind.shape[1])
-                if kind[r, c] == t:
-                    ref[t] = _common_neighbors(adj, s + r, s + c)
         x = adj[s:e].astype(np.float32)
         bad_col = np.full(e - s, n)
         for c in range(s, n, _BLOCK):
             c2 = min(c + _BLOCK, n)
             counts = x @ adj[c:c2].astype(np.float32).T  # A[:, c:c2] = A[c:c2].T
-            bad = np.zeros(counts.shape, dtype=bool)
-            for t, want in enumerate(ref):
-                if want is not None:
-                    bad |= (kind[:, c - s:c2 - s] == t) & (counts != want)
+            bad = off(counts, slice(s, e), slice(c, c2))
+            if c < e:  # the block meets the diagonal: pairs i < j only
+                bad &= np.arange(s, e)[:, None] < np.arange(c, c2)
             rows = np.flatnonzero(bad.any(axis=1) & (bad_col == n))
             bad_col[rows] = c + bad[rows].argmax(axis=1)
         if (bad_col < n).any():
             r = int((bad_col < n).argmax())
             i, j = s + r, int(bad_col[r])
-            return ref, (i, j, _common_neighbors(adj, i, j), int(kind[r, j - s]))
-    return ref, None
+            return i, j, _common_neighbors(adj, i, j)
+    return None
 
 
 def _common_neighbors(adj: np.ndarray, i: int, j: int) -> int:
     return int(np.count_nonzero(adj[i] & adj[j]))
 
 
-def srg_check(g: Graph) -> SRGCertificate:
-    """Exhaustively count degrees and common neighbors; no formulas trusted."""
-    n = g.order
+def srg_check(g: Graph) -> Certificate:
+    """Exhaustively count degrees and common neighbors; no formulas trusted.
+
+    lambda and mu are counted at vertex 0 and its first neighbor and first
+    non-neighbor, the first pairs of each kind in a regular graph."""
+    adj, n = g.adj, g.order
     if n == 0:
-        return SRGCertificate(False, None, "empty graph")
-    deg = np.count_nonzero(g.adj, axis=1)
+        return Certificate(False, None, "empty graph")
+    deg = np.count_nonzero(adj, axis=1)
     irregular = np.flatnonzero(deg != deg[0])
     if irregular.size:
         i = irregular[0]
         witness = f"degree {deg[i]} at vertex {i} differs from {deg[0]} at vertex 0"
-        return SRGCertificate(False, None, witness)
-    # kind 1: adjacent pair, kind 2: non-adjacent pair
-    (_, lam, mu), witness = _scan_pair_counts(
-        g.adj, lambda s, e: np.where(g.adj[s:e, s:], np.int8(1), np.int8(2)), 2
+        return Certificate(False, None, witness)
+    k = int(deg[0])
+    lam = _common_neighbors(adj, 0, int(adj[0].argmax())) if k else 0
+    mu = _common_neighbors(adj, 0, int(adj[0, 1:].argmin()) + 1) if k < n - 1 else None
+    other = -1 if mu is None else mu  # no non-adjacent pair when mu is None
+    witness = _scan_pair_counts(
+        adj, lambda counts, rows, cols: np.where(adj[rows, cols], counts != lam, counts != other)
     )
     if witness is not None:
-        i, j, c, kind = witness
-        name = "adjacent" if kind == 1 else "non-adjacent"
-        return SRGCertificate(
-            False, None, f"{name} pair ({i},{j}) has {c} common neighbors"
-        )
-    lam = lam if lam is not None else 0
-    return SRGCertificate(True, SRGParams(n, int(deg[0]), lam, mu))
+        i, j, c = witness
+        name = "adjacent" if adj[i, j] else "non-adjacent"
+        return Certificate(False, None, f"{name} pair ({i},{j}) has {c} common neighbors")
+    return Certificate(True, SRGParams(n, k, lam, mu))
 
 
 def _welch_beta(m: int, n: int) -> Fraction:
@@ -360,9 +321,6 @@ class FlatFunctional:
     weights: np.ndarray  # (M,) the frame's row weights
     scale: int
 
-    def to_complex(self) -> np.ndarray:
-        return self.graded * np.sqrt(self.weights) / self.scale
-
 
 def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
     """The parallel-class indicator functional, exactly certified.
@@ -421,38 +379,32 @@ def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
 # distance-regular antipodal covers
 
 
-@dataclass(frozen=True)
-class DracknCertificate:
-    ok: bool
-    params: tuple[int, int, int] | None  # (n, r, c)
-    witness: str | None = None
-
-
-def drackn_check(g: Graph, r: int) -> DracknCertificate:
+def drackn_check(g: Graph, r: int) -> Certificate:
     """Verify the three cover axioms by exhaustive counting.
 
     Fiber f is the r consecutive vertices f*r .. f*r + r - 1.  (i) no edges
     inside a fiber; (ii) a perfect matching between any two fibers; (iii) a
-    constant common-neighbor count over non-adjacent pairs in distinct
+    constant common-neighbor count c over non-adjacent pairs in distinct
     fibers.  Same-fiber pairs are antipodal: (ii) already forces their
     common-neighbor count to zero, so they carry no constant to check.
+    Vertex 0 meets fiber 1 once, so the first pair (iii) checks is (0, j),
+    j its first non-neighbor past fiber 0, and its count is c.
     Fiber size 1 and the empty graph are rejected: the axioms hold vacuously.
     """
     if r < 2:
-        return DracknCertificate(False, None, "fiber size must be at least 2")
+        return Certificate(False, None, "fiber size must be at least 2")
     if g.order == 0:
-        return DracknCertificate(False, None, "empty graph")
+        return Certificate(False, None, "empty graph")
     if g.order % r:
-        return DracknCertificate(False, None, "fibers do not cover the graph")
+        return Certificate(False, None, "fibers do not cover the graph")
     n_fibers = g.order // r
-    fiber_of = np.arange(g.order) // r
 
     # inside[f, t]: vertex f*r + t has a neighbor in its fiber, read off a view of
     # the diagonal blocks of A (indexed [t, u, f])
     inside = np.diagonal(g.adj.reshape(n_fibers, r, n_fibers, r), 0, 0, 2).any(axis=1).T
     if inside.any():
         fi, t = np.unravel_index(inside.argmax(), inside.shape)
-        return DracknCertificate(False, None, f"edge inside fiber {fi} at vertex {fi * r + t}")
+        return Certificate(False, None, f"edge inside fiber {fi} at vertex {fi * r + t}")
     # A·F in tiles of whole fibers: hits[f, t, f2] = (A·F)[(f0 + f)*r + t, f2], the
     # sum of the r strided column slices (a sum over a size-r axis is ~10x slower)
     per_tile = max(1, _TILE // r)
@@ -467,26 +419,28 @@ def drackn_check(g: Graph, r: int) -> DracknCertificate:
         unmatched[np.arange(f1 - f0), np.arange(f0, f1)] = False
         if unmatched.any():
             fi, fj, t = np.unravel_index(unmatched.argmax(), unmatched.shape)
-            return DracknCertificate(
+            return Certificate(
                 False,
                 None,
                 f"vertex {(f0 + fi) * r + t} has {hits[fi, t, fj]} neighbors in "
                 f"fiber {fj}, not 1",
             )
 
-    (_, c_val), witness = _scan_pair_counts(
-        g.adj,
-        lambda s, e: ~g.adj[s:e, s:] & (fiber_of[s:e, None] != fiber_of[s:]),
-        1,
-    )
+    c_val = _common_neighbors(g.adj, 0, int(g.adj[0, r:].argmin()) + r) if n_fibers > 1 else 0
+    fiber_of = np.arange(g.order) // r
+
+    def off(counts, rows, cols):
+        return (counts != c_val) & ~g.adj[rows, cols] & (fiber_of[rows, None] != fiber_of[cols])
+
+    witness = _scan_pair_counts(g.adj, off)
     if witness is not None:
-        i, j, c, _ = witness
-        return DracknCertificate(
+        i, j, c = witness
+        return Certificate(
             False,
             None,
             f"non-adjacent pair ({i},{j}) has {c} common neighbors, expected {c_val}",
         )
-    return DracknCertificate(True, (n_fibers, r, c_val if c_val is not None else 0))
+    return Certificate(True, (n_fibers, r, c_val))
 
 
 def drackn_params(m: int, n: int, p: int) -> int:
@@ -522,8 +476,7 @@ def require_prime(p: int) -> None:
 @dataclass(frozen=True)
 class CoverResult:
     graph: Graph
-    fibers: int  # the fiber size p: fiber f is the vertices f*p .. f*p + p - 1
-    params: tuple[int, int, int]
+    params: tuple[int, int, int]  # (n, p, c): fiber f is the vertices f*p .. f*p + p - 1
 
 
 def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
@@ -534,10 +487,11 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     read off exactly.  The result must pass drackn_check.
     """
     require_prime(p)
+    n = frame.count
+    _refuse_array((n * p, n * p), "cover adjacency")
     rep, phase, step = _certified_phases(frame, p)
     if rep.gram_abs_sq != 1:  # every pair misses; the first one is the witness
         raise ValueError(f"Gram entry at (0,1) is not a {p}-th root of unity")
-    n = frame.count
     # adj[i, a, j, b] iff the exponent of Gram(i, j) is (b - a) mod p; below the
     # diagonal this mirrors the upper half, as phase[j, i] is -phase[i, j]
     b_minus_a = ((np.arange(p) - np.arange(p)[:, None]) % p).astype(phase.dtype)
@@ -552,7 +506,7 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     cert = drackn_check(g, p)
     if not cert.ok:
         raise CertificationError(f"cover failed certification: {cert.witness}")
-    return CoverResult(g, p, cert.params)
+    return CoverResult(g, cert.params)
 
 
 # ---------------------------------------------------------------------------

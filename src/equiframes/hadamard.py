@@ -88,25 +88,18 @@ class HadamardReport:
         }
 
 
-def _identity_misses(exponents: np.ndarray, q: int) -> np.ndarray:
-    """(n, n) bool: where H H* differs from n I, H = zeta_q^exponents (n x n).
-
-    Entry (i, k) of H H* is row i times conj(row k): one tile of the
-    Hermitian product over the planes root_coeffs(q)[exponents].
-    """
-    ((_, prod),) = _hermitian_tiles(np.moveaxis(root_coeffs(q)[exponents], -1, 0), q, "H H*")
-    n = len(exponents)
-    prod[0, range(n), range(n)] -= n
-    return prod.any(axis=0)
-
-
 def verify_hadamard(h: ButsonMatrix) -> HadamardReport:
     """Exact check of H H* = n I; reports the first failing row pair.
 
-    The pair is the first (i, k), i < k, in row-major order.
+    Entry (i, k) of H H* is row i times conj(row k): one tile of the
+    Hermitian product over the planes root_coeffs(q)[exponents].  Its
+    diagonal is n, as every entry is a root of unity; the pair is the first
+    (i, k), i < k, in row-major order whose entry is not zero.
     """
     n, q = h.order, h.root_order
-    bad = np.triu(_identity_misses(h.exponents, q), 1)
+    planes = np.moveaxis(root_coeffs(q)[h.exponents], -1, 0)
+    ((_, prod),) = _hermitian_tiles(planes, q, "H H*")
+    bad = np.triu(prod.any(axis=0), 1)
     if bad.any():
         i, k = np.unravel_index(bad.argmax(), bad.shape)
         return HadamardReport(False, n, q, (int(i), int(k)))

@@ -1,0 +1,61 @@
+"""Reference helpers shared by the test modules: reads of graphs, embeddings
+and parameter sets that the package itself has no use for."""
+from __future__ import annotations
+
+import numpy as np
+
+from equiframes.graphs import Graph
+from equiframes.scalar import ExtScalar
+
+
+def flipped(g: Graph, u: int, v: int) -> Graph:
+    """``g`` with the pair (u, v), u != v, toggled between edge and non-edge."""
+    adj = g.adj.copy()
+    adj[u, v] = adj[v, u] = not adj[u, v]
+    return Graph(adj)
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, in lexicographic order."""
+    return [tuple(e) for e in np.argwhere(np.triu(g.adj, 1)).tolist()]
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(~g.adj ^ np.eye(g.order, dtype=bool))
+
+
+def srg_identity_holds(params) -> bool:
+    """k (k - lambda - 1) = (v - k - 1) mu; vacuous without mu."""
+    v, k, lam, mu = params.as_tuple()
+    return mu is None or k * (k - lam - 1) == (v - k - 1) * mu
+
+
+def shared_block(emb, v: int, w: int) -> tuple[int, int, int]:
+    """The unique common block of points v and w and its positions in their orders."""
+    common = set(emb.orders[v]) & set(emb.orders[w])
+    if len(common) != 1:
+        raise ValueError(f"points {v},{w} share {len(common)} blocks")
+    blk = common.pop()
+    return blk, emb.orders[v].index(blk), emb.orders[w].index(blk)
+
+
+def simplex_scalars(sim):
+    """The simplex rows and its complement as ExtScalars, from its exponent arrays."""
+    q = sim.source.root_order
+    rows = [[ExtScalar.root(q, int(e)) for e in r] for r in (*sim.exponents, sim.complement)]
+    return rows[:-1], rows[-1]
+
+
+def reference_naimark_residuals(sim):
+    """The complement identity one pair at a time in ExtScalar arithmetic: the
+    pairs (i, j) where <phi_i, phi_j> + a_i conj(a_j) misses n [i = j]."""
+    entries, naimark = simplex_scalars(sim)
+    n, bad = sim.count, []
+    for i in range(n):
+        for j in range(n):
+            total = naimark[i] * naimark[j].conjugate()
+            for row in entries:
+                total = total + row[i] * row[j].conjugate()
+            if total != ExtScalar.from_int(n if i == j else 0):
+                bad.append((i, j))
+    return bad

@@ -18,7 +18,6 @@ from equiframes.cli import h510_path
 from equiframes.designs import make_sts, standard_embedding
 from equiframes.frames import (
     gram_matrix,
-    naimark_residuals,
     simplex_from_hadamard,
     tremain_params,
     verify_etf,
@@ -45,6 +44,13 @@ from equiframes.pipelines import (
     waldron_pipeline,
 )
 from equiframes.scalar import CycInt, ExtScalar
+from helpers import (
+    flipped,
+    reference_naimark_residuals,
+    shared_block,
+    simplex_scalars,
+    srg_identity_holds,
+)
 
 # printed tables, frozen
 FIRST_TABLE_MN = {2: (5, 10), 4: (15, 36), 8: (51, 136), 16: (187, 528),
@@ -158,7 +164,7 @@ def test_criterion_5_drackns_p2(drackn_runs):
     for h, printed in DRACKN_PRINTED.items():
         frame, cov, elapsed = drackn_runs[h]
         assert cov.params == printed, f"h={h}"
-        recount = drackn_check(cov.graph, cov.fibers)
+        recount = drackn_check(cov.graph, cov.params[1])
         assert recount.ok and recount.params == printed
         n, r, c = cov.params
         assert n - r * c == h != 0
@@ -172,7 +178,7 @@ def test_criterion_6_drackn_p5():
     h2 = load_butson(h510_path())
     frame, cov = drackn_pipeline(5, 5, h2=h2)
     assert cov.params == (55, 5, 10)
-    recount = drackn_check(cov.graph, cov.fibers)
+    recount = drackn_check(cov.graph, cov.params[1])
     assert recount.ok and recount.params == (55, 5, 10)
     assert cov.params[0] - cov.params[1] * cov.params[2] == 5
     print(f"\nACCEPTANCE 6: PASS ((55,5,10) cover from {h510_path().name})")
@@ -226,16 +232,9 @@ def test_criterion_7b_naimark_identity():
         # direct object-level form on small orders, every row removed
         if n <= 10:
             for row in range(n):
-                assert naimark_residuals(simplex_from_hadamard(h, row)) == []
+                assert reference_naimark_residuals(simplex_from_hadamard(h, row)) == []
     print("\nACCEPTANCE 7b: PASS (complement identity for all rows of all "
           "built matrices up to order 40)")
-
-
-def _simplex_scalars(sim):
-    """The simplex rows and its complement as ExtScalars, from its exponent arrays."""
-    q = sim.source.root_order
-    rows = [[ExtScalar.root(q, int(e)) for e in r] for r in (*sim.exponents, sim.complement)]
-    return rows[:-1], rows[-1]
 
 
 def _case_formula_gram(frame):
@@ -243,8 +242,8 @@ def _case_formula_gram(frame):
     prov = frame.provenance
     sim_r, sim_v, emb = prov.sim_r, prov.sim_v, prov.embedding
     v_pts = prov.sts.num_points
-    entries_r, naimark_r = _simplex_scalars(sim_r)
-    entries_v, naimark_v = _simplex_scalars(sim_v)
+    entries_r, naimark_r = simplex_scalars(sim_r)
+    entries_v, naimark_v = simplex_scalars(sim_v)
     r1 = sim_r.count
     n = frame.count
 
@@ -259,7 +258,7 @@ def _case_formula_gram(frame):
                 if s == s2:
                     return None  # norm, handled separately
                 return naimark_r[s] * naimark_r[s2].conjugate()
-            blk, pos_v, pos_w = emb.shared_block(v, w)
+            blk, pos_v, pos_w = shared_block(emb, v, w)
             return entries_r[pos_v][s] * entries_r[pos_w][s2].conjugate()
         if i >= split and j >= split:
             t, t2 = i - split, j - split
@@ -303,7 +302,7 @@ def test_criterion_7d_edge_flip_fuzzing(waldron_runs, gs_runs, drackn_runs):
             w = rng.randrange(g.order)
             while w == u:
                 w = rng.randrange(g.order)
-            cert = srg_check(g.with_edge_flipped(u, w))
+            cert = srg_check(flipped(g, u, w))
             assert not cert.ok, f"{name}: flip ({u},{w}) kept the certificate"
     for name, cov in covers:
         g = cov.graph
@@ -312,7 +311,7 @@ def test_criterion_7d_edge_flip_fuzzing(waldron_runs, gs_runs, drackn_runs):
             w = rng.randrange(g.order)
             while w == u:
                 w = rng.randrange(g.order)
-            cert = drackn_check(g.with_edge_flipped(u, w), cov.fibers)
+            cert = drackn_check(flipped(g, u, w), cov.params[1])
             assert not cert.ok, f"{name}: flip ({u},{w}) kept the certificate"
     print("\nACCEPTANCE 7d: PASS (100 single-edge flips break every "
           "certificate, 8 graphs)")
@@ -334,9 +333,9 @@ def test_criterion_8_cross_formula_consistency(waldron_runs, gs_runs, drackn_run
     certified = [res.params for _, res, _ in waldron_runs.values()]
     certified += [res.params for _, _, res, _ in gs_runs.values()]
     for params in certified:
-        assert params.feasible(), params
+        assert srg_identity_holds(params), params
     for h, (_, cov, _) in drackn_runs.items():
         n, r, c = cov.params
-        assert srg_params_waldron(*FIRST_TABLE_MN[h]).feasible()
+        assert srg_identity_holds(srg_params_waldron(*FIRST_TABLE_MN[h]))
     print("\nACCEPTANCE 8: PASS (closed forms agree; Welch = 1/(R+2) on all "
           "instances; feasibility identity on all certified sets)")

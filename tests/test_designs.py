@@ -23,6 +23,7 @@ from equiframes.designs import (
     store_sts,
     verify_sts,
 )
+from helpers import shared_block
 
 
 def brute_pair_coverage(s: SteinerTripleSystem) -> bool:
@@ -189,7 +190,7 @@ def test_shared_block_positions():
     s = bose(9)
     emb = standard_embedding(s)
     for v, w in combinations(range(9), 2):
-        blk, pos_v, pos_w = emb.shared_block(v, w)
+        blk, pos_v, pos_w = shared_block(emb, v, w)
         assert emb.orders[v][pos_v] == blk
         assert emb.orders[w][pos_w] == blk
         assert v in s.blocks[blk] and w in s.blocks[blk]
