@@ -241,7 +241,7 @@ def cmd_derive_srg(args) -> int:
         {"command": f"derive srg {args.kind}", "artifact": str(path),
          "M": frame.dim, "N": frame.count, "certified_params": res.params.as_tuple(),
          "formula_params": formula.as_tuple(), "convention": res.convention,
-         "certified": True},
+         "counting": res.counting, "certified": True},
         args.json,
     )
     return 0

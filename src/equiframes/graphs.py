@@ -11,15 +11,22 @@ so every other array scales with _TILE * N.  Certification is pure
 counting: degrees are row sums and common-neighbor counts are the
 entries of A·A, each row tile times each block of _BLOCK columns
 (A[:, c:c2] is A[c:c2].T by symmetry), both converted to float32 as the
-loop reaches them (exact, since every count is below 2^24).  Strongly
-regular graphs need constant degree and constant counts over adjacent
-and non-adjacent pairs; covers of the complete graph need fiber
-matchings, read off A·F for the fiber indicator F, and a constant count
-over non-adjacent pairs in distinct fibers, fiber f being the r
-consecutive vertices f*r .. f*r + r - 1.  Each certifier reads the counts
-it expects off row 0, at the first pair of each kind, and marks the off
-counts of each block; the scan names the first pair marked.  The
-certifiers never read the closed-form parameters they are compared against.
+loop reaches them (exact, since every count is below 2^24).  The sign
+graphs of a Tremain frame have a second product: two points share one
+block, so over the groups of R + 1 vertices of each point every block of
+the Seidel matrix J - I - 2A is rank one (Fickus, Mixon and Tremain,
+Steiner equiangular tight frames, 2012).  srg_check reads the factors off
+one row per group, checks every pair against them and then counts in
+O(N^2 G) for G groups, not O(N^3); a graph that fails the check, or one
+given no group size, is counted by A·A.  Strongly regular graphs need
+constant degree and constant counts over adjacent and non-adjacent
+pairs; covers of the complete graph need fiber matchings, read off A·F
+for the fiber indicator F, and a constant count over non-adjacent pairs
+in distinct fibers, fiber f being the r consecutive vertices
+f*r .. f*r + r - 1.  Each certifier reads the counts it expects off row
+0, at the first pair of each kind, and marks the off counts of each
+block; the scan names the first pair marked.  The certifiers never read
+the closed-form parameters they are compared against.
 """
 from __future__ import annotations
 
@@ -125,33 +132,129 @@ class Certificate:
     ok: bool
     params: SRGParams | tuple[int, int, int] | None  # a cover's are (n, r, c)
     witness: str | None = None
+    counting: str | None = None  # srg_check's product: "factored" or "dense"
 
 
-def _scan_pair_counts(adj: np.ndarray, off):
-    """The first pair (i, j), i < j, in lexicographic order whose
-    common-neighbor count is off, as (i, j, count), or None.
-
-    Counts are A·A, one tile of _TILE rows times one block of _BLOCK rows
-    of A at a time, both in float32.  off(counts, rows, cols) marks the off
-    counts of one block, rows and cols being the slices of its pairs; each
-    row keeps the first column marked.  A witness's count is the size of a
-    row intersection.
-    """
+def _dense_tiles(adj: np.ndarray):
+    """A·A as _scan_pair_counts's tiles: each tile of _TILE rows times each
+    block of _BLOCK rows of A from the tile's first row on, both in float32
+    (A[:, c:c2] is A[c:c2].T by symmetry)."""
     n = adj.shape[0]
     if n - 2 >= _FLOAT32_EXACT:
         raise ValueError(f"{n} vertices: float32 common-neighbor counts not exact")
     for s in range(0, n, _TILE):
-        e = min(s + _TILE, n)
-        x = adj[s:e].astype(np.float32)
+        x = adj[s:s + _TILE].astype(np.float32)
+        yield slice(s, s + len(x)), (
+            (slice(c, min(c + _BLOCK, n)), x @ adj[c:c + _BLOCK].astype(np.float32).T)
+            for c in range(s, n, _BLOCK)
+        )
+
+
+def _factored_tiles(adj: np.ndarray, size: int, deg: np.ndarray):
+    """The common-neighbor counts from the rank-one blocks of the Seidel
+    matrix, as _scan_pair_counts's tiles, or None when a block is not rank
+    one or the groups are too small to pay.
+
+    Group a is the ``size`` consecutive vertices from p_a = a * size (the
+    last may be short), g(i) the group of vertex i, and S_ij = 1 - 2 A_ij
+    off the diagonal.  The signs are read off the first vertices' rows:
+    U[i, c] = S[p_c, i] and Q[a, c] = S[p_a, p_c] for a != c; Q[a, a] =
+    U[p_a + 1, a] U[p_a + 2, a] S[p_a + 1, p_a + 2] (1 in a group of at
+    most two) and U[p_a, a] = Q[a, a].  Every pair i < j is checked for
+    S_ij = T_ij = U[i, g(j)] W[j, g(i)], W[j, a] = U[j, a] Q[a, g(j)]; T is
+    symmetric, with diagonal d_i = Q[g(i), g(i)].  Then, off the diagonal,
+
+        4 count_ij = (N-2) - r_i - r_j + S_ij (2 - d_i - d_j) + (T^2)_ij,
+
+    r_i = N - 1 - 2 deg_i, and the rows of group a have (T^2)_ij =
+    sum_h U[i, h] C[h, a, g(j)] W[j, h], C[h, a, c] being the sum over k in
+    group h of W[k, a] U[k, c].  One float32 product per tile gives it all:
+    the rows [U[i], (N-2) - r_i, 1] against [C[:, a, g(j)] * W[j], 1, -r_j],
+    with the S term, U[i, g(j)] W[j, a] (2 - d_a - d_j), added at column
+    g(j).  Its partial sums are integers of magnitude at most 4N.  G groups
+    with G^2 > 4N (groups of fewer than about sqrt(N)/2 vertices) are
+    refused: the G^3 sums C and the N x G factors would no longer be small
+    beside the adjacency, nor the product much cheaper than A·A.
+    """
+    n = adj.shape[0]
+    if 4 * n > _FLOAT32_EXACT:
+        raise ValueError(f"{n} vertices: float32 factored common-neighbor counts not exact")
+    size = min(size, n)  # one group at most
+    groups = -(-n // max(size, 1))
+    if size < 1 or groups * groups > 4 * n:
+        return None
+    first = np.arange(0, n, size)
+    group_of = np.arange(n) // size
+    neg_u = np.ascontiguousarray(adj[first].T)  # neg_u[i, c]: U[i, c] = -1
+    neg_q = neg_u[first]  # neg_q[a, c]: Q[a, c] = -1, the diagonal still +1
+    big = np.flatnonzero(np.minimum(size, n - first) >= 3)  # groups of three or more
+    one, two = first[big] + 1, first[big] + 2
+    neg_q[big, big] = adj[one, two] ^ neg_u[one, big] ^ neg_u[two, big]
+    neg_u[first, np.arange(groups)] = neg_q.diagonal()
+    neg_wt = neg_u.T ^ neg_q[:, group_of]  # neg_wt[a, j]: W[j, a] = -1
+    for s in range(0, n, _TILE):
+        e, a = min(s + _TILE, n), s // size
+        # U[i, g(j)] for the columns j >= s: each U[i, c] repeated over group c
+        miss = np.repeat(neg_u[s:e, a:], size, axis=1)[:, s - a * size:n - a * size]
+        miss ^= neg_wt[group_of[s:e], s:]
+        miss ^= adj[s:e, s:]
+        miss[:, :e - s][np.eye(e - s, dtype=bool)] = False
+        if miss.any():
+            return None
+
+    r = n - 1 - 2 * deg.astype(np.float32)
+    d = 1 - 2 * neg_q.diagonal().astype(np.float32)
+    u = np.zeros((groups * size, groups + 2), dtype=np.float32)  # padded to whole groups
+    u[:n, :groups] = 1 - 2 * neg_u.astype(np.float32)
+    u[:n, groups] = n - 2 - r
+    u[:n, groups + 1] = 1
+    w = np.zeros_like(u)
+    w[:n, :groups] = 1 - 2 * neg_wt.T.astype(np.float32)
+    w[:n, groups] = 1
+    w[:n, groups + 1] = -r
+    u3, w3 = (x.reshape(groups, size, groups + 2) for x in (u, w))
+    sums = np.matmul(w3[:, :, :groups].transpose(0, 2, 1), u3[:, :, :groups])  # C[h, a, c]
+
+    def tiles():
+        coeff = np.ones((groups, groups + 2), dtype=np.float32)
+        for a in range(groups):
+            s = a * size
+            coeff[:, :groups] = sums[:, a].T
+            k3 = w3[a:] * coeff[a:, None]
+            later = np.arange(groups - a)
+            k3[later, :, later + a] += w3[a:, :, a] * (2 - d[a] - d[a:, None])
+            k = k3.reshape(-1, groups + 2)[:n - s]
+            for t in range(s, min(s + size, n), _TILE):
+                e = min(t + _TILE, s + size, n)
+                counts = u[t:e] @ k[t - s:].T
+                counts *= 0.25
+                yield slice(t, e), [(slice(t, n), counts)]
+
+    return tiles()
+
+
+def _scan_pair_counts(adj: np.ndarray, off, tiles=None):
+    """The first pair (i, j), i < j, in lexicographic order whose
+    common-neighbor count is off, as (i, j, count), or None.
+
+    ``tiles`` yields, row tile by row tile in order, the tile's rows and its
+    blocks (cols, counts) over the columns from its first row on, each
+    tile's blocks read before the next tile; the default is the dense A·A
+    (_dense_tiles).  off(counts, rows, cols) marks the off counts of one
+    block; each row keeps the first column marked.  A witness's count is
+    the size of a row intersection.
+    """
+    n = adj.shape[0]
+    for rows, blocks in _dense_tiles(adj) if tiles is None else tiles:
+        s, e = rows.start, rows.stop
         bad_col = np.full(e - s, n)
-        for c in range(s, n, _BLOCK):
-            c2 = min(c + _BLOCK, n)
-            counts = x @ adj[c:c2].astype(np.float32).T  # A[:, c:c2] = A[c:c2].T
-            bad = off(counts, slice(s, e), slice(c, c2))
-            if c < e:  # the block meets the diagonal: pairs i < j only
-                bad &= np.arange(s, e)[:, None] < np.arange(c, c2)
-            rows = np.flatnonzero(bad.any(axis=1) & (bad_col == n))
-            bad_col[rows] = c + bad[rows].argmax(axis=1)
+        for cols, counts in blocks:
+            bad = off(counts, rows, cols)
+            c, corner = cols.start, min(cols.stop, e) - cols.start
+            if corner > 0:  # the block meets the diagonal: pairs i < j only
+                bad[:, :corner] &= np.arange(s, e)[:, None] < np.arange(c, c + corner)
+            hit = np.flatnonzero(bad.any(axis=1) & (bad_col == n))
+            bad_col[hit] = c + bad[hit].argmax(axis=1)
         if (bad_col < n).any():
             r = int((bad_col < n).argmax())
             i, j = s + r, int(bad_col[r])
@@ -163,11 +266,16 @@ def _common_neighbors(adj: np.ndarray, i: int, j: int) -> int:
     return int(np.count_nonzero(adj[i] & adj[j]))
 
 
-def srg_check(g: Graph) -> Certificate:
+def srg_check(g: Graph, group: int | None = None) -> Certificate:
     """Exhaustively count degrees and common neighbors; no formulas trusted.
 
     lambda and mu are counted at vertex 0 and its first neighbor and first
-    non-neighbor, the first pairs of each kind in a regular graph."""
+    non-neighbor, the first pairs of each kind in a regular graph.  With a
+    ``group`` size the counts come from the rank-one blocks of the sign
+    matrix over consecutive groups of that many vertices (_factored_tiles),
+    once every pair is checked against them; otherwise, or when a block is
+    not rank one, from the dense A·A.  ``counting`` names the product used.
+    """
     adj, n = g.adj, g.order
     if n == 0:
         return Certificate(False, None, "empty graph")
@@ -181,14 +289,20 @@ def srg_check(g: Graph) -> Certificate:
     lam = _common_neighbors(adj, 0, int(adj[0].argmax())) if k else 0
     mu = _common_neighbors(adj, 0, int(adj[0, 1:].argmin()) + 1) if k < n - 1 else None
     other = -1 if mu is None else mu  # no non-adjacent pair when mu is None
-    witness = _scan_pair_counts(
-        adj, lambda counts, rows, cols: np.where(adj[rows, cols], counts != lam, counts != other)
-    )
+
+    def off(counts, rows, cols):  # counts != (lam if adjacent else other), in bool ops
+        miss = counts != other
+        return miss ^ (adj[rows, cols] & (miss ^ (counts != lam)))
+
+    tiles = None if group is None else _factored_tiles(adj, group, deg)
+    counting = "dense" if tiles is None else "factored"
+    witness = _scan_pair_counts(adj, off, tiles)
     if witness is not None:
         i, j, c = witness
         name = "adjacent" if adj[i, j] else "non-adjacent"
-        return Certificate(False, None, f"{name} pair ({i},{j}) has {c} common neighbors")
-    return Certificate(True, SRGParams(n, k, lam, mu))
+        return Certificate(False, None, f"{name} pair ({i},{j}) has {c} common neighbors",
+                           counting)
+    return Certificate(True, SRGParams(n, k, lam, mu), counting=counting)
 
 
 def _welch_beta(m: int, n: int) -> Fraction:
@@ -264,23 +378,33 @@ class SRGResult:
     graph: Graph
     params: SRGParams
     convention: str  # "negative-adjacent" or "positive-adjacent"
+    counting: str  # the product that counted it: "factored" or "dense"
 
 
-def _certify_sign_graph(negative: np.ndarray, expected: SRGParams, what: str) -> SRGResult:
+def _tremain_group(frame: FrameMatrix) -> int | None:
+    """The R + 1 columns of each point of a Tremain frame, R the replication
+    number of its triple system: the group size of its sign graphs."""
+    prov = frame.provenance
+    return prov.sts.replication + 1 if isinstance(prov, TremainProvenance) else None
+
+
+def _certify_sign_graph(negative: np.ndarray, expected: SRGParams, what: str,
+                        group: int | None) -> SRGResult:
     """Count the negative sign graph once; its complement is the positive one.
 
     ``negative`` is a fresh array that only the caller made: the graph takes
     it, and the complement is made by flipping it in place, not by a copy.
     """
     g = Graph.from_adjacency(negative)
-    cert = srg_check(g)
+    cert = srg_check(g, group=group)
     if cert.ok and cert.params == expected:
-        return SRGResult(g, cert.params, "negative-adjacent")
+        return SRGResult(g, cert.params, "negative-adjacent", cert.counting)
     if cert.ok and cert.params.mu is not None and cert.params.complement() == expected:
         negative.flags.writeable = True
         np.logical_not(negative, out=negative)
         np.fill_diagonal(negative, False)
-        return SRGResult(Graph(negative), cert.params.complement(), "positive-adjacent")
+        return SRGResult(Graph(negative), cert.params.complement(), "positive-adjacent",
+                         cert.counting)
     raise CertificationError(
         f"{what}: counted parameters match {expected.as_tuple()} under neither "
         "sign convention"
@@ -304,7 +428,7 @@ def waldron_srg(frame: FrameMatrix) -> SRGResult:
     negative ^= flip
     del phase  # counting holds only the adjacency
     expected = srg_params_waldron(frame.dim, frame.count)
-    return _certify_sign_graph(negative, expected, "waldron graph")
+    return _certify_sign_graph(negative, expected, "waldron graph", _tremain_group(frame))
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +496,8 @@ def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
     negative = phase == step
     del phase  # counting holds only the adjacency
     expected = srg_params_gs(frame.dim, frame.count)
-    return _certify_sign_graph(negative, expected, "flat-functional graph")
+    return _certify_sign_graph(negative, expected, "flat-functional graph",
+                               _tremain_group(frame))
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,16 @@ def test_derive_srg_gs_h2(tmp_path, capsys):
     assert json.loads(out)["certified_params"] == [10, 6, 3, 4]
 
 
+@pytest.mark.parametrize("kind", ["gs", "waldron"])
+def test_derive_srg_names_the_counting_kernel(tmp_path, capsys, kind):
+    """The report says which product counted: the block factors for the
+    Tremain sign graphs, in the JSON and in the text output."""
+    code, out = run(capsys, "--json", "--out", str(tmp_path), "derive", "srg", kind, "--h", "8")
+    assert code == 0 and json.loads(out)["counting"] == "factored"
+    code, out = run(capsys, "--out", str(tmp_path), "derive", "srg", kind, "--h", "8")
+    assert code == 0 and "counting: factored" in out.splitlines()
+
+
 def test_derive_drackn_h2(tmp_path, capsys):
     code, out = run(capsys, "--json", "--out", str(tmp_path), "derive",
                     "drackn", "--h", "2", "--p", "2")

@@ -246,6 +246,124 @@ def test_srg_check_matches_reference_on_edited_waldron_graphs(h, seed, swap, til
 
 
 @st.composite
+def planted_block_graphs(draw):
+    """(graph, size, planted): a sign graph whose blocks over consecutive
+    groups of ``size`` vertices (the last one short) are rank one, then up
+    to two edits, each a flipped pair or, in a regular graph, a swap of
+    two edges when one is drawn; ``planted`` when none was made.
+
+    Half are regular and reach counting: even groups, every factor column
+    balanced within each group and one sign on all diagonal blocks make
+    every row of the Seidel matrix sum to minus that sign.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    regular = draw(st.booleans())
+    if regular:
+        size = 2 * draw(st.integers(1, 3))
+        last = 2 * draw(st.integers(1, size // 2))
+    else:
+        size = draw(st.integers(2, 7))
+        last = draw(st.integers(1, size))
+    n_groups = draw(st.integers(1, 2 * size + 1))
+    n = (n_groups - 1) * size + last
+    group_of = np.arange(n) // size
+    u = rng.choice([-1, 1], size=(n, n_groups))
+    if regular:
+        for f in range(n_groups):
+            rows = np.flatnonzero(group_of == f)
+            for c in range(n_groups):
+                u[rows, c] = rng.permutation(np.repeat([-1, 1], len(rows) // 2))
+    q = np.triu(rng.choice([-1, 1], size=(n_groups, n_groups)), 1)
+    q += q.T
+    q[np.diag_indices(n_groups)] = rng.choice([-1, 1]) if regular else rng.choice(
+        [-1, 1], size=n_groups)
+    seidel = u[:, group_of] * u[:, group_of].T * q[group_of][:, group_of]
+    adj = seidel < 0
+    np.fill_diagonal(adj, False)
+    edits = draw(st.integers(0, 2)) if n > 1 else 0
+    for _ in range(edits):
+        pairs = [tuple(rng.choice(n, 2, replace=False))]
+        edge_list = np.argwhere(adj)
+        if regular and len(edge_list):
+            (a, b), (c, d) = edge_list[rng.choice(len(edge_list), 2)]
+            if len({a, b, c, d}) == 4 and not (adj[a, d] or adj[c, b]):
+                pairs = [(a, b), (c, d), (a, d), (c, b)]  # a swap keeps the degrees
+        for i, j in pairs:
+            adj[i, j] = adj[j, i] = not adj[i, j]
+    return Graph(adj), size, edits == 0
+
+
+def recorded_counts(adj, tiles=None):
+    """The count the scan computes for every pair i < j, recorded through
+    its ``off`` callback (0 elsewhere); the scan marks nothing."""
+    n = adj.shape[0]
+    seen = np.full((n, n), -1.0)
+
+    def off(counts, rows, cols):
+        seen[rows, cols] = counts
+        return np.zeros(counts.shape, dtype=bool)
+
+    assert graphs_module._scan_pair_counts(adj, off, tiles) is None
+    upper = np.triu(seen, 1)
+    assert (upper[np.triu_indices(n, 1)] >= 0).all()  # every pair counted
+    return upper.astype(np.int64)
+
+
+def dense_counts(adj):
+    a = adj.astype(np.int64)
+    return np.triu(a @ a, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_block_graphs(), tiles)
+def test_factored_tiles_count_every_pair_of_planted_block_graphs(case, tile):
+    """Every pair's count from the block factors equals A·A; a planted graph
+    always passes the rank-one check, and a flipped one passes it only when
+    its blocks are still rank one."""
+    g, size, planted = case
+    adj = g.adj
+    with tiled(tile):
+        tiles_ = graphs_module._factored_tiles(adj, size, np.count_nonzero(adj, axis=1))
+        assert tiles_ is not None or not planted
+        if tiles_ is not None:
+            assert np.array_equal(recorded_counts(adj, tiles_), dense_counts(adj))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_block_graphs(), tiles)
+def test_srg_check_with_groups_matches_dense_and_reference(case, tile):
+    """The factored path's verdict and witness equal the dense path's and the
+    pairwise reference's."""
+    g, size, planted = case
+    with tiled(tile):
+        got = srg_check(g, group=size)
+        assert outcome(got) == outcome(srg_check(g)) == reference_srg(g)
+    if planted and got.counting is not None:
+        assert got.counting == "factored"
+
+
+@pytest.mark.parametrize("pipeline", [gs_pipeline, waldron_pipeline])
+def test_sign_graphs_are_counted_from_their_block_factors(pipeline):
+    """At h=8 both builders count with the factors of their groups of h
+    vertices, and every count equals A·A; a wrong group size (the check
+    fails, also for one group of all vertices), a size too small to pay
+    (G^2 > 4N), no group at all and no size count densely, with the same
+    certificate."""
+    res = pipeline(8)[-1]
+    assert res.counting == "factored"
+    g = res.graph
+    want = outcome(srg_check(g))
+    for group, counting in ((8, "factored"), (16, "dense"), (1, "dense"), (0, "dense"),
+                            (10**12, "dense"), (None, "dense")):
+        cert = srg_check(g, group=group)
+        assert (outcome(cert), cert.counting) == (want, counting)
+    deg = np.count_nonzero(g.adj, axis=1)
+    factored = recorded_counts(g.adj, graphs_module._factored_tiles(g.adj, 8, deg))
+    assert np.array_equal(factored, dense_counts(g.adj))
+    assert np.array_equal(recorded_counts(g.adj), factored)
+
+
+@st.composite
 def fibered_graphs(draw):
     """Random matchings between fibers, then up to two flipped pairs."""
     n_fibers, r = draw(st.integers(1, 7)), draw(st.integers(2, 4))
@@ -404,6 +522,15 @@ def test_count_guard_raises_past_float32_exact_range():
     huge = np.broadcast_to(np.False_, (2**24 + 2, 2**24 + 2))  # a view, no memory
     with pytest.raises(ValueError, match="not exact"):
         graphs_module._scan_pair_counts(huge, None)
+
+
+def test_factored_count_guard_raises_past_float32_exact_range():
+    """The factored counts' partial sums reach 4N: refused past 2^24 / 4
+    vertices, before anything is read or allocated."""
+    huge = np.broadcast_to(np.False_, (2**22 + 1, 2**22 + 1))  # a view, no memory
+    with pytest.raises(ValueError, match=r"^4194305 vertices: float32 factored "
+                                         r"common-neighbor counts not exact$"):
+        graphs_module._factored_tiles(huge, 2**11, None)
 
 
 def test_waldron_params_table():
@@ -940,9 +1067,9 @@ def test_srg_counting_holds_the_adjacency_but_not_the_phases(monkeypatch):
     current = []
     real_check = graphs_module.srg_check
 
-    def check(g):
+    def check(g, group=None):
         current.append(tracemalloc.get_traced_memory()[0])
-        return real_check(g)
+        return real_check(g, group=group)
 
     monkeypatch.setattr(graphs_module, "srg_check", check)
     res, _ = traced_peak(lambda: gs_srg(frame, functional))
