@@ -25,13 +25,17 @@ The products run in float32 when an a-priori bound on every slot sum is
 below 2^24 and in float64 below 2^52; past that the kernel raises
 ValueError.  Each row tile multiplies only the coordinates its
 vectors touch, converted to float tile by tile: no float copy of the
-planes is made.  The Gram is never held whole: one pass, _gram_pass, walks
-its upper triangle in row tiles, checks norms and moduli tile by tile and
-returns the ETF report with one small integer per pair, the phase e with
-Gram(i, j) a positive rational multiple of zeta_(m')^e, m' = lcm(2, m) (-1
-when there is none); nothing is cached on the frame.  Real frames compare
-|Gram| directly; complex ones compare |Gram|^2, the same slot products
-taken elementwise in int64.  The Gram, the frame
+planes is made.  The Gram is never held whole, nor a row tile of it: one
+pass, _gram_pass, walks its upper triangle in row tiles of column blocks,
+reads the norms off each diagonal block, checks the moduli block by block
+(each row keeps its first miss, so the witness is the row-major first
+pair) and writes each block's phases and their conjugates straight into
+the one N x N array it returns with the ETF report: one small integer per
+pair, the phase e with Gram(i, j) a positive rational multiple of
+zeta_(m')^e, m' = lcm(2, m) (-1 when there is none).  Beside it the pass
+holds one block and the tile's rows; nothing is cached on the frame.
+Real frames compare |Gram| directly; complex ones compare |Gram|^2, the
+same slot products taken elementwise in int64.  The Gram, the frame
 operator (also in row tiles) and a Hadamard matrix's H H* are one
 Hermitian product, scalar._hermitian_tiles; the flat functional's inner products
 are slot products too (scalar._cyclic_product).  FrameMatrix.entry and
@@ -59,6 +63,7 @@ from equiframes.scalar import (
     ExtScalar,
     _adopted,
     _cyclic_product,
+    _first_marked,
     _hermitian_tiles,
     _refuse_array,
     _unit_roots,
@@ -407,11 +412,14 @@ def _phase_dtype(m: int):
 
 def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
     """The exact ETF report and the phases, from one walk over the Gram's
-    upper triangle in row tiles of _GRAM_TILE rows.
+    upper triangle in row tiles of _GRAM_TILE rows, each tile reduced block
+    by block as _hermitian_tiles makes it.
 
     ``phase[i, j]`` (read-only, int8, int16 past m' = 127) is the e for which
     Gram(i, j) is a positive rational multiple of zeta_(m')^e, m' = lcm(2, m),
     or -1 (a zero entry, say); for a real frame 0 is positive and 1 negative.
+    A block's phases go to phase[rows, cols] and their conjugates to
+    phase[cols, rows], so beside the phases the pass holds one block.
     The witness is the first column whose norm differs from column 0's, else
     the first pair (i, j), i < j in row-major order, whose modulus differs
     from pair (0, 1)'s, else the frame operator's, computed only when the
@@ -425,35 +433,39 @@ def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
     m2 = lcm(2, m)
     phase = np.empty((n, n), dtype=dtype)
     norm = ref = norm_at = pair_at = None
-    columns = frame.planes.transpose(0, 2, 1)
-    for s, g in _hermitian_tiles(columns, m, "Gram", frame.weights, _GRAM_TILE):
-        e = s + g.shape[1]
-        rows = np.arange(e - s)
-        if s == 0:
-            norm = g[:, 0, 0].copy()
+
+    def mark(g, rows, cols):  # the block's modulus misses, its norms and phases kept on the way
+        nonlocal norm, ref, norm_at
+        if cols.start == rows.start:  # the square diagonal block: the norms
+            diag = g[:, range(g.shape[1]), range(g.shape[1])]
+            norm = diag[:, 0].copy() if norm is None else norm
+            differs = (diag != norm[:, None]).any(axis=0)
+            if norm_at is None and differs.any():
+                norm_at = rows.start + int(differs.argmax())
         if real:  # |g| against |g_01| unsquared: a square could leave int64
-            ref = abs(int(g[0, 0, 1])) if ref is None else ref
-            pairs = (g[0] != ref) & (g[0] != -ref)
+            mod = np.abs(g)
         else:
             mod = _cyclic_product(g, g, m, np.multiply,
                                   sum(max(-int(p.min()), int(p.max())) for p in g) ** 2,
                                   "|Gram|^2")
-            ref = mod[:, 0, 1].copy() if ref is None else ref
+        if ref is None and cols.stop > 1:  # pair (0, 1): row 0's first block past (0, 0)
+            ref = mod[:, 0, 1 - cols.start].copy()
+        if ref is None:  # the block is (0, 0) alone, in a one-row tile: no pair yet
+            pairs = np.zeros((1, 1), dtype=bool)
+        else:
             pairs = (mod != ref[:, None, None]).any(axis=0)
-            del mod
-        differs = (g[:, rows, rows] != norm[:, None]).any(axis=0)
-        if norm_at is None and differs.any():
-            norm_at = s + int(differs.argmax())
-        pairs &= np.arange(s, n) > np.arange(s, e)[:, None]
-        if pair_at is None and pairs.any():
-            i, j = np.unravel_index(pairs.argmax(), pairs.shape)
-            pair_at = (s + int(i), s + int(j))
-        tile_phase = _tile_phase(g, m)
-        phase[s:e, s:] = tile_phase
+        del mod  # before the phases' temporaries
+        block = _tile_phase(g, m)
+        phase[rows, cols] = block
         if m2 != 2:  # conj(zeta^e) = zeta^(-e)
-            tile_phase = np.where(tile_phase >= 0, -tile_phase % m2, -1)
-        phase[s:, s:e] = tile_phase.T
-        del g  # before the next tile is made
+            block = np.where(block >= 0, -block % m2, -1)
+        phase[cols, rows] = block.T
+        return pairs
+
+    columns = frame.planes.transpose(0, 2, 1)
+    for rows, blocks in _hermitian_tiles(columns, m, "Gram", frame.weights, _GRAM_TILE):
+        pair = _first_marked(rows, blocks, mark)
+        pair_at = pair_at or pair
     phase.flags.writeable = False
 
     norm = tuple(int(c) for c in norm)  # Gram(0, 0) at scale 4^k
@@ -463,7 +475,8 @@ def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
     witness = None if equal_norms else f"norms differ at columns 0 and {norm_at}"
     gram_abs_sq = coherence_sq = coherence = tight_constant = None
     if is_equiangular:  # |Gram(0, 1)|^2, at scale 16^k
-        gram_abs_sq = _rational((ref * ref,) if real else tuple(int(c) for c in ref), scale * scale)
+        abs_sq = (int(ref[0]) ** 2,) if real else tuple(map(int, ref))
+        gram_abs_sq = _rational(abs_sq, scale * scale)
     else:
         witness = witness or f"|Gram| differs at pair (0,1) vs ({pair_at[0]},{pair_at[1]})"
     if equal_norms and norm_sq and gram_abs_sq is not None:
@@ -543,15 +556,19 @@ def _frame_operator_witness(frame: FrameMatrix, norm: tuple[int, ...]) -> str | 
     # M * w_r * fo[r, r] == N * norm, compared in Python integers
     target = [n * c for c in norm]
     weights = frame.weights.tolist()
-    for s, fo in _hermitian_tiles(frame.planes, frame.order, "frame operator",
-                                  tile=_GRAM_TILE):
+
+    def mark(fo, rows, cols):
         bad = fo.any(axis=0)
-        for r, diag in enumerate(fo[:, range(len(bad)), range(len(bad))].T.tolist()):
-            bad[r, r] = [m * weights[s + r] * c for c in diag] != target
-        bad = np.triu(bad)
-        if bad.any():
-            r, c = np.unravel_index(bad.argmax(), bad.shape)
-            r, c = s + int(r), s + int(c)
+        if cols.start == rows.start:  # the square diagonal block
+            for r, diag in enumerate(fo[:, range(len(bad)), range(len(bad))].T.tolist()):
+                bad[r, r] = [m * weights[rows.start + r] * c for c in diag] != target
+        return bad
+
+    for rows, blocks in _hermitian_tiles(frame.planes, frame.order, "frame operator",
+                                         tile=_GRAM_TILE):
+        pair = _first_marked(rows, blocks, mark, diagonal=True)
+        if pair is not None:
+            r, c = pair
             return (f"frame operator diagonal off at {r}" if r == c
                     else f"frame operator off-diagonal ({r},{c})")
     return None

@@ -24,6 +24,7 @@ from equiframes.scalar import (
     MAX_HADAMARD_ORDER,
     MAX_ROOT_ORDER,
     _adopted,
+    _first_marked,
     _hermitian_tiles,
     root_coeffs,
 )
@@ -98,11 +99,10 @@ def verify_hadamard(h: ButsonMatrix) -> HadamardReport:
     """
     n, q = h.order, h.root_order
     planes = np.moveaxis(root_coeffs(q)[h.exponents], -1, 0)
-    ((_, prod),) = _hermitian_tiles(planes, q, "H H*")
-    bad = np.triu(prod.any(axis=0), 1)
-    if bad.any():
-        i, k = np.unravel_index(bad.argmax(), bad.shape)
-        return HadamardReport(False, n, q, (int(i), int(k)))
+    for rows, blocks in _hermitian_tiles(planes, q, "H H*"):
+        pair = _first_marked(rows, blocks, lambda prod, rows, cols: prod.any(axis=0))
+        if pair is not None:
+            return HadamardReport(False, n, q, pair)
     return HadamardReport(True, n, q)
 
 

@@ -13,7 +13,10 @@ multiplies such planes, summing products in cyclic slots (a - b) mod m and
 reducing them modulo Phi_m.  _hermitian_tiles feeds it every Hermitian
 product V diag(w) V* (the Gram, the frame operator, H H*): it alone bounds
 the slot sums, picks float32 or float64, tiles the rows and converts, per
-tile, only the coordinates the tile's rows touch.  CycInt and
+tile, only the coordinates the tile's rows touch, and it yields each row
+tile one column block at a time, so no tile-wide product is made.
+_first_marked reduces such a tile to the first pair a check marks in
+row-major order, for those three and for graph counting.  CycInt and
 ExtScalar hold single values; they are the reference arithmetic that
 FrameMatrix.entry, frames.gram_matrix and the tests check the kernels
 against.
@@ -164,49 +167,75 @@ def _slot_bound(vectors: np.ndarray, weights=None) -> float:
 
 
 def _hermitian_tiles(vectors: np.ndarray, m: int, what: str, weights=None, tile=None):
-    """Yield (s, P) for the row tiles of the upper triangle of V diag(w) V*.
+    """Yield (rows, blocks) for the row tiles of the upper triangle of V diag(w) V*.
 
     Row i of V is sum_a vectors[a, i] zeta_m^a, the vectors integer planes
     (phi(m), n, d) of any integer (or integral float) dtype, and w is
-    ``weights`` (d,) or all ones.  P holds the power-basis coefficients of
-    rows s:s+tile and columns s:n, shape (phi(m), rows, n - s); tile None
-    makes one tile of all n rows.  A slot sum of rows i and k is at most
-    sum_j w_j t_ij t_kj, t the coefficient size sums of the entries, hence
-    at most the largest sum_j w_j t_ij^2 (_slot_bound): the products run in
-    float32 below 2^24 and in float64 below 2^52, and _cyclic_product
-    refuses past that.
+    ``weights`` (d,) or all ones.  ``rows`` is the slice of ``tile`` rows
+    (tile None makes one tile of all n rows), and ``blocks`` yields, one
+    column block of ``tile`` columns at a time from the tile's first row
+    on, (cols, P): the power-basis coefficients of rows x cols, shape
+    (phi(m), rows, cols) int64.  The first block of a tile is its square
+    diagonal block, and no tile-wide product is ever assembled.  A slot sum
+    of rows i and k is at
+    most sum_j w_j t_ij t_kj, t the coefficient size sums of the entries,
+    hence at most the largest sum_j w_j t_ij^2 (_slot_bound): the products
+    run in float32 below 2^24 and in float64 below 2^52, and
+    _cyclic_product refuses past that.
 
     Products are row-restricted (Gustavson): a tile multiplies only the
-    inner coordinates j that its own rows touch, and P is filled in column
-    blocks of ``tile`` rows of V.  Each operand is converted to float only
-    as a block of the tile's rows or of one column block, so no float copy
-    of the whole planes is ever made.
+    inner coordinates j that its own rows touch.  Each operand is converted
+    to float only as a block of the tile's rows or of one column block, so
+    no float copy of the whole planes is ever made.
     """
     bound = _slot_bound(vectors, weights)
     ftype = np.float32 if bound < _FLOAT32_EXACT else np.float64
     phi, n, d = vectors.shape
     w = None if weights is None else np.asarray(weights).astype(ftype)
-    tile = tile or max(n, 1)  # an empty V still gets its one (empty) tile
+    tile = tile or max(n, 1)
 
-    def product(s: int) -> np.ndarray:  # operands die on return, before the caller reads P
-        rows = vectors[:, s:s + tile]
-        touched = np.flatnonzero(rows.any(axis=(0, 1)))
+    def blocks(rows: slice):  # the left operand lives as long as the tile's blocks
+        part = vectors[:, rows]
+        touched = np.flatnonzero(part.any(axis=(0, 1)))
         # a tile that touches every coordinate reads plain slices: no gather
-        cols = slice(None) if len(touched) == d else touched
+        inner = slice(None) if len(touched) == d else touched
         left = []
-        for p in rows:
-            x = p[:, cols].astype(ftype)
+        for p in part:
+            x = p[:, inner].astype(ftype)
             if w is not None:
-                x *= w[cols]
+                x *= w[inner]
             left.append(x)
-        out = np.empty((phi, rows.shape[1], n - s), dtype=np.int64)
-        for c in range(s, n, tile):
-            right = [p[c:c + tile][:, cols].astype(ftype).T for p in vectors]
-            out[:, :, c - s:c - s + tile] = _cyclic_product(left, right, m, np.matmul, bound, what)
-        return out
+        for c in range(rows.start, n, tile):
+            right = [p[c:c + tile][:, inner].astype(ftype).T for p in vectors]
+            yield slice(c, min(c + tile, n)), _cyclic_product(left, right, m, np.matmul, bound,
+                                                              what)
 
-    for s in range(0, max(n, 1), tile):
-        yield s, product(s)
+    for s in range(0, n, tile):
+        rows = slice(s, min(s + tile, n))
+        yield rows, blocks(rows)
+
+
+def _first_marked(rows: slice, blocks, mark, diagonal: bool = False) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j (i <= j with ``diagonal``), in row-major
+    order that one row tile of the upper triangle marks, or None.
+
+    ``blocks`` yields the tile's (cols, block) as _hermitian_tiles does, from
+    the tile's first row on; mark(block, rows, cols) returns the block's
+    marks as a fresh bool array, masked here in place.  Every block is read, in
+    order; each row keeps the first column marked, so a mark in a later
+    block never hides an earlier one of the same row.
+    """
+    s, e = rows.start, rows.stop
+    first = np.full(e - s, -1)
+    for cols, block in blocks:
+        bad = mark(block, rows, cols)
+        c, corner = cols.start, min(cols.stop, e) - cols.start
+        if corner > 0:  # the block meets the diagonal: pairs i < j (i <= j) only
+            bad[:, :corner] &= np.arange(s, e)[:, None] < np.arange(c, c + corner) + diagonal
+        hit = np.flatnonzero(bad.any(axis=1) & (first < 0))
+        first[hit] = c + bad[hit].argmax(axis=1)
+    marked = np.flatnonzero(first >= 0)
+    return (s + int(marked[0]), int(first[marked[0]])) if marked.size else None
 
 
 def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.ndarray:

@@ -59,3 +59,17 @@ def reference_naimark_residuals(sim):
             if total != ExtScalar.from_int(n if i == j else 0):
                 bad.append((i, j))
     return bad
+
+
+def assembled(tiles, n: int):
+    """The row tiles of scalar._hermitian_tiles as (s, P), P over columns s:n:
+    each tile's column blocks, checked to run in order from the tile's first
+    row to column n, joined along the columns."""
+    for rows, blocks in tiles:
+        parts, c = [], rows.start
+        for cols, block in blocks:
+            assert cols.start == c and block.shape[1:] == (rows.stop - rows.start, cols.stop - c)
+            parts.append(block)
+            c = cols.stop
+        assert c == n
+        yield rows.start, np.concatenate(parts, axis=2)

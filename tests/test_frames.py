@@ -43,7 +43,7 @@ from equiframes.hadamard import (
     sylvester,
 )
 from equiframes.scalar import MAX_ROOT_ORDER, CycInt, ExtScalar, _hermitian_tiles, cyclotomic_poly
-from helpers import reference_naimark_residuals, simplex_scalars
+from helpers import assembled, reference_naimark_residuals, simplex_scalars
 
 
 def build_tremain(v=None, h=None, parallel=False, rows=None):
@@ -235,8 +235,8 @@ def test_kernel_gram_matches_extscalar_oracle(monkeypatch):
         first = None
         for tile in (1, 3, 7, _GRAM_TILE):
             g = np.zeros((phi, n, n), dtype=np.int64)
-            for s, block in _hermitian_tiles(f.planes.transpose(0, 2, 1), f.order, "Gram",
-                                             f.weights, tile):
+            for s, block in assembled(_hermitian_tiles(f.planes.transpose(0, 2, 1), f.order,
+                                                       "Gram", f.weights, tile), n):
                 assert block.shape == (phi, min(tile, n - s), n - s)
                 g[:, s:s + block.shape[1], s:] = block
             g = np.triu(g)
@@ -348,9 +348,11 @@ def test_verify_and_signs_hold_no_dense_gram():
     assert peak <= 4 * n * n + 2 * f.planes.nbytes, (peak, n)
 
 
-# Per entry of a tile x N band: the int64 tile P (8), the float32 product it
-# is converted from (4) and a bool mask (1) measure 13.2 bytes; 16 leaves 3.
-_TILE_ENTRY_BYTES = 16
+# Per entry of a tile x N band: beside the phases the pass holds the tile's
+# float32 rows (4 bytes per coordinate they touch, at most 715 of them here)
+# and one tile x tile block's operand and products; they measure 3.5 bytes
+# at tile 256 and 4.0 at tile 64.  An int64 tile x N product alone is 8.
+_TILE_ENTRY_BYTES = 4
 # Independent of the tile: the slot bound's float64 row chunk (2^16 entries,
 # 0.5 MiB) and small objects measure 0.64 MB.
 _FIXED_BYTES = 1 << 20
@@ -361,9 +363,9 @@ def test_verify_holds_no_float_copy_of_the_planes(monkeypatch, tile):
     """verify_etf on the h=32 gs frame, Gram pass included: the pass keeps
     one phase byte per pair, and everything else is per tile or fixed.  The
     planes are built before tracing starts, so only temporaries count; the
-    budget's room over the measured peak (0.8 MB at tile 64, 1.9 MB at 256)
-    is less than a float32 copy of the planes (4 bytes per coefficient,
-    5.9 MB), so such a copy would not fit."""
+    budget's room over the measured peak (1.05 MB at tile 64, 1.3 MB at
+    256) is less than a float32 copy of the planes (4 bytes per coefficient,
+    5.9 MB), so such a copy would not fit, nor an int64 tile x N product."""
     from equiframes import frames
     from equiframes.pipelines import build_tremain as pipeline_build
 
@@ -381,6 +383,40 @@ def test_verify_holds_no_float_copy_of_the_planes(monkeypatch, tile):
     assert peak <= budget, (peak, budget, tile, n)
 
 
+@pytest.mark.parametrize("which, negated, bad", [
+    # at tile 3, row 0's first bad pair is in column block 1, row 1's in block 0
+    ("h=4", [(2, 2), (2, 3)], [(0, 3), (1, 2)]),
+    ("V=7 fourier", [(1, 2), (1, 3)], [(0, 3), (1, 2)]),
+    # at tile 7, row 4's first bad pair is in column block 1, row 5's in block 0
+    ("h=4", [(3, 4), (3, 6)], [(4, 7), (5, 6)]),
+    ("V=7 fourier", [(3, 4), (3, 5)], [(4, 7), (5, 6)]),
+])
+def test_modulus_witness_is_row_major_across_column_blocks(monkeypatch, which, negated, bad):
+    """Two negated entries of a real and a complex frame keep every norm and
+    break exactly the moduli of the pairs ``bad`` (ExtScalar Gram).  The
+    first of them lies in a later column block than a later row's pair of
+    the same row tile; at every tile the witness is the row-major first pair
+    and the report is the same."""
+    from equiframes import frames
+
+    f = build_tremain(h=4) if which == "h=4" else _perturbation_base(which)[0]
+    planes = f.planes.copy()
+    for r, j in negated:
+        planes[:, r, j] *= -1
+    broken = dataclasses.replace(f, planes=planes)
+    ref = gram_matrix(broken)
+    mods = [[x.abs_sq() for x in row] for row in ref]
+    n = broken.count
+    assert [(i, j) for i in range(n) for j in range(i + 1, n) if mods[i][j] != mods[0][1]] == bad
+    reports = []
+    for tile in (1, 3, 7, _GRAM_TILE):
+        monkeypatch.setattr(frames, "_GRAM_TILE", tile)
+        reports.append(verify_etf(broken))
+    want = f"|Gram| differs at pair (0,1) vs ({bad[0][0]},{bad[0][1]})"
+    assert reports[0].equal_norms and reports[0].witness == want
+    assert all(rep == reports[0] for rep in reports)
+
+
 def test_int64_promoted_frame_gram_matches_the_dense_product():
     """One coefficient past int8 promotes the planes to int64; the tiled
     Gram still equals one dense int64 product, at tiles that cut supports."""
@@ -392,8 +428,8 @@ def test_int64_promoted_frame_gram_matches_the_dense_product():
     x = g.planes[0]
     want = (x.T * g.weights) @ x
     for tile in (1, 3, 7, _GRAM_TILE):
-        for s, block in _hermitian_tiles(g.planes.transpose(0, 2, 1), g.order, "Gram",
-                                         g.weights, tile):
+        for s, block in assembled(_hermitian_tiles(g.planes.transpose(0, 2, 1), g.order, "Gram",
+                                                   g.weights, tile), g.count):
             assert np.array_equal(block[0], want[s:s + tile, s:])
     rep = verify_etf(g)
     assert not rep.equal_norms and rep.witness == "norms differ at columns 0 and 1"

@@ -806,6 +806,33 @@ def test_streamed_graph6_matches_mask_writer(tmp_path_factory, g, tile):
     assert np.array_equal(loaded.adj, g.adj) and fibers is None
 
 
+def reference_graph6_bytes(g):
+    """graph6 by its definition, one bit at a time: the upper triangle
+    column by column, six bits per byte, high bit first, offset by 63."""
+    n = g.order
+    head = [n + 63] if n <= 62 else [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    bits = [bool(g.adj[i, j]) for j in range(n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    body = [63 + sum(b << (5 - t) for t, b in enumerate(bits[c:c + 6]))
+            for c in range(0, len(bits), 6)]
+    return bytes(head + body)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 12), st.integers(58, 68)), st.integers(0, 2**32),
+       st.sampled_from([1, 3, 7]))
+def test_graph6_bytes_match_a_pure_python_encoder(tmp_path_factory, n, seed, tile):
+    """Random graphs on both sides of the 62/63-vertex header switch, with
+    6-bit groups cut by row tiles of 1, 3 and 7."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < rng.random(), 1)
+    g = Graph(adj | adj.T)
+    path = tmp_path_factory.mktemp("g6") / "g.g6"
+    with tiled(tile):
+        export_graph(path, g)
+    assert path.read_bytes() == reference_graph6_bytes(g) + b"\n"
+
+
 def test_graph6_k3(tmp_path):
     k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     path = tmp_path / "k3.g6"
@@ -1075,3 +1102,74 @@ def test_srg_counting_holds_the_adjacency_but_not_the_phases(monkeypatch):
     res, _ = traced_peak(lambda: gs_srg(frame, functional))
     assert res.params == srg_params_gs(frame.dim, n)
     assert len(current) == 1 and current[0] <= 1.5 * n * n, (current, n * n)
+
+
+@pytest.mark.parametrize("builder", ["gs", "waldron"])
+def test_sign_graphs_take_over_the_phase_buffer(monkeypatch, builder):
+    """The sign graph's adjacency is made in the phase matrix's own memory,
+    so the pipeline holds one N x N byte array, not two."""
+    frame = _parallel_frame(8)
+    functional = tremain_flat_functional(frame)
+    captured = []
+    real = graphs_module._certified_phases
+
+    def capture(frame, p):
+        rep, phase, step = real(frame, p)
+        captured.append(phase)
+        return rep, phase, step
+
+    monkeypatch.setattr(graphs_module, "_certified_phases", capture)
+    res = gs_srg(frame, functional) if builder == "gs" else waldron_srg(frame)
+    (phase,) = captured
+    assert np.shares_memory(res.graph.adj, phase)
+    assert res.graph.adj.flags.owndata and not res.graph.adj.flags.writeable
+
+
+@pytest.mark.parametrize("dtype, step", [(np.int8, 1), (np.int8, 4), (np.int16, 200)])
+@pytest.mark.parametrize("cut", [0, 1])
+@pytest.mark.parametrize("switched", [False, True])
+@pytest.mark.parametrize("tile", [1, 3, 7, graphs_module._TILE])
+def test_sign_adjacency_is_made_in_the_phase_buffer(dtype, step, cut, switched, tile):
+    """int8 and int16 phases, k = N and k = N - 1, with and without a
+    switching vector: the result is phase[:k, :k] == step (switched), made
+    in the phase array itself, which still owns its memory."""
+    rng = np.random.default_rng(step + cut)
+    n = 20
+    phase = rng.integers(-1, 2 * step, (n, n)).astype(dtype)
+    phase.flags.writeable = False  # as the Gram pass returns it
+    k = n - cut
+    flip = rng.random(k) < 0.5 if switched else None
+    want = phase[:k, :k] == step
+    if switched:
+        want ^= flip[:, None] ^ flip
+    with tiled(tile):
+        got = graphs_module._sign_adjacency(phase, step, k, flip)
+    assert got is phase and got.dtype == bool and got.shape == (k, k) and got.flags.owndata
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("pipeline", [gs_pipeline, waldron_pipeline])
+def test_positive_adjacent_graph_is_the_complement_validated_once(monkeypatch, pipeline):
+    """The negative sign graph is validated once; the positive-adjacent
+    graph made from it in place equals its reference complement and is not
+    validated again."""
+    frame = pipeline(8)[0]
+    _, phase = verify_etf(frame, phases=True)
+    negative = phase == 1
+    if pipeline is waldron_pipeline:  # switch against the last vector, then drop it
+        flip = negative[:-1, -1]
+        negative = negative[:-1, :-1] ^ flip[:, None] ^ flip
+    validated = []
+    real_init = Graph.__post_init__
+
+    def counted(self):
+        validated.append(self.adj.shape)
+        real_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    res = gs_srg(frame, tremain_flat_functional(frame)) if pipeline is gs_pipeline \
+        else waldron_srg(frame)
+    monkeypatch.undo()
+    assert res.convention == "positive-adjacent"
+    assert validated == [negative.shape]
+    assert np.array_equal(res.graph.adj, complement(Graph(negative)).adj)

@@ -20,6 +20,7 @@ from equiframes.scalar import (
     cyclotomic_poly,
     root_coeffs,
 )
+from helpers import assembled
 
 
 def brute_poly_div(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -255,7 +256,8 @@ def test_hermitian_tiles_reassemble_one_float64_product(data, m, n, d, tile, wei
     scaled = vectors * w if weighted else vectors
     want = _cyclic_product(scaled, [p.T for p in vectors], m, np.matmul, 0.0, "test")
     starts = []
-    for s, block in _hermitian_tiles(vectors, m, "test", w if weighted else None, tile):
+    for s, block in assembled(_hermitian_tiles(vectors, m, "test", w if weighted else None, tile),
+                              n):
         assert block.dtype == np.int64
         assert np.array_equal(block, want[:, s:s + tile, s:])
         starts.append(s)
@@ -288,7 +290,8 @@ def test_row_restricted_tiles_equal_the_dense_product(data, m, n, d, tile, spars
     want = _cyclic_product(wide * w if weighted else wide, [p.T for p in wide], m, np.matmul,
                            0.0, "test")
     starts = []
-    for s, block in _hermitian_tiles(vectors, m, "test", w if weighted else None, tile):
+    for s, block in assembled(_hermitian_tiles(vectors, m, "test", w if weighted else None, tile),
+                              n):
         assert np.array_equal(block, want[:, s:s + tile, s:])
         starts.append(s)
     assert starts == list(range(0, n, tile))
@@ -320,7 +323,7 @@ def test_tiles_multiply_only_the_coordinates_their_rows_touch(monkeypatch):
     v = np.zeros((1, 6, 7), dtype=np.int8)
     v[0, :3, :2] = -128
     v[0, 3:, 2:] = 127
-    got = {s: block for s, block in _hermitian_tiles(v, 2, "test", tile=3)}
+    got = dict(assembled(_hermitian_tiles(v, 2, "test", tile=3), 6))
     assert seen == [(2, 2), (2, 2), (5, 5)]
     want = v[0].astype(np.int64) @ v[0].T.astype(np.int64)
     assert np.array_equal(got[0][0], want[:3]) and np.array_equal(got[3][0], want[3:, 3:])
@@ -336,10 +339,10 @@ def test_hermitian_tiles_switch_to_float64_at_2_24(monkeypatch, weight, dtype):
         return _cyclic_product(left, right, *args)
 
     monkeypatch.setattr(scalar, "_cyclic_product", spy)
-    ((_, prod),) = _hermitian_tiles(np.ones((1, 1, 1)), 2, "test", np.array([weight]))
+    ((_, prod),) = assembled(_hermitian_tiles(np.ones((1, 1, 1)), 2, "test", np.array([weight])), 1)
     assert seen == [(dtype, dtype)] and prod.tolist() == [[[weight]]]
 
 
 def test_hermitian_tiles_refuse_at_2_52():
     with pytest.raises(ValueError, match=r"test slot sums may reach .* >= 2\^52"):
-        next(_hermitian_tiles(np.ones((1, 1, 1)), 2, "test", np.array([2**52])))
+        list(assembled(_hermitian_tiles(np.ones((1, 1, 1)), 2, "test", np.array([2**52])), 1))
