@@ -66,6 +66,7 @@ from equiframes.scalar import (
     _first_marked,
     _hermitian_tiles,
     _refuse_array,
+    _square_tiles,
     _unit_roots,
     cyclotomic_poly,
     root_coeffs,
@@ -371,7 +372,6 @@ def gram_matrix(frame: FrameMatrix) -> list[list[ExtScalar]]:
 
 _SURD_WEIGHTS = (1, 2, 3, 6)  # squares of the ExtScalar surds 1, sqrt2, sqrt3, sqrt6
 _SURD_FLOATS = (1.0, _SQRT2_F, _SQRT3_F, _SQRT6_F)
-_GRAM_TILE = 256  # Gram rows per tile of the streaming pass
 _CSV_ROWS = 16  # frame rows formatted per write of the CSV writer
 
 
@@ -412,8 +412,8 @@ def _phase_dtype(m: int):
 
 def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
     """The exact ETF report and the phases, from one walk over the Gram's
-    upper triangle in row tiles of _GRAM_TILE rows, each tile reduced block
-    by block as _hermitian_tiles makes it.
+    upper triangle in row tiles, each tile reduced block by block as
+    _hermitian_tiles makes it.
 
     ``phase[i, j]`` (read-only, int8, int16 past m' = 127) is the e for which
     Gram(i, j) is a positive rational multiple of zeta_(m')^e, m' = lcm(2, m),
@@ -463,8 +463,8 @@ def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
         return pairs
 
     columns = frame.planes.transpose(0, 2, 1)
-    for rows, blocks in _hermitian_tiles(columns, m, "Gram", frame.weights, _GRAM_TILE):
-        pair = _first_marked(rows, blocks, mark)
+    for tile in _hermitian_tiles(columns, m, "Gram", frame.weights):
+        pair = _first_marked([tile], mark)  # every tile: mark writes the phases
         pair_at = pair_at or pair
     phase.flags.writeable = False
 
@@ -504,16 +504,15 @@ def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
     """Sign matrix (int8, zero diagonal) of a real frame's exact Gram (own pass).
 
     Requires every off-diagonal Gram value to be nonzero, which holds for
-    real Steiner and Tremain frames; that is checked in row tiles, so no
-    N x N mask is made.  A zero norm counts too: its column is zero, so
-    its off-diagonal Gram values vanish as well.
+    real Steiner and Tremain frames; that is checked block by block over
+    the upper triangle, so no N x N mask is made.  A zero norm counts too:
+    its column is zero, so its off-diagonal Gram values vanish as well.
     """
     if not frame.is_real_rational():
         raise ValueError("frame has genuine root-of-unity entries")
     phase = _gram_pass(frame)[1]
-    for s in range(0, len(phase), _GRAM_TILE):
-        if (phase[s:s + _GRAM_TILE] < 0).any():
-            raise ValueError("some off-diagonal Gram values vanish")
+    if _first_marked(_square_tiles(phase), lambda b, rows, cols: b < 0) is not None:
+        raise ValueError("some off-diagonal Gram values vanish")
     signs = phase * np.int8(-2)  # phase 0 -> +1, phase 1 -> -1
     signs += 1
     np.fill_diagonal(signs, 0)
@@ -564,14 +563,13 @@ def _frame_operator_witness(frame: FrameMatrix, norm: tuple[int, ...]) -> str | 
                 bad[r, r] = [m * weights[rows.start + r] * c for c in diag] != target
         return bad
 
-    for rows, blocks in _hermitian_tiles(frame.planes, frame.order, "frame operator",
-                                         tile=_GRAM_TILE):
-        pair = _first_marked(rows, blocks, mark, diagonal=True)
-        if pair is not None:
-            r, c = pair
-            return (f"frame operator diagonal off at {r}" if r == c
-                    else f"frame operator off-diagonal ({r},{c})")
-    return None
+    pair = _first_marked(_hermitian_tiles(frame.planes, frame.order, "frame operator"), mark,
+                         diagonal=True)
+    if pair is None:
+        return None
+    r, c = pair
+    return (f"frame operator diagonal off at {r}" if r == c
+            else f"frame operator off-diagonal ({r},{c})")
 
 
 def verify_etf(frame: FrameMatrix, *,

@@ -9,10 +9,11 @@ is made; a sign graph is made in the phases' own buffer
 the Gram pass to the export, and its complement is flipped in place and
 not validated again.  A graph is a read-only boolean adjacency matrix,
 one byte per vertex pair, and it is the only N x N array counting holds:
-validation, derivation, counting and I/O read it in tiles of _TILE rows,
-so every other array scales with _TILE * N.  Certification is pure
-counting: degrees are row sums and common-neighbor counts are the
-entries of A·A, each row tile times each block of _BLOCK columns
+derivation, counting and I/O read it in tiles of scalar._TILE rows, so
+every other array scales with _TILE * N, and the symmetry and phase
+checks walk _TILE x _TILE blocks (scalar._square_tiles).  Certification
+is pure counting: degrees are row sums and common-neighbor counts are
+the entries of A·A, each row tile times each block of _TILE columns
 (A[:, c:c2] is A[c:c2].T by symmetry), both converted to float32 as the
 loop reaches them (exact, since every count is below 2^24).  The sign
 graphs of a Tremain frame have a second product: two points share one
@@ -28,8 +29,9 @@ for the fiber indicator F, and a constant count over non-adjacent pairs
 in distinct fibers, fiber f being the r consecutive vertices
 f*r .. f*r + r - 1.  Each certifier reads the counts it expects off row
 0, at the first pair of each kind, and marks the off counts of each
-block; the scan names the first pair marked.  The certifiers never read
-the closed-form parameters they are compared against.
+block; scalar._first_marked names the first pair marked.  The
+certifiers never read the closed-form parameters they are compared
+against.
 """
 from __future__ import annotations
 
@@ -50,14 +52,14 @@ from equiframes.frames import (
 from equiframes.hadamard import _is_prime
 from equiframes.scalar import (
     _FLOAT32_EXACT,
+    _TILE,
     _adopted,
     _cyclic_product,
     _first_marked,
     _refuse_array,
+    _square_tiles,
 )
 
-_TILE = 256  # rows of A read at once, by counting and every other pass
-_BLOCK = 256  # rows of A converted to float32 at once: the columns of one A·A block
 _WRITE_EDGES = 1 << 14  # edges formatted per write of the edge-list writer
 
 
@@ -76,12 +78,11 @@ class Graph:
         loops = np.flatnonzero(adj.diagonal())
         if loops.size:
             raise ValueError(f"loop at vertex {loops[0]}")
-        for s in range(0, adj.shape[0], _TILE):
-            # columns s: only: a mismatch left of them mirrors one in an earlier row
-            asym = adj[s:s + _TILE, s:] != adj[s:, s:s + _TILE].T
-            if asym.any():
-                i, j = np.unravel_index(asym.argmax(), asym.shape)
-                raise ValueError(f"adjacency is not symmetric at pair ({s + i},{s + j})")
+        marks = np.empty((_TILE, _TILE), dtype=bool)  # one buffer for every block's marks
+        pair = _first_marked(_square_tiles(adj), lambda block, rows, cols: np.not_equal(
+            block, adj[cols, rows].T, out=marks[:len(block), :block.shape[1]]))
+        if pair is not None:
+            raise ValueError(f"adjacency is not symmetric at pair ({pair[0]},{pair[1]})")
         adj.flags.writeable = False
         object.__setattr__(self, "adj", adj)
 
@@ -145,8 +146,8 @@ class Certificate:
 
 
 def _dense_tiles(adj: np.ndarray):
-    """A·A as _scan_pair_counts's tiles: each tile of _TILE rows times each
-    block of _BLOCK rows of A from the tile's first row on, both in float32
+    """A·A as _first_marked's tiles: each tile of _TILE rows times each
+    block of _TILE rows of A from the tile's first row on, both in float32
     (A[:, c:c2] is A[c:c2].T by symmetry)."""
     n = adj.shape[0]
     if n - 2 >= _FLOAT32_EXACT:
@@ -154,14 +155,14 @@ def _dense_tiles(adj: np.ndarray):
     for s in range(0, n, _TILE):
         x = adj[s:s + _TILE].astype(np.float32)
         yield slice(s, s + len(x)), (
-            (slice(c, min(c + _BLOCK, n)), x @ adj[c:c + _BLOCK].astype(np.float32).T)
-            for c in range(s, n, _BLOCK)
+            (slice(c, min(c + _TILE, n)), x @ adj[c:c + _TILE].astype(np.float32).T)
+            for c in range(s, n, _TILE)
         )
 
 
 def _factored_tiles(adj: np.ndarray, size: int, deg: np.ndarray):
     """The common-neighbor counts from the rank-one blocks of the Seidel
-    matrix, as _scan_pair_counts's tiles, or None when a block is not rank
+    matrix, as _first_marked's tiles, or None when a block is not rank
     one or the groups are too small to pay.
 
     Group a is the ``size`` consecutive vertices from p_a = a * size (the
@@ -242,24 +243,6 @@ def _factored_tiles(adj: np.ndarray, size: int, deg: np.ndarray):
     return tiles()
 
 
-def _scan_pair_counts(adj: np.ndarray, off, tiles=None):
-    """The first pair (i, j), i < j, in lexicographic order whose
-    common-neighbor count is off, as (i, j, count), or None.
-
-    ``tiles`` yields, row tile by row tile in order, the tile's rows and its
-    blocks (cols, counts) over the columns from its first row on, each
-    tile's blocks read before the next tile; the default is the dense A·A
-    (_dense_tiles).  off(counts, rows, cols) marks the off counts of one
-    block; each row keeps the first column marked.  A witness's count is
-    the size of a row intersection.
-    """
-    for rows, blocks in _dense_tiles(adj) if tiles is None else tiles:
-        pair = _first_marked(rows, blocks, off)
-        if pair is not None:
-            return *pair, _common_neighbors(adj, *pair)
-    return None
-
-
 def _common_neighbors(adj: np.ndarray, i: int, j: int) -> int:
     return int(np.count_nonzero(adj[i] & adj[j]))
 
@@ -294,12 +277,12 @@ def srg_check(g: Graph, group: int | None = None) -> Certificate:
 
     tiles = None if group is None else _factored_tiles(adj, group, deg)
     counting = "dense" if tiles is None else "factored"
-    witness = _scan_pair_counts(adj, off, tiles)
-    if witness is not None:
-        i, j, c = witness
+    pair = _first_marked(_dense_tiles(adj) if tiles is None else tiles, off)
+    if pair is not None:
+        i, j = pair
         name = "adjacent" if adj[i, j] else "non-adjacent"
-        return Certificate(False, None, f"{name} pair ({i},{j}) has {c} common neighbors",
-                           counting)
+        return Certificate(False, None, f"{name} pair ({i},{j}) has "
+                           f"{_common_neighbors(adj, i, j)} common neighbors", counting)
     return Certificate(True, SRGParams(n, k, lam, mu), counting=counting)
 
 
@@ -348,9 +331,9 @@ def _certified_phases(frame: FrameMatrix, p: int) -> tuple[ETFReport, np.ndarray
     a positive multiple of zeta_p^(phase // step): negative at step if p = 2.
 
     Gram(i, j) is a positive multiple of zeta_(m')^f, f its phase, m' =
-    lcm(2, m), so m'/p must divide f.  The phases are checked in row tiles
-    (the remainder only past step 1); the witness is the first failing pair
-    i < j.
+    lcm(2, m), so m'/p must divide f.  The phases are checked block by
+    block over the upper triangle (the remainder only past step 1: on int8
+    it is the slow part); the witness is the first failing pair i < j.
     """
     rep, phase = verify_etf(frame, phases=True)
     if not rep.is_etf:
@@ -359,15 +342,17 @@ def _certified_phases(frame: FrameMatrix, p: int) -> tuple[ETFReport, np.ndarray
     if m2 % p:
         raise ValueError(f"order-{frame.order} Gram values are not {p}-th roots of unity")
     step = m2 // p
-    for s in range(0, len(phase), _TILE):
-        tile = phase[s:s + _TILE, s:]
-        missing = tile < 0
+    marks = np.empty((_TILE, _TILE), dtype=bool)  # one buffer for every block's marks
+
+    def missing(block, rows, cols):
+        out = np.less(block, 0, out=marks[:len(block), :block.shape[1]])
         if step > 1:
-            missing |= tile % step != 0
-        missing[:, :len(tile)][np.tri(len(tile), dtype=bool)] = False
-        if missing.any():
-            i, j = np.unravel_index(missing.argmax(), missing.shape)
-            raise ValueError(f"Gram entry at ({s + i},{s + j}) is not a {p}-th root of unity")
+            out |= block % step != 0
+        return out
+
+    pair = _first_marked(_square_tiles(phase), missing)
+    if pair is not None:
+        raise ValueError(f"Gram entry at ({pair[0]},{pair[1]}) is not a {p}-th root of unity")
     return rep, phase, step
 
 
@@ -564,12 +549,8 @@ def drackn_check(g: Graph, r: int) -> Certificate:
         unmatched[np.arange(f1 - f0), np.arange(f0, f1)] = False
         if unmatched.any():
             fi, fj, t = np.unravel_index(unmatched.argmax(), unmatched.shape)
-            return Certificate(
-                False,
-                None,
-                f"vertex {(f0 + fi) * r + t} has {hits[fi, t, fj]} neighbors in "
-                f"fiber {fj}, not 1",
-            )
+            return Certificate(False, None, f"vertex {(f0 + fi) * r + t} has "
+                               f"{hits[fi, t, fj]} neighbors in fiber {fj}, not 1")
 
     c_val = _common_neighbors(g.adj, 0, int(g.adj[0, r:].argmin()) + r) if n_fibers > 1 else 0
     fiber_of = np.arange(g.order) // r
@@ -577,14 +558,11 @@ def drackn_check(g: Graph, r: int) -> Certificate:
     def off(counts, rows, cols):
         return (counts != c_val) & ~g.adj[rows, cols] & (fiber_of[rows, None] != fiber_of[cols])
 
-    witness = _scan_pair_counts(g.adj, off)
-    if witness is not None:
-        i, j, c = witness
-        return Certificate(
-            False,
-            None,
-            f"non-adjacent pair ({i},{j}) has {c} common neighbors, expected {c_val}",
-        )
+    pair = _first_marked(_dense_tiles(g.adj), off)
+    if pair is not None:
+        i, j = pair
+        return Certificate(False, None, f"non-adjacent pair ({i},{j}) has "
+                           f"{_common_neighbors(g.adj, i, j)} common neighbors, expected {c_val}")
     return Certificate(True, (n_fibers, r, c_val))
 
 

@@ -6,10 +6,10 @@ exponent table mod q, a read-only (n, n) int64 array; q = 2 is the real
 scalar.MAX_HADAMARD_ORDER, both checked before any table is made.  The
 builders are array expressions on that table.  ButsonMatrix compares by
 identity, as FrameMatrix does: compare two tables with np.array_equal.
-The Hadamard property H H* = n I is checked exactly and for all row pairs
-at once: the table indexes root_coeffs(q) into integer planes, and the
-slot kernel multiplies them and reduces the products modulo the q-th
-cyclotomic polynomial.
+The Hadamard property H H* = n I is checked exactly for all row pairs: the
+table indexes root_coeffs(q) into integer planes, refused past
+scalar._ARRAY_LIMIT_BYTES, and the slot kernel multiplies them in row tiles
+and reduces the products modulo the q-th cyclotomic polynomial.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from equiframes.scalar import (
     _adopted,
     _first_marked,
     _hermitian_tiles,
+    _refuse_array,
     root_coeffs,
 )
 
@@ -92,18 +93,19 @@ class HadamardReport:
 def verify_hadamard(h: ButsonMatrix) -> HadamardReport:
     """Exact check of H H* = n I; reports the first failing row pair.
 
-    Entry (i, k) of H H* is row i times conj(row k): one tile of the
-    Hermitian product over the planes root_coeffs(q)[exponents].  Its
-    diagonal is n, as every entry is a root of unity; the pair is the first
-    (i, k), i < k, in row-major order whose entry is not zero.
+    Entry (i, k) of H H* is row i times conj(row k), in the row tiles of the
+    Hermitian product over the planes root_coeffs(q)[exponents], which are
+    refused past the array limit.  Its diagonal is n, as every entry is a
+    root of unity; the pair is the first (i, k), i < k, in row-major order
+    whose entry is not zero.
     """
     n, q = h.order, h.root_order
-    planes = np.moveaxis(root_coeffs(q)[h.exponents], -1, 0)
-    for rows, blocks in _hermitian_tiles(planes, q, "H H*"):
-        pair = _first_marked(rows, blocks, lambda prod, rows, cols: prod.any(axis=0))
-        if pair is not None:
-            return HadamardReport(False, n, q, pair)
-    return HadamardReport(True, n, q)
+    table = root_coeffs(q)
+    _refuse_array((n, n, table.shape[1]), "H H* plane array", table.itemsize)
+    planes = np.moveaxis(table[h.exponents], -1, 0)
+    pair = _first_marked(_hermitian_tiles(planes, q, "H H*"),
+                         lambda prod, rows, cols: prod.any(axis=0))
+    return HadamardReport(pair is None, n, q, pair)
 
 
 def sylvester(k: int) -> ButsonMatrix:
@@ -161,10 +163,12 @@ def kronecker(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:
     """Kronecker product; the root order is the lcm of the factors'."""
     q = lcm(h1.root_order, h2.root_order)
     _check_size(h1.order * h2.order, q)
-    e1 = h1.exponents[:, None, :, None] * (q // h1.root_order)
-    e2 = h2.exponents[None, :, None, :] * (q // h2.root_order)
     n = h1.order * h2.order
-    return ButsonMatrix(n, q, ((e1 + e2) % q).reshape(n, n))
+    e = (h1.exponents[:, None, :, None] * (q // h1.root_order)
+         + h2.exponents[None, :, None, :] * (q // h2.root_order))
+    e %= q
+    e.shape = (n, n)  # in place, so ButsonMatrix adopts e without a copy
+    return ButsonMatrix(n, q, e)
 
 
 def normalize(h: ButsonMatrix) -> ButsonMatrix:

@@ -15,11 +15,12 @@ product V diag(w) V* (the Gram, the frame operator, H H*): it alone bounds
 the slot sums, picks float32 or float64, tiles the rows and converts, per
 tile, only the coordinates the tile's rows touch, and it yields each row
 tile one column block at a time, so no tile-wide product is made.
-_first_marked reduces such a tile to the first pair a check marks in
-row-major order, for those three and for graph counting.  CycInt and
-ExtScalar hold single values; they are the reference arithmetic that
-FrameMatrix.entry, frames.gram_matrix and the tests check the kernels
-against.
+_square_tiles yields the upper triangle of a square array the same way,
+and _first_marked walks either, or graph counting's products, to the
+first pair i < j a check marks in row-major order; every pairwise pass
+uses one tile of _TILE rows and columns.  CycInt and ExtScalar hold
+single values; they are the reference arithmetic that FrameMatrix.entry,
+frames.gram_matrix and the tests check the kernels against.
 """
 from __future__ import annotations
 
@@ -138,6 +139,7 @@ def _adopted(a, dtype) -> np.ndarray:
 
 
 _FLOAT32_EXACT = 2 ** 24  # float32 holds every integer up to 2^24
+_TILE = 256  # rows, and columns per block, of every pairwise pass
 _BOUND_CHUNK = 1 << 16  # entries per row chunk of the slot bound's float64 temporaries
 
 
@@ -166,22 +168,20 @@ def _slot_bound(vectors: np.ndarray, weights=None) -> float:
     return bound
 
 
-def _hermitian_tiles(vectors: np.ndarray, m: int, what: str, weights=None, tile=None):
+def _hermitian_tiles(vectors: np.ndarray, m: int, what: str, weights=None):
     """Yield (rows, blocks) for the row tiles of the upper triangle of V diag(w) V*.
 
     Row i of V is sum_a vectors[a, i] zeta_m^a, the vectors integer planes
     (phi(m), n, d) of any integer (or integral float) dtype, and w is
-    ``weights`` (d,) or all ones.  ``rows`` is the slice of ``tile`` rows
-    (tile None makes one tile of all n rows), and ``blocks`` yields, one
-    column block of ``tile`` columns at a time from the tile's first row
-    on, (cols, P): the power-basis coefficients of rows x cols, shape
-    (phi(m), rows, cols) int64.  The first block of a tile is its square
-    diagonal block, and no tile-wide product is ever assembled.  A slot sum
-    of rows i and k is at
-    most sum_j w_j t_ij t_kj, t the coefficient size sums of the entries,
-    hence at most the largest sum_j w_j t_ij^2 (_slot_bound): the products
-    run in float32 below 2^24 and in float64 below 2^52, and
-    _cyclic_product refuses past that.
+    ``weights`` (d,) or all ones.  ``rows`` is the slice of _TILE rows, and
+    ``blocks`` yields, one column block of _TILE columns at a time from the
+    tile's first row on, (cols, P): the power-basis coefficients of rows x
+    cols, shape (phi(m), rows, cols) int64.  The first block of a tile is
+    its square diagonal block, and no tile-wide product is ever assembled.
+    A slot sum of rows i and k is at most sum_j w_j t_ij t_kj, t the
+    coefficient size sums of the entries, hence at most the largest sum_j
+    w_j t_ij^2 (_slot_bound): the products run in float32 below 2^24 and in
+    float64 below 2^52, and _cyclic_product refuses past that.
 
     Products are row-restricted (Gustavson): a tile multiplies only the
     inner coordinates j that its own rows touch.  Each operand is converted
@@ -192,7 +192,6 @@ def _hermitian_tiles(vectors: np.ndarray, m: int, what: str, weights=None, tile=
     ftype = np.float32 if bound < _FLOAT32_EXACT else np.float64
     phi, n, d = vectors.shape
     w = None if weights is None else np.asarray(weights).astype(ftype)
-    tile = tile or max(n, 1)
 
     def blocks(rows: slice):  # the left operand lives as long as the tile's blocks
         part = vectors[:, rows]
@@ -205,37 +204,54 @@ def _hermitian_tiles(vectors: np.ndarray, m: int, what: str, weights=None, tile=
             if w is not None:
                 x *= w[inner]
             left.append(x)
-        for c in range(rows.start, n, tile):
-            right = [p[c:c + tile][:, inner].astype(ftype).T for p in vectors]
-            yield slice(c, min(c + tile, n)), _cyclic_product(left, right, m, np.matmul, bound,
-                                                              what)
+        for c in range(rows.start, n, _TILE):
+            right = [p[c:c + _TILE][:, inner].astype(ftype).T for p in vectors]
+            yield slice(c, min(c + _TILE, n)), _cyclic_product(left, right, m, np.matmul, bound,
+                                                               what)
 
-    for s in range(0, n, tile):
-        rows = slice(s, min(s + tile, n))
+    for s in range(0, n, _TILE):
+        rows = slice(s, min(s + _TILE, n))
         yield rows, blocks(rows)
 
 
-def _first_marked(rows: slice, blocks, mark, diagonal: bool = False) -> tuple[int, int] | None:
-    """The first pair (i, j), i < j (i <= j with ``diagonal``), in row-major
-    order that one row tile of the upper triangle marks, or None.
+def _square_tiles(a: np.ndarray):
+    """Yield (rows, blocks) for the upper triangle of a square array, as
+    _hermitian_tiles does: each block (cols, a[rows, cols]) a view of _TILE x
+    _TILE entries, from the tile's first row on."""
+    n = len(a)
+    for s in range(0, n, _TILE):
+        rows = slice(s, min(s + _TILE, n))
+        yield rows, ((slice(c, min(c + _TILE, n)), a[rows, c:c + _TILE])
+                     for c in range(s, n, _TILE))
 
-    ``blocks`` yields the tile's (cols, block) as _hermitian_tiles does, from
-    the tile's first row on; mark(block, rows, cols) returns the block's
-    marks as a fresh bool array, masked here in place.  Every block is read, in
-    order; each row keeps the first column marked, so a mark in a later
-    block never hides an earlier one of the same row.
+
+def _first_marked(tiles, mark, diagonal: bool = False) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j (i <= j with ``diagonal``), in row-major
+    order that a walk over the upper triangle marks, or None.
+
+    ``tiles`` yields (rows, blocks) as _hermitian_tiles does, each tile's
+    blocks (cols, block) from the tile's first row on and read before the
+    next tile; mark(block, rows, cols) returns the block's marks as a bool
+    array that the walk may mask in place.  Every block of a tile is read,
+    in order, and each row keeps the first column marked, so a mark in a
+    later block never hides an earlier one of the same row; the walk stops
+    after the first tile with a mark.
     """
-    s, e = rows.start, rows.stop
-    first = np.full(e - s, -1)
-    for cols, block in blocks:
-        bad = mark(block, rows, cols)
-        c, corner = cols.start, min(cols.stop, e) - cols.start
-        if corner > 0:  # the block meets the diagonal: pairs i < j (i <= j) only
-            bad[:, :corner] &= np.arange(s, e)[:, None] < np.arange(c, c + corner) + diagonal
-        hit = np.flatnonzero(bad.any(axis=1) & (first < 0))
-        first[hit] = c + bad[hit].argmax(axis=1)
-    marked = np.flatnonzero(first >= 0)
-    return (s + int(marked[0]), int(first[marked[0]])) if marked.size else None
+    for rows, blocks in tiles:
+        s, e = rows.start, rows.stop
+        first = np.full(e - s, -1)
+        for cols, block in blocks:
+            bad = mark(block, rows, cols)
+            c, corner = cols.start, min(cols.stop, e) - cols.start
+            if corner > 0:  # the block meets the diagonal: pairs i < j (i <= j) only
+                bad[:, :corner] &= ~np.tri(e - s, corner, s - c - diagonal, dtype=bool)
+            hit = np.flatnonzero(bad.any(axis=1) & (first < 0))
+            first[hit] = c + bad[hit].argmax(axis=1)
+        del block, bad  # before the next tile is made: every tile has a block
+        marked = np.flatnonzero(first >= 0)
+        if marked.size:
+            return s + int(marked[0]), int(first[marked[0]])
+    return None
 
 
 def _cyclic_product(left, right, m: int, mul, bound: float, what: str) -> np.ndarray:

@@ -2,6 +2,10 @@
 and parameter sets that the package itself has no use for."""
 from __future__ import annotations
 
+import sys
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
 import numpy as np
 
 from equiframes.graphs import Graph
@@ -73,3 +77,14 @@ def assembled(tiles, n: int):
             c = cols.stop
         assert c == n
         yield rows.start, np.concatenate(parts, axis=2)
+
+
+@contextmanager
+def tiled(tile: int):
+    """Patch _TILE, the one tile size of every pairwise pass, in every
+    package module that binds it."""
+    with ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("equiframes.") and hasattr(module, "_TILE"):
+                stack.enter_context(mock.patch.object(module, "_TILE", tile))
+        yield

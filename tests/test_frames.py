@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from equiframes.designs import find_parallel_class, make_sts, standard_embedding
 from equiframes.frames import (
-    _GRAM_TILE,
     FrameMatrix,
     SteinerProvenance,
     _gram_pass,
@@ -42,8 +41,15 @@ from equiframes.hadamard import (
     real_hadamard,
     sylvester,
 )
-from equiframes.scalar import MAX_ROOT_ORDER, CycInt, ExtScalar, _hermitian_tiles, cyclotomic_poly
-from helpers import assembled, reference_naimark_residuals, simplex_scalars
+from equiframes.scalar import (
+    _TILE,
+    MAX_ROOT_ORDER,
+    CycInt,
+    ExtScalar,
+    _hermitian_tiles,
+    cyclotomic_poly,
+)
+from helpers import assembled, reference_naimark_residuals, simplex_scalars, tiled
 
 
 def build_tremain(v=None, h=None, parallel=False, rows=None):
@@ -212,11 +218,10 @@ def _oracle_phases(ref, order):
     return np.array([[phase(x) for x in row] for row in ref])
 
 
-def test_kernel_gram_matches_extscalar_oracle(monkeypatch):
+def test_kernel_gram_matches_extscalar_oracle():
     """The tiled kernel equals the ExtScalar Gram entry for entry, and the
     pass's phases name each entry's root of unity, at tile sizes that put
     tile boundaries inside the frames."""
-    from equiframes import frames
     from equiframes.pipelines import build_steiner
 
     def zeroed(f):  # one entry zeroed: some Gram values leave every root's ray
@@ -233,12 +238,14 @@ def test_kernel_gram_matches_extscalar_oracle(monkeypatch):
         n, phi = f.count, len(f.planes)
         want_phase = _oracle_phases(ref, f.order)
         first = None
-        for tile in (1, 3, 7, _GRAM_TILE):
+        for tile in (1, 3, 7, _TILE):
             g = np.zeros((phi, n, n), dtype=np.int64)
-            for s, block in assembled(_hermitian_tiles(f.planes.transpose(0, 2, 1), f.order,
-                                                       "Gram", f.weights, tile), n):
-                assert block.shape == (phi, min(tile, n - s), n - s)
-                g[:, s:s + block.shape[1], s:] = block
+            with tiled(tile):
+                for s, block in assembled(_hermitian_tiles(f.planes.transpose(0, 2, 1), f.order,
+                                                           "Gram", f.weights), n):
+                    assert block.shape == (phi, min(tile, n - s), n - s)
+                    g[:, s:s + block.shape[1], s:] = block
+                phase = _gram_pass(f)[1]
             g = np.triu(g)
             if first is None:
                 first = g
@@ -247,8 +254,6 @@ def test_kernel_gram_matches_extscalar_oracle(monkeypatch):
                         got = ExtScalar.from_cyc(CycInt(f.order, g[:, i, j].tolist()), 2 * f.k)
                         assert got == ref[i][j], f"{name}: Gram mismatch at ({i},{j})"
             assert np.array_equal(g, first), f"{name}: tile {tile} changes the Gram"
-            monkeypatch.setattr(frames, "_GRAM_TILE", tile)
-            phase = _gram_pass(f)[1]
             assert np.array_equal(phase, want_phase), f"{name}: tile {tile} phases"
         orders.add(f.order)
     assert orders == {2, 5, 8, 10, 14}
@@ -287,17 +292,15 @@ def test_equiangularity_witness_on_tight_equal_norm_frame(order, plane):
 
 @pytest.mark.parametrize("tile", [1, 256])
 @pytest.mark.parametrize("zero_at", [None, 1])
-def test_real_signs_refuse_a_vanishing_gram_value(monkeypatch, tile, zero_at):
+def test_real_signs_refuse_a_vanishing_gram_value(tile, zero_at):
     """Columns e1, e2, e1 + e2: Gram(0, 1) = 0.  With column 1 zeroed its
     norm vanishes too, and so do its off-diagonal values."""
-    from equiframes import frames
 
     planes = np.array([[[1.0, 0, 1], [0, 1, 1]]])
     if zero_at is not None:
         planes[0, :, zero_at] = 0
     f = FrameMatrix(planes, np.ones(2, dtype=np.int64), 0, 2, 2, 0, 0)
-    monkeypatch.setattr(frames, "_GRAM_TILE", tile)
-    with pytest.raises(ValueError, match="off-diagonal Gram values vanish"):
+    with tiled(tile), pytest.raises(ValueError, match="off-diagonal Gram values vanish"):
         real_gram_signs(f)
 
 
@@ -359,22 +362,21 @@ _FIXED_BYTES = 1 << 20
 
 
 @pytest.mark.parametrize("tile", [64, 256])
-def test_verify_holds_no_float_copy_of_the_planes(monkeypatch, tile):
+def test_verify_holds_no_float_copy_of_the_planes(tile):
     """verify_etf on the h=32 gs frame, Gram pass included: the pass keeps
     one phase byte per pair, and everything else is per tile or fixed.  The
     planes are built before tracing starts, so only temporaries count; the
     budget's room over the measured peak (1.05 MB at tile 64, 1.3 MB at
     256) is less than a float32 copy of the planes (4 bytes per coefficient,
     5.9 MB), so such a copy would not fit, nor an int64 tile x N product."""
-    from equiframes import frames
     from equiframes.pipelines import build_tremain as pipeline_build
 
     f = pipeline_build(h=32, parallel=True)
     n = f.count
-    monkeypatch.setattr(frames, "_GRAM_TILE", tile)
     tracemalloc.start()
     try:
-        assert verify_etf(f).is_etf
+        with tiled(tile):
+            assert verify_etf(f).is_etf
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -391,13 +393,12 @@ def test_verify_holds_no_float_copy_of_the_planes(monkeypatch, tile):
     ("h=4", [(3, 4), (3, 6)], [(4, 7), (5, 6)]),
     ("V=7 fourier", [(3, 4), (3, 5)], [(4, 7), (5, 6)]),
 ])
-def test_modulus_witness_is_row_major_across_column_blocks(monkeypatch, which, negated, bad):
+def test_modulus_witness_is_row_major_across_column_blocks(which, negated, bad):
     """Two negated entries of a real and a complex frame keep every norm and
     break exactly the moduli of the pairs ``bad`` (ExtScalar Gram).  The
     first of them lies in a later column block than a later row's pair of
     the same row tile; at every tile the witness is the row-major first pair
     and the report is the same."""
-    from equiframes import frames
 
     f = build_tremain(h=4) if which == "h=4" else _perturbation_base(which)[0]
     planes = f.planes.copy()
@@ -409,9 +410,9 @@ def test_modulus_witness_is_row_major_across_column_blocks(monkeypatch, which, n
     n = broken.count
     assert [(i, j) for i in range(n) for j in range(i + 1, n) if mods[i][j] != mods[0][1]] == bad
     reports = []
-    for tile in (1, 3, 7, _GRAM_TILE):
-        monkeypatch.setattr(frames, "_GRAM_TILE", tile)
-        reports.append(verify_etf(broken))
+    for tile in (1, 3, 7, _TILE):
+        with tiled(tile):
+            reports.append(verify_etf(broken))
     want = f"|Gram| differs at pair (0,1) vs ({bad[0][0]},{bad[0][1]})"
     assert reports[0].equal_norms and reports[0].witness == want
     assert all(rep == reports[0] for rep in reports)
@@ -427,10 +428,11 @@ def test_int64_promoted_frame_gram_matches_the_dense_product():
     assert g.planes.dtype == np.int64
     x = g.planes[0]
     want = (x.T * g.weights) @ x
-    for tile in (1, 3, 7, _GRAM_TILE):
-        for s, block in assembled(_hermitian_tiles(g.planes.transpose(0, 2, 1), g.order, "Gram",
-                                                   g.weights, tile), g.count):
-            assert np.array_equal(block[0], want[s:s + tile, s:])
+    for tile in (1, 3, 7, _TILE):
+        with tiled(tile):
+            for s, block in assembled(_hermitian_tiles(g.planes.transpose(0, 2, 1), g.order,
+                                                       "Gram", g.weights), g.count):
+                assert np.array_equal(block[0], want[s:s + tile, s:])
     rep = verify_etf(g)
     assert not rep.equal_norms and rep.witness == "norms differ at columns 0 and 1"
 
@@ -451,11 +453,10 @@ def _with_zero_row():
     (lambda: FrameMatrix(np.ones((1, 2, 3)), np.ones(2, dtype=np.int64), 0, 2, 2, 0, 0),
      "frame operator off-diagonal (0,1)"),
 ])
-def test_frame_operator_witnesses_at_every_tile(monkeypatch, tile, make, witness):
-    from equiframes import frames
+def test_frame_operator_witnesses_at_every_tile(tile, make, witness):
 
-    monkeypatch.setattr(frames, "_GRAM_TILE", tile)
-    rep = verify_etf(make())
+    with tiled(tile):
+        rep = verify_etf(make())
     assert rep.equal_norms and rep.is_equiangular
     assert not rep.is_tight and not rep.is_etf
     assert rep.witness == witness
@@ -468,7 +469,7 @@ def _norm_coeffs(f):
     return (int(rep.norm_sq * 4 ** f.k),) + (0,) * (len(f.planes) - 1)
 
 
-def test_frame_operator_is_streamed_in_row_tiles(monkeypatch):
+def test_frame_operator_is_streamed_in_row_tiles():
     """The frame operator walk on the tight h=16 frame reads every tile and
     holds a few of them: no phi(m) x M x M int64 frame operator (nor a
     float32 copy of the planes)."""
@@ -476,10 +477,10 @@ def test_frame_operator_is_streamed_in_row_tiles(monkeypatch):
 
     f = build_tremain(h=16)
     norm = _norm_coeffs(f)  # the Gram pass runs before tracing starts
-    monkeypatch.setattr(frames, "_GRAM_TILE", 16)
     tracemalloc.start()
     try:
-        assert frames._frame_operator_witness(f, norm) is None
+        with tiled(16):
+            assert frames._frame_operator_witness(f, norm) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -34,7 +34,7 @@ from equiframes.graphs import (
 )
 from equiframes.pipelines import build_tremain, drackn_pipeline, gs_pipeline, waldron_pipeline
 from equiframes.scalar import ExtScalar
-from helpers import complement, edges, flipped, srg_identity_holds
+from helpers import complement, edges, flipped, srg_identity_holds, tiled
 
 
 def petersen() -> Graph:
@@ -207,28 +207,21 @@ def graphs(draw):
     )
 
 
-# small row tiles and column blocks put the tile and block boundaries of A·A
-# inside these small graphs
-tiles = st.sampled_from([1, 3, 7, graphs_module._TILE])
-blocks = st.sampled_from([1, 3, 7, graphs_module._BLOCK])
-
-
-def tiled(tile, block=None):
-    """Patch the row tile and, if given, the column block of the kernels."""
-    return mock.patch.multiple(graphs_module, _TILE=tile,
-                               _BLOCK=graphs_module._BLOCK if block is None else block)
+# small tiles put the row tile and column block boundaries of A·A inside
+# these small graphs
+tiles = st.sampled_from([1, 3, 7, scalar_module._TILE])
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(), tiles, blocks)
-def test_srg_check_matches_reference_on_random_graphs(g, tile, block):
-    with tiled(tile, block):
+@given(graphs(), tiles)
+def test_srg_check_matches_reference_on_random_graphs(g, tile):
+    with tiled(tile):
         assert outcome(srg_check(g)) == reference_srg(g)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 4, 8]), st.integers(0, 2**32), st.booleans(), tiles, blocks)
-def test_srg_check_matches_reference_on_edited_waldron_graphs(h, seed, swap, tile, block):
+@given(st.sampled_from([2, 4, 8]), st.integers(0, 2**32), st.booleans(), tiles)
+def test_srg_check_matches_reference_on_edited_waldron_graphs(h, seed, swap, tile):
     """One flipped edge, or a degree-preserving swap of two edges."""
     g = waldron_graph(h)
     rng = random.Random(seed)
@@ -241,7 +234,7 @@ def test_srg_check_matches_reference_on_edited_waldron_graphs(h, seed, swap, til
             edited = g
             for x, y in ((a, b), (c, d), (a, d), (c, b)):
                 edited = flipped(edited, x, y)
-    with tiled(tile, block):
+    with tiled(tile):
         assert outcome(srg_check(edited)) == reference_srg(edited)
 
 
@@ -294,8 +287,9 @@ def planted_block_graphs(draw):
 
 
 def recorded_counts(adj, tiles=None):
-    """The count the scan computes for every pair i < j, recorded through
-    its ``off`` callback (0 elsewhere); the scan marks nothing."""
+    """The count the walk reads for every pair i < j off ``tiles`` (the dense
+    A·A by default), recorded through its mark (0 elsewhere); the walk marks
+    nothing."""
     n = adj.shape[0]
     seen = np.full((n, n), -1.0)
 
@@ -303,7 +297,8 @@ def recorded_counts(adj, tiles=None):
         seen[rows, cols] = counts
         return np.zeros(counts.shape, dtype=bool)
 
-    assert graphs_module._scan_pair_counts(adj, off, tiles) is None
+    tiles = graphs_module._dense_tiles(adj) if tiles is None else tiles
+    assert scalar_module._first_marked(tiles, off) is None
     upper = np.triu(seen, 1)
     assert (upper[np.triu_indices(n, 1)] >= 0).all()  # every pair counted
     return upper.astype(np.int64)
@@ -382,24 +377,24 @@ def fibered_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(fibered_graphs(), tiles, blocks)
-def test_drackn_check_matches_reference_on_random_covers(case, tile, block):
+@given(fibered_graphs(), tiles)
+def test_drackn_check_matches_reference_on_random_covers(case, tile):
     g, r = case
-    with tiled(tile, block):
+    with tiled(tile):
         assert outcome(drackn_check(g, r)) == reference_drackn(g, r)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32), tiles, blocks)
-def test_drackn_check_matches_reference_on_flipped_cover(seed, tile, block):
+@given(st.integers(0, 2**32), tiles)
+def test_drackn_check_matches_reference_on_flipped_cover(seed, tile):
     cov = cover_h2()
     u, v = random.Random(seed).sample(range(cov.graph.order), 2)
     g = flipped(cov.graph, u, v)
-    with tiled(tile, block):
+    with tiled(tile):
         assert outcome(drackn_check(g, 2)) == reference_drackn(g, 2)
 
 
-@pytest.mark.parametrize("tile", [1, 3, 7, graphs_module._TILE])
+@pytest.mark.parametrize("tile", [1, 3, 7, scalar_module._TILE])
 def test_drackn_cover_is_the_same_at_every_tile_size(tile):
     """The cover's adjacency, built in row tiles, and its certificate."""
     frame, cov = drackn_pipeline(4, 2)
@@ -450,9 +445,9 @@ def assert_srg_agrees_with_networkx(g):
 
 
 @settings(max_examples=100, deadline=None)
-@given(graphs(), tiles, blocks)
-def test_srg_check_agrees_with_networkx_on_random_graphs(g, tile, block):
-    with tiled(tile, block):
+@given(graphs(), tiles)
+def test_srg_check_agrees_with_networkx_on_random_graphs(g, tile):
+    with tiled(tile):
         assert_srg_agrees_with_networkx(g)
 
 
@@ -521,7 +516,7 @@ def test_srg_complement_params():
 def test_count_guard_raises_past_float32_exact_range():
     huge = np.broadcast_to(np.False_, (2**24 + 2, 2**24 + 2))  # a view, no memory
     with pytest.raises(ValueError, match="not exact"):
-        graphs_module._scan_pair_counts(huge, None)
+        scalar_module._first_marked(graphs_module._dense_tiles(huge), None)
 
 
 def test_factored_count_guard_raises_past_float32_exact_range():
@@ -683,7 +678,7 @@ def test_row_zero_references_match_the_reference_counters(case, tile):
     """The counts each certifier reads off row 0, where a kind of pair may
     be missing, against the first count of each kind the references find."""
     g, r = ROW_ZERO_CASES[case]()
-    with tiled(tile, tile):
+    with tiled(tile):
         if r is None:
             assert outcome(srg_check(g)) == reference_srg(g)
         else:
@@ -724,7 +719,7 @@ def test_drackn_cover_rejects_non_unit_gram():
         drackn_cover(scaled, 2)
 
 
-@pytest.mark.parametrize("tile", [1, 7, graphs_module._TILE])
+@pytest.mark.parametrize("tile", [1, 7, scalar_module._TILE])
 def test_drackn_cover_names_the_first_phase_pair_before_the_modulus(tile):
     """An ETF whose Gram values have modulus 4, not 1, and whose phases also
     miss the 5-th roots: the witness is the first pair the phase scan fails."""
@@ -1024,6 +1019,20 @@ def verified_gs_frame():
     return frame
 
 
+def test_graph_validation_holds_a_few_tile_blocks_beside_the_adjacency():
+    """Graph(adj) on a symmetric 2080-vertex adjacency adopts it and checks
+    symmetry block by block into one _TILE x _TILE mark buffer: the traced
+    peak stays within four _TILE^2 bytes (256 KiB), below one _TILE x N
+    strip of marks (520 KiB)."""
+    n, tile = 2080, scalar_module._TILE
+    adj = np.random.default_rng(0).random((n, n)) < 0.5
+    adj = np.triu(adj, 1)
+    adj |= adj.T
+    g, peak = traced_peak(lambda: Graph(adj))
+    assert g.adj is adj
+    assert peak <= 4 * tile * tile, peak
+
+
 def test_flat_functional_reads_only_its_support_rows():
     """Its slot bound and product read the 22 class and extra rows of the
     h=32 frame (715 x 2080), never a float64 copy of the planes (11.9 MB):
@@ -1128,7 +1137,7 @@ def test_sign_graphs_take_over_the_phase_buffer(monkeypatch, builder):
 @pytest.mark.parametrize("dtype, step", [(np.int8, 1), (np.int8, 4), (np.int16, 200)])
 @pytest.mark.parametrize("cut", [0, 1])
 @pytest.mark.parametrize("switched", [False, True])
-@pytest.mark.parametrize("tile", [1, 3, 7, graphs_module._TILE])
+@pytest.mark.parametrize("tile", [1, 3, 7, scalar_module._TILE])
 def test_sign_adjacency_is_made_in_the_phase_buffer(dtype, step, cut, switched, tile):
     """int8 and int16 phases, k = N and k = N - 1, with and without a
     switching vector: the result is phase[:k, :k] == step (switched), made

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equiframes import cli
+from equiframes import scalar as scalar_module
 from equiframes.hadamard import (
     ButsonMatrix,
     fourier,
@@ -31,12 +32,14 @@ from equiframes.hadamard import (
     verify_hadamard,
 )
 from equiframes.scalar import (
+    _TILE,
     MAX_HADAMARD_ORDER,
     MAX_ROOT_ORDER,
     CycInt,
     _cyclic_product,
     root_coeffs,
 )
+from helpers import tiled
 
 
 def numeric_gram_residual(h: ButsonMatrix) -> float:
@@ -242,18 +245,25 @@ KNOWN = {"sylvester(3)": sylvester(3), "paley(7)": paley(7), "fourier(6)": fouri
          "H(5,10)": load_butson(cli.BUNDLED_H510)}
 
 
+# small tiles put the row tile and column block boundaries of H H* inside the tables
+tiles = st.sampled_from([1, 3, 7, _TILE])
+
+
 @settings(max_examples=300, deadline=None)
-@given(exponent_tables())
-def test_verify_matches_pairwise_reference_on_random_tables(h):
-    rep = verify_hadamard(h)
+@given(exponent_tables(), tiles)
+def test_verify_matches_pairwise_reference_on_random_tables(h, tile):
+    with tiled(tile):
+        rep = verify_hadamard(h)
     assert (rep.ok, rep.failure) == reference_verify(h)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(KNOWN)), st.integers(0, 99), st.integers(0, 99), st.integers(0, 99))
-def test_verify_matches_pairwise_reference_on_perturbed_matrices(name, i, j, e):
+@given(st.sampled_from(sorted(KNOWN)), st.integers(0, 99), st.integers(0, 99), st.integers(0, 99),
+       tiles)
+def test_verify_matches_pairwise_reference_on_perturbed_matrices(name, i, j, e, tile):
     h = perturbed(KNOWN[name], i, j, e)
-    rep = verify_hadamard(h)
+    with tiled(tile):
+        rep = verify_hadamard(h)
     assert (rep.ok, rep.failure) == reference_verify(h)
 
 
@@ -347,6 +357,32 @@ def test_an_order_past_the_bound_is_refused_before_any_table(tmp_path, capsys, s
     assert cli.main(["--out", str(tmp_path), "make", "hadamard", "--spec", spec]) == 1
     assert str(MAX_HADAMARD_ORDER) in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec, shape", [("fourier:1024", "1024 x 1024 x 512"),
+                                         ("kron(fourier:64,fourier:64)", "4096 x 4096 x 32")])
+def test_hadamard_planes_past_the_array_limit_are_refused_before_they_are_made(
+        tmp_path, capsys, spec, shape):
+    """Both tables are within the order bound, but the int64 planes of their
+    H H* (n x n x phi(q)) need 4 GiB: verify_hadamard refuses them before
+    they are allocated, and the CLI exits 1 and writes nothing."""
+    assert cli.main(["--out", str(tmp_path), "make", "hadamard", "--spec", spec]) == 1
+    assert capsys.readouterr().err == (f"configuration error: {shape} H H* plane array needs "
+                                       "4294967296 bytes, past the 2147483648-byte limit\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_loaded_butson_planes_past_the_array_limit_are_refused(tmp_path, monkeypatch):
+    """load_butson verifies through the same refusal: fourier(8)'s planes
+    are 8 x 8 x 4 int64 entries, 2048 bytes."""
+    path = tmp_path / "f8.txt"
+    store_butson(path, fourier(8))
+    monkeypatch.setattr(scalar_module, "_ARRAY_LIMIT_BYTES", 2048)
+    assert verify_hadamard(load_butson(path)).ok
+    monkeypatch.setattr(scalar_module, "_ARRAY_LIMIT_BYTES", 2047)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 8 x 8 x 4 H H* plane array needs "
+                                                   "2048 bytes, past the 2047-byte limit")):
+        load_butson(path)
 
 
 def test_butson_header_past_the_order_bound_is_refused_before_the_rows(tmp_path):

@@ -16,11 +16,13 @@ from equiframes.scalar import (
     CycInt,
     ExtScalar,
     _cyclic_product,
+    _first_marked,
     _hermitian_tiles,
+    _square_tiles,
     cyclotomic_poly,
     root_coeffs,
 )
-from helpers import assembled
+from helpers import assembled, tiled
 
 
 def brute_poly_div(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -256,11 +258,12 @@ def test_hermitian_tiles_reassemble_one_float64_product(data, m, n, d, tile, wei
     scaled = vectors * w if weighted else vectors
     want = _cyclic_product(scaled, [p.T for p in vectors], m, np.matmul, 0.0, "test")
     starts = []
-    for s, block in assembled(_hermitian_tiles(vectors, m, "test", w if weighted else None, tile),
-                              n):
-        assert block.dtype == np.int64
-        assert np.array_equal(block, want[:, s:s + tile, s:])
-        starts.append(s)
+    with tiled(tile):
+        for s, block in assembled(_hermitian_tiles(vectors, m, "test", w if weighted else None),
+                                  n):
+            assert block.dtype == np.int64
+            assert np.array_equal(block, want[:, s:s + tile, s:])
+            starts.append(s)
     assert starts == list(range(0, n, tile))
 
 
@@ -290,10 +293,11 @@ def test_row_restricted_tiles_equal_the_dense_product(data, m, n, d, tile, spars
     want = _cyclic_product(wide * w if weighted else wide, [p.T for p in wide], m, np.matmul,
                            0.0, "test")
     starts = []
-    for s, block in assembled(_hermitian_tiles(vectors, m, "test", w if weighted else None, tile),
-                              n):
-        assert np.array_equal(block, want[:, s:s + tile, s:])
-        starts.append(s)
+    with tiled(tile):
+        for s, block in assembled(_hermitian_tiles(vectors, m, "test", w if weighted else None),
+                                  n):
+            assert np.array_equal(block, want[:, s:s + tile, s:])
+            starts.append(s)
     assert starts == list(range(0, n, tile))
 
 
@@ -323,7 +327,8 @@ def test_tiles_multiply_only_the_coordinates_their_rows_touch(monkeypatch):
     v = np.zeros((1, 6, 7), dtype=np.int8)
     v[0, :3, :2] = -128
     v[0, 3:, 2:] = 127
-    got = dict(assembled(_hermitian_tiles(v, 2, "test", tile=3), 6))
+    with tiled(3):
+        got = dict(assembled(_hermitian_tiles(v, 2, "test"), 6))
     assert seen == [(2, 2), (2, 2), (5, 5)]
     want = v[0].astype(np.int64) @ v[0].T.astype(np.int64)
     assert np.array_equal(got[0][0], want[:3]) and np.array_equal(got[3][0], want[3:, 3:])
@@ -346,3 +351,32 @@ def test_hermitian_tiles_switch_to_float64_at_2_24(monkeypatch, weight, dtype):
 def test_hermitian_tiles_refuse_at_2_52():
     with pytest.raises(ValueError, match=r"test slot sums may reach .* >= 2\^52"):
         list(assembled(_hermitian_tiles(np.ones((1, 1, 1)), 2, "test", np.array([2**52])), 1))
+
+
+# --- the one first-pair walk -----------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 2**32), st.sampled_from([0, 0.002, 0.02, 0.3]),
+       st.sampled_from([1, 3, 7, 256]), st.booleans())
+def test_first_marked_square_walk_finds_the_brute_force_first_pair(n, seed, density, tile,
+                                                                   diagonal):
+    """Random masks at tile sizes that do and do not divide n: the walk over
+    _square_tiles names the row-major first marked pair i < j (i <= j with
+    ``diagonal``), reads every block of each row tile up to the one that
+    holds it, in order, and no block after that tile."""
+    mask = np.random.default_rng(seed).random((n, n)) < density
+    hits = np.argwhere(np.triu(mask, 0 if diagonal else 1))
+    want = tuple(hits[0].tolist()) if len(hits) else None
+    read = []
+
+    def mark(block, rows, cols):
+        assert np.array_equal(block, mask[rows, cols])
+        read.append((rows.start, cols.start))
+        return block.copy()  # the walk masks its marks in place
+
+    with tiled(tile):
+        got = _first_marked(_square_tiles(mask), mark, diagonal)
+    assert got == want
+    last = n if want is None else want[0] // tile * tile + 1
+    assert read == [(s, c) for s in range(0, last, tile) for c in range(s, n, tile)]
