@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from equiframes.scalar import _refuse_array
+
 Block = tuple[int, int, int]
+
+# Peak bytes per block while bose or skolem builds a system: the sorted tuple,
+# its three ints and its slots in the block list and tuple (tracemalloc, 164
+# at V = 2001 and 2005)
+_BLOCK_BYTES = 164
 
 
 @dataclass(frozen=True)
@@ -113,12 +120,12 @@ def skolem(v: int) -> SteinerTripleSystem:
 
 
 def make_sts(v: int) -> SteinerTripleSystem:
-    """Dispatch on the congruence class of v."""
-    if v % 6 == 3:
-        return bose(v)
-    if v % 6 == 1:
-        return skolem(v)
-    raise ValueError(f"no Steiner triple system exists for V={v}")
+    """Dispatch on the congruence class of v; refused before any block is
+    made when its V(V-1)/6 blocks would pass scalar._ARRAY_LIMIT_BYTES."""
+    if v % 6 not in (1, 3):
+        raise ValueError(f"no Steiner triple system exists for V={v}")
+    _refuse_array((v * (v - 1) // 6,), "block triple system", _BLOCK_BYTES)
+    return bose(v) if v % 6 == 3 else skolem(v)
 
 
 def verify_sts(s: SteinerTripleSystem) -> STSReport:

@@ -55,9 +55,7 @@ from equiframes.designs import EmbeddingAssignment, SteinerTripleSystem
 from equiframes.hadamard import ButsonMatrix
 from equiframes.scalar import (
     _GUARD_NOTE,
-    _SQRT2_F,
-    _SQRT3_F,
-    _SQRT6_F,
+    _SURDS,
     MAX_ROOT_ORDER,
     CycInt,
     ExtScalar,
@@ -201,15 +199,16 @@ class FrameMatrix:
         return len(self.planes) == 1
 
     def entry(self, r: int, j: int) -> ExtScalar:
-        """Entry (r, j) as an ExtScalar, for reference arithmetic."""
-        parts = [CycInt.from_int(0, self.order)] * 4
-        parts[_SURD_WEIGHTS.index(int(self.weights[r]))] = CycInt(
-            self.order, [int(c) for c in self.planes[:, r, j]])
-        return ExtScalar(*parts, k=self.k)
+        """Entry (r, j) as an ExtScalar, for reference arithmetic: its row's
+        surd times its cyclotomic integer, over 2^k."""
+        z = CycInt(self.order, [int(c) for c in self.planes[:, r, j]])
+        return ExtScalar(_SURDS[int(self.weights[r])] * z, self.k)
 
     def to_complex_array(self) -> np.ndarray:
-        """Entries as complex128, rounded exactly as ExtScalar.to_complex rounds;
-        refused past scalar._ARRAY_LIMIT_BYTES before anything is allocated."""
+        """Entries as complex128, refused past scalar._ARRAY_LIMIT_BYTES before
+        anything is allocated.  Each is the float sum, in ascending powers,
+        of its coefficients times the unit roots, times its row's rounded
+        float sqrt(w) and 2^-k (exact)."""
         _refuse_array(self.planes.shape[1:], "complex frame array", 16)
         roots = _unit_roots(self.order)
         # ascending powers from +0.0, as CycInt.to_complex sums: no -0.0 appears,
@@ -370,8 +369,8 @@ def gram_matrix(frame: FrameMatrix) -> list[list[ExtScalar]]:
 # ---------------------------------------------------------------------------
 # exact kernel: row-graded integer planes, products in cyclic slots
 
-_SURD_WEIGHTS = (1, 2, 3, 6)  # squares of the ExtScalar surds 1, sqrt2, sqrt3, sqrt6
-_SURD_FLOATS = (1.0, _SQRT2_F, _SQRT3_F, _SQRT6_F)
+_SURD_WEIGHTS = (1, 2, 3, 6)  # squares of the row surds 1, sqrt2, sqrt3, sqrt6
+_SURD_FLOATS = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 6.0 ** 0.5)
 _CSV_ROWS = 16  # frame rows formatted per write of the CSV writer
 
 
@@ -420,7 +419,8 @@ def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
     or -1 (a zero entry, say); for a real frame 0 is positive and 1 negative.
     A block's phases go to phase[rows, cols] and their conjugates to
     phase[cols, rows], so beside the phases the pass holds one block.
-    The witness is the first column whose norm differs from column 0's, else
+    The witness is the first column whose norm differs from column 0's, or
+    the zero norm of every column (zero vectors form no tight frame), else
     the first pair (i, j), i < j in row-major order, whose modulus differs
     from pair (0, 1)'s, else the frame operator's, computed only when the
     Welch equality does not already prove tightness.
@@ -472,7 +472,9 @@ def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
     scale = 1 << (2 * frame.k)
     norm_sq = _rational(norm, scale)
     equal_norms, is_equiangular = norm_at is None, pair_at is None
-    witness = None if equal_norms else f"norms differ at columns 0 and {norm_at}"
+    spans = equal_norms and any(norm)  # zero columns span nothing, so are no tight frame
+    witness = (f"norms differ at columns 0 and {norm_at}" if not equal_norms
+               else None if spans else "every column has norm 0")
     gram_abs_sq = coherence_sq = coherence = tight_constant = None
     if is_equiangular:  # |Gram(0, 1)|^2, at scale 16^k
         abs_sq = (int(ref[0]) ** 2,) if real else tuple(map(int, ref))
@@ -485,8 +487,8 @@ def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
     # At the Welch bound tr S^2 = ||Gram||_F^2 = (tr S)^2 / M for the frame
     # operator S, so Cauchy-Schwarz on its eigenvalues forces S = (tr S / M) I
     meets = coherence_sq == wb.squared
-    off = None if meets or not equal_norms else _frame_operator_witness(frame, norm)
-    is_tight = equal_norms and off is None
+    off = None if meets or not spans else _frame_operator_witness(frame, norm)
+    is_tight = spans and off is None
     if is_tight and norm_sq is not None:
         tight_constant = Fraction(n, frame.dim) * norm_sq
     rep = ETFReport(frame.dim, n, equal_norms, norm_sq, is_tight, tight_constant,
@@ -592,9 +594,11 @@ def verify_etf(frame: FrameMatrix, *,
 def store_frame_exact(path: str | Path, frame: FrameMatrix) -> None:
     """Header `M N m`, band sizes, then entries as (a|b|c|d|k) tuples.
 
-    Each entry is written in ExtScalar's canonical form: only the part of
-    its row's surd is nonzero, and its own k is as small as it goes, so some
-    coefficient is odd unless k = 0 (a zero entry has k = 0).
+    Each entry is its row's surd part (the others zero) with its own k as
+    small as that part's coefficients allow, so some coefficient is odd
+    unless k = 0 (a zero entry has k = 0).  That k is read off the surd's
+    coefficient, not the value: sqrt2 (1 + i) / 2 is written with k = 1,
+    though as a cyclotomic integer it is zeta_8.
     """
     phi = len(frame.planes)
     # one key (surd, halvings, coefficients) per entry, in the planes' own dtype:

@@ -20,7 +20,10 @@ and _first_marked walks either, or graph counting's products, to the
 first pair i < j a check marks in row-major order; every pairwise pass
 uses one tile of _TILE rows and columns.  CycInt and ExtScalar hold
 single values; they are the reference arithmetic that FrameMatrix.entry,
-frames.gram_matrix and the tests check the kernels against.
+frames.gram_matrix and the tests check the kernels against.  An ExtScalar
+is one CycInt over 2^k: sqrt2, sqrt3 and sqrt6 are cyclotomic integers
+(at orders 8, 12 and 24), so a surd is a number like any other there,
+where the kernels carry it as a row weight w = s^2.
 """
 from __future__ import annotations
 
@@ -388,11 +391,6 @@ class CycInt:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> int:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
     def to_complex(self) -> complex:
         roots = _unit_roots(self.order)
         return sum((c * roots[i] for i, c in enumerate(self.coeffs) if c), 0j)
@@ -407,206 +405,103 @@ class CycInt:
         return f"CycInt(order={self.order}, coeffs={list(self.coeffs)})"
 
 
-@lru_cache(maxsize=None)
-def _surd_embeddings(order: int) -> tuple[CycInt, CycInt, CycInt]:
-    """sqrt2, sqrt3, sqrt6 as cyclotomic integers at an order divisible by 24."""
-    if order % 24:
-        raise ValueError(f"surd embeddings need an order divisible by 24, got {order}")
-    s2 = CycInt.root(order, order // 8) + CycInt.root(order, 7 * order // 8)
-    s3 = CycInt.root(order, order // 12) + CycInt.root(order, 11 * order // 12)
-    return s2, s3, s2 * s3
-
-
-_SQRT2_F = 2.0 ** 0.5
-_SQRT3_F = 3.0 ** 0.5
-_SQRT6_F = 6.0 ** 0.5
+# sqrt(w) for each row weight w, as a cyclotomic integer: sqrt2 = zeta_8 + zeta_8^-1,
+# sqrt3 = zeta_12 + zeta_12^-1, and sqrt6 their product at order 24
+_SURDS = {1: CycInt.from_int(1), 2: CycInt.root(8, 1) + CycInt.root(8, 7),
+          3: CycInt.root(12, 1) + CycInt.root(12, 11)}
+_SURDS[6] = _SURDS[2] * _SURDS[3]
 
 
 class ExtScalar:
-    """(a + b*sqrt2 + c*sqrt3 + d*sqrt6) / 2^k with cyclotomic a, b, c, d.
+    """z / 2^k: a cyclotomic integer z over a power of two.
 
-    Canonical form keeps k minimal: either k = 0 or some component has an
-    odd coefficient.  All operations are pure and instances are immutable.
+    Every number of Z[zeta_m][sqrt2, sqrt3] / 2^k is one, since sqrt2, sqrt3
+    and sqrt6 are cyclotomic integers (_SURDS).  Canonical form keeps k
+    minimal: k = 0 or some coefficient of z is odd.  Two divides z exactly
+    when it divides every power-basis coefficient, at any order z is read
+    at, and the power basis at a common order is a basis, so equality, zero
+    and rationality are exact coefficient tests.  All operations are pure
+    and instances are immutable.
     """
 
-    __slots__ = ("a", "b", "c", "d", "k")
+    __slots__ = ("z", "k")
 
-    def __init__(self, a: CycInt, b: CycInt, c: CycInt, d: CycInt, k: int = 0) -> None:
+    def __init__(self, z: CycInt, k: int = 0) -> None:
         if k < 0:
             raise ValueError("denominator exponent must be non-negative")
-        orders = {a.order, b.order, c.order, d.order}
-        if len(orders) > 1:
-            m = 1
-            for o in orders:
-                m = m * o // gcd(m, o)
-            a, b, c, d = (x.promote(m) for x in (a, b, c, d))
-        while k > 0 and all(
-            cf % 2 == 0 for x in (a, b, c, d) for cf in x.coeffs
-        ):
-            a, b, c, d = (
-                CycInt(x.order, [cf // 2 for cf in x.coeffs]) for x in (a, b, c, d)
-            )
-            k -= 1
-        self.a, self.b, self.c, self.d, self.k = a, b, c, d, k
+        cs = z.coeffs
+        while k and not any(c % 2 for c in cs):
+            cs, k = [c // 2 for c in cs], k - 1
+        self.z = z if cs is z.coeffs else CycInt(z.order, cs)
+        self.k = k
 
     @property
     def order(self) -> int:
-        return self.a.order
+        return self.z.order
 
     @classmethod
     def from_int(cls, n: int, order: int = 1, k: int = 0) -> ExtScalar:
-        z = CycInt.from_int(0, order)
-        return cls(CycInt.from_int(n, order), z, z, z, k)
-
-    @classmethod
-    def from_cyc(cls, a: CycInt, k: int = 0) -> ExtScalar:
-        z = CycInt.from_int(0, a.order)
-        return cls(a, z, z, z, k)
+        return cls(CycInt.from_int(n, order), k)
 
     @classmethod
     def root(cls, order: int, exponent: int = 1) -> ExtScalar:
-        return cls.from_cyc(CycInt.root(order, exponent))
+        return cls(CycInt.root(order, exponent))
 
     @classmethod
     def sqrt2(cls, order: int = 1, k: int = 0) -> ExtScalar:
-        z = CycInt.from_int(0, order)
-        return cls(z, CycInt.from_int(1, order), z, z, k)
+        return cls(_SURDS[2] * CycInt.from_int(1, order), k)
 
     @classmethod
     def sqrt3(cls, order: int = 1, k: int = 0) -> ExtScalar:
-        z = CycInt.from_int(0, order)
-        return cls(z, z, CycInt.from_int(1, order), z, k)
+        return cls(_SURDS[3] * CycInt.from_int(1, order), k)
 
     @classmethod
     def sqrt6(cls, order: int = 1, k: int = 0) -> ExtScalar:
-        z = CycInt.from_int(0, order)
-        return cls(z, z, z, CycInt.from_int(1, order), k)
+        return cls(_SURDS[6] * CycInt.from_int(1, order), k)
 
     def promote(self, order: int) -> ExtScalar:
-        if order == self.order:
-            return self
-        return ExtScalar(
-            self.a.promote(order),
-            self.b.promote(order),
-            self.c.promote(order),
-            self.d.promote(order),
-            self.k,
-        )
-
-    def _common(self, other: ExtScalar) -> tuple[ExtScalar, ExtScalar]:
-        if self.order == other.order:
-            return self, other
-        m = self.order * other.order // gcd(self.order, other.order)
-        return self.promote(m), other.promote(m)
-
-    def _scaled_components(self, k: int) -> tuple[CycInt, CycInt, CycInt, CycInt]:
-        f = 1 << (k - self.k)
-        if f == 1:
-            return self.a, self.b, self.c, self.d
-        return self.a * f, self.b * f, self.c * f, self.d * f
+        return self if order == self.order else ExtScalar(self.z.promote(order), self.k)
 
     def __add__(self, other: ExtScalar) -> ExtScalar:
-        x, y = self._common(other)
-        k = max(x.k, y.k)
-        xa, xb, xc, xd = x._scaled_components(k)
-        ya, yb, yc, yd = y._scaled_components(k)
-        return ExtScalar(xa + ya, xb + yb, xc + yc, xd + yd, k)
+        k = max(self.k, other.k)
+        return ExtScalar(self.z * (1 << (k - self.k)) + other.z * (1 << (k - other.k)), k)
 
     def __sub__(self, other: ExtScalar) -> ExtScalar:
         return self + (-other)
 
     def __neg__(self) -> ExtScalar:
-        return ExtScalar(-self.a, -self.b, -self.c, -self.d, self.k)
+        return ExtScalar(-self.z, self.k)
 
     def __mul__(self, other: ExtScalar | int) -> ExtScalar:
         if isinstance(other, int):
-            return ExtScalar(self.a * other, self.b * other, self.c * other,
-                             self.d * other, self.k)
-        x, y = self._common(other)
-        a1, b1, c1, d1 = x.a, x.b, x.c, x.d
-        a2, b2, c2, d2 = y.a, y.b, y.c, y.d
-        # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
-        a = a1 * a2 + (b1 * b2) * 2 + (c1 * c2) * 3 + (d1 * d2) * 6
-        b = a1 * b2 + b1 * a2 + (c1 * d2 + d1 * c2) * 3
-        c = a1 * c2 + c1 * a2 + (b1 * d2 + d1 * b2) * 2
-        d = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
-        return ExtScalar(a, b, c, d, x.k + y.k)
+            return ExtScalar(self.z * other, self.k)
+        return ExtScalar(self.z * other.z, self.k + other.k)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> ExtScalar:
-        return ExtScalar(
-            self.a.conjugate(),
-            self.b.conjugate(),
-            self.c.conjugate(),
-            self.d.conjugate(),
-            self.k,
-        )
+        return ExtScalar(self.z.conjugate(), self.k)
 
     def abs_sq(self) -> ExtScalar:
         return self * self.conjugate()
 
     def is_zero(self) -> bool:
-        if self.a.is_zero() and self.b.is_zero() and self.c.is_zero() and self.d.is_zero():
-            return True
-        m = self.order
-        if m % 8 and m % 12:
-            # 1, sqrt2, sqrt3, sqrt6 are independent over Q(zeta_m)
-            return False
-        big = m * 24 // gcd(m, 24)
-        s2, s3, s6 = _surd_embeddings(big)
-        total = (
-            self.a.promote(big)
-            + self.b.promote(big) * s2
-            + self.c.promote(big) * s3
-            + self.d.promote(big) * s6
-        )
-        return total.is_zero()
+        return self.z.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtScalar):
             return NotImplemented
-        x, y = self._common(other)
-        if x.k == y.k and x.a == y.a and x.b == y.b and x.c == y.c and x.d == y.d:
-            return True
-        m = x.order
-        if m % 8 and m % 12:
-            return False
-        return (x - y).is_zero()
+        return self.k == other.k and self.z == other.z
 
     def is_rational(self) -> bool:
-        return (
-            self.a.is_rational()
-            and self.b.is_zero()
-            and self.c.is_zero()
-            and self.d.is_zero()
-        )
+        return self.z.is_rational()
 
     def as_fraction(self) -> Fraction | None:
-        """Exact rational value, or None when the value has a surd or root part.
-
-        Componentwise test only.  At orders divisible by 8 or 12 a surd can
-        also be written with roots of unity, so a rational value stored that
-        way reads as None; the exact frame kernel never meets this, because
-        its Gram values carry no surd components.
-        """
-        if not self.is_rational():
-            return None
-        return Fraction(self.a.rational_value(), 1 << self.k)
+        """Exact rational value, or None when the value is irrational."""
+        return Fraction(self.z.coeffs[0], 1 << self.k) if self.is_rational() else None
 
     def to_complex(self) -> complex:
-        val = (
-            self.a.to_complex()
-            + self.b.to_complex() * _SQRT2_F
-            + self.c.to_complex() * _SQRT3_F
-            + self.d.to_complex() * _SQRT6_F
-        )
-        return val / (1 << self.k)
+        return self.z.to_complex() / (1 << self.k)
 
     def __repr__(self) -> str:
-        parts = []
-        for name, comp in (("", self.a), ("sqrt2", self.b), ("sqrt3", self.c), ("sqrt6", self.d)):
-            if not comp.is_zero():
-                parts.append(f"{list(comp.coeffs)}{name and '*' + name}")
-        body = " + ".join(parts) if parts else "0"
-        return f"ExtScalar({body}, order={self.order}, k={self.k})"
+        return f"ExtScalar({list(self.z.coeffs)}, order={self.order}, k={self.k})"

@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from equiframes import cli
+from equiframes import cli, designs, scalar
 from equiframes.cli import BUNDLED_H510, build_parser, h510_path, main, parse_hadamard_spec
 from equiframes.designs import load_sts, verify_sts
 from equiframes.frames import load_frame_exact, verify_etf
@@ -35,6 +35,25 @@ def test_make_sts(tmp_path, capsys):
 def test_make_sts_bad_congruence(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "make", "sts", "--V", "8"])
     assert code == 1
+
+
+def test_make_sts_past_the_array_limit_is_refused_before_any_block(tmp_path, capsys,
+                                                                   monkeypatch):
+    """V=21 has 70 blocks: under a limit one block short of them it exits 1
+    naming the limit, before bose makes a block, and writes nothing.  V=19
+    (57 blocks) still builds, and so does every V up to 319 at the default
+    limit."""
+    assert 319 * 318 // 6 * designs._BLOCK_BYTES <= scalar._ARRAY_LIMIT_BYTES
+    limit = 69 * designs._BLOCK_BYTES
+    monkeypatch.setattr("equiframes.scalar._ARRAY_LIMIT_BYTES", limit)
+    with mock.patch("equiframes.designs.bose", side_effect=AssertionError("a block was made")):
+        code = main(["--out", str(tmp_path), "make", "sts", "--V", "21"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert (f"70 block triple system needs {70 * designs._BLOCK_BYTES} bytes, past the "
+            f"{limit}-byte limit") in err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
+    assert main(["--out", str(tmp_path), "make", "sts", "--V", "19"]) == 0
 
 
 def test_make_sts_with_parallel_class(tmp_path, capsys):

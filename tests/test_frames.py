@@ -251,7 +251,7 @@ def test_kernel_gram_matches_extscalar_oracle():
                 first = g
                 for i in range(n):
                     for j in range(i, n):
-                        got = ExtScalar.from_cyc(CycInt(f.order, g[:, i, j].tolist()), 2 * f.k)
+                        got = ExtScalar(CycInt(f.order, g[:, i, j].tolist()), 2 * f.k)
                         assert got == ref[i][j], f"{name}: Gram mismatch at ({i},{j})"
             assert np.array_equal(g, first), f"{name}: tile {tile} changes the Gram"
             assert np.array_equal(phase, want_phase), f"{name}: tile {tile} phases"
@@ -273,8 +273,25 @@ def test_tile_phase_matches_search_on_cyclotomic_integers(order, terms):
     for a, c in terms:
         x = x + CycInt.root(order, a % order) * c
     g = np.array(x.coeffs, dtype=np.int64)[:, None, None]
-    want = _oracle_phases([[ExtScalar.from_cyc(x)]], order)
+    want = _oracle_phases([[ExtScalar(x)]], order)
     assert _tile_phase(g, order)[0, 0] == want[0, 0], x
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_a_zero_frame_is_no_etf(tmp_path, order):
+    """Zero columns have equal norms (0), equal moduli and frame operator
+    0 = 0 I, but they span nothing, so they are no tight frame and no ETF;
+    the witness says so, for the frame and for its all-zero .etf file."""
+    phi = len(cyclotomic_poly(order)) - 1
+    zero = FrameMatrix(np.zeros((phi, 2, 3), np.int8), np.ones(2, np.int64), 0, order, 2, 0, 0)
+    token = "(" + "|".join([",".join("0" * phi)] * 4) + "|0)"
+    path = tmp_path / "zero.etf"
+    path.write_text(f"2 3 {order}\nbands 2 0 0\n" + f"{token} {token} {token}\n" * 2)
+    for f in (zero, load_frame_exact(path)):
+        rep = verify_etf(f)
+        assert rep.equal_norms and rep.norm_sq == 0 and rep.is_equiangular
+        assert not rep.is_tight and rep.tight_constant is None and rep.coherence is None
+        assert not rep.is_etf and rep.witness == "every column has norm 0"
 
 
 @pytest.mark.parametrize("order, plane", [(2, 0), (4, 1)])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from equiframes import graphs as graphs_module
 from equiframes import scalar as scalar_module
-from equiframes.frames import verify_etf
+from equiframes.frames import FrameMatrix, verify_etf
 from equiframes.graphs import (
     CertificationError,
     Graph,
@@ -753,6 +753,15 @@ def test_phase_builders_refuse_a_non_etf_with_one_witness(builder):
     with pytest.raises(CertificationError,
                        match=r"^input is not a certified ETF: norms differ at columns 0 and 3$"):
         PHASE_BUILDERS[builder](broken)
+
+
+@pytest.mark.parametrize("builder", list(PHASE_BUILDERS))
+def test_phase_builders_refuse_a_zero_frame(builder):
+    """Zero columns are no ETF: the builders name that, not a Gram phase."""
+    zero = FrameMatrix(np.zeros((1, 2, 3), np.int8), np.ones(2, np.int64), 0, 2, 2, 0, 0)
+    with pytest.raises(CertificationError,
+                       match=r"^input is not a certified ETF: every column has norm 0$"):
+        PHASE_BUILDERS[builder](zero)
 
 
 @pytest.mark.parametrize("h", [2, 8])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import cmath
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,9 +113,12 @@ def test_to_complex_values():
 
 
 def _random_scalar(rng: random.Random, order: int) -> ExtScalar:
+    """(a + b sqrt2 + c sqrt3 + d sqrt6) / 2^k, cyclotomic a, b, c, d, by arithmetic."""
     deg = len(cyclotomic_poly(order)) - 1
-    comps = [CycInt(order, [rng.randint(-3, 3) for _ in range(deg)]) for _ in range(4)]
-    return ExtScalar(*comps, k=rng.randint(0, 2))
+    comps = [ExtScalar(CycInt(order, [rng.randint(-3, 3) for _ in range(deg)])) for _ in range(4)]
+    surds = (ExtScalar.from_int(1), ExtScalar.sqrt2(), ExtScalar.sqrt3(), ExtScalar.sqrt6())
+    total = sum((c * s for c, s in zip(comps, surds)), ExtScalar.from_int(0))
+    return total * ExtScalar.from_int(1, k=rng.randint(0, 2))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 12])
@@ -140,16 +144,14 @@ def test_is_zero_matches_numeric_zero(order):
 
 
 def test_is_zero_in_ramified_orders():
-    # sqrt2 lies in Q(zeta_8): zeta_8 + zeta_8^7 - sqrt2 == 0 despite having
-    # nonzero components
+    # sqrt2 lies in Q(zeta_8): zeta_8 + zeta_8^7 - sqrt2 == 0
     z = CycInt.root(8, 1) + CycInt.root(8, 7)
-    x = ExtScalar.from_cyc(z) - ExtScalar.sqrt2(order=8)
-    assert not x.a.is_zero()
+    x = ExtScalar(z) - ExtScalar.sqrt2(order=8)
     assert x.is_zero()
     assert x == ExtScalar.from_int(0)
     # sqrt3 lies in Q(zeta_12)
     w = CycInt.root(12, 1) + CycInt.root(12, 11)
-    y = ExtScalar.from_cyc(w) - ExtScalar.sqrt3(order=12)
+    y = ExtScalar(w) - ExtScalar.sqrt3(order=12)
     assert y.is_zero()
 
 
@@ -167,18 +169,16 @@ def test_canonical_form_idempotent():
     rng = random.Random(11)
     for _ in range(200):
         x = _random_scalar(rng, 4)
-        rebuilt = ExtScalar(x.a, x.b, x.c, x.d, x.k)
-        assert (rebuilt.a.coeffs, rebuilt.b.coeffs, rebuilt.c.coeffs,
-                rebuilt.d.coeffs, rebuilt.k) == (x.a.coeffs, x.b.coeffs,
-                                                 x.c.coeffs, x.d.coeffs, x.k)
+        rebuilt = ExtScalar(x.z, x.k)
+        assert (rebuilt.z.order, rebuilt.z.coeffs, rebuilt.k) == (x.z.order, x.z.coeffs, x.k)
 
 
 def test_canonical_k_is_minimal():
     two = CycInt.from_int(2)
     zero = CycInt.from_int(0)
-    x = ExtScalar(two, zero, zero, zero, 1)  # 2/2 -> 1
-    assert x.k == 0 and x.a.rational_value() == 1
-    assert ExtScalar.from_int(0, k=0) == ExtScalar(zero, zero, zero, zero, 3)
+    x = ExtScalar(two, 1)  # 2/2 -> 1
+    assert x.k == 0 and x.z.coeffs == (1,)
+    assert ExtScalar.from_int(0, k=0) == ExtScalar(zero, 3)
 
 
 def test_as_fraction():
@@ -189,6 +189,24 @@ def test_as_fraction():
     assert ExtScalar.root(5).as_fraction() is None
 
 
+@pytest.mark.parametrize("order, exponents, surd, square", [
+    (8, (1, 7), ExtScalar.sqrt2, 2),
+    (12, (1, 11), ExtScalar.sqrt3, 3),
+    (24, (1, 5, 19, 23), ExtScalar.sqrt6, 6),  # sqrt6 = (zeta_8 + zeta_8^7)(zeta_12 + zeta_12^11)
+])
+def test_surd_products_are_exactly_rational(order, exponents, surd, square):
+    """A surd written with roots of unity, times the surd, is its square:
+    rational at every order it is read at and over any power of two."""
+    roots = sum((ExtScalar.root(order, e) for e in exponents), ExtScalar.from_int(0))
+    for at in (1, order, 2 * order):
+        for k in (0, 1, 3):
+            x = roots * surd(order=at, k=k)
+            assert x.is_rational() and x.as_fraction() == Fraction(square, 2 ** k)
+            assert x == ExtScalar.from_int(square, k=k)
+    assert not (roots * ExtScalar.root(order)).is_rational()
+    assert (roots * ExtScalar.sqrt2() * ExtScalar.sqrt3()).is_rational() == (square == 6)
+
+
 def test_abs_sq_of_root_is_one():
     for order in (3, 5, 8, 12):
         for e in range(order):
@@ -197,12 +215,10 @@ def test_abs_sq_of_root_is_one():
 
 
 def test_exactness_guards_raise_instead_of_asserting():
-    from equiframes.scalar import _poly_divmod_exact, _surd_embeddings
+    from equiframes.scalar import _poly_divmod_exact
 
     with pytest.raises(ValueError, match="not monic"):
         _poly_divmod_exact([1, 0, 1], (1, 2))
-    with pytest.raises(ValueError, match="divisible by 24"):
-        _surd_embeddings(12)
 
 
 # --- sympy as the oracle for the coefficient tables ---------------------------
