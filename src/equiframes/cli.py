@@ -240,7 +240,7 @@ def cmd_derive_srg(args) -> int:
     emit(
         {"command": f"derive srg {args.kind}", "artifact": str(path),
          "M": frame.dim, "N": frame.count, "certified_params": res.params.as_tuple(),
-         "formula_params": formula.as_tuple(), "convention": res.convention,
+         "formula_params": formula.as_tuple(), "convention": "positive-adjacent",
          "counting": res.counting, "certified": True},
         args.json,
     )

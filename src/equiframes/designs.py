@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from equiframes.scalar import _refuse_array
+from equiframes.scalar import _WRITE_LINES, _refuse_array
 
 Block = tuple[int, int, int]
 
@@ -136,27 +136,28 @@ def verify_sts(s: SteinerTripleSystem) -> STSReport:
     def fail(msg: str) -> STSReport:
         return STSReport(False, v, b, r, msg)
 
-    seen = bytearray(v * v)
+    seen = [bytearray(v) for _ in range(v)]  # seen[p][q]: pair (p, q) covered
+    lies_in = [0] * v  # blocks through each point
     for blk in s.blocks:
-        if len(set(blk)) != 3 or any(p < 0 or p >= v for p in blk):
+        if len(set(blk)) != 3 or min(blk) < 0 or max(blk) >= v:
             return fail(f"malformed block {blk}")
-        for a_idx in range(3):
-            for b_idx in range(a_idx + 1, 3):
-                p, q = blk[a_idx], blk[b_idx]
-                if seen[p * v + q]:
-                    return fail(f"pair ({p},{q}) covered twice")
-                seen[p * v + q] = 1
+        for p, q in ((blk[0], blk[1]), (blk[0], blk[2]), (blk[1], blk[2])):
+            if seen[p][q]:
+                return fail(f"pair ({p},{q}) covered twice")
+            seen[p][q] = 1
+        for p in blk:
+            lies_in[p] += 1
     for p in range(v):
-        for q in range(p + 1, v):
-            if not seen[p * v + q]:
-                return fail(f"pair ({p},{q}) not covered")
+        q = seen[p].find(0, p + 1)
+        if q >= 0:
+            return fail(f"pair ({p},{q}) not covered")
     if v * r != b * k:
         return fail(f"identity V*R == B*K fails: {v}*{r} != {b}*{k}")
     if v - 1 != r * (k - 1):
         return fail(f"identity V-1 == R*(K-1) fails for V={v}, R={r}")
-    for p, through in enumerate(s.blocks_through):
-        if len(through) != r:
-            return fail(f"point {p} lies in {len(through)} blocks, expected {r}")
+    for p, count in enumerate(lies_in):
+        if count != r:
+            return fail(f"point {p} lies in {count} blocks, expected {r}")
     return STSReport(True, v, b, r)
 
 
@@ -257,9 +258,13 @@ def standard_embedding(
 
 
 def store_sts(path: str | Path, s: SteinerTripleSystem) -> None:
-    lines = [f"{s.num_points} {s.block_count}"]
-    lines += [" ".join(map(str, blk)) for blk in s.blocks]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The header line "V B", then one "a b c" line per block, formatted
+    _WRITE_LINES blocks per write."""
+    with Path(path).open("w") as fh:
+        fh.write(f"{s.num_points} {s.block_count}\n")
+        for start in range(0, s.block_count, _WRITE_LINES):
+            chunk = s.blocks[start:start + _WRITE_LINES]
+            fh.write("".join(f"{a} {b} {c}\n" for a, b, c in chunk))
 
 
 def _ints(tokens, what: str) -> list[int]:

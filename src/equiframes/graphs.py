@@ -3,11 +3,11 @@
 All three builders certify the frame and read its Gram phases in one
 exact pass (verify_etf with ``phases``) through _certified_phases: the
 covers take the p-th-root exponent of each Gram value, the SRGs its sign
-(p = 2), switched by XOR.  The cover drops the phases once its adjacency
-is made; a sign graph is made in the phases' own buffer
-(_sign_adjacency), so an SRG pipeline holds one N x N byte array from
-the Gram pass to the export, and its complement is flipped in place and
-not validated again.  A graph is a read-only boolean adjacency matrix,
+(p = 2), positive-adjacent (switched by XOR for Waldron's graph).  The
+cover drops the phases once its adjacency is made; a sign graph is made
+in the phases' own buffer (_sign_adjacency), so an SRG pipeline holds
+one N x N byte array from the Gram pass to the export, validated and
+counted once.  A graph is a read-only boolean adjacency matrix,
 one byte per vertex pair, and it is the only N x N array counting holds:
 derivation, counting and I/O read it in tiles of scalar._TILE rows, so
 every other array scales with _TILE * N, and the symmetry and phase
@@ -16,8 +16,8 @@ is pure counting: degrees are row sums and common-neighbor counts are
 the entries of A·A, each row tile times each block of _TILE columns
 (A[:, c:c2] is A[c:c2].T by symmetry), both converted to float32 as the
 loop reaches them (exact, since every count is below 2^24).  The sign
-graphs of a Tremain frame have a second product: two points share one
-block, so over the groups of R + 1 vertices of each point every block of
+graphs of a Steiner or Tremain frame have a second product: two points
+share one block, so over the R + 1 vertices of each point every block of
 the Seidel matrix J - I - 2A is rank one (Fickus, Mixon and Tremain,
 Steiner equiangular tight frames, 2012).  srg_check reads the factors off
 one row per group, checks every pair against them and then counts in
@@ -53,14 +53,13 @@ from equiframes.hadamard import _is_prime
 from equiframes.scalar import (
     _FLOAT32_EXACT,
     _TILE,
+    _WRITE_LINES,
     _adopted,
     _cyclic_product,
     _first_marked,
     _refuse_array,
     _square_tiles,
 )
-
-_WRITE_EDGES = 1 << 14  # edges formatted per write of the edge-list writer
 
 
 class CertificationError(RuntimeError):
@@ -126,13 +125,6 @@ class SRGParams:
 
     def as_tuple(self) -> tuple:
         return (self.v, self.k, self.lam, self.mu)
-
-    def complement(self) -> SRGParams:
-        """Parameters of the complement graph."""
-        if self.mu is None:
-            raise ValueError("a complete graph has no complement parameters")
-        v, k = self.v, self.k
-        return SRGParams(v, v - k - 1, v - 2 - 2 * k + self.mu, v - 2 * k + self.lam)
 
 
 @dataclass(frozen=True)
@@ -358,22 +350,22 @@ def _certified_phases(frame: FrameMatrix, p: int) -> tuple[ETFReport, np.ndarray
 
 @dataclass(frozen=True)
 class SRGResult:
-    graph: Graph
+    graph: Graph  # positive-adjacent: i ~ j iff the (switched) Gram value is positive
     params: SRGParams
-    convention: str  # "negative-adjacent" or "positive-adjacent"
     counting: str  # the product that counted it: "factored" or "dense"
 
 
-def _tremain_group(frame: FrameMatrix) -> int | None:
-    """The R + 1 columns of each point of a Tremain frame, R the replication
-    number of its triple system: the group size of its sign graphs."""
-    prov = frame.provenance
-    return prov.sts.replication + 1 if isinstance(prov, TremainProvenance) else None
+def _point_group(frame: FrameMatrix) -> int | None:
+    """The R + 1 columns of each point of a Steiner or Tremain frame, R the
+    replication number of its triple system: its sign graphs' group size."""
+    sts = getattr(frame.provenance, "sts", None)
+    return None if sts is None else sts.replication + 1
 
 
-def _sign_adjacency(phase: np.ndarray, step: int, k: int, flip=None) -> np.ndarray:
-    """phase[:k, :k] == step, switched by ``flip`` (k,) when given, as a (k, k)
-    bool array made in phase's own buffer: phase becomes that array.
+def _sign_adjacency(phase: np.ndarray, k: int, flip=None) -> np.ndarray:
+    """phase[:k, :k] == 0 (a positive Gram value), switched by ``flip`` (k,)
+    when given and with its diagonal cleared, as a (k, k) bool array made in
+    phase's own buffer: phase becomes that array.
 
     ``phase`` is an N x N int8 or int16 array that owns its memory and has
     no view left.  Row tile by row tile, the comparison is written to the
@@ -385,10 +377,12 @@ def _sign_adjacency(phase: np.ndarray, step: int, k: int, flip=None) -> np.ndarr
     phase.flags.writeable = True
     out = phase.reshape(-1).view(np.bool_)  # the buffer's bytes
     for s in range(0, k, _TILE):
-        tile = phase[s:min(s + _TILE, k), :k] == step
+        e = min(s + _TILE, k)
+        tile = phase[s:e, :k] == 0
         if flip is not None:  # switching flips bit (i, j) once for each flipped end
-            tile ^= flip[s:s + _TILE, None]
+            tile ^= flip[s:e, None]
             tile ^= flip
+        np.fill_diagonal(tile[:, s:e], False)
         out[s * k:s * k + tile.size] = tile.ravel()
     del out  # no view may outlive the buffer's move
     phase.dtype = np.bool_
@@ -396,45 +390,30 @@ def _sign_adjacency(phase: np.ndarray, step: int, k: int, flip=None) -> np.ndarr
     return phase
 
 
-def _certify_sign_graph(negative: np.ndarray, expected: SRGParams, what: str,
+def _certify_sign_graph(adj: np.ndarray, expected: SRGParams, what: str,
                         group: int | None) -> SRGResult:
-    """Count the negative sign graph once; its complement is the positive one.
-
-    ``negative`` is an array that only the caller holds (the phase buffer
-    _sign_adjacency took over): the graph takes it, and the complement is
-    made by flipping it in place, not by a copy.
-    """
-    g = Graph.from_adjacency(negative)
-    cert = srg_check(g, group=group)
-    if cert.ok and cert.params == expected:
-        return SRGResult(g, cert.params, "negative-adjacent", cert.counting)
-    if cert.ok and cert.params.mu is not None and cert.params.complement() == expected:
-        # Flipping a symmetric, loop-free adjacency and clearing its diagonal
-        # keeps it symmetric and loop-free, so g, validated once, stays valid
-        negative.flags.writeable = True
-        np.logical_not(negative, out=negative)
-        np.fill_diagonal(negative, False)
-        negative.flags.writeable = False
-        return SRGResult(g, cert.params.complement(), "positive-adjacent", cert.counting)
-    raise CertificationError(
-        f"{what}: counted parameters match {expected.as_tuple()} under neither "
-        "sign convention"
-    )
+    """Count the positive-adjacent sign graph once and hold it to its
+    closed form.  ``adj`` is the phase buffer _sign_adjacency took over,
+    which only the caller holds: the graph takes it without a copy."""
+    g = Graph.from_adjacency(adj)
+    cert = srg_check(g, group)
+    if not cert.ok:
+        raise CertificationError(f"{what} is not strongly regular: {cert.witness}")
+    if cert.params != expected:
+        raise CertificationError(f"{what}: counted parameters {cert.params.as_tuple()} "
+                                 f"!= closed form {expected.as_tuple()}")
+    return SRGResult(g, cert.params, cert.counting)
 
 
 def waldron_srg(frame: FrameMatrix) -> SRGResult:
-    """Switch the Gram sign pattern against the last vector, drop it, certify.
-
-    The graph lives on the first N-1 vectors with adjacency read off the
-    switched signs; if the count matches the closed form only after
-    complementing, the complement is returned and the convention recorded.
-    """
-    _, phase, step = _certified_phases(frame, 2)
+    """Switch the Gram signs against the last vector, drop it and certify the
+    graph on the first N-1 vectors: i ~ j iff their switched Gram value is positive."""
+    _, phase, _ = _certified_phases(frame, 2)
     n = frame.count
-    flip = phase[: n - 1, n - 1] == step  # out of the buffer before it is overwritten
-    negative = _sign_adjacency(phase, step, n - 1, flip)
+    flip = phase[:n - 1, n - 1] != 0  # out of the buffer before it is overwritten
+    adj = _sign_adjacency(phase, n - 1, flip)
     expected = srg_params_waldron(frame.dim, frame.count)
-    return _certify_sign_graph(negative, expected, "waldron graph", _tremain_group(frame))
+    return _certify_sign_graph(adj, expected, "waldron graph", _point_group(frame))
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,14 +474,14 @@ def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
 
 
 def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
-    """Graph on all N vectors from the Gram sign pattern fixed by the functional."""
-    _, phase, step = _certified_phases(frame, 2)
+    """Graph on all N vectors, i ~ j iff their Gram value is positive: the
+    sign pattern the flat functional fixes, with no switching."""
+    _, phase, _ = _certified_phases(frame, 2)
     if len(functional.graded) != frame.dim:
         raise ValueError("functional dimension does not match the frame")
-    negative = _sign_adjacency(phase, step, frame.count)
+    adj = _sign_adjacency(phase, frame.count)
     expected = srg_params_gs(frame.dim, frame.count)
-    return _certify_sign_graph(negative, expected, "flat-functional graph",
-                               _tremain_group(frame))
+    return _certify_sign_graph(adj, expected, "flat-functional graph", _point_group(frame))
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +718,8 @@ def export_graph(
             if fibers is not None:
                 fh.write(f"p {fibers}\n")
             for us, vs in _edge_tiles(g.adj):
-                for c in range(0, len(us), _WRITE_EDGES):
-                    u, v = us[c:c + _WRITE_EDGES], vs[c:c + _WRITE_EDGES]
+                for c in range(0, len(us), _WRITE_LINES):
+                    u, v = us[c:c + _WRITE_LINES], vs[c:c + _WRITE_LINES]
                     lines = np.empty(2 * len(u), dtype=object)
                     lines[0::2] = heads[u]
                     lines[1::2] = tails[v]

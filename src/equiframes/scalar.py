@@ -143,6 +143,7 @@ def _adopted(a, dtype) -> np.ndarray:
 
 _FLOAT32_EXACT = 2 ** 24  # float32 holds every integer up to 2^24
 _TILE = 256  # rows, and columns per block, of every pairwise pass
+_WRITE_LINES = 1 << 14  # lines formatted per write of the edge-list and triple-system writers
 _BOUND_CHUNK = 1 << 16  # entries per row chunk of the slot bound's float64 temporaries
 
 

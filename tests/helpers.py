@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 
-from equiframes.graphs import Graph
+from equiframes.graphs import Graph, SRGParams
 from equiframes.scalar import ExtScalar
 
 
@@ -26,6 +26,14 @@ def edges(g: Graph) -> list[tuple[int, int]]:
 
 def complement(g: Graph) -> Graph:
     return Graph(~g.adj ^ np.eye(g.order, dtype=bool))
+
+
+def complement_params(params: SRGParams) -> SRGParams:
+    """The parameters of a strongly regular graph's complement."""
+    v, k, lam, mu = params.as_tuple()
+    if mu is None:
+        raise ValueError("a complete graph has no complement parameters")
+    return SRGParams(v, v - k - 1, v - 2 - 2 * k + mu, v - 2 * k + lam)
 
 
 def srg_identity_holds(params) -> bool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import re
 import tracemalloc
@@ -143,6 +144,25 @@ def test_derive_srg_gs_h2(tmp_path, capsys):
                     "derive", "srg", "gs", "--h", "2")
     assert code == 0
     assert json.loads(out)["certified_params"] == [10, 6, 3, 4]
+
+
+# SHA-256 of the .g6 files of small rows: any later change of output bytes shows
+SRG_G6_SHA256 = {
+    ("waldron", 2): "75a9a8fd31b481c60b5b3b08c8b20273e13496320834350fe58e5ca4cf4d43c5",
+    ("waldron", 4): "80a5c3a0e08665eee89d165f493e48b21becf61c6d0a0dfb0d027c01f12151ce",
+    ("gs", 2): "d6f33c5dab5a93d0975a0f310b8b250fb4e4be26fb8b6840c5f7627200338bb2",
+    ("gs", 8): "877576d8612f94f810f2029773b3b8577bc5b9a1c620bd699f847ea22aad946e",
+}
+
+
+@pytest.mark.parametrize("kind, h", list(SRG_G6_SHA256))
+def test_derive_srg_graph6_bytes_are_pinned(tmp_path, capsys, kind, h):
+    """The positive-adjacent sign graph's graph6 file, byte for byte; the
+    report names that convention."""
+    code, out = run(capsys, "--json", "--out", str(tmp_path), "derive", "srg", kind, "--h", str(h))
+    assert code == 0 and json.loads(out)["convention"] == "positive-adjacent"
+    data = (tmp_path / f"srg_{kind}_h{h}.g6").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SRG_G6_SHA256[kind, h]
 
 
 @pytest.mark.parametrize("kind", ["gs", "waldron"])

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equiframes import designs
 from equiframes.designs import (
     EmbeddingAssignment,
     SteinerTripleSystem,
@@ -222,6 +225,37 @@ def test_sts_file_roundtrip(tmp_path):
     assert loaded == s
     first_line = path.read_text().splitlines()[0]
     assert first_line == "9 12"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, designs._WRITE_LINES])
+def test_sts_file_bytes_do_not_depend_on_the_write_chunk(tmp_path, chunk):
+    """The writer formats a chunk of block lines per write; the file is the
+    header and one line per block whatever the chunk."""
+    s = make_sts(19)
+    want = "".join(f"{line}\n" for line in [f"19 {s.block_count}",
+                                            *(" ".join(map(str, blk)) for blk in s.blocks)])
+    path = tmp_path / "sts.txt"
+    with mock.patch.object(designs, "_WRITE_LINES", chunk):
+        store_sts(path, s)
+    assert path.read_text() == want
+
+
+@pytest.mark.parametrize("v", [2001, 2005])
+def test_make_sts_steps_stay_within_the_peak_of_making_the_system(tmp_path, v):
+    """make sts builds, verifies and writes the system: verify_sts and
+    store_sts keep the tracemalloc peak within 5 % of make_sts's own (it
+    was 304 against 164 bytes per block when the writer joined every line
+    into one string and the replication check built blocks_through)."""
+    tracemalloc.start()
+    try:
+        s = make_sts(v)
+        _, made = tracemalloc.get_traced_memory()
+        assert verify_sts(s).ok
+        store_sts(tmp_path / "sts.txt", s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * made, (peak / s.block_count, made / s.block_count)
 
 
 def test_parallel_class_file_roundtrip(tmp_path):

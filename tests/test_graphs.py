@@ -32,9 +32,15 @@ from equiframes.graphs import (
     tremain_flat_functional,
     waldron_srg,
 )
-from equiframes.pipelines import build_tremain, drackn_pipeline, gs_pipeline, waldron_pipeline
+from equiframes.pipelines import (
+    build_steiner,
+    build_tremain,
+    drackn_pipeline,
+    gs_pipeline,
+    waldron_pipeline,
+)
 from equiframes.scalar import ExtScalar
-from helpers import complement, edges, flipped, srg_identity_holds, tiled
+from helpers import complement, complement_params, edges, flipped, srg_identity_holds, tiled
 
 
 def petersen() -> Graph:
@@ -508,9 +514,9 @@ def test_srg_complement_params():
     for g in (petersen(), c5, waldron_graph(8)):
         cert = srg_check(g)
         assert cert.ok
-        assert srg_check(complement(g)).params == cert.params.complement()
+        assert srg_check(complement(g)).params == complement_params(cert.params)
     with pytest.raises(ValueError):
-        SRGParams(4, 3, 2, None).complement()
+        complement_params(SRGParams(4, 3, 2, None))
 
 
 def test_count_guard_raises_past_float32_exact_range():
@@ -768,7 +774,7 @@ def test_phase_builders_refuse_a_zero_frame(builder):
 def test_real_gram_over_root_order_4_gives_the_same_graphs(h):
     """The real frame written over the 4th roots of unity (planes [X, 0]):
     its Gram values are the same reals, so the sign graphs, their
-    convention and the p = 2 cover are too."""
+    parameters and counting and the p = 2 cover are too."""
     real = _parallel_frame(h)
     four = dataclasses.replace(real, planes=np.stack([real.planes[0], 0 * real.planes[0]]),
                                order=4)
@@ -777,7 +783,7 @@ def test_real_gram_over_root_order_4_gives_the_same_graphs(h):
     for build in (waldron_srg, lambda f: gs_srg(f, functional)):
         want, got = build(real), build(four)
         assert np.array_equal(got.graph.adj, want.graph.adj)
-        assert (got.params, got.convention) == (want.params, want.convention)
+        assert (got.params, got.counting) == (want.params, want.counting)
     want, got = drackn_cover(real, 2), drackn_cover(four, 2)
     assert np.array_equal(got.graph.adj, want.graph.adj) and got.params == want.params
 
@@ -903,7 +909,7 @@ def test_load_limit_is_the_adjacency_size(tmp_path, fmt):
 def test_edge_list_bytes_do_not_depend_on_the_write_chunk(tmp_path, chunk, tile):
     cov = cover_h2()
     export_graph(tmp_path / "want.edges", cov.graph, fmt="edges", fibers=2)
-    with tiled(tile), mock.patch.object(graphs_module, "_WRITE_EDGES", chunk):
+    with tiled(tile), mock.patch.object(graphs_module, "_WRITE_LINES", chunk):
         export_graph(tmp_path / "got.edges", cov.graph, fmt="edges", fibers=2)
     assert (tmp_path / "got.edges").read_bytes() == (tmp_path / "want.edges").read_bytes()
 
@@ -1081,7 +1087,7 @@ def test_drackn_cover_holds_at_most_four_bytes_per_pair():
 
 def test_edge_list_writer_formats_a_bounded_number_of_edges_at_once(tmp_path):
     """The h=16, p=2 cover (1056 vertices, 278256 edges): the writer formats
-    at most _WRITE_EDGES lines per write, so beside the row tile's edge
+    at most _WRITE_LINES lines per write, so beside the row tile's edge
     indices it holds one chunk of labels.  Measured peak 5.1 MB; joining a
     whole row tile's lines (up to 135k of them) at once peaks at 7.7 MB."""
     cov = drackn_pipeline(16, 2)[1]
@@ -1148,46 +1154,80 @@ def test_sign_graphs_take_over_the_phase_buffer(monkeypatch, builder):
 @pytest.mark.parametrize("switched", [False, True])
 @pytest.mark.parametrize("tile", [1, 3, 7, scalar_module._TILE])
 def test_sign_adjacency_is_made_in_the_phase_buffer(dtype, step, cut, switched, tile):
-    """int8 and int16 phases, k = N and k = N - 1, with and without a
-    switching vector: the result is phase[:k, :k] == step (switched), made
-    in the phase array itself, which still owns its memory."""
+    """int8 and int16 phases of signs (0 or step), k = N and k = N - 1, with
+    and without a switching vector: the result is phase[:k, :k] == 0
+    (switched) with a cleared diagonal, made in the phase array itself,
+    which still owns its memory."""
     rng = np.random.default_rng(step + cut)
     n = 20
-    phase = rng.integers(-1, 2 * step, (n, n)).astype(dtype)
+    phase = (step * rng.integers(0, 2, (n, n))).astype(dtype)
     phase.flags.writeable = False  # as the Gram pass returns it
     k = n - cut
     flip = rng.random(k) < 0.5 if switched else None
-    want = phase[:k, :k] == step
+    want = phase[:k, :k] == 0
     if switched:
         want ^= flip[:, None] ^ flip
+    np.fill_diagonal(want, False)
     with tiled(tile):
-        got = graphs_module._sign_adjacency(phase, step, k, flip)
+        got = graphs_module._sign_adjacency(phase, k, flip)
     assert got is phase and got.dtype == bool and got.shape == (k, k) and got.flags.owndata
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("pipeline", [gs_pipeline, waldron_pipeline])
 def test_positive_adjacent_graph_is_the_complement_validated_once(monkeypatch, pipeline):
-    """The negative sign graph is validated once; the positive-adjacent
-    graph made from it in place equals its reference complement and is not
-    validated again."""
+    """The positive-adjacent sign graph is made in place, validated once and
+    counted once, and it equals the reference complement of the negative
+    sign graph."""
     frame = pipeline(8)[0]
     _, phase = verify_etf(frame, phases=True)
     negative = phase == 1
     if pipeline is waldron_pipeline:  # switch against the last vector, then drop it
         flip = negative[:-1, -1]
         negative = negative[:-1, :-1] ^ flip[:, None] ^ flip
-    validated = []
-    real_init = Graph.__post_init__
+    validated, counted = [], []
+    real_init, real_check = Graph.__post_init__, graphs_module.srg_check
 
-    def counted(self):
+    def validating(self):
         validated.append(self.adj.shape)
         real_init(self)
 
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    def counting(g, group=None):
+        counted.append(g.order)
+        return real_check(g, group)
+
+    monkeypatch.setattr(Graph, "__post_init__", validating)
+    monkeypatch.setattr(graphs_module, "srg_check", counting)
     res = gs_srg(frame, tremain_flat_functional(frame)) if pipeline is gs_pipeline \
         else waldron_srg(frame)
     monkeypatch.undo()
-    assert res.convention == "positive-adjacent"
-    assert validated == [negative.shape]
+    assert validated == [negative.shape] and counted == [len(negative)]
     assert np.array_equal(res.graph.adj, complement(Graph(negative)).adj)
+
+
+@pytest.mark.parametrize("pipeline, h", [(gs_pipeline, 2), (gs_pipeline, 8),
+                                         (waldron_pipeline, 4), (waldron_pipeline, 8)])
+def test_a_closed_form_met_only_by_the_complement_is_refused(monkeypatch, pipeline, h):
+    """The certificate holds the positive-adjacent graph to its closed form:
+    given the complement's parameters instead, both builders raise, naming
+    the counted and the closed-form tuples.  (Waldron h = 2 is left out: its
+    (9,4,1,2) equals its complement's.)"""
+    for name in ("srg_params_waldron", "srg_params_gs"):
+        real = getattr(graphs_module, name)
+        monkeypatch.setattr(graphs_module, name,
+                            lambda m, n, real=real: complement_params(real(m, n)))
+    with pytest.raises(CertificationError, match=r"counted parameters \(.*\) != closed form"):
+        pipeline(h)
+
+
+@pytest.mark.parametrize("v", [7, 15, 39])
+def test_steiner_sign_graphs_are_counted_from_their_block_factors(v):
+    """A Steiner frame's points group its columns as a Tremain frame's do,
+    so its Waldron graph is counted by the factors over groups of
+    (V + 1)/2 vertices, with the dense count's and the closed form's
+    parameters."""
+    frame = build_steiner(v)
+    res = waldron_srg(frame)
+    dense = srg_check(res.graph)
+    assert res.counting == "factored" and dense.counting == "dense"
+    assert res.params == dense.params == srg_params_waldron(frame.dim, frame.count)
