@@ -1,10 +1,10 @@
 """Steiner triple systems, parallel classes, and per-point block embeddings.
 
 A triple system on V points is a set of 3-element blocks covering every
-pair of points exactly once; it exists iff V = 1 or 3 (mod 6).  The
-embedding assignment orders, for each point, the R = (V-1)/2 blocks
-through it, which is exactly the data needed to lift simplex vectors
-into block coordinates.
+pair of points exactly once; it exists iff V = 1 or 3 (mod 6).  Its blocks
+are one (B, 3) int32 array in lexicographic order.  The embedding
+assignment orders, for each point, the R = (V-1)/2 blocks through it, one
+(V, R) array: the data needed to lift simplex vectors into block coordinates.
 """
 from __future__ import annotations
 
@@ -12,20 +12,33 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from equiframes.scalar import _WRITE_LINES, _refuse_array
+import numpy as np
 
-Block = tuple[int, int, int]
+from equiframes.scalar import _WRITE_LINES, _adopted, _refuse_array
 
-# Peak bytes per block while bose or skolem builds a system: the sorted tuple,
-# its three ints and its slots in the block list and tuple (tracemalloc, 164
-# at V = 2001 and 2005)
-_BLOCK_BYTES = 164
+# Peak bytes per block while bose or skolem builds a system: the int32 rows, the
+# lexicographic sort's int64 index and the sorted copy (tracemalloc at V = 2001, 2005)
+_BLOCK_BYTES = 32
+_VERIFY_BLOCKS = 1 << 14  # blocks per chunk of verify_sts's walk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteinerTripleSystem:
+    """Any (B, 3) integer array of points that fit in int32 is adopted as
+    the read-only int32 ``blocks`` (scalar._adopted), sorted or not."""
+
     num_points: int
-    blocks: tuple[Block, ...]  # sorted triples, lexicographic order
+    blocks: np.ndarray  # (B, 3) int32
+
+    def __post_init__(self) -> None:
+        blocks = np.asarray(self.blocks)
+        if blocks.shape[1:] != (3,) or blocks.dtype.kind not in "iu" or (
+                blocks.size and not -2 ** 31 <= blocks.min() <= blocks.max() < 2 ** 31):
+            raise ValueError(f"blocks must be a (B, 3) array of int32 points, got "
+                             f"{blocks.dtype} of shape {blocks.shape}")
+        blocks = _adopted(blocks, np.int32)
+        blocks.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def replication(self) -> int:
@@ -36,13 +49,16 @@ class SteinerTripleSystem:
         return len(self.blocks)
 
     @cached_property
-    def blocks_through(self) -> tuple[tuple[int, ...], ...]:
-        """For each point, the ascending indices of blocks containing it."""
-        through: list[list[int]] = [[] for _ in range(self.num_points)]
-        for idx, blk in enumerate(self.blocks):
-            for p in blk:
-                through[p].append(idx)
-        return tuple(tuple(t) for t in through)
+    def blocks_through(self) -> np.ndarray:
+        """(V, R): row p the ascending indices of the blocks through point p,
+        one stable argsort of the flattened blocks."""
+        v, r, flat = self.num_points, self.replication, self.blocks.ravel()
+        order = np.argsort(flat, kind="stable")
+        if not np.array_equal(flat[order], np.repeat(np.arange(v), r)):
+            raise ValueError(f"the points 0..{v - 1} do not each lie in R={r} blocks")
+        through = (order // 3).reshape(v, r)
+        through.flags.writeable = False
+        return through
 
 
 @dataclass(frozen=True)
@@ -54,13 +70,26 @@ class STSReport:
     failure: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "V": self.num_points,
-            "B": self.block_count,
-            "R": self.replication,
-            "failure": self.failure,
-        }
+        return {"ok": self.ok, "V": self.num_points, "B": self.block_count,
+                "R": self.replication, "failure": self.failure}
+
+
+def _triples(head: np.ndarray, m: int, third) -> np.ndarray:
+    """The int32 rows ``head``, then {3x+i, 3y+i, 3z+(i+1)%3} for x < y < m,
+    i in Z_3 and z = third(x, y)."""
+    x, y = np.triu_indices(m, 1)
+    z = third(x, y)
+    blocks = np.empty((len(head) + 3 * len(x), 3), dtype=np.int32)
+    blocks[:len(head)] = head
+    for i, rows in enumerate(blocks[len(head):].reshape(3, len(x), 3)):
+        rows[:, 0], rows[:, 1], rows[:, 2] = 3 * x + i, 3 * y + i, 3 * z + (i + 1) % 3
+    return blocks
+
+
+def _sorted_system(v: int, blocks: np.ndarray) -> SteinerTripleSystem:
+    """The system of ``blocks``, sorted in place by row, then rows in lexicographic order."""
+    blocks.sort(axis=1)
+    return SteinerTripleSystem(v, blocks[np.lexsort(blocks.T[::-1])])
 
 
 def bose(v: int) -> SteinerTripleSystem:
@@ -72,18 +101,9 @@ def bose(v: int) -> SteinerTripleSystem:
     """
     if v < 3 or v % 6 != 3:
         raise ValueError(f"Bose construction needs V = 3 (mod 6), got {v}")
-    n = v // 3
-    inv2 = pow(2, -1, n)
-    blocks = []
-    for x in range(n):
-        blocks.append(tuple(sorted((3 * x, 3 * x + 1, 3 * x + 2))))
-    for x in range(n):
-        for y in range(x + 1, n):
-            z = (x + y) * inv2 % n
-            for i in range(3):
-                blocks.append(tuple(sorted((3 * x + i, 3 * y + i, 3 * z + (i + 1) % 3))))
-    blocks.sort()
-    return SteinerTripleSystem(v, tuple(blocks))
+    n, half = v // 3, pow(2, -1, v // 3)
+    verticals = np.arange(v).reshape(n, 3)
+    return _sorted_system(v, _triples(verticals, n, lambda x, y: (x + y) * half % n))
 
 
 def skolem(v: int) -> SteinerTripleSystem:
@@ -98,25 +118,11 @@ def skolem(v: int) -> SteinerTripleSystem:
     if v < 7 or v % 6 != 1:
         raise ValueError(f"Skolem construction needs V = 1 (mod 6) and V >= 7, got {v}")
     n = (v - 1) // 6
-    inf = v - 1
-    two_n = 2 * n
-
-    def mix(i: int, j: int) -> int:
-        s = (i + j) % two_n
-        return s // 2 if s % 2 == 0 else n + (s - 1) // 2
-
-    blocks = []
-    for i in range(n):
-        blocks.append(tuple(sorted((3 * i, 3 * i + 1, 3 * i + 2))))
-        for k in range(3):
-            blocks.append(tuple(sorted((inf, 3 * (n + i) + k, 3 * i + (k + 1) % 3))))
-    for i in range(two_n):
-        for j in range(i + 1, two_n):
-            z = mix(i, j)
-            for k in range(3):
-                blocks.append(tuple(sorted((3 * i + k, 3 * j + k, 3 * z + (k + 1) % 3))))
-    blocks.sort()
-    return SteinerTripleSystem(v, tuple(blocks))
+    i, k = np.arange(n)[:, None], np.arange(3)
+    through_inf = np.stack(np.broadcast_arrays(v - 1, 3 * (n + i) + k, 3 * i + (k + 1) % 3), -1)
+    head = np.concatenate([np.arange(3 * n).reshape(n, 3), through_inf.reshape(-1, 3)])
+    return _sorted_system(v, _triples(head, 2 * n,
+                                      lambda x, y: (x + y) % (2 * n) // 2 + n * ((x + y) % 2)))
 
 
 def make_sts(v: int) -> SteinerTripleSystem:
@@ -129,110 +135,104 @@ def make_sts(v: int) -> SteinerTripleSystem:
 
 
 def verify_sts(s: SteinerTripleSystem) -> STSReport:
-    """Exhaustive pair-coverage check plus the counting identities."""
+    """Exhaustive pair-coverage check plus the counting identities: the
+    blocks are walked _VERIFY_BLOCKS at a time against one V x V byte mask of
+    their pairs (a,b), (a,c), (b,c), naming what a one-block walk would."""
     v = s.num_points
     r, b, k = s.replication, s.block_count, 3
 
     def fail(msg: str) -> STSReport:
         return STSReport(False, v, b, r, msg)
 
-    seen = [bytearray(v) for _ in range(v)]  # seen[p][q]: pair (p, q) covered
-    lies_in = [0] * v  # blocks through each point
-    for blk in s.blocks:
-        if len(set(blk)) != 3 or min(blk) < 0 or max(blk) >= v:
-            return fail(f"malformed block {blk}")
-        for p, q in ((blk[0], blk[1]), (blk[0], blk[2]), (blk[1], blk[2])):
-            if seen[p][q]:
-                return fail(f"pair ({p},{q}) covered twice")
-            seen[p][q] = 1
-        for p in blk:
-            lies_in[p] += 1
+    seen = bytearray(max(v, 0) ** 2)  # seen[p * V + q]: pair (p, q) covered
+    mask = np.frombuffer(seen, dtype=np.uint8)
+    lies_in = np.zeros(max(v, 0), dtype=np.int64)  # blocks through each point
+    for start in range(0, b, _VERIFY_BLOCKS):
+        chunk = s.blocks[start:start + _VERIFY_BLOCKS].astype(np.int64)
+        a, bb, c = chunk.T
+        outside = (chunk < 0) | (chunk >= v)
+        bad = outside[:, 0] | outside[:, 1] | outside[:, 2] | (a == bb) | (a == c) | (bb == c)
+        good = int(bad.argmax()) if bad.any() else len(chunk)
+        keys = np.stack([a * v + bb, a * v + c, bb * v + c], axis=1)[:good].ravel()
+        order = np.argsort(keys, kind="stable")
+        twice = mask[keys].astype(bool)
+        twice[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
+        if twice.any():
+            return fail("pair (%d,%d) covered twice" % divmod(int(keys[twice.argmax()]), v))
+        if good < len(chunk):
+            return fail(f"malformed block {tuple(chunk[good].tolist())}")
+        mask[keys] = 1
+        lies_in += np.bincount(chunk.ravel(), minlength=v)
     for p in range(v):
-        q = seen[p].find(0, p + 1)
+        q = seen.find(0, p * v + p + 1, (p + 1) * v)
         if q >= 0:
-            return fail(f"pair ({p},{q}) not covered")
+            return fail(f"pair ({p},{q - p * v}) not covered")
     if v * r != b * k:
         return fail(f"identity V*R == B*K fails: {v}*{r} != {b}*{k}")
     if v - 1 != r * (k - 1):
         return fail(f"identity V-1 == R*(K-1) fails for V={v}, R={r}")
-    for p, count in enumerate(lies_in):
-        if count != r:
-            return fail(f"point {p} lies in {count} blocks, expected {r}")
+    wrong = np.flatnonzero(lies_in != r)
+    if wrong.size:
+        return fail(f"point {wrong[0]} lies in {lies_in[wrong[0]]} blocks, expected {r}")
     return STSReport(True, v, b, r)
 
 
 def find_parallel_class(s: SteinerTripleSystem) -> tuple[int, ...] | None:
     """A set of V/3 pairwise disjoint blocks covering all points, if any.
 
-    Blocks of the shape {3x, 3x+1, 3x+2} (the Bose verticals) are taken
-    directly; otherwise an exact-cover backtracking search runs, branching
-    on the point with the fewest usable blocks.
+    The blocks {3x, 3x+1, 3x+2} (the Bose verticals) are taken directly when
+    there is one for every x; otherwise an exact-cover backtracking search
+    runs, branching on the point with the fewest usable blocks.
     """
     v = s.num_points
     if v % 3:
         return None
-    index = {blk: i for i, blk in enumerate(s.blocks)}
-    fast = []
-    for x in range(v // 3):
-        idx = index.get((3 * x, 3 * x + 1, 3 * x + 2))
-        if idx is None:
-            break
-        fast.append(idx)
-    else:
-        return tuple(sorted(fast))
+    first = s.blocks[:, 0]
+    verticals = np.flatnonzero((first % 3 == 0) & (s.blocks == first[:, None] + [0, 1, 2]).all(1))
+    if np.array_equal(np.sort(first[verticals]), np.arange(0, v, 3)):
+        return tuple(verticals.tolist())
 
-    through = s.blocks_through
+    blocks, through = s.blocks.tolist(), s.blocks_through.tolist()
     chosen: list[int] = []
-    covered = bytearray(v)
+    covered = np.zeros(v, dtype=bool)
 
     def search() -> bool:
-        best_point, best_opts = -1, None
-        for p in range(v):
-            if covered[p]:
-                continue
-            opts = [
-                bi for bi in through[p]
-                if not any(covered[q] for q in s.blocks[bi])
-            ]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_point, best_opts = p, opts
-                if not opts:
-                    return False
-        if best_opts is None:
+        free = np.flatnonzero(~covered)
+        if not free.size:
             return True
-        for bi in best_opts:
-            for q in s.blocks[bi]:
-                covered[q] = 1
+        usable = ([bi for bi in through[p] if not covered[blocks[bi]].any()] for p in free)
+        for bi in min(usable, key=len):
+            covered[blocks[bi]] = True
             chosen.append(bi)
             if search():
                 return True
             chosen.pop()
-            for q in s.blocks[bi]:
-                covered[q] = 0
+            covered[blocks[bi]] = False
         return False
 
-    if search():
-        return tuple(sorted(chosen))
-    return None
+    return tuple(sorted(chosen)) if search() else None
 
 
 def is_parallel_class(s: SteinerTripleSystem, class_indices) -> bool:
-    pts = [p for bi in class_indices for p in s.blocks[bi]]
+    """True when the blocks at ``class_indices``, all in [0, B), cover each point once."""
+    if not all(0 <= bi < s.block_count for bi in class_indices):
+        return False
+    pts = s.blocks[list(class_indices)].ravel().tolist()
     return len(pts) == s.num_points and len(set(pts)) == s.num_points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingAssignment:
     """Ordered block lists realizing one isometric embedding per point.
 
     ``orders[v]`` lists the R block indices through point v; position r of
-    the list says which block coordinate receives the r-th simplex
-    coordinate.  When built parallel-class-first, position 0 of every list
+    the row says which block coordinate receives the r-th simplex
+    coordinate.  When built parallel-class-first, position 0 of every row
     is the unique class block through that point.
     """
 
     sts: SteinerTripleSystem
-    orders: tuple[tuple[int, ...], ...]
+    orders: np.ndarray  # (V, R) block indices, read-only
     parallel_class: tuple[int, ...] | None = None
 
 
@@ -240,21 +240,16 @@ def standard_embedding(
     s: SteinerTripleSystem,
     parallel: tuple[int, ...] | None = None,
 ) -> EmbeddingAssignment:
-    """Ascending block order per point; class block first when one is given."""
-    if parallel is not None and not is_parallel_class(s, parallel):
-        raise ValueError("not a parallel class of this system")
-    in_class = set(parallel or ())
-    orders = []
-    for p in range(s.num_points):
-        through = list(s.blocks_through[p])
-        if parallel is not None:
-            first = [bi for bi in through if bi in in_class]
-            if len(first) != 1:
-                raise ValueError(f"point {p} lies in {len(first)} class blocks")
-            through.remove(first[0])
-            through.insert(0, first[0])
-        orders.append(tuple(through))
-    return EmbeddingAssignment(s, tuple(orders), parallel)
+    """Ascending block order per point; class block first when one is given,
+    by one more stable sort of each row."""
+    orders = s.blocks_through
+    if parallel is not None:
+        if not is_parallel_class(s, parallel):
+            raise ValueError("not a parallel class of this system")
+        later = ~np.isin(orders, parallel)
+        orders = np.take_along_axis(orders, np.argsort(later, axis=1, kind="stable"), 1)
+        orders.flags.writeable = False
+    return EmbeddingAssignment(s, orders, parallel)
 
 
 def store_sts(path: str | Path, s: SteinerTripleSystem) -> None:
@@ -263,8 +258,10 @@ def store_sts(path: str | Path, s: SteinerTripleSystem) -> None:
     with Path(path).open("w") as fh:
         fh.write(f"{s.num_points} {s.block_count}\n")
         for start in range(0, s.block_count, _WRITE_LINES):
-            chunk = s.blocks[start:start + _WRITE_LINES]
-            fh.write("".join(f"{a} {b} {c}\n" for a, b, c in chunk))
+            distinct, at = np.unique(s.blocks[start:start + _WRITE_LINES], return_inverse=True)
+            tokens = np.array([f"{p}{end}" for end in " \n" for p in distinct.tolist()],
+                              dtype=object)
+            fh.write("".join(tokens[at.reshape(-1, 3) + [0, 0, len(distinct)]].ravel().tolist()))
 
 
 def _ints(tokens, what: str) -> list[int]:
@@ -282,19 +279,20 @@ def load_sts(path: str | Path) -> SteinerTripleSystem:
         if len(head) != 2:
             raise ValueError(f"bad triple-system header: {raw[0]!r}")
         v, b = _ints(head, f"header {raw[0]!r}")
-        blocks = []
+        rows = []
         for line in raw[1:]:
             if not line.strip():
                 continue
-            parts = tuple(sorted(_ints(line.split(), f"block line {line!r}")))
+            parts = _ints(line.split(), f"block line {line!r}")
             if len(parts) != 3:
                 raise ValueError(f"bad block line: {line!r}")
-            blocks.append(parts)
-        if len(blocks) != b:
-            raise ValueError(f"header says {b} blocks, file has {len(blocks)}")
-    except ValueError as exc:  # UnicodeDecodeError included
+            rows.append(parts)
+        if len(rows) != b:
+            raise ValueError(f"header says {b} blocks, file has {len(rows)}")
+        blocks = np.array(rows, dtype=np.int32).reshape(-1, 3)
+    except (ValueError, OverflowError) as exc:  # UnicodeDecodeError included; a point past int32
         raise ValueError(f"{path}: {exc}") from exc
-    return SteinerTripleSystem(v, tuple(sorted(blocks)))
+    return _sorted_system(v, blocks)
 
 
 def store_parallel_class(path: str | Path, class_indices) -> None:

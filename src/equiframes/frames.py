@@ -252,14 +252,17 @@ def _zero_planes(shape: tuple[int, int, int], *tables) -> np.ndarray:
     return np.zeros(shape, dtype=dtype)
 
 
-def _embed_blocks(planes: np.ndarray, table: np.ndarray, emb: EmbeddingAssignment,
-                  exps: np.ndarray) -> None:
+def _embed_blocks(planes: np.ndarray, table: np.ndarray, sts: SteinerTripleSystem,
+                  emb: EmbeddingAssignment, exps: np.ndarray) -> None:
     """Simplex vector s at point v is column v(R+1)+s; coordinate pos goes to
-    block row emb.orders[v][pos]."""
+    block row emb.orders[v, pos].  Refused unless ``emb`` embeds ``sts`` or a
+    system with the same points and blocks."""
+    if emb.sts is not sts and (emb.sts.num_points != sts.num_points
+                               or not np.array_equal(emb.sts.blocks, sts.blocks)):
+        raise ValueError("embedding belongs to a different system")
     r = exps.shape[0]
-    rows = np.array(emb.orders)[:, :, None]
     cols = np.arange(len(emb.orders))[:, None, None] * (r + 1) + np.arange(r + 1)
-    planes[:, rows, cols] = np.moveaxis(table[exps], -1, 0)[:, None]
+    planes[:, emb.orders[:, :, None], cols] = np.moveaxis(table[exps], -1, 0)[:, None]
 
 
 def steiner_etf(
@@ -274,13 +277,11 @@ def steiner_etf(
             f"need a simplex of {r + 1} vectors in dimension {r}, "
             f"got {sim.count} in dimension {sim.dim}"
         )
-    if emb.sts is not sts and emb.sts != sts:
-        raise ValueError("embedding belongs to a different system")
     q = sim.source.root_order
     table = root_coeffs(q)
     b = sts.block_count
     planes = _zero_planes((table.shape[1], b, sts.num_points * (r + 1)), table)
-    _embed_blocks(planes, table, emb, sim.exponents)
+    _embed_blocks(planes, table, sts, emb, sim.exponents)
     return FrameMatrix(
         planes,
         np.ones(b, dtype=np.int64),
@@ -325,7 +326,7 @@ def tremain_etf(
     planes = _zero_planes((t1.shape[1], m, first + v_pts + 1), t1, t2)
     points = b + np.arange(v_pts)
 
-    _embed_blocks(planes, t1, emb, sim_r.exponents)
+    _embed_blocks(planes, t1, sts, emb, sim_r.exponents)
     cols = np.arange(first).reshape(v_pts, r + 1)
     planes[:, points[:, None], cols] = t1[sim_r.complement].T[:, None]
 

@@ -1,5 +1,6 @@
 """Reference helpers shared by the test modules: reads of graphs, embeddings
-and parameter sets that the package itself has no use for."""
+and parameter sets that the package itself has no use for, and one-at-a-time
+references for its vectorised checks."""
 from __future__ import annotations
 
 import sys
@@ -8,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 
+from equiframes.designs import STSReport
 from equiframes.graphs import Graph, SRGParams
 from equiframes.scalar import ExtScalar
 
@@ -44,11 +46,46 @@ def srg_identity_holds(params) -> bool:
 
 def shared_block(emb, v: int, w: int) -> tuple[int, int, int]:
     """The unique common block of points v and w and its positions in their orders."""
-    common = set(emb.orders[v]) & set(emb.orders[w])
+    row_v, row_w = emb.orders[v].tolist(), emb.orders[w].tolist()
+    common = set(row_v) & set(row_w)
     if len(common) != 1:
         raise ValueError(f"points {v},{w} share {len(common)} blocks")
     blk = common.pop()
-    return blk, emb.orders[v].index(blk), emb.orders[w].index(blk)
+    return blk, row_v.index(blk), row_w.index(blk)
+
+
+def reference_verify_sts(s) -> STSReport:
+    """designs.verify_sts one block at a time over Python tuples, with a byte
+    row per point: the walk whose witnesses the chunked check must repeat."""
+    v = s.num_points
+    r, b, k = s.replication, s.block_count, 3
+
+    def fail(msg: str) -> STSReport:
+        return STSReport(False, v, b, r, msg)
+
+    seen = [bytearray(v) for _ in range(v)]  # seen[p][q]: pair (p, q) covered
+    lies_in = [0] * v  # blocks through each point
+    for blk in map(tuple, s.blocks.tolist()):
+        if len(set(blk)) != 3 or min(blk) < 0 or max(blk) >= v:
+            return fail(f"malformed block {blk}")
+        for p, q in ((blk[0], blk[1]), (blk[0], blk[2]), (blk[1], blk[2])):
+            if seen[p][q]:
+                return fail(f"pair ({p},{q}) covered twice")
+            seen[p][q] = 1
+        for p in blk:
+            lies_in[p] += 1
+    for p in range(v):
+        q = seen[p].find(0, p + 1)
+        if q >= 0:
+            return fail(f"pair ({p},{q}) not covered")
+    if v * r != b * k:
+        return fail(f"identity V*R == B*K fails: {v}*{r} != {b}*{k}")
+    if v - 1 != r * (k - 1):
+        return fail(f"identity V-1 == R*(K-1) fails for V={v}, R={r}")
+    for p, count in enumerate(lies_in):
+        if count != r:
+            return fail(f"point {p} lies in {count} blocks, expected {r}")
+    return STSReport(True, v, b, r)
 
 
 def simplex_scalars(sim):

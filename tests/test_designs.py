@@ -6,6 +6,7 @@ import tracemalloc
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from equiframes.designs import (
     store_sts,
     verify_sts,
 )
-from helpers import shared_block
+from helpers import reference_verify_sts, shared_block
 
 
 def brute_pair_coverage(s: SteinerTripleSystem) -> bool:
@@ -40,7 +41,7 @@ def brute_pair_coverage(s: SteinerTripleSystem) -> bool:
 
 def test_bose_smallest():
     s = bose(3)
-    assert s.blocks == ((0, 1, 2),)
+    assert s.blocks.tolist() == [[0, 1, 2]]
     assert s.replication == 1
     assert verify_sts(s).ok
 
@@ -105,13 +106,47 @@ SKOLEM_GOLDEN = {
 
 
 def sts_digest(s: SteinerTripleSystem) -> str:
-    text = ";".join(",".join(map(str, blk)) for blk in s.blocks)
+    text = ";".join(",".join(map(str, blk)) for blk in s.blocks.tolist())
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("v", [7, 13, 19])
 def test_skolem_golden_hashes(v):
     assert sts_digest(skolem(v)) == SKOLEM_GOLDEN[v]
+
+
+# Frozen from the tuple-of-tuples constructions, before the blocks became one
+# array: the array constructions must give the same blocks in the same order.
+STS_GOLDEN = {
+    (bose, 9): "36e29e78199604c7ddc4bf2a55f5ec59b99ea8953be6a6b2df0a79b5caf1fd03",
+    (bose, 15): "2ffb2af1598d4bc4d142f7c0ac659bc5440db9a72c63553087715d19b07ff662",
+    (bose, 21): "305e4f2d8d84b346d58fd727b11d840d4654fe75945b279d7a47c392f46ad4f7",
+    (bose, 2001): "9612ba18a74b4d5c90965e8c22a70bd6a77a7f06cf7432d72d25684be560626d",
+    (skolem, 2005): "f586c89beac4c88aae94fb8e609c4bdebc842807072eee240c9be4913e7c0913",
+}
+
+
+@pytest.mark.parametrize("build, v", list(STS_GOLDEN), ids=lambda x: getattr(x, "__name__", x))
+def test_sts_golden_hashes(build, v):
+    assert sts_digest(build(v)) == STS_GOLDEN[build, v]
+
+
+def test_system_blocks_are_one_read_only_int32_array():
+    """An owned int32 array is adopted as it is; other integer input is
+    copied; anything but a (B, 3) array of int32 points is refused."""
+    owned = np.array([[0, 1, 2]], dtype=np.int32)
+    assert SteinerTripleSystem(3, owned).blocks is owned and not owned.flags.writeable
+    copied = SteinerTripleSystem(3, ((0, 1, 2),)).blocks
+    assert copied.dtype == np.int32 and not copied.flags.writeable
+    for bad in ([0, 1, 2], [[0, 1]], [[0.0, 1.0, 2.0]], [[0, 1, 2 ** 31]], [[-2 ** 31 - 1, 0, 1]]):
+        with pytest.raises(ValueError, match="int32 points"):
+            SteinerTripleSystem(3, bad)
+
+
+def test_blocks_through_refuses_a_system_whose_points_miss_the_replication():
+    assert bose(9).blocks_through.shape == (9, 4)
+    with pytest.raises(ValueError, match="do not each lie in R=1 blocks"):
+        SteinerTripleSystem(4, ((0, 1, 2), (0, 1, 3))).blocks_through
 
 
 def test_all_admissible_orders_up_to_99():
@@ -131,8 +166,18 @@ def test_parallel_class_bose9():
     s = bose(9)
     cls = find_parallel_class(s)
     assert cls is not None
-    assert [s.blocks[i] for i in cls] == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+    assert s.blocks[list(cls)].tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
     assert is_parallel_class(s, cls)
+
+
+def test_is_parallel_class_is_false_for_an_index_outside_the_blocks():
+    """Indices are not wrapped: -12, -2 and -1 name no block of bose(9),
+    though they would wrap onto its class (0, 10, 11)."""
+    s = bose(9)
+    assert find_parallel_class(s) == (0, 10, 11)
+    assert not is_parallel_class(s, (-12, -2, -1))
+    assert not is_parallel_class(s, (0, 1, 99))
+    assert not is_parallel_class(s, (0, 10, 12))
 
 
 def test_parallel_class_fano_is_none():
@@ -163,14 +208,14 @@ def test_standard_embedding_fano():
     s = skolem(7)
     emb = standard_embedding(s)
     for p in range(7):
-        assert emb.orders[p] == s.blocks_through[p]
+        assert np.array_equal(emb.orders[p], s.blocks_through[p])
         assert len(emb.orders[p]) == 3
 
 
 def test_standard_embedding_v3():
     s = bose(3)
     emb = standard_embedding(s)
-    assert emb.orders == ((0,), (0,), (0,))
+    assert emb.orders.tolist() == [[0], [0], [0]]
 
 
 def test_embedding_parallel_first():
@@ -222,7 +267,7 @@ def test_sts_file_roundtrip(tmp_path):
     path = tmp_path / "sts.txt"
     store_sts(path, s)
     loaded = load_sts(path)
-    assert loaded == s
+    assert loaded.num_points == s.num_points and np.array_equal(loaded.blocks, s.blocks)
     first_line = path.read_text().splitlines()[0]
     assert first_line == "9 12"
 
@@ -258,6 +303,54 @@ def test_make_sts_steps_stay_within_the_peak_of_making_the_system(tmp_path, v):
     assert peak <= 1.05 * made, (peak / s.block_count, made / s.block_count)
 
 
+@st.composite
+def corrupted_systems(draw):
+    """A system of V in {7, 9, 13, 15} with up to three edits: a point set to
+    any of -1..V, a row's points or two rows swapped, a block dropped or one
+    duplicated."""
+    v = draw(st.sampled_from([7, 9, 13, 15]))
+    blocks = make_sts(v).blocks.tolist()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(blocks) - 1))
+        j = draw(st.integers(0, len(blocks) - 1))
+        edit = draw(st.sampled_from(["point", "row", "swap", "drop", "duplicate"]))
+        if edit == "point":
+            blocks[i][draw(st.integers(0, 2))] = draw(st.integers(-1, v))
+        elif edit == "row":
+            blocks[i] = draw(st.permutations(blocks[i]))
+        elif edit == "swap":
+            blocks[i], blocks[j] = blocks[j], blocks[i]
+        elif edit == "drop" and len(blocks) > 1:
+            del blocks[i]
+        elif edit == "duplicate":
+            blocks.insert(j, list(blocks[i]))
+    return SteinerTripleSystem(v, np.array(blocks, dtype=np.int32))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, designs._VERIFY_BLOCKS])
+@settings(max_examples=150, deadline=None)
+@given(s=corrupted_systems())
+def test_chunked_verify_names_what_the_one_block_walk_names(s, chunk):
+    """The chunked walk returns the reference's report, witness included,
+    on sorted or unsorted systems with edited, dropped or repeated blocks."""
+    with mock.patch.object(designs, "_VERIFY_BLOCKS", chunk):
+        assert verify_sts(s) == reference_verify_sts(s)
+
+
+def test_load_sts_refuses_a_point_past_int32_and_keeps_one_out_of_range(tmp_path):
+    """A point past the block dtype is refused naming the file; one that fits
+    but is not a point of the system loads, and verify_sts names its block."""
+    path = tmp_path / "sts.txt"
+    path.write_bytes(b"9 1\n0 1 99999999999\n")
+    with pytest.raises(ValueError, match="out of bounds for int32") as info:
+        load_sts(path)
+    assert type(info.value) is ValueError and str(info.value).startswith(f"{path}: ")
+    path.write_bytes(b"9 1\n2 99 0\n")
+    s = load_sts(path)
+    assert s.blocks.tolist() == [[0, 2, 99]]
+    assert verify_sts(s).failure == "malformed block (0, 2, 99)"
+
+
 def test_parallel_class_file_roundtrip(tmp_path):
     s = bose(9)
     cls = find_parallel_class(s)
@@ -287,6 +380,7 @@ def test_sts_and_class_loaders_name_the_file(tmp_path, loader, data, message):
 @settings(max_examples=200, deadline=None)
 @example(loader="sts", data=b"\x80")
 @example(loader="class", data=b"0 3 \xc3")
+@example(loader="sts", data=b"9 1\n0 1 99999999999\n")
 @given(
     loader=st.sampled_from(sorted(_LOADERS)),
     data=st.one_of(

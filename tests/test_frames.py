@@ -16,7 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equiframes.designs import find_parallel_class, make_sts, standard_embedding
+from equiframes.designs import (
+    SteinerTripleSystem,
+    find_parallel_class,
+    make_sts,
+    standard_embedding,
+)
 from equiframes.frames import (
     FrameMatrix,
     SteinerProvenance,
@@ -785,6 +790,24 @@ def test_tremain_rejects_bad_simplex_sizes():
         tremain_etf(sts, emb, good_v, good_v)
     with pytest.raises(ValueError):
         tremain_etf(sts, emb, good_r, good_r)
+
+
+def test_builders_refuse_an_embedding_of_another_system():
+    """Both builders take an embedding of the system or of a copy of it, and
+    refuse one of another system, of another size or relabelled, alike."""
+    from equiframes.pipelines import build_tremain as pipeline_build
+
+    prov = pipeline_build(v=9).provenance
+    sts, emb, steiner_sim = prov.sts, prov.embedding, simplex_from_hadamard(fourier(5), 0)
+    copy = SteinerTripleSystem(9, sts.blocks.copy())
+    builds = {"tremain": lambda s, e: tremain_etf(s, e, prov.sim_r, prov.sim_v),
+              "steiner": lambda s, e: steiner_etf(s, e, steiner_sim)}
+    relabelled = SteinerTripleSystem(9, (sts.blocks + 1) % 9)
+    for name, build in builds.items():
+        assert np.array_equal(build(copy, emb).planes, build(sts, emb).planes), name
+        for other in (make_sts(7), relabelled):
+            with pytest.raises(ValueError, match="embedding belongs to a different system"):
+                build(sts, standard_embedding(other))
 
 
 def test_gram_case_values_match_construction():
