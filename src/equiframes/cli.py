@@ -253,8 +253,8 @@ def cmd_derive_drackn(args) -> int:
     path = _out_dir(args) / f"drackn_h{args.h}_p{args.p}.edges"
     export_graph(path, cov.graph, fmt="edges", fibers=r)
     emit(
-        {"command": "derive drackn", "artifact": str(path),
-         "params": [n, r, c], "n_minus_rc": n - r * c, "certified": True},
+        {"command": "derive drackn", "artifact": str(path), "params": [n, r, c],
+         "n_minus_rc": n - r * c, "counting": cov.counting, "certified": True},
         args.json,
     )
     return 0
@@ -430,6 +430,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # exit 1: an admitted size the process cannot get
+        print(f"out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

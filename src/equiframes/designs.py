@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from equiframes.scalar import _WRITE_LINES, _adopted, _refuse_array
+from equiframes.scalar import _WRITE_LINES, _adopted, _refuse_array, _write_lines
 
 # Peak bytes per block while bose or skolem builds a system: the int32 rows, the
 # lexicographic sort's int64 index and the sorted copy (tracemalloc at V = 2001, 2005)
@@ -255,13 +255,10 @@ def standard_embedding(
 def store_sts(path: str | Path, s: SteinerTripleSystem) -> None:
     """The header line "V B", then one "a b c" line per block, formatted
     _WRITE_LINES blocks per write."""
+    cuts = range(_WRITE_LINES, s.block_count, _WRITE_LINES)
     with Path(path).open("w") as fh:
         fh.write(f"{s.num_points} {s.block_count}\n")
-        for start in range(0, s.block_count, _WRITE_LINES):
-            distinct, at = np.unique(s.blocks[start:start + _WRITE_LINES], return_inverse=True)
-            tokens = np.array([f"{p}{end}" for end in " \n" for p in distinct.tolist()],
-                              dtype=object)
-            fh.write("".join(tokens[at.reshape(-1, 3) + [0, 0, len(distinct)]].ravel().tolist()))
+        _write_lines(fh, s.num_points, np.split(s.blocks, cuts))
 
 
 def _ints(tokens, what: str) -> list[int]:

@@ -26,12 +26,13 @@ given no group size, is counted by A·A.  Strongly regular graphs need
 constant degree and constant counts over adjacent and non-adjacent
 pairs; covers of the complete graph need fiber matchings, read off A·F
 for the fiber indicator F, and a constant count over non-adjacent pairs
-in distinct fibers, fiber f being the r consecutive vertices
-f*r .. f*r + r - 1.  Each certifier reads the counts it expects off row
-0, at the first pair of each kind, and marks the off counts of each
-block; scalar._first_marked names the first pair marked.  The
-certifiers never read the closed-form parameters they are compared
-against.
+in distinct fibers, fiber f being the r consecutive vertices f*r .. f*r +
+r - 1; a p = 2 cover is the Z_2 lift of an N-vertex quotient (Godsil and
+Hensel 1992), counted by either product on that quotient.  Each
+certifier reads the counts it expects off row 0, at the first pair of
+each kind, and marks the off counts of each block; scalar._first_marked
+names the first pair marked.  The certifiers never read the closed-form
+parameters they are compared against.
 """
 from __future__ import annotations
 
@@ -59,6 +60,7 @@ from equiframes.scalar import (
     _first_marked,
     _refuse_array,
     _square_tiles,
+    _write_lines,
 )
 
 
@@ -109,11 +111,17 @@ class Graph:
         return self.adj.shape[0]
 
 
-def _edge_tiles(adj: np.ndarray):
-    """The edges u < v as arrays (us, vs), one row tile at a time."""
+def _edge_runs(adj: np.ndarray):
+    """The edges u < v as (L, 2) arrays of (u, v), in runs of the rows of a
+    row tile that hold at most _WRITE_LINES edges (one row when it holds more)."""
     for s in range(0, adj.shape[0], _TILE):
-        us, vs = np.nonzero(np.triu(adj[s:s + _TILE], s + 1))
-        yield us + s, vs
+        upper = np.triu(adj[s:s + _TILE, s:], 1)  # columns from s on
+        ends = np.cumsum(np.count_nonzero(upper, axis=1))  # edges up to each row's end
+        a = done = 0
+        while a < len(upper):
+            b = max(a + 1, int(np.searchsorted(ends, done + _WRITE_LINES, "right")))
+            yield np.stack(np.nonzero(upper[a:b]), axis=1) + [s + a, s]
+            a, done = b, ends[b - 1]
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ class Certificate:
     ok: bool
     params: SRGParams | tuple[int, int, int] | None  # a cover's are (n, r, c)
     witness: str | None = None
-    counting: str | None = None  # srg_check's product: "factored" or "dense"
+    counting: str | None = None  # the product that counted: "factored" or "dense"
 
 
 def _dense_tiles(adj: np.ndarray):
@@ -488,7 +496,7 @@ def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
 # distance-regular antipodal covers
 
 
-def drackn_check(g: Graph, r: int) -> Certificate:
+def drackn_check(g: Graph, r: int, group: int | None = None) -> Certificate:
     """Verify the three cover axioms by exhaustive counting.
 
     Fiber f is the r consecutive vertices f*r .. f*r + r - 1.  (i) no edges
@@ -499,6 +507,12 @@ def drackn_check(g: Graph, r: int) -> Certificate:
     Vertex 0 meets fiber 1 once, so the first pair (iii) checks is (0, j),
     j its first non-neighbor past fiber 0, and its count is c.
     Fiber size 1 and the empty graph are rejected: the axioms hold vacuously.
+
+    At r = 2, (ii) leaves the identity or the swap between two fibers: A is
+    the Z_2 lift of Q = A[0::2, 1::2], counted by srg_check's tiles (factored
+    by ``group`` if they can be).  With x = deg_i + deg_j - 2 (Q·Q)_ij, row
+    2i's non-adjacent pair in fiber j is (2i, 2j + 1) with x common neighbors
+    if Q_ij = 0, else (2i, 2j) with n - x; rows 2i + 1 mirror rows 2i.
     """
     if r < 2:
         return Certificate(False, None, "fiber size must be at least 2")
@@ -532,17 +546,27 @@ def drackn_check(g: Graph, r: int) -> Certificate:
                                f"{hits[fi, t, fj]} neighbors in fiber {fj}, not 1")
 
     c_val = _common_neighbors(g.adj, 0, int(g.adj[0, r:].argmin()) + r) if n_fibers > 1 else 0
-    fiber_of = np.arange(g.order) // r
+    if r == 2:
+        a = g.adj[0::2, 1::2]  # Q
+        deg = np.count_nonzero(a, axis=1).astype(np.float32)
+        tiles = None if group is None else _factored_tiles(a, group, deg)
 
-    def off(counts, rows, cols):
-        return (counts != c_val) & ~g.adj[rows, cols] & (fiber_of[rows, None] != fiber_of[cols])
+        def off(counts, rows, cols):
+            x = deg[rows, None] + deg[cols] - 2 * counts
+            return np.where(a[rows, cols], n_fibers - x, x) != c_val
+    else:
+        tiles, a, fiber_of = None, g.adj, np.arange(g.order) // r
 
-    pair = _first_marked(_dense_tiles(g.adj), off)
-    if pair is not None:
-        i, j = pair
-        return Certificate(False, None, f"non-adjacent pair ({i},{j}) has "
-                           f"{_common_neighbors(g.adj, i, j)} common neighbors, expected {c_val}")
-    return Certificate(True, (n_fibers, r, c_val))
+        def off(counts, rows, cols):
+            return (counts != c_val) & ~a[rows, cols] & (fiber_of[rows, None] != fiber_of[cols])
+
+    counting = "dense" if tiles is None else "factored"
+    pair = _first_marked(_dense_tiles(a) if tiles is None else tiles, off)
+    if pair is None:
+        return Certificate(True, (n_fibers, r, c_val), counting=counting)
+    i, j = pair if r > 2 else (2 * pair[0], 2 * pair[1] + 1 - int(a[pair]))
+    witness = f"non-adjacent pair ({i},{j}) has {_common_neighbors(g.adj, i, j)} common neighbors"
+    return Certificate(False, None, f"{witness}, expected {c_val}", counting)
 
 
 def drackn_params(m: int, n: int, p: int) -> int:
@@ -579,6 +603,7 @@ def require_prime(p: int) -> None:
 class CoverResult:
     graph: Graph
     params: tuple[int, int, int]  # (n, p, c): fiber f is the vertices f*p .. f*p + p - 1
+    counting: str  # the product that counted it: "factored" or "dense"
 
 
 def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
@@ -605,10 +630,10 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     adj.shape = (n * p, n * p)
     del phase  # counting holds only the adjacency
     g = Graph(adj)
-    cert = drackn_check(g, p)
+    cert = drackn_check(g, p, _point_group(frame))
     if not cert.ok:
         raise CertificationError(f"cover failed certification: {cert.witness}")
-    return CoverResult(g, cert.params)
+    return CoverResult(g, cert.params, cert.counting)
 
 
 # ---------------------------------------------------------------------------
@@ -709,21 +734,11 @@ def export_graph(
             fh.writelines(_graph6_body(g.adj))
             fh.write(b"\n")
     elif fmt == "edges":
-        n = g.order
-        # one "u " and one "v\n" label per vertex; each tile's lines interleave them
-        heads = np.array([f"{u} " for u in range(n)], dtype=object)
-        tails = np.array([f"{v}\n" for v in range(n)], dtype=object)
         with path.open("w") as fh:
-            fh.write(f"n {n}\n")
+            fh.write(f"n {g.order}\n")
             if fibers is not None:
                 fh.write(f"p {fibers}\n")
-            for us, vs in _edge_tiles(g.adj):
-                for c in range(0, len(us), _WRITE_LINES):
-                    u, v = us[c:c + _WRITE_LINES], vs[c:c + _WRITE_LINES]
-                    lines = np.empty(2 * len(u), dtype=object)
-                    lines[0::2] = heads[u]
-                    lines[1::2] = tails[v]
-                    fh.write("".join(lines.tolist()))
+            _write_lines(fh, g.order, _edge_runs(g.adj))
     else:
         raise ValueError(f"unknown graph format {fmt!r}")
 

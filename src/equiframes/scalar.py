@@ -147,6 +147,21 @@ _WRITE_LINES = 1 << 14  # lines formatted per write of the edge-list and triple-
 _BOUND_CHUNK = 1 << 16  # entries per row chunk of the slot bound's float64 temporaries
 
 
+def _write_lines(fh, count: int, chunks) -> None:
+    """Write each row of each (L, k) int array of ``chunks`` as a line, one
+    write per chunk, from one table of the labels "p " and "p\\n" of 0 ..
+    count - 1 and a spare (take needs one); a point outside is formatted anew."""
+    table = np.array([f"{p}{end}" for end in " \n" for p in range(count)] + [""], dtype=object)
+    for rows in chunks:
+        last = np.arange(rows.shape[1]) == rows.shape[1] - 1  # the column that ends a line
+        tokens = table.take((rows + count * last).ravel(), mode="clip").tolist()  # never wraps
+        if rows.size and not 0 <= rows.min() <= rows.max() < count:
+            for i, j in np.argwhere((rows < 0) | (rows >= count)).tolist():
+                tokens[i * len(last) + j] = f"{rows[i, j]}" + ("\n" if last[j] else " ")
+        fh.write("".join(tokens))
+        del rows, tokens  # before the next chunk is made
+
+
 def _slot_bound(vectors: np.ndarray, weights=None) -> float:
     """The largest sum_j w_j t_ij^2 over rows i of V, t the entries' coefficient size sums.
 

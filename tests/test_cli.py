@@ -193,6 +193,31 @@ def test_derive_drackn_p5_uses_bundled_matrix(tmp_path, capsys):
     assert json.loads(out)["params"] == [55, 5, 10]
 
 
+@pytest.mark.parametrize("h, p, counting", [(16, 2, "factored"), (5, 5, "dense")])
+def test_derive_drackn_names_the_counting_kernel(tmp_path, capsys, h, p, counting):
+    """A p = 2 cover is counted on its quotient by the block factors; the
+    odd-p cover by A·A on all N·p vertices.  The JSON and the text say which."""
+    argv = ["--out", str(tmp_path), "derive", "drackn", "--h", str(h), "--p", str(p)]
+    code, out = run(capsys, "--json", *argv)
+    assert code == 0 and json.loads(out)["counting"] == counting
+    code, out = run(capsys, *argv)
+    assert code == 0 and f"counting: {counting}" in out.splitlines()
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 763. MiB for an array"),
+     "out of memory: Unable to allocate 763. MiB for an array"),
+    (MemoryError(), "out of memory: MemoryError"),
+])
+def test_memory_error_exits_1_with_one_line_and_no_traceback(tmp_path, capsys, error, line):
+    """An admitted size the process cannot get (numpy raises a MemoryError
+    subclass naming the array) ends with exit 1 and one stderr line."""
+    with mock.patch("equiframes.cli.make_sts", side_effect=error):
+        code = main(["--out", str(tmp_path), "make", "sts", "--V", "20001"])
+    assert code == 1 and capsys.readouterr().err == f"{line}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_tables_srg1_formula_only(tmp_path, capsys):
     code, out = run(capsys, "--json", "tables", "srg1", "--row-budget", "0")
     assert code == 0

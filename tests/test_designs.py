@@ -285,6 +285,24 @@ def test_sts_file_bytes_do_not_depend_on_the_write_chunk(tmp_path, chunk):
     assert path.read_text() == want
 
 
+@pytest.mark.parametrize("chunk", [1, 2, designs._WRITE_LINES])
+@pytest.mark.parametrize("text", [
+    "9 3\n-1 0 1\n2 3 9\n4 5 8\n",  # -1 and V: no wrap to the label of V - 1
+    "3 2\n-5 -4 3\n0 1 2\n",
+    "0 1\n0 1 2\n",  # no point inside [0, V): an empty label table
+    "-1 1\n-2 0 7\n",
+])
+def test_a_loaded_system_with_points_outside_is_written_as_loaded(tmp_path, chunk, text):
+    """The label table holds the points 0 .. V - 1 only; a loaded system's
+    point outside them is written as itself, never as a wrapped table entry."""
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    s = load_sts(path)
+    with mock.patch.object(designs, "_WRITE_LINES", chunk):
+        store_sts(tmp_path / "out.txt", s)
+    assert (tmp_path / "out.txt").read_text() == text
+
+
 @pytest.mark.parametrize("v", [2001, 2005])
 def test_make_sts_steps_stay_within_the_peak_of_making_the_system(tmp_path, v):
     """make sts builds, verifies and writes the system: verify_sts and

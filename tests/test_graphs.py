@@ -409,6 +409,91 @@ def test_drackn_cover_is_the_same_at_every_tile_size(tile):
     assert np.array_equal(again.graph.adj, cov.graph.adj) and again.params == (36, 2, 16)
 
 
+def lift(q):
+    """The cover on 2n vertices whose quotient is the symmetric n x n ``q``:
+    (i, 0) ~ (j, 1) and (i, 1) ~ (j, 0) iff q_ij, else (i, a) ~ (j, a), i != j."""
+    n = len(q)
+    adj = np.zeros((2 * n, 2 * n), dtype=bool)
+    adj[0::2, 1::2] = adj[1::2, 0::2] = q
+    adj[0::2, 0::2] = adj[1::2, 1::2] = ~q & ~np.eye(n, dtype=bool)
+    return Graph(adj)
+
+
+@st.composite
+def planted_lifts(draw):
+    """The Z_2 lift of a random symmetric quotient on 2..12 vertices or of
+    the h=2 cover's, after 0-2 lifted flips: both copies of the edges
+    between a pair of fibers swapped, so every matching survives."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        q = cover_h2().graph.adj[0::2, 1::2].copy()
+    else:
+        n = draw(st.integers(2, 12))
+        q = np.triu(rng.random((n, n)) < rng.random(), 1)
+        q |= q.T
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = rng.choice(len(q), 2, replace=False)
+        q[i, j] = q[j, i] = not q[i, j]
+    return lift(q)
+
+
+def quotient_counting(g, group):
+    """The product drackn_check must name for a p = 2 cover: the factors when
+    a group size is given and the quotient's blocks are rank one."""
+    q = g.adj[0::2, 1::2]
+    if group is None:
+        return "dense"
+    tiles_ = graphs_module._factored_tiles(q, group, np.count_nonzero(q, axis=1))
+    return "dense" if tiles_ is None else "factored"
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_lifts(), tiles, st.sampled_from([None, 1, 2, 3]))
+def test_drackn_check_counts_planted_lifts_on_their_quotient(g, tile, group):
+    """Counts from the quotient's products, dense or factored, give the
+    pairwise reference's verdict and witness on the 2n-vertex cover."""
+    with tiled(tile):
+        cert = drackn_check(g, 2, group)
+        assert cert.counting == quotient_counting(g, group)
+    assert outcome(cert) == reference_drackn(g, 2)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7, scalar_module._TILE])
+def test_drackn_check_counts_lifted_flips_of_the_h4_cover_by_its_factors(tile):
+    """The h=4 cover is counted by the block factors of its point groups; a
+    lifted flip leaves every matching and breaks a rank-one block, so it is
+    counted densely, with the reference's witness."""
+    frame, cov = drackn_pipeline(4, 2)
+    group = graphs_module._point_group(frame)
+    assert cov.counting == "factored"
+    q = cov.graph.adj[0::2, 1::2]
+    for seed in range(3):
+        flips = q.copy()
+        i, j = random.Random(seed).sample(range(len(q)), 2)
+        flips[i, j] = flips[j, i] = not q[i, j]
+        g = lift(flips)
+        with tiled(tile):
+            cert = drackn_check(g, 2, group)
+        assert cert.counting == quotient_counting(g, group)
+        assert outcome(cert) == reference_drackn(g, 2) and not cert.ok
+
+
+@pytest.mark.parametrize("tile", [1, 7, scalar_module._TILE])
+def test_a_single_flipped_edge_is_named_before_any_count(tile):
+    """One flipped edge of a p = 2 cover breaks its Z_2 lift, and with it the
+    matching of two fibers: that check names it, as the reference does,
+    before the quotient or the N·p vertices are counted."""
+    frame, cov = drackn_pipeline(4, 2)
+    group = graphs_module._point_group(frame)
+    for seed in range(5):
+        u, v = random.Random(seed).sample(range(cov.graph.order), 2)
+        g = flipped(cov.graph, u, v)
+        with tiled(tile):
+            cert = drackn_check(g, 2, group)
+        assert outcome(cert) == reference_drackn(g, 2)
+        assert cert.counting is None and not cert.ok
+
+
 # --- independent oracle: networkx ------------------------------------------
 
 
@@ -1074,26 +1159,28 @@ def test_gs_srg_and_graph6_export_hold_at_most_four_bytes_per_pair(tmp_path):
     assert peak <= 4 * n * n, peak / (n * n)
 
 
-def test_drackn_cover_holds_at_most_four_bytes_per_pair():
+def test_drackn_cover_holds_at_most_two_bytes_per_pair():
     """The h=16, p=2 cover on 1056 vertices: adjacency built in the
-    exponents' dtype, A·F and A·A in row tiles."""
+    exponents' dtype, A·F in row tiles and the counts on the 528-vertex
+    quotient, so the Gram pass sets the peak (1.8 bytes per pair; the dense
+    A·A on all 1056 vertices peaked at 3.5)."""
     frame = build_tremain(h=16)
     assert verify_etf(frame).is_etf
     cov, peak = traced_peak(lambda: drackn_cover(frame, 2))
     n = cov.graph.order
-    assert cov.params == (528, 2, 256)
-    assert peak <= 4 * n * n, peak / (n * n)
+    assert cov.params == (528, 2, 256) and cov.counting == "factored"
+    assert peak <= 2 * n * n, peak / (n * n)
 
 
 def test_edge_list_writer_formats_a_bounded_number_of_edges_at_once(tmp_path):
-    """The h=16, p=2 cover (1056 vertices, 278256 edges): the writer formats
-    at most _WRITE_LINES lines per write, so beside the row tile's edge
-    indices it holds one chunk of labels.  Measured peak 5.1 MB; joining a
-    whole row tile's lines (up to 135k of them) at once peaks at 7.7 MB."""
+    """The h=16, p=2 cover (1056 vertices, 278256 edges): the writer takes
+    each row tile in runs of rows with at most _WRITE_LINES edges, so beside
+    the tile's upper triangle it holds one run's indices and labels.
+    Measured peak 1.14 MB; the row tile's whole index arrays peaked at 4.87 MB."""
     cov = drackn_pipeline(16, 2)[1]
     path = tmp_path / "cover.edges"
     _, peak = traced_peak(lambda: export_graph(path, cov.graph, fmt="edges", fibers=2))
-    assert peak <= 6 * 2**20, peak
+    assert peak <= 1.5 * 2**20, peak
 
 
 def test_graph_builders_leave_the_frame_as_it_was():
