@@ -16,8 +16,8 @@ import numpy as np
 
 from equiframes.scalar import _WRITE_LINES, _adopted, _refuse_array, _write_lines
 
-# Peak bytes per block while bose or skolem builds a system: the int32 rows, the
-# lexicographic sort's int64 index and the sorted copy (tracemalloc at V = 2001, 2005)
+# Peak bytes per block while bose or skolem builds a system, with room: the int32 rows,
+# the int64 sort key and one int64 digit of its decoding (28 at V = 2001, 2005)
 _BLOCK_BYTES = 32
 _VERIFY_BLOCKS = 1 << 14  # blocks per chunk of verify_sts's walk
 
@@ -87,9 +87,24 @@ def _triples(head: np.ndarray, m: int, third) -> np.ndarray:
 
 
 def _sorted_system(v: int, blocks: np.ndarray) -> SteinerTripleSystem:
-    """The system of ``blocks``, sorted in place by row, then rows in lexicographic order."""
+    """The system of ``blocks``, sorted in place by row, then rows in
+    lexicographic order by one sort of the int64 key ((a - lo) W + b - lo) W
+    + c - lo, W = hi - lo + 1 for lo <= 0 <= hi bounding the points, decoded
+    back into the rows (np.lexsort where W^3 > 2^63: the key would not fit)."""
     blocks.sort(axis=1)
-    return SteinerTripleSystem(v, blocks[np.lexsort(blocks.T[::-1])])
+    lo, hi = int(blocks.min(initial=0)), int(blocks.max(initial=0))
+    if (w := hi - lo + 1) ** 3 > 2 ** 63:
+        return SteinerTripleSystem(v, blocks[np.lexsort(blocks.T[::-1])])
+    key = np.zeros(len(blocks), dtype=np.int64)
+    for col in blocks.T:
+        key *= w
+        key += col
+        key -= lo
+    key.sort()
+    for col in blocks.T[::-1]:
+        np.add(key % w, lo, out=col, casting="unsafe")
+        key //= w
+    return SteinerTripleSystem(v, blocks)
 
 
 def bose(v: int) -> SteinerTripleSystem:

@@ -21,10 +21,11 @@ share one block, so over the R + 1 vertices of each point every block of
 the Seidel matrix J - I - 2A is rank one (Fickus, Mixon and Tremain,
 Steiner equiangular tight frames, 2012).  srg_check reads the factors off
 one row per group, checks every pair against them and then counts in
-O(N^2 G) for G groups, not O(N^3); a graph that fails the check, or one
-given no group size, is counted by A·A.  Strongly regular graphs need
-constant degree and constant counts over adjacent and non-adjacent
-pairs; covers of the complete graph need fiber matchings, read off A·F
+O(N^2 G) for G groups, not O(N^3), holding one N x (G+2) float32 array
+of factors and pieces made a chunk of groups at a time; a graph that
+fails the check, or one given no group size, is counted by A·A.
+Strongly regular graphs need constant degree and constant counts over
+adjacent and non-adjacent pairs; covers of the complete graph need fiber matchings, read off A·F
 for the fiber indicator F, and a constant count over non-adjacent pairs
 in distinct fibers, fiber f being the r consecutive vertices f*r .. f*r +
 r - 1; a p = 2 cover is the Z_2 lift of an N-vertex quotient (Godsil and
@@ -177,14 +178,18 @@ def _factored_tiles(adj: np.ndarray, size: int, deg: np.ndarray):
         4 count_ij = (N-2) - r_i - r_j + S_ij (2 - d_i - d_j) + (T^2)_ij,
 
     r_i = N - 1 - 2 deg_i, and the rows of group a have (T^2)_ij =
-    sum_h U[i, h] C[h, a, g(j)] W[j, h], C[h, a, c] being the sum over k in
-    group h of W[k, a] U[k, c].  One float32 product per tile gives it all:
-    the rows [U[i], (N-2) - r_i, 1] against [C[:, a, g(j)] * W[j], 1, -r_j],
-    with the S term, U[i, g(j)] W[j, a] (2 - d_a - d_j), added at column
-    g(j).  Its partial sums are integers of magnitude at most 4N.  G groups
-    with G^2 > 4N (groups of fewer than about sqrt(N)/2 vertices) are
-    refused: the G^3 sums C and the N x G factors would no longer be small
-    beside the adjacency, nor the product much cheaper than A·A.
+    sum_h U[i, h] C[h, a, g(j)] W[j, h], C[h, a, c] = Q[a, h] UU[h, a, c] for
+    UU[h, a, c] the sum over k in group h of U[k, a] U[k, c].  So W is never
+    made: one float32 product per block gives it all, the rows u_i = [U[i],
+    (N-2) - r_i, 1] against [U[j] coeff[g(j)], 1, -r_j], coeff[c, h] =
+    Q[h, c] Q[a, h] UU[h, a, c], with the S term, U[i, g(j)] U[j, a] Q[a, g(j)]
+    (2 - d_a - d_j), added at column g(j).  Its partial sums are integers
+    of magnitude at most 4N.  Beside the N x (G+2) array u, the walk holds
+    UU for a chunk of groups a and the right operand of a block of whole
+    groups, each of at most _TILE * N / 2 bytes.  G groups with G^2 > 4N
+    (groups of fewer than about sqrt(N)/2 vertices) are refused: the
+    factors would no longer be small beside A, nor the product much
+    cheaper than A·A.
     """
     n = adj.shape[0]
     if 4 * n > _FLOAT32_EXACT:
@@ -212,33 +217,41 @@ def _factored_tiles(adj: np.ndarray, size: int, deg: np.ndarray):
         if miss.any():
             return None
 
-    r = n - 1 - 2 * deg.astype(np.float32)
-    d = 1 - 2 * neg_q.diagonal().astype(np.float32)
+    q = 1 - 2 * neg_q.astype(np.float32)  # Q, its diagonal d
+    d = q.diagonal()
     u = np.zeros((groups * size, groups + 2), dtype=np.float32)  # padded to whole groups
-    u[:n, :groups] = 1 - 2 * neg_u.astype(np.float32)
-    u[:n, groups] = n - 2 - r
-    u[:n, groups + 1] = 1
-    w = np.zeros_like(u)
-    w[:n, :groups] = 1 - 2 * neg_wt.T.astype(np.float32)
-    w[:n, groups] = 1
-    w[:n, groups + 1] = -r
-    u3, w3 = (x.reshape(groups, size, groups + 2) for x in (u, w))
-    sums = np.matmul(w3[:, :, :groups].transpose(0, 2, 1), u3[:, :, :groups])  # C[h, a, c]
+    np.multiply(neg_u, -2, out=u[:n, :groups])
+    u[:n, groups] = 2 * deg - 2
+    u[:n] += 1  # U, then (N-2) - r_i = 2 deg_i - 1 and the ones
+    u3 = u.reshape(groups, size, groups + 2)
+    per_uu = max(1, _TILE * n // (8 * groups * groups))
+    per_block = max(1, _TILE * n // (8 * size * (groups + 2)))
+    k3 = np.empty((min(per_block, groups), size, groups + 2), dtype=np.float32)
+
+    def blocks(a, t, e, coeff):  # rows t:e of group a, columns from group a on
+        for c0 in range(a, groups, per_block):
+            c1 = min(c0 + per_block, groups)
+            k = np.multiply(u3[c0:c1], coeff[c0:c1, None], out=k3[:c1 - c0])
+            k[:, :, groups] = 1
+            np.subtract(u3[c0:c1, :, groups], n - 2, out=k[:, :, groups + 1])  # -r_j
+            block = np.arange(c1 - c0)
+            k[block, :, c0 + block] += u3[c0:c1, :, a] * (
+                q[a, c0:c1] * (2 - d[a] - d[c0:c1]))[:, None]
+            first, stop = max(t, c0 * size), min(c1 * size, n)
+            counts = u[t:e] @ k.reshape(-1, groups + 2)[first - c0 * size:stop - c0 * size].T
+            counts *= 0.25
+            yield slice(first, stop), counts
 
     def tiles():
-        coeff = np.ones((groups, groups + 2), dtype=np.float32)
+        coeff = np.zeros((groups, groups + 2), dtype=np.float32)
         for a in range(groups):
+            if a % per_uu == 0:  # UU[h, a, c] for this chunk of groups a
+                uu = np.matmul(u3[:, :, a:a + per_uu].transpose(0, 2, 1), u3[:, :, :groups])
+            np.multiply(uu[:, a % per_uu].T, q * q[a], out=coeff[:, :groups])
             s = a * size
-            coeff[:, :groups] = sums[:, a].T
-            k3 = w3[a:] * coeff[a:, None]
-            later = np.arange(groups - a)
-            k3[later, :, later + a] += w3[a:, :, a] * (2 - d[a] - d[a:, None])
-            k = k3.reshape(-1, groups + 2)[:n - s]
             for t in range(s, min(s + size, n), _TILE):
                 e = min(t + _TILE, s + size, n)
-                counts = u[t:e] @ k[t - s:].T
-                counts *= 0.25
-                yield slice(t, e), [(slice(t, n), counts)]
+                yield slice(t, e), blocks(a, t, e, coeff)
 
     return tiles()
 
@@ -649,20 +662,21 @@ def _graph6_header(n: int) -> bytes:
 
 
 def _graph6_body(adj: np.ndarray):
-    """The graph6 body bytes, one row tile at a time.
-
-    The upper triangle column by column is, by symmetry, the lower one row
-    by row; the bits of a tile that do not fill a 6-bit group are carried
-    into the next tile.
-    """
+    """The graph6 body bytes, in runs of rows a .. b - 1 that hold at most
+    _TILE^2 bits, (b (b - 1) - a (a - 1)) / 2, or of one row: the upper
+    triangle column by column is, by symmetry, the lower one row by row.
+    The bits of a run that do not fill a 6-bit group are carried on."""
     n = adj.shape[0]
     carry = np.zeros(0, dtype=bool)
-    for s in range(0, n, _TILE):
-        e = min(s + _TILE, n)
-        bits = np.concatenate([carry, adj[s:e][np.arange(n) < np.arange(s, e)[:, None]]])
+    a = 1  # row 0 has no bits
+    while a < n:
+        b = min(n, max(a + 1, (1 + isqrt(1 + 4 * a * (a - 1) + 8 * _TILE * _TILE)) // 2))
+        run = adj[a:b, :b - 1]
+        bits = np.concatenate([carry, run[np.arange(b - 1) < np.arange(a, b)[:, None]]])
         whole = len(bits) - len(bits) % 6
         carry = bits[whole:]
         yield _six_bit_bytes(bits[:whole])
+        a = b
     yield _six_bit_bytes(np.pad(carry, (0, -len(carry) % 6)))
 
 

@@ -143,6 +143,44 @@ def test_system_blocks_are_one_read_only_int32_array():
             SteinerTripleSystem(3, bad)
 
 
+def lexsorted(blocks) -> np.ndarray:
+    """The reference order: each row sorted, then the rows by np.lexsort."""
+    rows = np.sort(np.asarray(blocks, dtype=np.int32).reshape(-1, 3), axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("v", [7, 9, 13, 15, 2001])
+def test_builders_and_shuffled_systems_sort_as_lexsort(v):
+    """The one-key sort gives the builders' systems in lexsort's order, and
+    sorts a copy with its rows and the points of each row shuffled back
+    into the same array."""
+    s = make_sts(v)
+    assert np.array_equal(s.blocks, lexsorted(s.blocks))
+    rng = np.random.default_rng(v)
+    shuffled = rng.permuted(s.blocks[rng.permutation(s.block_count)], axis=1)
+    assert np.array_equal(designs._sorted_system(v, shuffled).blocks, s.blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 20), st.sampled_from([(-1, 9), (-5, 0), (0, 1), (3, 3),
+                                            (-2 ** 31, 2 ** 31 - 1), (0, 2 ** 21)]),
+       st.integers(0, 2 ** 32))
+def test_one_key_and_lexsort_fallback_sort_alike(count, span, seed):
+    """Points drawn from a range around [0, V) (-1 and V included, as a
+    loaded system may hold) sort by the one int64 key; a range whose key
+    could leave int64 falls back to np.lexsort.  Both give lexsort's order."""
+    blocks = np.random.default_rng(seed).integers(*span, size=(count, 3),
+                                                  endpoint=True).astype(np.int32)
+    got = designs._sorted_system(9, blocks.copy())
+    assert got.blocks.dtype == np.int32 and np.array_equal(got.blocks, lexsorted(blocks))
+
+
+def test_loaded_systems_with_points_outside_sort_as_lexsort(tmp_path):
+    path = tmp_path / "sts.txt"
+    path.write_text("9 4\n9 0 1\n2 -1 3\n-1 9 4\n0 1 -1\n")
+    assert load_sts(path).blocks.tolist() == [[-1, 0, 1], [-1, 2, 3], [-1, 4, 9], [0, 1, 9]]
+
+
 def test_blocks_through_refuses_a_system_whose_points_miss_the_replication():
     assert bose(9).blocks_through.shape == (9, 4)
     with pytest.raises(ValueError, match="do not each lie in R=1 blocks"):

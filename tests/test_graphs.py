@@ -315,8 +315,13 @@ def dense_counts(adj):
     return np.triu(a @ a, 1)
 
 
+# besides the row tiles, 32 and 64 split these graphs' UU chunks of groups and
+# their right operands' column blocks of groups (both sized from _TILE * N)
+factor_tiles = st.sampled_from([1, 3, 7, 32, 64, scalar_module._TILE])
+
+
 @settings(max_examples=150, deadline=None)
-@given(planted_block_graphs(), tiles)
+@given(planted_block_graphs(), factor_tiles)
 def test_factored_tiles_count_every_pair_of_planted_block_graphs(case, tile):
     """Every pair's count from the block factors equals A·A; a planted graph
     always passes the rank-one check, and a flipped one passes it only when
@@ -331,7 +336,7 @@ def test_factored_tiles_count_every_pair_of_planted_block_graphs(case, tile):
 
 
 @settings(max_examples=150, deadline=None)
-@given(planted_block_graphs(), tiles)
+@given(planted_block_graphs(), factor_tiles)
 def test_srg_check_with_groups_matches_dense_and_reference(case, tile):
     """The factored path's verdict and witness equal the dense path's and the
     pairwise reference's."""
@@ -362,6 +367,23 @@ def test_sign_graphs_are_counted_from_their_block_factors(pipeline):
     factored = recorded_counts(g.adj, graphs_module._factored_tiles(g.adj, 8, deg))
     assert np.array_equal(factored, dense_counts(g.adj))
     assert np.array_equal(recorded_counts(g.adj), factored)
+
+
+@pytest.mark.parametrize("tile, blocks", [(1, 17), (7, 17), (16, 17), (64, 3),
+                                          (scalar_module._TILE, 1)])
+def test_factored_counts_do_not_depend_on_the_chunks_of_groups(tile, blocks):
+    """The h=8 gs graph has 17 groups of 8 vertices (N = 136).  Its UU
+    chunks and right-operand column blocks hold at most _TILE * N / 2 bytes,
+    so tile 64 counts the first row tile in 3 column blocks of at most 7
+    groups and builds UU 3 groups at a time; 256 takes one block and UU in
+    chunks of 15 groups.  Every count equals A·A at each size."""
+    g = gs_pipeline(8)[-1].graph
+    deg = np.count_nonzero(g.adj, axis=1)
+    with tiled(tile):
+        _, first = next(graphs_module._factored_tiles(g.adj, 8, deg))
+        assert len(list(first)) == blocks
+        factored = recorded_counts(g.adj, graphs_module._factored_tiles(g.adj, 8, deg))
+    assert np.array_equal(factored, dense_counts(g.adj))
 
 
 @st.composite
@@ -1157,6 +1179,32 @@ def test_gs_srg_and_graph6_export_hold_at_most_four_bytes_per_pair(tmp_path):
     res, peak = traced_peak(run)
     assert res.params.as_tuple() == (2080, 1071, 558, 544)
     assert peak <= 4 * n * n, peak / (n * n)
+
+
+@pytest.mark.parametrize("h", [32, 56])
+def test_factored_counting_holds_one_factor_array_and_bounded_pieces(h):
+    """srg_check on the gs sign graph, N = 2080 or 6328 vertices in G = 65 or
+    113 groups of h: the N x (G+2) float32 array u, and beside it pieces
+    within four _TILE x N bytes (the rank-one check's marks, a UU chunk, a
+    column block of the right operand and its counts).  Measured 1.42 and
+    5.51 MB against bounds of 2.69 and 9.39 MB; holding W, the G^3 sums and
+    a whole right operand peaked at 3.65 and 19.0 MB."""
+    frame, _, res = gs_pipeline(h)
+    g, group = res.graph, graphs_module._point_group(frame)
+    n = g.order
+    groups = -(-n // group)
+    cert, peak = traced_peak(lambda: srg_check(g, group))
+    assert cert.ok and cert.counting == "factored"
+    assert peak <= 4 * n * (groups + 2) + 4 * scalar_module._TILE * n, peak
+
+
+def test_graph6_writer_holds_a_few_runs_of_bits(tmp_path):
+    """graph6 export of the v=2080 gs graph takes runs of rows that hold at
+    most _TILE^2 bits: within six _TILE^2 bytes (measured 0.29 MB; the masks
+    and bits of whole _TILE x N row tiles peaked at 1.46 MB)."""
+    g = gs_pipeline(32)[-1].graph
+    _, peak = traced_peak(lambda: export_graph(tmp_path / "g.g6", g))
+    assert peak <= 6 * scalar_module._TILE ** 2, peak
 
 
 def test_drackn_cover_holds_at_most_two_bytes_per_pair():
