@@ -30,6 +30,7 @@ from equiframes.frames import (
 )
 from equiframes.graphs import (
     CertificationError,
+    CertifiedGraph,
     Graph,
     SRGParams,
     drackn_check,
@@ -65,8 +66,8 @@ from equiframes.pipelines import (
 from equiframes.scalar import CycInt, ExtScalar, cyclotomic_poly
 
 __all__ = [
-    "ButsonMatrix", "CertificationError", "CycInt", "ETFReport",
-    "EmbeddingAssignment", "ExtScalar", "FrameMatrix",
+    "ButsonMatrix", "CertificationError", "CertifiedGraph", "CycInt",
+    "ETFReport", "EmbeddingAssignment", "ExtScalar", "FrameMatrix",
     "Graph", "SRGParams", "SteinerTripleSystem", "UnimodularSimplex",
     "bose", "build_steiner", "build_tremain", "cyclotomic_poly",
     "drackn_check", "drackn_cover", "drackn_params", "drackn_pipeline",

@@ -140,11 +140,16 @@ def skolem(v: int) -> SteinerTripleSystem:
                                       lambda x, y: (x + y) % (2 * n) // 2 + n * ((x + y) % 2)))
 
 
+def require_sts(v: int) -> None:
+    """ValueError unless V = 1 or 3 (mod 6), the orders a triple system has."""
+    if v % 6 not in (1, 3):
+        raise ValueError(f"no Steiner triple system exists for V={v}")
+
+
 def make_sts(v: int) -> SteinerTripleSystem:
     """Dispatch on the congruence class of v; refused before any block is
     made when its V(V-1)/6 blocks would pass scalar._ARRAY_LIMIT_BYTES."""
-    if v % 6 not in (1, 3):
-        raise ValueError(f"no Steiner triple system exists for V={v}")
+    require_sts(v)
     _refuse_array((v * (v - 1) // 6,), "block triple system", _BLOCK_BYTES)
     return bose(v) if v % 6 == 3 else skolem(v)
 

@@ -33,7 +33,8 @@ Hensel 1992), counted by either product on that quotient.  Each
 certifier reads the counts it expects off row 0, at the first pair of
 each kind, and marks the off counts of each block; scalar._first_marked
 names the first pair marked.  The certifiers never read the closed-form
-parameters they are compared against.
+parameters: each builder's one step, _certify, builds the Graph, counts it
+once and holds the count to the closed form, returning a CertifiedGraph.
 """
 from __future__ import annotations
 
@@ -369,13 +370,6 @@ def _certified_phases(frame: FrameMatrix, p: int) -> tuple[ETFReport, np.ndarray
     return rep, phase, step
 
 
-@dataclass(frozen=True)
-class SRGResult:
-    graph: Graph  # positive-adjacent: i ~ j iff the (switched) Gram value is positive
-    params: SRGParams
-    counting: str  # the product that counted it: "factored" or "dense"
-
-
 def _point_group(frame: FrameMatrix) -> int | None:
     """The R + 1 columns of each point of a Steiner or Tremain frame, R the
     replication number of its triple system: its sign graphs' group size."""
@@ -411,49 +405,51 @@ def _sign_adjacency(phase: np.ndarray, k: int, flip=None) -> np.ndarray:
     return phase
 
 
-def _certify_sign_graph(adj: np.ndarray, expected: SRGParams, what: str,
-                        group: int | None) -> SRGResult:
-    """Count the positive-adjacent sign graph once and hold it to its
-    closed form.  ``adj`` is the phase buffer _sign_adjacency took over,
-    which only the caller holds: the graph takes it without a copy."""
+@dataclass(frozen=True)
+class CertifiedGraph:
+    """A sign graph, positive-adjacent (i ~ j iff the (switched) Gram value
+    is positive), or a cover with params (n, p, c), fiber f the vertices
+    f*p .. f*p + p - 1: counted once and equal to its closed form."""
+
+    graph: Graph
+    params: SRGParams | tuple[int, int, int]
+    counting: str  # the product that counted it: "factored" or "dense"
+
+
+def _certify(adj: np.ndarray, count, expected, name: str) -> CertifiedGraph:
+    """Build the graph on ``adj``, which only the caller holds (a sign
+    graph's is the phase buffer _sign_adjacency took over), without a copy;
+    count it once with ``count`` (srg_check or drackn_check, given the
+    frame's group size) and raise unless it meets the closed form ``expected``."""
     g = Graph.from_adjacency(adj)
-    cert = srg_check(g, group)
+    cert = count(g)
+    srg = isinstance(expected, SRGParams)
     if not cert.ok:
-        raise CertificationError(f"{what} is not strongly regular: {cert.witness}")
+        verdict = "is not strongly regular" if srg else "failed certification"
+        raise CertificationError(f"{name} {verdict}: {cert.witness}")
     if cert.params != expected:
-        raise CertificationError(f"{what}: counted parameters {cert.params.as_tuple()} "
-                                 f"!= closed form {expected.as_tuple()}")
-    return SRGResult(g, cert.params, cert.counting)
+        got, want = (x.as_tuple() if srg else x for x in (cert.params, expected))
+        raise CertificationError(f"{name}: counted parameters {got} != closed form {want}")
+    return CertifiedGraph(g, cert.params, cert.counting)
 
 
-def waldron_srg(frame: FrameMatrix) -> SRGResult:
+def waldron_srg(frame: FrameMatrix) -> CertifiedGraph:
     """Switch the Gram signs against the last vector, drop it and certify the
     graph on the first N-1 vectors: i ~ j iff their switched Gram value is positive."""
     _, phase, _ = _certified_phases(frame, 2)
     n = frame.count
     flip = phase[:n - 1, n - 1] != 0  # out of the buffer before it is overwritten
     adj = _sign_adjacency(phase, n - 1, flip)
-    expected = srg_params_waldron(frame.dim, frame.count)
-    return _certify_sign_graph(adj, expected, "waldron graph", _point_group(frame))
+    return _certify(adj, lambda g: srg_check(g, _point_group(frame)),
+                    srg_params_waldron(frame.dim, n), "waldron graph")
 
 
-@dataclass(frozen=True, eq=False)
-class FlatFunctional:
-    """Vector x with <x, column> = 1 for all columns, stored 3x scaled.
-
-    3x is held in the frame's row grading: coordinate r of 3x is
-    graded[r] * sqrt(weights[r]), an integer times the row's surd (3x has
-    sqrt(6) in its last coordinate where x itself would need sqrt(2/3)).
-    Certificates check <3x, column> = 3 instead, clearing the denominator.
-    """
-
-    graded: np.ndarray  # (M,) int64, read-only
-    weights: np.ndarray  # (M,) the frame's row weights
-    scale: int
-
-
-def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
-    """The parallel-class indicator functional, exactly certified.
+def tremain_flat_functional(frame: FrameMatrix) -> np.ndarray:
+    """The parallel-class indicator functional x, exactly certified, as 3x
+    in the frame's row grading: a read-only (M,) int64 array whose entry r
+    times sqrt(frame.weights[r]) is coordinate r of 3x (3x has sqrt(6) in
+    its last coordinate where x itself would need sqrt(2/3)).  The
+    certificate checks <3x, column> = 3, clearing the denominator.
 
     Requires a frame built from a parallel-class-first embedding with the
     all-ones rows placed per the real construction (first simplex keeps its
@@ -463,9 +459,7 @@ def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
     if not isinstance(prov, TremainProvenance):
         raise ValueError("flat functional needs a frame with full provenance")
     if prov.sts.num_points % 3:
-        raise ValueError(
-            f"V={prov.sts.num_points} is not divisible by 3: no parallel class"
-        )
+        raise ValueError(f"V={prov.sts.num_points} is not divisible by 3: no parallel class")
     if prov.embedding.parallel_class is None:
         raise ValueError("frame was not built with a parallel-class-first embedding")
     # 3x in the frame's row grading: 3 on the class rows, and 1 (times sqrt6,
@@ -491,18 +485,18 @@ def tremain_flat_functional(frame: FrameMatrix) -> FlatFunctional:
             f"column {j}: <x, column> != 1 (scaled value {ips[:, 0, j].tolist()}/2^{frame.k}); "
             "check row-removal conventions and the parallel class"
         )
-    return FlatFunctional(graded, frame.weights, 3)
+    return graded
 
 
-def gs_srg(frame: FrameMatrix, functional: FlatFunctional) -> SRGResult:
+def gs_srg(frame: FrameMatrix) -> CertifiedGraph:
     """Graph on all N vectors, i ~ j iff their Gram value is positive: the
-    sign pattern the flat functional fixes, with no switching."""
+    sign pattern the frame's flat functional fixes, with no switching.  The
+    ETF certificate comes first, then the functional's, then the graph's."""
     _, phase, _ = _certified_phases(frame, 2)
-    if len(functional.graded) != frame.dim:
-        raise ValueError("functional dimension does not match the frame")
+    tremain_flat_functional(frame)
     adj = _sign_adjacency(phase, frame.count)
-    expected = srg_params_gs(frame.dim, frame.count)
-    return _certify_sign_graph(adj, expected, "flat-functional graph", _point_group(frame))
+    return _certify(adj, lambda g: srg_check(g, _point_group(frame)),
+                    srg_params_gs(frame.dim, frame.count), "flat-functional graph")
 
 
 # ---------------------------------------------------------------------------
@@ -612,19 +606,13 @@ def require_prime(p: int) -> None:
         raise ValueError(f"p must equal a prime, got {p}")
 
 
-@dataclass(frozen=True)
-class CoverResult:
-    graph: Graph
-    params: tuple[int, int, int]  # (n, p, c): fiber f is the vertices f*p .. f*p + p - 1
-    counting: str  # the product that counted it: "factored" or "dense"
-
-
-def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
+def drackn_cover(frame: FrameMatrix, p: int) -> CertifiedGraph:
     """Antipodal cover on N*p vertices from a frame with root-of-unity Gram.
 
     Vertex (i, a) is index i*p + a; fibers are the p copies of each vector;
     for i < j, (i, a) ~ (j, b) iff Gram(i, j) = zeta_p^(b - a), the exponent
-    read off exactly.  The result must pass drackn_check.
+    read off exactly.  The result must pass drackn_check with the closed
+    form (N, p, drackn_params(M, N, p)).
     """
     require_prime(p)
     n = frame.count
@@ -642,11 +630,8 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CoverResult:
     adj[np.arange(n), :, np.arange(n)] = False  # no edges inside a fiber
     adj.shape = (n * p, n * p)
     del phase  # counting holds only the adjacency
-    g = Graph(adj)
-    cert = drackn_check(g, p, _point_group(frame))
-    if not cert.ok:
-        raise CertificationError(f"cover failed certification: {cert.witness}")
-    return CoverResult(g, cert.params, cert.counting)
+    return _certify(adj, lambda g: drackn_check(g, p, _point_group(frame)),
+                    (n, p, drackn_params(frame.dim, n, p)), "cover")
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,12 @@ Default conventions (all overridable): Hadamard factors are normalized to
 an all-ones first row and column; the block-side simplex removes the LAST
 row of its matrix, the point-side simplex removes the FIRST (all-ones) row.
 These are exactly the choices under which the parallel-class functional
-certificate goes through.
+certificate goes through.  Every pipeline returns (frame, result): the
+CertifiedGraph whose count graphs held to its closed form.
 """
 from __future__ import annotations
 
-from equiframes.designs import (
-    EmbeddingAssignment,
-    SteinerTripleSystem,
-    find_parallel_class,
-    make_sts,
-    standard_embedding,
-)
+from equiframes.designs import find_parallel_class, make_sts, standard_embedding
 from equiframes.frames import (
     FrameMatrix,
     simplex_from_hadamard,
@@ -23,13 +18,10 @@ from equiframes.frames import (
     tremain_params,
 )
 from equiframes.graphs import (
-    CoverResult,
-    FlatFunctional,
-    SRGResult,
+    CertifiedGraph,
     drackn_cover,
     gs_srg,
     require_prime,
-    tremain_flat_functional,
     waldron_srg,
 )
 from equiframes.hadamard import (
@@ -125,17 +117,16 @@ def build_steiner(
     return steiner_etf(sts, emb, sim)
 
 
-def waldron_pipeline(h: int) -> tuple[FrameMatrix, SRGResult]:
+def waldron_pipeline(h: int) -> tuple[FrameMatrix, CertifiedGraph]:
     frame = build_tremain(h=h, real=True)
     return frame, waldron_srg(frame)
 
 
-def gs_pipeline(h: int) -> tuple[FrameMatrix, FlatFunctional, SRGResult]:
+def gs_pipeline(h: int) -> tuple[FrameMatrix, CertifiedGraph]:
     if h % 3 != 2:
         raise ValueError(f"the flat-functional family needs h = 2 (mod 3), got {h}")
     frame = build_tremain(h=h, parallel=True, real=True)
-    functional = tremain_flat_functional(frame)
-    return frame, functional, gs_srg(frame, functional)
+    return frame, gs_srg(frame)
 
 
 def drackn_pipeline(
@@ -143,7 +134,7 @@ def drackn_pipeline(
     p: int,
     h1: ButsonMatrix | None = None,
     h2: ButsonMatrix | None = None,
-) -> tuple[FrameMatrix, CoverResult]:
+) -> tuple[FrameMatrix, CertifiedGraph]:
     """Cover from a Tremain frame whose Gram entries are p-th roots of unity."""
     require_prime(p)  # before any default input is chosen or any frame is built
     _refuse_array((h * (2 * h + 1) * p,) * 2, "cover adjacency")  # N = h(2h + 1) fibers of p
@@ -152,13 +143,9 @@ def drackn_pipeline(
     else:
         if h1 is None:
             if h != p:
-                raise ValueError(
-                    f"no built-in H({p},{h}); supply the matrix as a file"
-                )
+                raise ValueError(f"no built-in H({p},{h}); supply the matrix as a file")
             h1 = fourier(p)
         if h2 is None:
-            raise ValueError(
-                f"no built-in H({p},{2 * h}); supply the matrix as a file"
-            )
+            raise ValueError(f"no built-in H({p},{2 * h}); supply the matrix as a file")
         frame = build_tremain(h=h, h1=h1, h2=h2)
     return frame, drackn_cover(frame, p)

@@ -29,6 +29,7 @@ from equiframes.graphs import (
     srg_check,
     srg_params_gs,
     srg_params_waldron,
+    tremain_flat_functional,
 )
 from equiframes.hadamard import (
     fourier,
@@ -81,8 +82,8 @@ def gs_runs():
     runs = {}
     for h in sorted(GS_PRINTED):
         t0 = time.perf_counter()
-        frame, functional, res = gs_pipeline(h)
-        runs[h] = (frame, functional, res, time.perf_counter() - t0)
+        frame, res = gs_pipeline(h)
+        runs[h] = (frame, tremain_flat_functional(frame), res, time.perf_counter() - t0)
     return runs
 
 
@@ -148,9 +149,10 @@ def test_criterion_4_gs_srgs(gs_runs):
     for h, printed in GS_PRINTED.items():
         frame, functional, res, elapsed = gs_runs[h]
         # the functional certificate: <x, column> = 1 exactly, all columns
-        # (tremain_flat_functional raises otherwise); recheck the scaling
-        assert functional.scale == 3
-        assert len(functional.graded) == frame.dim
+        # (tremain_flat_functional raises otherwise); recheck the scaling:
+        # 3x is 3 on the class rows and 1 (times sqrt 6) on the extra row
+        assert set(functional[:-1].tolist()) == {0, 3} and functional[-1] == 1
+        assert len(functional) == frame.dim
         assert res.params.as_tuple() == printed, f"h={h}"
         recount = srg_check(res.graph)
         assert recount.ok and recount.params.as_tuple() == printed

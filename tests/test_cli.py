@@ -230,7 +230,11 @@ def test_tables_srg1_formula_only(tmp_path, capsys):
 
 
 def test_tables_srg1_certifies_small_rows(tmp_path, capsys):
-    code, out = run(capsys, "--json", "tables", "srg1", "--row-budget", "2")
+    """The budget the model predicts for row h=20 (v = 819) certifies the
+    rows up to it and leaves h=28 (v = 1595) formula-only."""
+    budget = cli._predicted_seconds(819)
+    assert budget < cli._predicted_seconds(1595)
+    code, out = run(capsys, "--json", "tables", "srg1", "--row-budget", str(budget))
     assert code == 0
     rows = json.loads(out)
     by_h = {r["h"]: r for r in rows}
@@ -270,13 +274,13 @@ PINNED_TABLES = {
 28  551  1596  1595  810     417  405  formula-only
 """,
     ("srg1", "--row-budget", "2"): """\
- h    M     N     v    k  lambda   mu        status
- 2    5    10     9    4       1    2     certified
- 4   15    36    35   18       9    9     certified
- 8   51   136   135   70      37   35     certified
-16  187   528   527  270     141  135     certified
-20  287   820   819  418     217  209     certified
-28  551  1596  1595  810     417  405  formula-only
+ h    M     N     v    k  lambda   mu     status
+ 2    5    10     9    4       1    2  certified
+ 4   15    36    35   18       9    9  certified
+ 8   51   136   135   70      37   35  certified
+16  187   528   527  270     141  135  certified
+20  287   820   819  418     217  209  certified
+28  551  1596  1595  810     417  405  certified
 """,
     ("srg2", "--row-budget", "0"): """\
  h     M     N     v     k  lambda    mu        status
@@ -288,20 +292,20 @@ PINNED_TABLES = {
 56  2147  6328  6328  3219    1650  1624  formula-only
 """,
     ("srg2", "--row-budget", "2"): """\
- h     M     N     v     k  lambda    mu        status
- 2     5    10    10     6       3     4     certified
- 8    51   136   136    75      42    40     certified
-20   287   820   820   429     228   220     certified
-32   715  2080  2080  1071     558   544  formula-only
-44  1335  3916  3916  2001    1032  1012  formula-only
-56  2147  6328  6328  3219    1650  1624  formula-only
+ h     M     N     v     k  lambda    mu     status
+ 2     5    10    10     6       3     4  certified
+ 8    51   136   136    75      42    40  certified
+20   287   820   820   429     228   220  certified
+32   715  2080  2080  1071     558   544  certified
+44  1335  3916  3916  2001    1032  1012  certified
+56  2147  6328  6328  3219    1650  1624  certified
 """,
     ("drackn", "--p", "2", "--row-budget", "2"): """\
- h    M    N    n  r    c  n-rc        status
- 2    5   10   10  2    4     2     certified
- 4   15   36   36  2   16     4     certified
- 8   51  136  136  2   64     8     certified
-16  187  528  528  2  256    16  formula-only
+ h    M    N    n  r    c  n-rc     status
+ 2    5   10   10  2    4     2  certified
+ 4   15   36   36  2   16     4  certified
+ 8   51  136  136  2   64     8  certified
+16  187  528  528  2  256    16  certified
 """,
     ("drackn", "--p", "5"): """\
 h   M   N   n  r   c  n-rc     status
@@ -385,6 +389,44 @@ def test_derive_drackn_refuses_a_composite_p_before_building(tmp_path, capsys, w
     assert code == 1
     assert capsys.readouterr().err == "configuration error: p must equal a prime, got 4\n"
     refuse.assert_not_called()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("derive", "drackn", "--h", "6", "--p", "2"), "h must be 1 or 2 (mod 3) and >= 2, got 6"),
+    (("derive", "drackn", "--h", "3", "--p", "3"), "h must be 1 or 2 (mod 3) and >= 2, got 3"),
+    (("make", "etf", "tremain", "--h", "6", "--real"), "h must be 1 or 2 (mod 3) and >= 2, got 6"),
+    (("make", "etf", "tremain", "--V", "8"), "V must be 1 or 3 (mod 6) and >= 3, got 8"),
+    (("make", "etf", "steiner", "--V", "8"), "no Steiner triple system exists for V=8"),
+], ids=["drackn-h6", "drackn-h3-p3", "tremain-h6-real", "tremain-v8", "steiner-v8"])
+def test_a_size_no_input_can_fix_is_refused_before_any_file_is_read(tmp_path, capsys,
+                                                                    argv, message):
+    """Each size exits 1 with the message the command gives without the
+    file, and no frame is built: the missing file is never read.  h = p = 3
+    is refused as an h, not as a missing H(3,6)."""
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    refuse = mock.Mock(side_effect=AssertionError("built before refusing"))
+    with mock.patch("equiframes.pipelines.build_tremain", refuse), \
+            mock.patch("equiframes.cli.build_tremain", refuse), \
+            mock.patch("equiframes.cli.build_steiner", refuse):
+        code = main([*argv, "--out", str(tmp_path), "--hadamard-file1",
+                     str(tmp_path / "missing.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    refuse.assert_not_called()
+
+
+def test_derive_drackn_holds_the_cover_to_its_closed_form(tmp_path, capsys, monkeypatch):
+    """A closed form c + 1 is refused after counting: exit 2 naming both
+    tuples, and no edge list is written."""
+    from equiframes import graphs
+
+    real = graphs.drackn_params
+    monkeypatch.setattr(graphs, "drackn_params", lambda m, n, p: real(m, n, p) + 1)
+    assert main(["--out", str(tmp_path), "derive", "drackn", "--h", "4", "--p", "2"]) == 2
+    assert capsys.readouterr().err == ("certification failure: cover: counted parameters "
+                                       "(36, 2, 16) != closed form (36, 2, 17)\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_h510_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):

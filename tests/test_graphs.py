@@ -567,7 +567,7 @@ def test_srg_check_agrees_with_networkx_on_random_graphs(g, tile):
 @pytest.mark.parametrize("family, h", [("waldron", 2), ("waldron", 4), ("waldron", 8),
                                        ("gs", 2), ("gs", 8)])
 def test_srg_check_agrees_with_networkx_on_derived_graphs(family, h):
-    res = waldron_pipeline(h)[1] if family == "waldron" else gs_pipeline(h)[2]
+    res = (waldron_pipeline if family == "waldron" else gs_pipeline)(h)[1]
     assert nx.is_strongly_regular(nx_graph(res.graph))
     assert_srg_agrees_with_networkx(res.graph)
     assert srg_check(res.graph).params == res.params
@@ -690,7 +690,7 @@ def test_flat_functional_h2():
     frame = build_tremain(h=2, parallel=True)
     x = tremain_flat_functional(frame)
     # all 10 inner products exactly 1: recheck independently in float
-    xs = x.graded * np.sqrt(x.weights) / x.scale
+    xs = x * np.sqrt(frame.weights) / 3
     a = frame.to_complex_array()
     ips = xs.conj() @ a
     assert np.abs(ips - 1).max() < 1e-12
@@ -699,7 +699,7 @@ def test_flat_functional_h2():
 def test_flat_functional_h8():
     frame = build_tremain(h=8, parallel=True)
     x = tremain_flat_functional(frame)
-    assert len(x.graded) == frame.dim
+    assert len(x) == frame.dim
 
 
 def test_flat_functional_refuses_v_not_divisible_by_3():
@@ -718,9 +718,10 @@ def test_flat_functional_detects_wrong_row_convention():
     # removing the first row of H1 breaks <x, column> = 1; the witness is the
     # first column whose ExtScalar inner product with 3x misses 3
     frame = build_tremain(h=2, parallel=True, row1=0)
-    good = tremain_flat_functional(build_tremain(h=2, parallel=True))
+    good_frame = build_tremain(h=2, parallel=True)
+    good = tremain_flat_functional(good_frame)
     surds = {1: ExtScalar.from_int(1), 2: ExtScalar.sqrt2(), 3: ExtScalar.sqrt3(), 6: ExtScalar.sqrt6()}
-    x = [int(c) * surds[int(w)] for c, w in zip(good.graded, good.weights)]
+    x = [int(c) * surds[int(w)] for c, w in zip(good, good_frame.weights)]
     zero, three = ExtScalar.from_int(0, frame.order), ExtScalar.from_int(3, frame.order)
     first = next(
         j for j in range(frame.count)
@@ -731,7 +732,7 @@ def test_flat_functional_detects_wrong_row_convention():
 
 
 def test_gs_h2():
-    _, _, res = gs_pipeline(2)
+    _, res = gs_pipeline(2)
     assert res.params.as_tuple() == (10, 6, 3, 4)
 
 
@@ -851,7 +852,7 @@ def _parallel_frame(h):
 
 PHASE_BUILDERS = {
     "waldron": waldron_srg,
-    "gs": lambda f: gs_srg(f, tremain_flat_functional(_parallel_frame(2))),
+    "gs": gs_srg,
     "drackn": lambda f: drackn_cover(f, 2),
 }
 
@@ -886,8 +887,7 @@ def test_real_gram_over_root_order_4_gives_the_same_graphs(h):
     four = dataclasses.replace(real, planes=np.stack([real.planes[0], 0 * real.planes[0]]),
                                order=4)
     assert not four.is_real_rational()
-    functional = tremain_flat_functional(real)
-    for build in (waldron_srg, lambda f: gs_srg(f, functional)):
+    for build in (waldron_srg, gs_srg):
         want, got = build(real), build(four)
         assert np.array_equal(got.graph.adj, want.graph.adj)
         assert (got.params, got.counting) == (want.params, want.counting)
@@ -1168,11 +1168,10 @@ def test_gs_srg_and_graph6_export_hold_at_most_four_bytes_per_pair(tmp_path):
     """Sign graph, count, complement and graph6 export of the v=2080 graph:
     the adjacency (one byte per pair) plus row tiles, no float32 copy of A."""
     frame = verified_gs_frame()
-    x = tremain_flat_functional(frame)
     n = frame.count
 
     def run():
-        res = gs_srg(frame, x)
+        res = gs_srg(frame)
         export_graph(tmp_path / "g.g6", res.graph)
         return res
 
@@ -1189,7 +1188,7 @@ def test_factored_counting_holds_one_factor_array_and_bounded_pieces(h):
     column block of the right operand and its counts).  Measured 1.42 and
     5.51 MB against bounds of 2.69 and 9.39 MB; holding W, the G^3 sums and
     a whole right operand peaked at 3.65 and 19.0 MB."""
-    frame, _, res = gs_pipeline(h)
+    frame, res = gs_pipeline(h)
     g, group = res.graph, graphs_module._point_group(frame)
     n = g.order
     groups = -(-n // group)
@@ -1236,8 +1235,7 @@ def test_graph_builders_leave_the_frame_as_it_was():
     builders add no attribute to it."""
     frame = build_tremain(h=8, parallel=True, real=True)
     keys = list(vars(frame))
-    functional = tremain_flat_functional(frame)
-    for build in (verify_etf, waldron_srg, lambda f: gs_srg(f, functional),
+    for build in (verify_etf, waldron_srg, gs_srg,
                   lambda f: drackn_cover(f, 2)):
         build(frame)
         assert list(vars(frame)) == keys
@@ -1248,7 +1246,6 @@ def test_srg_counting_holds_the_adjacency_but_not_the_phases(monkeypatch):
     traced since the frame was built is at most 1.5 N^2: the adjacency,
     one byte per pair, and no N x N phase matrix beside it (2 N^2)."""
     frame = build_tremain(h=20, parallel=True, real=True)
-    functional = tremain_flat_functional(frame)
     n = frame.count
     current = []
     real_check = graphs_module.srg_check
@@ -1258,7 +1255,7 @@ def test_srg_counting_holds_the_adjacency_but_not_the_phases(monkeypatch):
         return real_check(g, group=group)
 
     monkeypatch.setattr(graphs_module, "srg_check", check)
-    res, _ = traced_peak(lambda: gs_srg(frame, functional))
+    res, _ = traced_peak(lambda: gs_srg(frame))
     assert res.params == srg_params_gs(frame.dim, n)
     assert len(current) == 1 and current[0] <= 1.5 * n * n, (current, n * n)
 
@@ -1268,7 +1265,6 @@ def test_sign_graphs_take_over_the_phase_buffer(monkeypatch, builder):
     """The sign graph's adjacency is made in the phase matrix's own memory,
     so the pipeline holds one N x N byte array, not two."""
     frame = _parallel_frame(8)
-    functional = tremain_flat_functional(frame)
     captured = []
     real = graphs_module._certified_phases
 
@@ -1278,7 +1274,7 @@ def test_sign_graphs_take_over_the_phase_buffer(monkeypatch, builder):
         return rep, phase, step
 
     monkeypatch.setattr(graphs_module, "_certified_phases", capture)
-    res = gs_srg(frame, functional) if builder == "gs" else waldron_srg(frame)
+    res = gs_srg(frame) if builder == "gs" else waldron_srg(frame)
     (phase,) = captured
     assert np.shares_memory(res.graph.adj, phase)
     assert res.graph.adj.flags.owndata and not res.graph.adj.flags.writeable
@@ -1333,8 +1329,7 @@ def test_positive_adjacent_graph_is_the_complement_validated_once(monkeypatch, p
 
     monkeypatch.setattr(Graph, "__post_init__", validating)
     monkeypatch.setattr(graphs_module, "srg_check", counting)
-    res = gs_srg(frame, tremain_flat_functional(frame)) if pipeline is gs_pipeline \
-        else waldron_srg(frame)
+    res = gs_srg(frame) if pipeline is gs_pipeline else waldron_srg(frame)
     monkeypatch.undo()
     assert validated == [negative.shape] and counted == [len(negative)]
     assert np.array_equal(res.graph.adj, complement(Graph(negative)).adj)
@@ -1353,6 +1348,16 @@ def test_a_closed_form_met_only_by_the_complement_is_refused(monkeypatch, pipeli
                             lambda m, n, real=real: complement_params(real(m, n)))
     with pytest.raises(CertificationError, match=r"counted parameters \(.*\) != closed form"):
         pipeline(h)
+
+
+def test_a_cover_is_held_to_its_closed_form(monkeypatch):
+    """drackn_cover compares its count with (N, p, drackn_params): given a
+    closed form c + 1, the h=4 cover is refused naming both tuples."""
+    real = graphs_module.drackn_params
+    monkeypatch.setattr(graphs_module, "drackn_params", lambda m, n, p: real(m, n, p) + 1)
+    with pytest.raises(CertificationError, match=r"^cover: counted parameters "
+                                                 r"\(36, 2, 16\) != closed form \(36, 2, 17\)$"):
+        drackn_pipeline(4, 2)
 
 
 @pytest.mark.parametrize("v", [7, 15, 39])
