@@ -27,13 +27,11 @@ ValueError.  Each row tile multiplies only the coordinates its
 vectors touch, converted to float tile by tile: no float copy of the
 planes is made.  The Gram is never held whole, nor a row tile of it: one
 pass, _gram_pass, walks its upper triangle in row tiles of column blocks,
-reads the norms off each diagonal block, checks the moduli block by block
-(each row keeps its first miss, so the witness is the row-major first
-pair) and writes each block's phases and their conjugates straight into
-the one N x N array it returns with the ETF report: one small integer per
-pair, the phase e with Gram(i, j) a positive rational multiple of
-zeta_(m')^e, m' = lcm(2, m) (-1 when there is none).  Beside it the pass
-holds one block and the tile's rows; nothing is cached on the frame.
+reads the norms off each diagonal block and checks the moduli block by
+block (each row keeps its first miss, so the witness is the row-major
+first pair), holding one block and the tile's rows.  Only a sink asks for
+the phases, handed over block by block: the e with Gram(i, j) a positive
+rational multiple of zeta_(m')^e, m' = lcm(2, m) (-1 when there is none).
 Real frames compare |Gram| directly; complex ones compare |Gram|^2, the
 same slot products taken elementwise in int64.  The Gram, the frame
 operator (also in row tiles) and a Hadamard matrix's H H* are one
@@ -410,16 +408,14 @@ def _phase_dtype(m: int):
     return np.int8 if lcm(2, m) < 128 else np.int16
 
 
-def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
-    """The exact ETF report and the phases, from one walk over the Gram's
-    upper triangle in row tiles, each tile reduced block by block as
-    _hermitian_tiles makes it.
+def _gram_pass(frame: FrameMatrix, sink=None) -> ETFReport:
+    """The exact ETF report, from one walk over the Gram's upper triangle in
+    row tiles, each tile reduced block by block as _hermitian_tiles makes it.
 
-    ``phase[i, j]`` (read-only, int8, int16 past m' = 127) is the e for which
-    Gram(i, j) is a positive rational multiple of zeta_(m')^e, m' = lcm(2, m),
-    or -1 (a zero entry, say); for a real frame 0 is positive and 1 negative.
-    A block's phases go to phase[rows, cols] and their conjugates to
-    phase[cols, rows], so beside the phases the pass holds one block.
+    Only a ``sink`` gets phases, sink(phase, rows, cols) for each block as
+    the walk makes it (a tile's diagonal block first): phase[i, j] (int8,
+    int16 past m' = 127) is the e with Gram(rows[i], cols[j]) a positive
+    rational multiple of zeta_(m')^e, or -1; real frames have 0 positive.
     The witness is the first column whose norm differs from column 0's, or
     the zero norm of every column (zero vectors form no tight frame), else
     the first pair (i, j), i < j in row-major order, whose modulus differs
@@ -427,15 +423,11 @@ def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
     Welch equality does not already prove tightness.
     """
     n, m = frame.count, frame.order
-    wb = welch_bound(frame.dim, n)  # reject degenerate shapes before any array work
-    dtype = _phase_dtype(m)
-    _refuse_array((n, n), "Gram phase matrix", np.dtype(dtype).itemsize)
+    wb = welch_bound(frame.dim, n)
     real = len(frame.planes) == 1
-    m2 = lcm(2, m)
-    phase = np.empty((n, n), dtype=dtype)
     norm = ref = norm_at = pair_at = None
 
-    def mark(g, rows, cols):  # the block's modulus misses, its norms and phases kept on the way
+    def mark(g, rows, cols):  # the block's modulus misses, its norms and phases passed on the way
         nonlocal norm, ref, norm_at
         if cols.start == rows.start:  # the square diagonal block: the norms
             diag = g[:, range(g.shape[1]), range(g.shape[1])]
@@ -456,18 +448,14 @@ def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
         else:
             pairs = (mod != ref[:, None, None]).any(axis=0)
         del mod  # before the phases' temporaries
-        block = _tile_phase(g, m)
-        phase[rows, cols] = block
-        if m2 != 2:  # conj(zeta^e) = zeta^(-e)
-            block = np.where(block >= 0, -block % m2, -1)
-        phase[cols, rows] = block.T
+        if sink is not None:
+            sink(_tile_phase(g, m), rows, cols)
         return pairs
 
     columns = frame.planes.transpose(0, 2, 1)
     for tile in _hermitian_tiles(columns, m, "Gram", frame.weights):
-        pair = _first_marked([tile], mark)  # every tile: mark writes the phases
+        pair = _first_marked([tile], mark)  # every tile, so the sink sees every block
         pair_at = pair_at or pair
-    phase.flags.writeable = False
 
     norm = tuple(int(c) for c in norm)  # Gram(0, 0) at scale 4^k
     scale = 1 << (2 * frame.k)
@@ -495,7 +483,7 @@ def _gram_pass(frame: FrameMatrix) -> tuple[ETFReport, np.ndarray]:
     rep = ETFReport(frame.dim, n, equal_norms, norm_sq, is_tight, tight_constant,
                     is_equiangular, gram_abs_sq, coherence_sq, coherence, wb.squared,
                     wb.value, is_tight and is_equiangular, meets, witness or off)
-    return rep, phase
+    return rep
 
 
 def _rational(coeffs, scale: int) -> Fraction | None:
@@ -513,7 +501,7 @@ def real_gram_signs(frame: FrameMatrix) -> np.ndarray:
     """
     if not frame.is_real_rational():
         raise ValueError("frame has genuine root-of-unity entries")
-    phase = _gram_pass(frame)[1]
+    phase = verify_etf(frame, phases=True)[1]
     if _first_marked(_square_tiles(phase), lambda b, rows, cols: b < 0) is not None:
         raise ValueError("some off-diagonal Gram values vanish")
     signs = phase * np.int8(-2)  # phase 0 -> +1, phase 1 -> -1
@@ -575,17 +563,33 @@ def _frame_operator_witness(frame: FrameMatrix, norm: tuple[int, ...]) -> str | 
             else f"frame operator off-diagonal ({r},{c})")
 
 
-def verify_etf(frame: FrameMatrix, *,
-               phases: bool = False) -> ETFReport | tuple[ETFReport, np.ndarray]:
+def verify_etf(frame: FrameMatrix, *, phases=False) -> ETFReport | tuple[ETFReport, np.ndarray]:
     """Certify equal norms, tightness, and equiangularity of a frame exactly.
 
     One pass over the Gram (see _gram_pass) decides all three with zero
     tolerance: equal norms and moduli at the Welch bound prove tightness,
-    and otherwise the frame operator is computed with the exact kernel.  It
-    keeps nothing of the pass unless ``phases`` asks for ``(report, phase)``,
-    as the graph builders do.
+    and otherwise the frame operator is computed with the exact kernel.
+    ``phases`` may be the pass's per-block sink, as the graph builders give,
+    or True for ``(report, phase)``, the read-only N x N phases, refused
+    (with or without them) past the array limit.
     """
-    return _gram_pass(frame) if phases else _gram_pass(frame)[0]
+    n, m2 = frame.count, lcm(2, frame.order)
+    welch_bound(frame.dim, n)  # reject degenerate shapes before any array work
+    dtype = _phase_dtype(frame.order)
+    _refuse_array((n, n), "Gram phase matrix", np.dtype(dtype).itemsize)
+    if phases is not True:
+        return _gram_pass(frame, phases or None)
+    phase = np.empty((n, n), dtype=dtype)
+
+    def fill(block, rows, cols):
+        phase[rows, cols] = block
+        if m2 != 2:  # conj(zeta^e) = zeta^(-e)
+            block = np.where(block >= 0, -block % m2, -1)
+        phase[cols, rows] = block.T
+
+    rep = _gram_pass(frame, fill)
+    phase.flags.writeable = False
+    return rep, phase
 
 
 # ---------------------------------------------------------------------------

@@ -1,40 +1,25 @@
 """Strongly regular graphs and antipodal covers derived from certified ETFs.
 
-All three builders certify the frame and read its Gram phases in one
-exact pass (verify_etf with ``phases``) through _certified_phases: the
-covers take the p-th-root exponent of each Gram value, the SRGs its sign
-(p = 2), positive-adjacent (switched by XOR for Waldron's graph).  The
-cover drops the phases once its adjacency is made; a sign graph is made
-in the phases' own buffer (_sign_adjacency), so an SRG pipeline holds
-one N x N byte array from the Gram pass to the export, validated and
-counted once.  A graph is a read-only boolean adjacency matrix,
-one byte per vertex pair, and it is the only N x N array counting holds:
-derivation, counting and I/O read it in tiles of scalar._TILE rows, so
-every other array scales with _TILE * N, and the symmetry and phase
-checks walk _TILE x _TILE blocks (scalar._square_tiles).  Certification
-is pure counting: degrees are row sums and common-neighbor counts are
-the entries of A·A, each row tile times each block of _TILE columns
-(A[:, c:c2] is A[c:c2].T by symmetry), both converted to float32 as the
-loop reaches them (exact, since every count is below 2^24).  The sign
-graphs of a Steiner or Tremain frame have a second product: two points
-share one block, so over the R + 1 vertices of each point every block of
-the Seidel matrix J - I - 2A is rank one (Fickus, Mixon and Tremain,
-Steiner equiangular tight frames, 2012).  srg_check reads the factors off
-one row per group, checks every pair against them and then counts in
-O(N^2 G) for G groups, not O(N^3), holding one N x (G+2) float32 array
-of factors and pieces made a chunk of groups at a time; a graph that
-fails the check, or one given no group size, is counted by A·A.
-Strongly regular graphs need constant degree and constant counts over
-adjacent and non-adjacent pairs; covers of the complete graph need fiber matchings, read off A·F
-for the fiber indicator F, and a constant count over non-adjacent pairs
-in distinct fibers, fiber f being the r consecutive vertices f*r .. f*r +
-r - 1; a p = 2 cover is the Z_2 lift of an N-vertex quotient (Godsil and
-Hensel 1992), counted by either product on that quotient.  Each
-certifier reads the counts it expects off row 0, at the first pair of
-each kind, and marks the off counts of each block; scalar._first_marked
-names the first pair marked.  The certifiers never read the closed-form
-parameters: each builder's one step, _certify, builds the Graph, counts it
-once and holds the count to the closed form, returning a CertifiedGraph.
+The builders read their graph off the Gram phases in the exact pass that
+certifies the frame (verify_etf with a ``phases`` sink, in _phase_graph):
+covers take each Gram value's p-th-root exponent, the SRGs its sign (p =
+2), positive-adjacent.  Each block's edges go straight into the graph's
+bits, so a derive run holds one bit per vertex pair (Graph.bits) from the
+Gram pass to the export, and every reader unpacks bool tiles on demand.
+Certification is pure counting: degrees are popcounts and common-neighbor
+counts the entries of A·A, each row tile times each block of _TILE
+columns (A[:, c:c2] = A[c:c2].T) in float32 (exact below 2^24).  The
+sign graphs of a Steiner or Tremain frame have a second product: two
+points share one block, so over the R + 1 vertices of each point every
+block of the Seidel matrix J - I - 2A is rank one (Fickus, Mixon and
+Tremain, Steiner equiangular tight frames, 2012); srg_check checks every
+pair against those factors and counts in O(N^2 G) for G groups.  Covers of the
+complete graph need fiber matchings, read off A·F for the fiber
+indicator F, and a constant count over non-adjacent pairs in distinct
+fibers, fiber f being the r consecutive vertices f*r .. f*r + r - 1; a
+p = 2 cover is the Z_2 lift of an N-vertex quotient (Godsil and Hensel
+1992), counted by either product.  Each certifier reads the counts it
+expects off row 0; the closed forms are read only by _certify.
 """
 from __future__ import annotations
 
@@ -70,24 +55,47 @@ class CertificationError(RuntimeError):
     """A constructed object failed its exhaustive certification."""
 
 
-@dataclass(frozen=True, eq=False)
 class Graph:
-    adj: np.ndarray  # n x n bool, symmetric, zero diagonal, read-only
+    """A simple graph on vertices 0 .. n - 1, held at one bit per vertex pair.
 
-    def __post_init__(self) -> None:
-        adj = _adopted(self.adj, bool)
+    ``bits`` is a read-only (n, ceil(n/8)) uint8 array, row i adjacency row
+    i as np.packbits packs it, its padding bits clear.  g[rows] and g[rows,
+    cols] (slices) are bool tiles unpacked from the bytes that hold them;
+    len(g) is n.  Graph(adj) packs a dense square array and leaves it as it
+    was; from_adjacency also takes packed rows.  Both are checked for loops
+    and, block by block, symmetry."""
+
+    __slots__ = ("bits", "order")
+
+    def __new__(cls, adj) -> Graph:
+        adj = np.asarray(adj, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency of shape {adj.shape} is not square")
-        loops = np.flatnonzero(adj.diagonal())
+        return cls._packed(np.packbits(adj, axis=1), len(adj), check=True)
+
+    @classmethod
+    def _packed(cls, bits: np.ndarray, n: int, check: bool = False) -> Graph:
+        """The graph on n vertices' packed rows, checked first with ``check``."""
+        g = object.__new__(cls)
+        g.bits, g.order = bits, n
+        if check:
+            g._check()
+        bits.flags.writeable = False
+        return g
+
+    def _check(self) -> None:
+        bits, n = self.bits, self.order
+        if bits.shape != (n, -(-n // 8)):
+            raise ValueError(f"packed rows of shape {bits.shape} do not hold {n} vertices")
+        if n % 8 and (bits[:, -1] & 0xFF >> n % 8).any():
+            raise ValueError(f"bits set past vertex {n - 1}")
+        loops = np.flatnonzero(self.adjacent(np.arange(n), np.arange(n)))
         if loops.size:
             raise ValueError(f"loop at vertex {loops[0]}")
-        marks = np.empty((_TILE, _TILE), dtype=bool)  # one buffer for every block's marks
-        pair = _first_marked(_square_tiles(adj), lambda block, rows, cols: np.not_equal(
-            block, adj[cols, rows].T, out=marks[:len(block), :block.shape[1]]))
+        pair = _first_marked(_square_tiles(self),
+                             lambda block, rows, cols: block != self[cols, rows].T)
         if pair is not None:
             raise ValueError(f"adjacency is not symmetric at pair ({pair[0]},{pair[1]})")
-        adj.flags.writeable = False
-        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, order: int, edges) -> Graph:
@@ -99,25 +107,70 @@ class Graph:
         loops = e[:, 0] == e[:, 1]
         if loops.any():
             raise ValueError(f"loop at {e[loops.argmax(), 0]}")
-        adj = np.zeros((order, order), dtype=bool)
-        adj[e[:, 0], e[:, 1]] = True
-        adj[e[:, 1], e[:, 0]] = True
-        return cls(adj)
+        bits = np.zeros((order, -(-order // 8)), dtype=np.uint8)
+        u, v = np.concatenate([e, e[:, ::-1]]).T  # both ends of every edge
+        np.bitwise_or.at(bits, (u, v >> 3), (0x80 >> (v & 7)).astype(np.uint8))
+        return cls._packed(bits, order)
 
     @classmethod
-    def from_adjacency(cls, adj: np.ndarray) -> Graph:
-        return cls(adj)
+    def from_adjacency(cls, adj: np.ndarray, order: int | None = None) -> Graph:
+        """Graph(adj) for a dense ``adj``; given the ``order`` n, ``adj`` is the
+        packed rows instead, held without a copy when it owns its memory."""
+        return cls(adj) if order is None else cls._packed(_adopted(adj, np.uint8), order, True)
+
+    def __len__(self) -> int:
+        return self.order
+
+    def __getitem__(self, key) -> np.ndarray:
+        """The bool tile g[rows] (every column) or g[rows, cols]; ``cols`` steps by 1."""
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        c0, c1, _ = cols.indices(self.order)
+        a = c0 // 8
+        tile = np.unpackbits(self.bits[rows, a:-(-c1 // 8)], axis=1, count=max(c1 - 8 * a, 0))
+        return tile[:, c0 - 8 * a:].view(np.bool_)
+
+    def adjacent(self, i, j) -> np.ndarray:
+        """A[i, j] for vertices, or arrays of vertices, i and j."""
+        j = np.asarray(j)
+        return (self.bits[i, j >> 3] >> (7 - (j & 7)) & 1).astype(bool)
+
+    def degrees(self) -> np.ndarray:
+        """Every vertex's degree: popcounts of a tile of rows at a time."""
+        deg = np.zeros(self.order, dtype=np.int64)
+        for s in range(0, self.order, _TILE):
+            deg[s:s + _TILE] = np.bitwise_count(self.bits[s:s + _TILE]).sum(axis=1)
+        return deg
 
     @property
-    def order(self) -> int:
-        return self.adj.shape[0]
+    def adj(self) -> np.ndarray:
+        """The whole n x n bool adjacency, made anew, read-only; never read here."""
+        a = self[0:self.order]
+        a.flags.writeable = False
+        return a
 
 
-def _edge_runs(adj: np.ndarray):
+_BIT_WEIGHTS = (0x80 >> np.arange(8)).astype(np.uint8)  # bit 7 - t of a byte, t = 0 .. 7
+
+
+def _put(bits: np.ndarray, row: int, col: int, block: np.ndarray, transpose=False) -> None:
+    """OR a bool block, or its transpose, into packed rows at (row, col); a
+    transpose is packed by a product with the bit weights (np.packbits of a
+    transposed array reads strided memory, about ten times slower)."""
+    shift = col % 8
+    if transpose:
+        padded = np.zeros((-(-(shift + len(block)) // 8) * 8, block.shape[1]), dtype=np.uint8)
+        padded[shift:shift + len(block)] = block
+        packed = np.einsum("bkj,k->jb", padded.reshape(-1, 8, block.shape[1]), _BIT_WEIGHTS)
+    else:
+        packed = np.packbits(np.pad(block, ((0, 0), (shift, 0))) if shift else block, axis=1)
+    bits[row:row + len(packed), col // 8:col // 8 + packed.shape[1]] |= packed
+
+
+def _edge_runs(g: Graph):
     """The edges u < v as (L, 2) arrays of (u, v), in runs of the rows of a
     row tile that hold at most _WRITE_LINES edges (one row when it holds more)."""
-    for s in range(0, adj.shape[0], _TILE):
-        upper = np.triu(adj[s:s + _TILE, s:], 1)  # columns from s on
+    for s in range(0, g.order, _TILE):
+        upper = np.triu(g[s:s + _TILE, s:], 1)  # columns from s on
         ends = np.cumsum(np.count_nonzero(upper, axis=1))  # edges up to each row's end
         a = done = 0
         while a < len(upper):
@@ -147,22 +200,22 @@ class Certificate:
     counting: str | None = None  # the product that counted: "factored" or "dense"
 
 
-def _dense_tiles(adj: np.ndarray):
+def _dense_tiles(g: Graph):
     """A·A as _first_marked's tiles: each tile of _TILE rows times each
     block of _TILE rows of A from the tile's first row on, both in float32
     (A[:, c:c2] is A[c:c2].T by symmetry)."""
-    n = adj.shape[0]
+    n = g.order
     if n - 2 >= _FLOAT32_EXACT:
         raise ValueError(f"{n} vertices: float32 common-neighbor counts not exact")
     for s in range(0, n, _TILE):
-        x = adj[s:s + _TILE].astype(np.float32)
+        x = g[s:s + _TILE].astype(np.float32)
         yield slice(s, s + len(x)), (
-            (slice(c, min(c + _TILE, n)), x @ adj[c:c + _TILE].astype(np.float32).T)
+            (slice(c, min(c + _TILE, n)), x @ g[c:c + _TILE].astype(np.float32).T)
             for c in range(s, n, _TILE)
         )
 
 
-def _factored_tiles(adj: np.ndarray, size: int, deg: np.ndarray):
+def _factored_tiles(g: Graph, size: int, deg: np.ndarray):
     """The common-neighbor counts from the rank-one blocks of the Seidel
     matrix, as _first_marked's tiles, or None when a block is not rank
     one or the groups are too small to pay.
@@ -192,7 +245,7 @@ def _factored_tiles(adj: np.ndarray, size: int, deg: np.ndarray):
     factors would no longer be small beside A, nor the product much
     cheaper than A·A.
     """
-    n = adj.shape[0]
+    n = g.order
     if 4 * n > _FLOAT32_EXACT:
         raise ValueError(f"{n} vertices: float32 factored common-neighbor counts not exact")
     size = min(size, n)  # one group at most
@@ -201,11 +254,11 @@ def _factored_tiles(adj: np.ndarray, size: int, deg: np.ndarray):
         return None
     first = np.arange(0, n, size)
     group_of = np.arange(n) // size
-    neg_u = np.ascontiguousarray(adj[first].T)  # neg_u[i, c]: U[i, c] = -1
+    neg_u = np.ascontiguousarray(g[0:n:size].T)  # neg_u[i, c]: U[i, c] = -1
     neg_q = neg_u[first]  # neg_q[a, c]: Q[a, c] = -1, the diagonal still +1
     big = np.flatnonzero(np.minimum(size, n - first) >= 3)  # groups of three or more
     one, two = first[big] + 1, first[big] + 2
-    neg_q[big, big] = adj[one, two] ^ neg_u[one, big] ^ neg_u[two, big]
+    neg_q[big, big] = g.adjacent(one, two) ^ neg_u[one, big] ^ neg_u[two, big]
     neg_u[first, np.arange(groups)] = neg_q.diagonal()
     neg_wt = neg_u.T ^ neg_q[:, group_of]  # neg_wt[a, j]: W[j, a] = -1
     for s in range(0, n, _TILE):
@@ -213,7 +266,7 @@ def _factored_tiles(adj: np.ndarray, size: int, deg: np.ndarray):
         # U[i, g(j)] for the columns j >= s: each U[i, c] repeated over group c
         miss = np.repeat(neg_u[s:e, a:], size, axis=1)[:, s - a * size:n - a * size]
         miss ^= neg_wt[group_of[s:e], s:]
-        miss ^= adj[s:e, s:]
+        miss ^= g[s:e, s:]
         miss[:, :e - s][np.eye(e - s, dtype=bool)] = False
         if miss.any():
             return None
@@ -257,8 +310,8 @@ def _factored_tiles(adj: np.ndarray, size: int, deg: np.ndarray):
     return tiles()
 
 
-def _common_neighbors(adj: np.ndarray, i: int, j: int) -> int:
-    return int(np.count_nonzero(adj[i] & adj[j]))
+def _common_neighbors(g: Graph, i: int, j: int) -> int:
+    return int(np.bitwise_count(g.bits[i] & g.bits[j]).sum())
 
 
 def srg_check(g: Graph, group: int | None = None) -> Certificate:
@@ -271,32 +324,33 @@ def srg_check(g: Graph, group: int | None = None) -> Certificate:
     once every pair is checked against them; otherwise, or when a block is
     not rank one, from the dense A·A.  ``counting`` names the product used.
     """
-    adj, n = g.adj, g.order
+    n = g.order
     if n == 0:
         return Certificate(False, None, "empty graph")
-    deg = np.count_nonzero(adj, axis=1)
+    deg = g.degrees()
     irregular = np.flatnonzero(deg != deg[0])
     if irregular.size:
         i = irregular[0]
         witness = f"degree {deg[i]} at vertex {i} differs from {deg[0]} at vertex 0"
         return Certificate(False, None, witness)
     k = int(deg[0])
-    lam = _common_neighbors(adj, 0, int(adj[0].argmax())) if k else 0
-    mu = _common_neighbors(adj, 0, int(adj[0, 1:].argmin()) + 1) if k < n - 1 else None
+    row = g[0:1][0]
+    lam = _common_neighbors(g, 0, int(row.argmax())) if k else 0
+    mu = _common_neighbors(g, 0, int(row[1:].argmin()) + 1) if k < n - 1 else None
     other = -1 if mu is None else mu  # no non-adjacent pair when mu is None
 
     def off(counts, rows, cols):  # counts != (lam if adjacent else other), in bool ops
         miss = counts != other
-        return miss ^ (adj[rows, cols] & (miss ^ (counts != lam)))
+        return miss ^ (g[rows, cols] & (miss ^ (counts != lam)))
 
-    tiles = None if group is None else _factored_tiles(adj, group, deg)
+    tiles = None if group is None else _factored_tiles(g, group, deg)
     counting = "dense" if tiles is None else "factored"
-    pair = _first_marked(_dense_tiles(adj) if tiles is None else tiles, off)
+    pair = _first_marked(_dense_tiles(g) if tiles is None else tiles, off)
     if pair is not None:
         i, j = pair
-        name = "adjacent" if adj[i, j] else "non-adjacent"
+        name = "adjacent" if g.adjacent(i, j) else "non-adjacent"
         return Certificate(False, None, f"{name} pair ({i},{j}) has "
-                           f"{_common_neighbors(adj, i, j)} common neighbors", counting)
+                           f"{_common_neighbors(g, i, j)} common neighbors", counting)
     return Certificate(True, SRGParams(n, k, lam, mu), counting=counting)
 
 
@@ -322,12 +376,7 @@ def srg_params_waldron(m: int, n: int) -> SRGParams:
     v = n - 1
     lam = (3 * k - v - 1) / 2
     mu = k / 2
-    return SRGParams(
-        v,
-        _as_int(k, "k"),
-        _as_int(lam, "lambda"),
-        _as_int(mu, "mu"),
-    )
+    return SRGParams(v, _as_int(k, "k"), _as_int(lam, "lambda"), _as_int(mu, "mu"))
 
 
 def srg_params_gs(m: int, n: int) -> SRGParams:
@@ -340,34 +389,51 @@ def srg_params_gs(m: int, n: int) -> SRGParams:
     return SRGParams(n, _as_int(k, "k"), _as_int(lam, "lambda"), _as_int(mu, "mu"))
 
 
-def _certified_phases(frame: FrameMatrix, p: int) -> tuple[ETFReport, np.ndarray, int]:
-    """(report, phase, step) of a certified ETF whose Gram(i, j), i != j, is
-    a positive multiple of zeta_p^(phase // step): negative at step if p = 2.
+def _phase_graph(frame: FrameMatrix, p: int, r: int, k: int) -> tuple[ETFReport, np.ndarray]:
+    """(report, bits) of a certified ETF whose Gram(i, j), i != j, is a positive
+    multiple of zeta_p^e: each block of phases f = e m'/p (m' = lcm(2, m))
+    is checked, the first failing pair i < j named after the ETF verdict,
+    and written with its transpose into the packed rows of the graph on
+    vertices (i, a) = i r + a, i < k (fibers of r: 1 or p), with (i, a) ~
+    (j, b) iff e(i, j) = b - a mod r; at k = N - 1 switched against vector k."""
+    n, m2 = frame.count, lcm(2, frame.order)
+    step = m2 // p if m2 % p == 0 else None
+    b_minus_a = (np.arange(r) - np.arange(r)[:, None]) % r
+    flip = np.zeros(k, dtype=bool) if k < n else None
+    bits, misses = np.zeros((k * r, -(-k * r // 8)), dtype=np.uint8), []
 
-    Gram(i, j) is a positive multiple of zeta_(m')^f, f its phase, m' =
-    lcm(2, m), so m'/p must divide f.  The phases are checked block by
-    block over the upper triangle (the remainder only past step 1: on int8
-    it is the slow part); the witness is the first failing pair i < j.
-    """
-    rep, phase = verify_etf(frame, phases=True)
+    def sink(phase, rows, cols):
+        miss = phase < 0
+        if step > 1:
+            miss |= phase % step != 0
+        corner = cols.start == rows.start  # the diagonal block: pairs i < j only
+        if corner:
+            miss &= ~np.tri(*miss.shape, dtype=bool)
+        if miss.any():
+            misses.append(tuple(np.argwhere(miss)[0] + (rows.start, cols.start)))
+        i1, j1 = min(rows.stop, k) - rows.start, min(cols.stop, k) - cols.start
+        if flip is not None and cols.start <= k < cols.stop:
+            flip[rows.start:rows.start + i1] = phase[:i1, k - cols.start] != 0
+        if i1 > 0 and j1 > 0:
+            e = phase[:i1, :j1] // step if step > 1 else phase[:i1, :j1]
+            edge = (e[:, None, :, None] == b_minus_a[:, None, :]).reshape(i1 * r, j1 * r)
+            if corner:
+                edge = np.triu(edge, 1)
+            _put(bits, rows.start * r, cols.start * r, edge)
+            _put(bits, cols.start * r, rows.start * r, edge, transpose=True)
+
+    rep = verify_etf(frame, phases=step and sink)
     if not rep.is_etf:
         raise CertificationError(f"input is not a certified ETF: {rep.witness}")
-    m2 = lcm(2, frame.order)
-    if m2 % p:
+    if step is None:
         raise ValueError(f"order-{frame.order} Gram values are not {p}-th roots of unity")
-    step = m2 // p
-    marks = np.empty((_TILE, _TILE), dtype=bool)  # one buffer for every block's marks
-
-    def missing(block, rows, cols):
-        out = np.less(block, 0, out=marks[:len(block), :block.shape[1]])
-        if step > 1:
-            out |= block % step != 0
-        return out
-
-    pair = _first_marked(_square_tiles(phase), missing)
-    if pair is not None:
-        raise ValueError(f"Gram entry at ({pair[0]},{pair[1]}) is not a {p}-th root of unity")
-    return rep, phase, step
+    if misses:
+        i, j = min(misses)
+        raise ValueError(f"Gram entry at ({i},{j}) is not a {p}-th root of unity")
+    if flip is not None:
+        bits ^= np.packbits(flip)
+        np.bitwise_xor(bits, np.packbits(np.ones(k, dtype=bool)), out=bits, where=flip[:, None])
+    return rep, bits
 
 
 def _point_group(frame: FrameMatrix) -> int | None:
@@ -375,34 +441,6 @@ def _point_group(frame: FrameMatrix) -> int | None:
     replication number of its triple system: its sign graphs' group size."""
     sts = getattr(frame.provenance, "sts", None)
     return None if sts is None else sts.replication + 1
-
-
-def _sign_adjacency(phase: np.ndarray, k: int, flip=None) -> np.ndarray:
-    """phase[:k, :k] == 0 (a positive Gram value), switched by ``flip`` (k,)
-    when given and with its diagonal cleared, as a (k, k) bool array made in
-    phase's own buffer: phase becomes that array.
-
-    ``phase`` is an N x N int8 or int16 array that owns its memory and has
-    no view left.  Row tile by row tile, the comparison is written to the
-    buffer's leading k^2 bytes: row i goes to byte i k, never past byte
-    i N itemsize where it is read from, so a forward walk never overwrites
-    a row it has yet to read.  The buffer then shrinks in place to those
-    bytes, so the adjacency is the one N x N array held, with no copy.
-    """
-    phase.flags.writeable = True
-    out = phase.reshape(-1).view(np.bool_)  # the buffer's bytes
-    for s in range(0, k, _TILE):
-        e = min(s + _TILE, k)
-        tile = phase[s:e, :k] == 0
-        if flip is not None:  # switching flips bit (i, j) once for each flipped end
-            tile ^= flip[s:e, None]
-            tile ^= flip
-        np.fill_diagonal(tile[:, s:e], False)
-        out[s * k:s * k + tile.size] = tile.ravel()
-    del out  # no view may outlive the buffer's move
-    phase.dtype = np.bool_
-    phase.resize((k, k), refcheck=False)  # the callers' names are phase itself, not views
-    return phase
 
 
 @dataclass(frozen=True)
@@ -416,12 +454,11 @@ class CertifiedGraph:
     counting: str  # the product that counted it: "factored" or "dense"
 
 
-def _certify(adj: np.ndarray, count, expected, name: str) -> CertifiedGraph:
-    """Build the graph on ``adj``, which only the caller holds (a sign
-    graph's is the phase buffer _sign_adjacency took over), without a copy;
+def _certify(bits: np.ndarray, order: int, count, expected, name: str) -> CertifiedGraph:
+    """Build the graph on the packed rows ``bits`` that only the caller holds,
     count it once with ``count`` (srg_check or drackn_check, given the
     frame's group size) and raise unless it meets the closed form ``expected``."""
-    g = Graph.from_adjacency(adj)
+    g = Graph.from_adjacency(bits, order)
     cert = count(g)
     srg = isinstance(expected, SRGParams)
     if not cert.ok:
@@ -436,11 +473,9 @@ def _certify(adj: np.ndarray, count, expected, name: str) -> CertifiedGraph:
 def waldron_srg(frame: FrameMatrix) -> CertifiedGraph:
     """Switch the Gram signs against the last vector, drop it and certify the
     graph on the first N-1 vectors: i ~ j iff their switched Gram value is positive."""
-    _, phase, _ = _certified_phases(frame, 2)
     n = frame.count
-    flip = phase[:n - 1, n - 1] != 0  # out of the buffer before it is overwritten
-    adj = _sign_adjacency(phase, n - 1, flip)
-    return _certify(adj, lambda g: srg_check(g, _point_group(frame)),
+    _, bits = _phase_graph(frame, 2, 1, n - 1)
+    return _certify(bits, n - 1, lambda g: srg_check(g, _point_group(frame)),
                     srg_params_waldron(frame.dim, n), "waldron graph")
 
 
@@ -492,10 +527,9 @@ def gs_srg(frame: FrameMatrix) -> CertifiedGraph:
     """Graph on all N vectors, i ~ j iff their Gram value is positive: the
     sign pattern the frame's flat functional fixes, with no switching.  The
     ETF certificate comes first, then the functional's, then the graph's."""
-    _, phase, _ = _certified_phases(frame, 2)
+    _, bits = _phase_graph(frame, 2, 1, frame.count)
     tremain_flat_functional(frame)
-    adj = _sign_adjacency(phase, frame.count)
-    return _certify(adj, lambda g: srg_check(g, _point_group(frame)),
+    return _certify(bits, frame.count, lambda g: srg_check(g, _point_group(frame)),
                     srg_params_gs(frame.dim, frame.count), "flat-functional graph")
 
 
@@ -529,9 +563,9 @@ def drackn_check(g: Graph, r: int, group: int | None = None) -> Certificate:
         return Certificate(False, None, "fibers do not cover the graph")
     n_fibers = g.order // r
 
-    # inside[f, t]: vertex f*r + t has a neighbor in its fiber, read off a view of
-    # the diagonal blocks of A (indexed [t, u, f])
-    inside = np.diagonal(g.adj.reshape(n_fibers, r, n_fibers, r), 0, 0, 2).any(axis=1).T
+    # inside[f, t]: vertex f*r + t has a neighbor in its fiber, read off the bits
+    fiber = np.arange(g.order).reshape(n_fibers, r)
+    inside = g.adjacent(fiber[:, :, None], fiber[:, None, :]).any(axis=2)
     if inside.any():
         fi, t = np.unravel_index(inside.argmax(), inside.shape)
         return Certificate(False, None, f"edge inside fiber {fi} at vertex {fi * r + t}")
@@ -540,7 +574,7 @@ def drackn_check(g: Graph, r: int, group: int | None = None) -> Certificate:
     per_tile = max(1, _TILE // r)
     for f0 in range(0, n_fibers, per_tile):
         f1 = min(f0 + per_tile, n_fibers)
-        rows = g.adj[f0 * r:f1 * r]
+        rows = g[f0 * r:f1 * r]
         hits = rows[:, 0::r].astype(np.min_scalar_type(r))
         for k in range(1, r):
             hits += rows[:, k::r]
@@ -552,17 +586,21 @@ def drackn_check(g: Graph, r: int, group: int | None = None) -> Certificate:
             return Certificate(False, None, f"vertex {(f0 + fi) * r + t} has "
                                f"{hits[fi, t, fj]} neighbors in fiber {fj}, not 1")
 
-    c_val = _common_neighbors(g.adj, 0, int(g.adj[0, r:].argmin()) + r) if n_fibers > 1 else 0
+    c_val = _common_neighbors(g, 0, int(g[0:1, r:].argmin()) + r) if n_fibers > 1 else 0
     if r == 2:
-        a = g.adj[0::2, 1::2]  # Q
-        deg = np.count_nonzero(a, axis=1).astype(np.float32)
+        # Q = A[0::2, 1::2], symmetric with a clear diagonal once the fibers match
+        q = np.empty((n_fibers, -(-n_fibers // 8)), dtype=np.uint8)
+        for s in range(0, n_fibers, _TILE):
+            q[s:s + _TILE] = np.packbits(g[2 * s:2 * (s + _TILE):2][:, 1::2], axis=1)
+        a = Graph._packed(q, n_fibers)
+        deg = a.degrees().astype(np.float32)
         tiles = None if group is None else _factored_tiles(a, group, deg)
 
         def off(counts, rows, cols):
             x = deg[rows, None] + deg[cols] - 2 * counts
             return np.where(a[rows, cols], n_fibers - x, x) != c_val
     else:
-        tiles, a, fiber_of = None, g.adj, np.arange(g.order) // r
+        tiles, a, fiber_of = None, g, np.arange(g.order) // r
 
         def off(counts, rows, cols):
             return (counts != c_val) & ~a[rows, cols] & (fiber_of[rows, None] != fiber_of[cols])
@@ -571,8 +609,8 @@ def drackn_check(g: Graph, r: int, group: int | None = None) -> Certificate:
     pair = _first_marked(_dense_tiles(a) if tiles is None else tiles, off)
     if pair is None:
         return Certificate(True, (n_fibers, r, c_val), counting=counting)
-    i, j = pair if r > 2 else (2 * pair[0], 2 * pair[1] + 1 - int(a[pair]))
-    witness = f"non-adjacent pair ({i},{j}) has {_common_neighbors(g.adj, i, j)} common neighbors"
+    i, j = pair if r > 2 else (2 * pair[0], 2 * pair[1] + 1 - int(a.adjacent(*pair)))
+    witness = f"non-adjacent pair ({i},{j}) has {_common_neighbors(g, i, j)} common neighbors"
     return Certificate(False, None, f"{witness}, expected {c_val}", counting)
 
 
@@ -617,20 +655,10 @@ def drackn_cover(frame: FrameMatrix, p: int) -> CertifiedGraph:
     require_prime(p)
     n = frame.count
     _refuse_array((n * p, n * p), "cover adjacency")
-    rep, phase, step = _certified_phases(frame, p)
+    rep, bits = _phase_graph(frame, p, p, n)
     if rep.gram_abs_sq != 1:  # every pair misses; the first one is the witness
         raise ValueError(f"Gram entry at (0,1) is not a {p}-th root of unity")
-    # adj[i, a, j, b] iff the exponent of Gram(i, j) is (b - a) mod p; below the
-    # diagonal this mirrors the upper half, as phase[j, i] is -phase[i, j]
-    b_minus_a = ((np.arange(p) - np.arange(p)[:, None]) % p).astype(phase.dtype)
-    adj = np.empty((n, p, n, p), dtype=bool)
-    for s in range(0, n, _TILE):
-        exps = phase[s:s + _TILE] // step
-        np.equal(exps[:, None, :, None], b_minus_a[:, None, :], out=adj[s:s + _TILE])
-    adj[np.arange(n), :, np.arange(n)] = False  # no edges inside a fiber
-    adj.shape = (n * p, n * p)
-    del phase  # counting holds only the adjacency
-    return _certify(adj, lambda g: drackn_check(g, p, _point_group(frame)),
+    return _certify(bits, n * p, lambda g: drackn_check(g, p, _point_group(frame)),
                     (n, p, drackn_params(frame.dim, n, p)), "cover")
 
 
@@ -646,17 +674,17 @@ def _graph6_header(n: int) -> bytes:
     raise ValueError("graph too large for this graph6 writer")
 
 
-def _graph6_body(adj: np.ndarray):
-    """The graph6 body bytes, in runs of rows a .. b - 1 that hold at most
-    _TILE^2 bits, (b (b - 1) - a (a - 1)) / 2, or of one row: the upper
-    triangle column by column is, by symmetry, the lower one row by row.
-    The bits of a run that do not fill a 6-bit group are carried on."""
-    n = adj.shape[0]
+def _graph6_body(g: Graph):
+    """The graph6 body bytes, in runs of rows a .. b - 1 whose tile g[a:b,
+    :b - 1] holds at most _TILE^2 entries, (b - a)(b - 1), or of one row: the
+    upper triangle column by column is, by symmetry, the lower one row by
+    row.  The bits of a run that do not fill a 6-bit group are carried on."""
+    n = g.order
     carry = np.zeros(0, dtype=bool)
     a = 1  # row 0 has no bits
     while a < n:
-        b = min(n, max(a + 1, (1 + isqrt(1 + 4 * a * (a - 1) + 8 * _TILE * _TILE)) // 2))
-        run = adj[a:b, :b - 1]
+        b = min(n, max(a + 1, (1 + a + isqrt((a - 1) ** 2 + 4 * _TILE * _TILE)) // 2))
+        run = g[a:b, :b - 1]
         bits = np.concatenate([carry, run[np.arange(b - 1) < np.arange(a, b)[:, None]]])
         whole = len(bits) - len(bits) % 6
         carry = bits[whole:]
@@ -698,20 +726,19 @@ def _graph6_parse(data: bytes) -> Graph:
     need = -(-n * (n - 1) // 12)  # ceil(n(n-1)/2 bits / 6 bits per byte)
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, {n} vertices need {need}")
-    adj = np.zeros((n, n), dtype=bool)
+    bits = np.zeros((n, -(-n // 8)), dtype=np.uint8)
     done = 0  # bits placed so far
     for s in range(0, n, _TILE):
         e = min(s + _TILE, n)
         size = (s + e - 1) * (e - s) // 2  # rows s:e hold s, s+1, ..., e-1 bits
         first = done // 6  # the body byte that holds bit `done`
         six = np.unpackbits((body[first:-(-(done + size) // 6)] - 63)[:, None], axis=1)
-        tile = adj[s:e]
-        tile[np.arange(n) < np.arange(s, e)[:, None]] = six[:, 2:].ravel()[done - 6 * first:][:size]
-        adj[:s, s:e] = tile[:, :s].T  # mirror into the rows above
-        corner = adj[s:e, s:e]
-        corner |= corner.T
+        low = np.zeros((e - s, e), dtype=bool)  # rows s:e below the diagonal
+        low[np.arange(e) < np.arange(s, e)[:, None]] = six[:, 2:].ravel()[done - 6 * first:][:size]
+        _put(bits, s, 0, low)
+        _put(bits, 0, s, low, transpose=True)  # mirrored into columns s:e
         done += size
-    return Graph(adj)
+    return Graph._packed(bits, n)
 
 
 def export_graph(
@@ -730,14 +757,14 @@ def export_graph(
         head = _graph6_header(g.order)
         with path.open("wb") as fh:
             fh.write(head)
-            fh.writelines(_graph6_body(g.adj))
+            fh.writelines(_graph6_body(g))
             fh.write(b"\n")
     elif fmt == "edges":
         with path.open("w") as fh:
             fh.write(f"n {g.order}\n")
             if fibers is not None:
                 fh.write(f"p {fibers}\n")
-            _write_lines(fh, g.order, _edge_runs(g.adj))
+            _write_lines(fh, g.order, _edge_runs(g))
     else:
         raise ValueError(f"unknown graph format {fmt!r}")
 

@@ -234,9 +234,9 @@ def _hermitian_tiles(vectors: np.ndarray, m: int, what: str, weights=None):
 
 
 def _square_tiles(a: np.ndarray):
-    """Yield (rows, blocks) for the upper triangle of a square array, as
-    _hermitian_tiles does: each block (cols, a[rows, cols]) a view of _TILE x
-    _TILE entries, from the tile's first row on."""
+    """Yield (rows, blocks) for the upper triangle of a square array (or a
+    graph's bits), as _hermitian_tiles does: each block (cols, a[rows, cols])
+    of _TILE x _TILE entries, from the tile's first row on."""
     n = len(a)
     for s in range(0, n, _TILE):
         rows = slice(s, min(s + _TILE, n))

@@ -30,6 +30,99 @@ def complement(g: Graph) -> Graph:
     return Graph(~g.adj ^ np.eye(g.order, dtype=bool))
 
 
+# --- dense references: one pair, bit or edge at a time over an n x n bool array ---
+
+
+def reference_pairs(adj, kind_of):
+    """First count per kind and first deviating pair, scanning i < j in order."""
+    nbrs = [set(np.flatnonzero(row).tolist()) for row in adj]
+    first = {}
+    for i in range(len(adj)):
+        for j in range(i + 1, len(adj)):
+            kind, c = kind_of(i, j), len(nbrs[i] & nbrs[j])
+            if kind is not None and first.setdefault(kind, c) != c:
+                return first, (i, j, c, kind)
+    return first, None
+
+
+def reference_srg(adj):
+    """srg_check's (ok, params, witness), pair by pair."""
+    n = len(adj)
+    if n == 0:
+        return False, None, "empty graph"
+    deg = [int(row.sum()) for row in adj]
+    for v in range(n):
+        if deg[v] != deg[0]:
+            return (False, None,
+                    f"degree {deg[v]} at vertex {v} differs from {deg[0]} at vertex 0")
+    kinds = {True: "adjacent", False: "non-adjacent"}
+    first, bad = reference_pairs(adj, lambda i, j: kinds[bool(adj[i, j])])
+    if bad:
+        i, j, c, kind = bad
+        return False, None, f"{kind} pair ({i},{j}) has {c} common neighbors"
+    return True, (n, deg[0], first.get("adjacent", 0), first.get("non-adjacent")), None
+
+
+def reference_drackn(adj, r):
+    """drackn_check's (ok, params, witness), fiber by fiber and pair by pair."""
+    n = len(adj)
+    if r < 2:
+        return False, None, "fiber size must be at least 2"
+    if n == 0:
+        return False, None, "empty graph"
+    if n % r:
+        return False, None, "fibers do not cover the graph"
+    fibers = [range(f, f + r) for f in range(0, n, r)]
+    for fi, f in enumerate(fibers):
+        for v in f:
+            if adj[v, f].any():
+                return False, None, f"edge inside fiber {fi} at vertex {v}"
+    for fi, f in enumerate(fibers):
+        for fj, other in enumerate(fibers):
+            for v in f:
+                hits = int(adj[v, other].sum())
+                if fi != fj and hits != 1:
+                    return (False, None,
+                            f"vertex {v} has {hits} neighbors in fiber {fj}, not 1")
+    first, bad = reference_pairs(adj, lambda i, j: None if i // r == j // r or adj[i, j] else 1)
+    if bad:
+        return False, None, (f"non-adjacent pair ({bad[0]},{bad[1]}) has {bad[2]} "
+                             f"common neighbors, expected {first[1]}")
+    return True, (len(fibers), r, first.get(1, 0)), None
+
+
+def reference_graph6_bytes(adj):
+    """graph6 by its definition, one bit at a time: the upper triangle
+    column by column, six bits per byte, high bit first, offset by 63."""
+    n = len(adj)
+    head = [n + 63] if n <= 62 else [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    bits = [bool(adj[i, j]) for j in range(n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    body = [63 + sum(b << (5 - t) for t, b in enumerate(bits[c:c + 6]))
+            for c in range(0, len(bits), 6)]
+    return bytes(head + body)
+
+
+def reference_edge_list(adj) -> bytes:
+    """The edge-list file: the n line, then each edge u < v in row-major order."""
+    lines = [f"n {len(adj)}"]
+    lines += [f"{u} {v}" for u in range(len(adj)) for v in range(u + 1, len(adj)) if adj[u, v]]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def planted_lift(exps, r):
+    """The Z_r voltage lift of an n x n exponent matrix (read above the
+    diagonal): (i, a) ~ (j, b), i != j, iff exps[i, j] = (b - a) mod r for
+    i < j, vertex (i, a) being i r + a."""
+    n = len(exps)
+    up = np.triu(exps, 1)
+    e = (up - up.T) % r  # e[j, i] = -e[i, j]
+    a = np.arange(r)
+    adj = e[:, None, :, None] == (a[None, :] - a[:, None])[None, :, None, :] % r
+    adj[np.arange(n), :, np.arange(n)] = False  # no edges inside a fiber
+    return adj.reshape(n * r, n * r)
+
+
 def complement_params(params: SRGParams) -> SRGParams:
     """The parameters of a strongly regular graph's complement."""
     v, k, lam, mu = params.as_tuple()

@@ -25,7 +25,6 @@ from equiframes.designs import (
 from equiframes.frames import (
     FrameMatrix,
     SteinerProvenance,
-    _gram_pass,
     _tile_phase,
     gram_matrix,
     load_frame_exact,
@@ -250,7 +249,7 @@ def test_kernel_gram_matches_extscalar_oracle():
                                                            "Gram", f.weights), n):
                     assert block.shape == (phi, min(tile, n - s), n - s)
                     g[:, s:s + block.shape[1], s:] = block
-                phase = _gram_pass(f)[1]
+                phase = verify_etf(f, phases=True)[1]
             g = np.triu(g)
             if first is None:
                 first = g
@@ -371,6 +370,29 @@ def test_verify_and_signs_hold_no_dense_gram():
         tracemalloc.stop()
     assert signs.shape == (n, n)
     assert peak <= 4 * n * n + 2 * f.planes.nbytes, (peak, n)
+
+
+def test_verify_without_phases_holds_nothing_per_pair():
+    """verify_etf(frame) makes no phases: from h=20 (N = 820) to h=56
+    (N = 6328) its traced peak grows by less than a bit per 8 new pairs
+    (measured 2.06 MB at h=56, 0.25 MB above h=20; the phase matrix it
+    once filled was 40 MB there), and at h=56 it is below N^2 / 8 bytes,
+    one bit per pair."""
+    from equiframes.pipelines import build_tremain as pipeline_build
+
+    peaks, sizes = [], []
+    for h in (20, 56):
+        f = pipeline_build(h=h, parallel=True)
+        tracemalloc.start()
+        try:
+            assert verify_etf(f).is_etf
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(f.count)
+    (n0, n1), (p0, p1) = sizes, peaks
+    assert p1 - p0 <= (n1 * n1 - n0 * n0) / 64, (peaks, sizes)
+    assert p1 <= n1 * n1 / 8, (peaks, sizes)
 
 
 # Per entry of a tile x N band: beside the phases the pass holds the tile's

@@ -5,6 +5,7 @@ import dataclasses
 import random
 import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 import networkx as nx
@@ -40,7 +41,19 @@ from equiframes.pipelines import (
     waldron_pipeline,
 )
 from equiframes.scalar import ExtScalar
-from helpers import complement, complement_params, edges, flipped, srg_identity_holds, tiled
+from helpers import (
+    complement,
+    complement_params,
+    edges,
+    flipped,
+    planted_lift,
+    reference_drackn,
+    reference_edge_list,
+    reference_graph6_bytes,
+    reference_srg,
+    srg_identity_holds,
+    tiled,
+)
 
 
 def petersen() -> Graph:
@@ -81,20 +94,39 @@ def test_graph_adjacency_is_read_only():
         g.adj[0, 2] = True
 
 
-def test_graph_adopts_a_bool_array_without_a_copy():
-    """An owning bool array becomes the graph's read-only adjacency; a view,
-    another dtype and a rejected array are left as they were."""
+def test_graph_packs_a_dense_array_and_leaves_it_as_it_was():
+    """Graph(adj) packs a dense adjacency into read-only bits, np.packbits
+    rows, and leaves the caller's array (a view, another dtype, a rejected
+    one) as it was; from_adjacency given the order holds owning packed rows
+    without a copy, after the checks a dense array gets, and a rejected
+    one stays writeable."""
     adj = petersen().adj.copy()
-    g = Graph.from_adjacency(adj)
-    assert g.adj is adj and not adj.flags.writeable
+    before = adj.copy()
+    g = Graph(adj)
+    assert g.bits.dtype == np.uint8 and g.bits.shape == (10, 2) and not g.bits.flags.writeable
+    assert np.array_equal(g.bits, np.packbits(adj, axis=1)) and not np.shares_memory(g.bits, adj)
+    assert adj.flags.writeable and np.array_equal(adj, before)
     wide = np.zeros((10, 11), dtype=bool)
     wide[:, :10] = adj
-    assert not np.shares_memory(Graph(wide[:, :10]).adj, wide) and wide.flags.writeable
-    assert Graph(adj.astype(np.int8)).adj.dtype == bool
+    assert np.array_equal(Graph(wide[:, :10]).bits, g.bits) and wide.flags.writeable
+    assert np.array_equal(Graph(adj.astype(np.int8)).bits, g.bits)
     bad = np.eye(3, dtype=bool)
-    with pytest.raises(ValueError, match="loop"):
+    with pytest.raises(ValueError, match="loop at vertex 0"):
         Graph(bad)
     assert bad.flags.writeable
+    bits = np.packbits(adj, axis=1)
+    assert Graph.from_adjacency(bits, 10).bits is bits and not bits.flags.writeable
+    for edit, message in ((lambda b: b.__setitem__((3, 1), 0x20), r"bits set past vertex 9"),
+                          (lambda b: b.__setitem__((4, 0), b[4, 0] | 0x08), "loop at vertex 4"),
+                          (lambda b: b.__setitem__((0, 0), b[0, 0] ^ 0x20),
+                           r"not symmetric at pair \(0,2\)")):
+        bits = np.packbits(adj, axis=1)
+        edit(bits)
+        with pytest.raises(ValueError, match=message):
+            Graph.from_adjacency(bits, 10)
+        assert bits.flags.writeable
+    with pytest.raises(ValueError, match=r"packed rows of shape \(10, 3\) do not hold 10"):
+        Graph.from_adjacency(np.zeros((10, 3), dtype=np.uint8), 10)
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,64 +151,68 @@ def test_asymmetry_witness_is_the_first_pair_at_every_tile_size(n, seed, tile):
             Graph(adj)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 70), st.integers(0, 2**32), st.sampled_from([1, 3, 7, 256]))
+def test_packed_tiles_equal_the_dense_matrix(tmp_path_factory, n, seed, tile):
+    """Random symmetric graphs on 0..70 vertices, most of them not a whole
+    number of bytes wide, at tiles 1, 3, 7 and 256: every row tile and
+    block (either side of the diagonal), stepped rows, degrees and single
+    pairs read off the bits equal the dense matrix; srg_check's verdict and
+    witness and the graph6 and edge-list bytes equal the dense references,
+    and both files load back to the same bits."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < rng.random(), 1)
+    adj |= adj.T
+    g = Graph(adj)
+    path = tmp_path_factory.mktemp("packed") / "g"
+    with tiled(tile):
+        for s in range(0, n, tile):
+            rows = slice(s, s + tile)
+            assert np.array_equal(g[rows], adj[rows])
+            for c in range(0, n, tile):
+                assert np.array_equal(g[rows, c:c + tile], adj[rows, c:c + tile])
+        for start, step in ((0, 2), (1, 2), (2, 5)):
+            assert np.array_equal(g[start:n:step], adj[start:n:step])
+        assert np.array_equal(g.degrees(), adj.sum(axis=1))
+        i, j = np.indices((n, n)).reshape(2, -1)
+        assert np.array_equal(g.adjacent(i, j), adj[i, j])
+        assert outcome(srg_check(g)) == reference_srg(adj)
+        export_graph(path, g)
+        assert path.read_bytes() == reference_graph6_bytes(adj) + b"\n"
+        assert np.array_equal(load_graph(path)[0].bits, g.bits)
+        export_graph(path, g, fmt="edges")
+        assert path.read_bytes() == reference_edge_list(adj)
+        assert np.array_equal(load_graph(path)[0].bits, g.bits)
+    assert np.array_equal(g.adj, adj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 14), st.integers(0, 2**32),
+       st.lists(st.booleans(), max_size=2), st.sampled_from([1, 3, 7, 256]),
+       st.sampled_from([None, 2, 3]))
+def test_drackn_check_on_packed_lifts_matches_the_dense_reference(r, n, seed, edits, tile,
+                                                                   group):
+    """Planted Z_r lifts of random exponent matrices, r = 2, 3, 5, after up
+    to two edits, each a lifted change of one exponent (every matching
+    survives) or one flipped pair: drackn_check on the bits gives the dense
+    reference's verdict and witness at every tile size."""
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(0, r, (n, n))
+    for lifted in edits:
+        i, j = sorted(rng.choice(n, 2, replace=False)) if n > 1 else (0, 0)
+        if lifted:
+            exps[i, j] = (exps[i, j] + 1) % r
+    adj = planted_lift(exps, r)
+    for lifted in edits:
+        if not lifted:
+            u, v = rng.choice(n * r, 2, replace=False)
+            adj[u, v] = adj[v, u] = not adj[u, v]
+    with tiled(tile):
+        cert = drackn_check(Graph(adj), r, group)
+    assert outcome(cert) == reference_drackn(adj, r)
+
+
 # --- plain pairwise reference counters for the array kernels ---------------
-
-
-def reference_pairs(g, kind_of):
-    """First count per kind and first deviating pair, scanning i < j in order."""
-    nbrs = [set(np.flatnonzero(row).tolist()) for row in g.adj]
-    first = {}
-    for i in range(g.order):
-        for j in range(i + 1, g.order):
-            kind, c = kind_of(i, j), len(nbrs[i] & nbrs[j])
-            if kind is not None and first.setdefault(kind, c) != c:
-                return first, (i, j, c, kind)
-    return first, None
-
-
-def reference_srg(g):
-    n = g.order
-    if n == 0:
-        return False, None, "empty graph"
-    deg = [int(row.sum()) for row in g.adj]
-    for v in range(n):
-        if deg[v] != deg[0]:
-            return (False, None,
-                    f"degree {deg[v]} at vertex {v} differs from {deg[0]} at vertex 0")
-    kinds = {True: "adjacent", False: "non-adjacent"}
-    first, bad = reference_pairs(g, lambda i, j: kinds[bool(g.adj[i, j])])
-    if bad:
-        i, j, c, kind = bad
-        return False, None, f"{kind} pair ({i},{j}) has {c} common neighbors"
-    return True, (n, deg[0], first.get("adjacent", 0), first.get("non-adjacent")), None
-
-
-def reference_drackn(g, r):
-    if r < 2:
-        return False, None, "fiber size must be at least 2"
-    if g.order == 0:
-        return False, None, "empty graph"
-    if g.order % r:
-        return False, None, "fibers do not cover the graph"
-    fibers = [range(f, f + r) for f in range(0, g.order, r)]
-    for fi, f in enumerate(fibers):
-        for v in f:
-            if g.adj[v, f].any():
-                return False, None, f"edge inside fiber {fi} at vertex {v}"
-    for fi, f in enumerate(fibers):
-        for fj, other in enumerate(fibers):
-            for v in f:
-                hits = int(g.adj[v, other].sum())
-                if fi != fj and hits != 1:
-                    return (False, None,
-                            f"vertex {v} has {hits} neighbors in fiber {fj}, not 1")
-    first, bad = reference_pairs(
-        g, lambda i, j: None if i // r == j // r or g.adj[i, j] else 1
-    )
-    if bad:
-        return False, None, (f"non-adjacent pair ({bad[0]},{bad[1]}) has {bad[2]} "
-                             f"common neighbors, expected {first[1]}")
-    return True, (len(fibers), r, first.get(1, 0)), None
 
 
 def outcome(cert):
@@ -222,7 +258,7 @@ tiles = st.sampled_from([1, 3, 7, scalar_module._TILE])
 @given(graphs(), tiles)
 def test_srg_check_matches_reference_on_random_graphs(g, tile):
     with tiled(tile):
-        assert outcome(srg_check(g)) == reference_srg(g)
+        assert outcome(srg_check(g)) == reference_srg(g.adj)
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,7 +277,7 @@ def test_srg_check_matches_reference_on_edited_waldron_graphs(h, seed, swap, til
             for x, y in ((a, b), (c, d), (a, d), (c, b)):
                 edited = flipped(edited, x, y)
     with tiled(tile):
-        assert outcome(srg_check(edited)) == reference_srg(edited)
+        assert outcome(srg_check(edited)) == reference_srg(edited.adj)
 
 
 @st.composite
@@ -292,18 +328,18 @@ def planted_block_graphs(draw):
     return Graph(adj), size, edits == 0
 
 
-def recorded_counts(adj, tiles=None):
+def recorded_counts(g, tiles=None):
     """The count the walk reads for every pair i < j off ``tiles`` (the dense
     A·A by default), recorded through its mark (0 elsewhere); the walk marks
     nothing."""
-    n = adj.shape[0]
+    n = g.order
     seen = np.full((n, n), -1.0)
 
     def off(counts, rows, cols):
         seen[rows, cols] = counts
         return np.zeros(counts.shape, dtype=bool)
 
-    tiles = graphs_module._dense_tiles(adj) if tiles is None else tiles
+    tiles = graphs_module._dense_tiles(g) if tiles is None else tiles
     assert scalar_module._first_marked(tiles, off) is None
     upper = np.triu(seen, 1)
     assert (upper[np.triu_indices(n, 1)] >= 0).all()  # every pair counted
@@ -327,12 +363,11 @@ def test_factored_tiles_count_every_pair_of_planted_block_graphs(case, tile):
     always passes the rank-one check, and a flipped one passes it only when
     its blocks are still rank one."""
     g, size, planted = case
-    adj = g.adj
     with tiled(tile):
-        tiles_ = graphs_module._factored_tiles(adj, size, np.count_nonzero(adj, axis=1))
+        tiles_ = graphs_module._factored_tiles(g, size, g.degrees())
         assert tiles_ is not None or not planted
         if tiles_ is not None:
-            assert np.array_equal(recorded_counts(adj, tiles_), dense_counts(adj))
+            assert np.array_equal(recorded_counts(g, tiles_), dense_counts(g.adj))
 
 
 @settings(max_examples=150, deadline=None)
@@ -343,7 +378,7 @@ def test_srg_check_with_groups_matches_dense_and_reference(case, tile):
     g, size, planted = case
     with tiled(tile):
         got = srg_check(g, group=size)
-        assert outcome(got) == outcome(srg_check(g)) == reference_srg(g)
+        assert outcome(got) == outcome(srg_check(g)) == reference_srg(g.adj)
     if planted and got.counting is not None:
         assert got.counting == "factored"
 
@@ -363,10 +398,10 @@ def test_sign_graphs_are_counted_from_their_block_factors(pipeline):
                             (10**12, "dense"), (None, "dense")):
         cert = srg_check(g, group=group)
         assert (outcome(cert), cert.counting) == (want, counting)
-    deg = np.count_nonzero(g.adj, axis=1)
-    factored = recorded_counts(g.adj, graphs_module._factored_tiles(g.adj, 8, deg))
+    deg = g.degrees()
+    factored = recorded_counts(g, graphs_module._factored_tiles(g, 8, deg))
     assert np.array_equal(factored, dense_counts(g.adj))
-    assert np.array_equal(recorded_counts(g.adj), factored)
+    assert np.array_equal(recorded_counts(g), factored)
 
 
 @pytest.mark.parametrize("tile, blocks", [(1, 17), (7, 17), (16, 17), (64, 3),
@@ -378,11 +413,11 @@ def test_factored_counts_do_not_depend_on_the_chunks_of_groups(tile, blocks):
     groups and builds UU 3 groups at a time; 256 takes one block and UU in
     chunks of 15 groups.  Every count equals A·A at each size."""
     g = gs_pipeline(8)[-1].graph
-    deg = np.count_nonzero(g.adj, axis=1)
+    deg = g.degrees()
     with tiled(tile):
-        _, first = next(graphs_module._factored_tiles(g.adj, 8, deg))
+        _, first = next(graphs_module._factored_tiles(g, 8, deg))
         assert len(list(first)) == blocks
-        factored = recorded_counts(g.adj, graphs_module._factored_tiles(g.adj, 8, deg))
+        factored = recorded_counts(g, graphs_module._factored_tiles(g, 8, deg))
     assert np.array_equal(factored, dense_counts(g.adj))
 
 
@@ -409,7 +444,7 @@ def fibered_graphs(draw):
 def test_drackn_check_matches_reference_on_random_covers(case, tile):
     g, r = case
     with tiled(tile):
-        assert outcome(drackn_check(g, r)) == reference_drackn(g, r)
+        assert outcome(drackn_check(g, r)) == reference_drackn(g.adj, r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -419,7 +454,7 @@ def test_drackn_check_matches_reference_on_flipped_cover(seed, tile):
     u, v = random.Random(seed).sample(range(cov.graph.order), 2)
     g = flipped(cov.graph, u, v)
     with tiled(tile):
-        assert outcome(drackn_check(g, 2)) == reference_drackn(g, 2)
+        assert outcome(drackn_check(g, 2)) == reference_drackn(g.adj, 2)
 
 
 @pytest.mark.parametrize("tile", [1, 3, 7, scalar_module._TILE])
@@ -462,10 +497,10 @@ def planted_lifts(draw):
 def quotient_counting(g, group):
     """The product drackn_check must name for a p = 2 cover: the factors when
     a group size is given and the quotient's blocks are rank one."""
-    q = g.adj[0::2, 1::2]
+    q = Graph(g.adj[0::2, 1::2])
     if group is None:
         return "dense"
-    tiles_ = graphs_module._factored_tiles(q, group, np.count_nonzero(q, axis=1))
+    tiles_ = graphs_module._factored_tiles(q, group, q.degrees())
     return "dense" if tiles_ is None else "factored"
 
 
@@ -477,7 +512,7 @@ def test_drackn_check_counts_planted_lifts_on_their_quotient(g, tile, group):
     with tiled(tile):
         cert = drackn_check(g, 2, group)
         assert cert.counting == quotient_counting(g, group)
-    assert outcome(cert) == reference_drackn(g, 2)
+    assert outcome(cert) == reference_drackn(g.adj, 2)
 
 
 @pytest.mark.parametrize("tile", [1, 3, 7, scalar_module._TILE])
@@ -497,7 +532,7 @@ def test_drackn_check_counts_lifted_flips_of_the_h4_cover_by_its_factors(tile):
         with tiled(tile):
             cert = drackn_check(g, 2, group)
         assert cert.counting == quotient_counting(g, group)
-        assert outcome(cert) == reference_drackn(g, 2) and not cert.ok
+        assert outcome(cert) == reference_drackn(g.adj, 2) and not cert.ok
 
 
 @pytest.mark.parametrize("tile", [1, 7, scalar_module._TILE])
@@ -512,7 +547,7 @@ def test_a_single_flipped_edge_is_named_before_any_count(tile):
         g = flipped(cov.graph, u, v)
         with tiled(tile):
             cert = drackn_check(g, 2, group)
-        assert outcome(cert) == reference_drackn(g, 2)
+        assert outcome(cert) == reference_drackn(g.adj, 2)
         assert cert.counting is None and not cert.ok
 
 
@@ -626,8 +661,13 @@ def test_srg_complement_params():
         complement_params(SRGParams(4, 3, 2, None))
 
 
+def unread_graph(n):
+    """A graph on n vertices whose bits are a broadcast view: no memory."""
+    return Graph._packed(np.broadcast_to(np.uint8(0), (n, -(-n // 8))), n)
+
+
 def test_count_guard_raises_past_float32_exact_range():
-    huge = np.broadcast_to(np.False_, (2**24 + 2, 2**24 + 2))  # a view, no memory
+    huge = unread_graph(2**24 + 2)
     with pytest.raises(ValueError, match="not exact"):
         scalar_module._first_marked(graphs_module._dense_tiles(huge), None)
 
@@ -635,7 +675,7 @@ def test_count_guard_raises_past_float32_exact_range():
 def test_factored_count_guard_raises_past_float32_exact_range():
     """The factored counts' partial sums reach 4N: refused past 2^24 / 4
     vertices, before anything is read or allocated."""
-    huge = np.broadcast_to(np.False_, (2**22 + 1, 2**22 + 1))  # a view, no memory
+    huge = unread_graph(2**22 + 1)
     with pytest.raises(ValueError, match=r"^4194305 vertices: float32 factored "
                                          r"common-neighbor counts not exact$"):
         graphs_module._factored_tiles(huge, 2**11, None)
@@ -766,7 +806,7 @@ def test_drackn_check_rejects_fiber_size_one():
                           (empty, 2, "empty graph")):
         cert = drackn_check(g, r)
         assert not cert.ok and cert.witness == message
-        assert outcome(cert) == reference_drackn(g, r)
+        assert outcome(cert) == reference_drackn(g.adj, r)
     assert srg_check(empty).witness == "empty graph"
 
 
@@ -794,9 +834,9 @@ def test_row_zero_references_match_the_reference_counters(case, tile):
     g, r = ROW_ZERO_CASES[case]()
     with tiled(tile):
         if r is None:
-            assert outcome(srg_check(g)) == reference_srg(g)
+            assert outcome(srg_check(g)) == reference_srg(g.adj)
         else:
-            assert outcome(drackn_check(g, r)) == reference_drackn(g, r)
+            assert outcome(drackn_check(g, r)) == reference_drackn(g.adj, r)
 
 
 def test_drackn_cover_refuses_its_adjacency_past_the_array_limit(monkeypatch):
@@ -923,18 +963,6 @@ def test_streamed_graph6_matches_mask_writer(tmp_path_factory, g, tile):
     assert np.array_equal(loaded.adj, g.adj) and fibers is None
 
 
-def reference_graph6_bytes(g):
-    """graph6 by its definition, one bit at a time: the upper triangle
-    column by column, six bits per byte, high bit first, offset by 63."""
-    n = g.order
-    head = [n + 63] if n <= 62 else [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    bits = [bool(g.adj[i, j]) for j in range(n) for i in range(j)]
-    bits += [False] * (-len(bits) % 6)
-    body = [63 + sum(b << (5 - t) for t, b in enumerate(bits[c:c + 6]))
-            for c in range(0, len(bits), 6)]
-    return bytes(head + body)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.integers(0, 12), st.integers(58, 68)), st.integers(0, 2**32),
        st.sampled_from([1, 3, 7]))
@@ -947,7 +975,7 @@ def test_graph6_bytes_match_a_pure_python_encoder(tmp_path_factory, n, seed, til
     path = tmp_path_factory.mktemp("g6") / "g.g6"
     with tiled(tile):
         export_graph(path, g)
-    assert path.read_bytes() == reference_graph6_bytes(g) + b"\n"
+    assert path.read_bytes() == reference_graph6_bytes(g.adj) + b"\n"
 
 
 def test_graph6_k3(tmp_path):
@@ -1142,17 +1170,19 @@ def verified_gs_frame():
 
 
 def test_graph_validation_holds_a_few_tile_blocks_beside_the_adjacency():
-    """Graph(adj) on a symmetric 2080-vertex adjacency adopts it and checks
-    symmetry block by block into one _TILE x _TILE mark buffer: the traced
-    peak stays within four _TILE^2 bytes (256 KiB), below one _TILE x N
-    strip of marks (520 KiB)."""
+    """Graph(adj) on a symmetric 2080-vertex adjacency packs it, N^2/8
+    bytes, and checks symmetry block by block, two bool blocks and their
+    marks at a time: the traced peak is the bits plus at most six _TILE^2
+    bytes (measured 0.28 MB of them; a _TILE x N strip of marks is 0.52 MB),
+    and the caller's array is left as it was."""
     n, tile = 2080, scalar_module._TILE
     adj = np.random.default_rng(0).random((n, n)) < 0.5
     adj = np.triu(adj, 1)
     adj |= adj.T
+    before = adj.copy()
     g, peak = traced_peak(lambda: Graph(adj))
-    assert g.adj is adj
-    assert peak <= 4 * tile * tile, peak
+    assert g.bits.nbytes == n * n // 8 and np.array_equal(adj, before) and adj.flags.writeable
+    assert peak <= n * n / 8 + 6 * tile * tile, peak
 
 
 def test_flat_functional_reads_only_its_support_rows():
@@ -1219,6 +1249,50 @@ def test_drackn_cover_holds_at_most_two_bytes_per_pair():
     assert peak <= 2 * n * n, peak / (n * n)
 
 
+def test_drackn_cover_adds_at_most_two_bits_per_pair_to_its_gram_pass(monkeypatch):
+    """The h=16, p=2 cover on N p = 1056 vertices: beside the Gram pass's
+    own traced peak it adds at most (N p)^2 / 4 bytes, two bits per pair,
+    and two (_TILE p)^2 blocks of the sink's cover edges (measured 0.36 MB
+    in all; the phase matrix and byte adjacency the cover was made from
+    added 1.4 MB).  When drackn_check starts the cover is held as its bits,
+    (N p)^2 / 8 bytes, and at most _TILE N p bytes beside them."""
+    frame = build_tremain(h=16)
+    _, pass_peak = traced_peak(lambda: verify_etf(frame))
+    current, real_check = [], graphs_module.drackn_check
+
+    def check(g, r, group=None):
+        current.append(tracemalloc.get_traced_memory()[0])
+        return real_check(g, r, group)
+
+    monkeypatch.setattr(graphs_module, "drackn_check", check)
+    cov, peak = traced_peak(lambda: drackn_cover(frame, 2))
+    size, block = cov.graph.order, 2 * scalar_module._TILE
+    assert cov.params == (528, 2, 256) and cov.counting == "factored"
+    assert peak <= pass_peak + size * size / 4 + 2 * block * block, (peak - pass_peak, size)
+    assert current[0] <= size * size / 8 + scalar_module._TILE * size, (current, size)
+
+
+def test_no_package_path_reads_the_whole_matrix(tmp_path, monkeypatch):
+    """With Graph.adj, the whole dense matrix, failing when read, every path
+    runs from tiles of the bits: the three builders through the CLI at p = 2
+    and p = 5, counting, both writers and both loaders."""
+    def whole(self):
+        raise AssertionError("the whole adjacency was read")
+
+    monkeypatch.setattr(Graph, "adj", property(whole))
+    from equiframes.cli import main
+
+    for argv in (["derive", "srg", "gs", "--h", "8"], ["derive", "srg", "waldron", "--h", "8"],
+                 ["derive", "drackn", "--h", "4", "--p", "2"],
+                 ["derive", "drackn", "--h", "5", "--p", "5"]):
+        assert main(["--out", str(tmp_path), *argv]) == 0, argv
+    g, _ = load_graph(tmp_path / "srg_gs_h8.g6")
+    assert srg_check(g, 8).ok
+    for name, r in (("drackn_h4_p2.edges", 2), ("drackn_h5_p5.edges", 5)):
+        cover, fibers = load_graph(tmp_path / name)
+        assert fibers == r and drackn_check(cover, r).ok
+
+
 def test_edge_list_writer_formats_a_bounded_number_of_edges_at_once(tmp_path):
     """The h=16, p=2 cover (1056 vertices, 278256 edges): the writer takes
     each row tile in runs of rows with at most _WRITE_LINES edges, so beside
@@ -1243,8 +1317,9 @@ def test_graph_builders_leave_the_frame_as_it_was():
 
 def test_srg_counting_holds_the_adjacency_but_not_the_phases(monkeypatch):
     """When srg_check starts inside gs_srg at h=20 (N = 820), the memory
-    traced since the frame was built is at most 1.5 N^2: the adjacency,
-    one byte per pair, and no N x N phase matrix beside it (2 N^2)."""
+    traced since the frame was built is at most N^2/8 + _TILE N: the
+    adjacency, one bit per pair, and no N x N phase matrix (N^2 bytes)
+    beside it.  Measured 2.5 KB past the bits."""
     frame = build_tremain(h=20, parallel=True, real=True)
     n = frame.count
     current = []
@@ -1257,52 +1332,70 @@ def test_srg_counting_holds_the_adjacency_but_not_the_phases(monkeypatch):
     monkeypatch.setattr(graphs_module, "srg_check", check)
     res, _ = traced_peak(lambda: gs_srg(frame))
     assert res.params == srg_params_gs(frame.dim, n)
-    assert len(current) == 1 and current[0] <= 1.5 * n * n, (current, n * n)
+    assert len(current) == 1 and current[0] <= n * n / 8 + scalar_module._TILE * n, (current, n)
 
 
 @pytest.mark.parametrize("builder", ["gs", "waldron"])
-def test_sign_graphs_take_over_the_phase_buffer(monkeypatch, builder):
-    """The sign graph's adjacency is made in the phase matrix's own memory,
-    so the pipeline holds one N x N byte array, not two."""
+def test_sign_graphs_hold_the_bits_their_pass_wrote(monkeypatch, builder):
+    """The sign graph holds the packed rows the Gram pass's sink filled, one
+    (k, ceil(k/8)) uint8 array, without a copy: it owns its memory and is
+    read-only."""
     frame = _parallel_frame(8)
     captured = []
-    real = graphs_module._certified_phases
+    real = graphs_module._phase_graph
 
-    def capture(frame, p):
-        rep, phase, step = real(frame, p)
-        captured.append(phase)
-        return rep, phase, step
+    def capture(*args):
+        rep, bits = real(*args)
+        captured.append(bits)
+        return rep, bits
 
-    monkeypatch.setattr(graphs_module, "_certified_phases", capture)
+    monkeypatch.setattr(graphs_module, "_phase_graph", capture)
     res = gs_srg(frame) if builder == "gs" else waldron_srg(frame)
-    (phase,) = captured
-    assert np.shares_memory(res.graph.adj, phase)
-    assert res.graph.adj.flags.owndata and not res.graph.adj.flags.writeable
+    (bits,) = captured
+    k = res.graph.order
+    assert res.graph.bits is bits and bits.dtype == np.uint8 and bits.shape == (k, -(-k // 8))
+    assert bits.flags.owndata and not bits.flags.writeable
 
 
 @pytest.mark.parametrize("dtype, step", [(np.int8, 1), (np.int8, 4), (np.int16, 200)])
 @pytest.mark.parametrize("cut", [0, 1])
 @pytest.mark.parametrize("switched", [False, True])
 @pytest.mark.parametrize("tile", [1, 3, 7, scalar_module._TILE])
-def test_sign_adjacency_is_made_in_the_phase_buffer(dtype, step, cut, switched, tile):
-    """int8 and int16 phases of signs (0 or step), k = N and k = N - 1, with
-    and without a switching vector: the result is phase[:k, :k] == 0
-    (switched) with a cleared diagonal, made in the phase array itself,
-    which still owns its memory."""
+def test_sign_adjacency_is_made_in_the_phase_buffer(monkeypatch, dtype, step, cut, switched,
+                                                    tile):
+    """The sign adjacency is made from each buffer of phases the Gram pass
+    hands over, block by block in its order, straight into bits: int8 and
+    int16 phases of signs (0 or step), of a sign matrix switched or not, on
+    k = N vectors, or on k = N - 1 switched against the last.  The bits are
+    phase[:k, :k] == 0 (switched) with a clear diagonal; Waldron's switching
+    gives the same graph whatever the sign matrix was switched by."""
     rng = np.random.default_rng(step + cut)
     n = 20
-    phase = (step * rng.integers(0, 2, (n, n))).astype(dtype)
-    phase.flags.writeable = False  # as the Gram pass returns it
+    signs = np.triu(rng.integers(0, 2, (n, n)), 1)
+    signs |= signs.T  # 1 where the Gram value is negative
+    eps = rng.integers(0, 2, n) if switched else np.zeros(n, dtype=int)
+    seen = signs ^ eps[:, None] ^ eps  # the signs switched by eps
+    np.fill_diagonal(seen, 0)
+    phase = (step * seen).astype(dtype)
     k = n - cut
-    flip = rng.random(k) < 0.5 if switched else None
-    want = phase[:k, :k] == 0
-    if switched:
+
+    def sink_pass(frame, *, phases):  # the Gram pass's blocks, in its order
+        for rows, blocks in scalar_module._square_tiles(phase):
+            for cols, block in blocks:
+                phases(block.copy(), rows, cols)
+        return mock.Mock(is_etf=True)
+
+    monkeypatch.setattr(graphs_module, "verify_etf", sink_pass)
+    with tiled(tile):
+        _, bits = graphs_module._phase_graph(SimpleNamespace(count=n, order=2 * step), 2, 1, k)
+    base = signs if cut else seen  # switching against vector k undoes any switching
+    want = base[:k, :k] == 0
+    if cut:
+        flip = base[:k, k] != 0
         want ^= flip[:, None] ^ flip
     np.fill_diagonal(want, False)
-    with tiled(tile):
-        got = graphs_module._sign_adjacency(phase, k, flip)
-    assert got is phase and got.dtype == bool and got.shape == (k, k) and got.flags.owndata
-    assert np.array_equal(got, want)
+    assert bits.dtype == np.uint8 and bits.shape == (k, -(-k // 8))
+    assert np.array_equal(np.unpackbits(bits, axis=1, count=k).astype(bool), want)
 
 
 @pytest.mark.parametrize("pipeline", [gs_pipeline, waldron_pipeline])
@@ -1317,17 +1410,17 @@ def test_positive_adjacent_graph_is_the_complement_validated_once(monkeypatch, p
         flip = negative[:-1, -1]
         negative = negative[:-1, :-1] ^ flip[:, None] ^ flip
     validated, counted = [], []
-    real_init, real_check = Graph.__post_init__, graphs_module.srg_check
+    real_init, real_check = Graph._check, graphs_module.srg_check
 
     def validating(self):
-        validated.append(self.adj.shape)
+        validated.append((self.order, self.order))
         real_init(self)
 
     def counting(g, group=None):
         counted.append(g.order)
         return real_check(g, group)
 
-    monkeypatch.setattr(Graph, "__post_init__", validating)
+    monkeypatch.setattr(Graph, "_check", validating)
     monkeypatch.setattr(graphs_module, "srg_check", counting)
     res = gs_srg(frame) if pipeline is gs_pipeline else waldron_srg(frame)
     monkeypatch.undo()
