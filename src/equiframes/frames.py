@@ -575,11 +575,10 @@ def verify_etf(frame: FrameMatrix, *, phases=False) -> ETFReport | tuple[ETFRepo
     """
     n, m2 = frame.count, lcm(2, frame.order)
     welch_bound(frame.dim, n)  # reject degenerate shapes before any array work
-    dtype = _phase_dtype(frame.order)
-    _refuse_array((n, n), "Gram phase matrix", np.dtype(dtype).itemsize)
+    _refuse_array((n, n), "Gram phase matrix", np.dtype(_phase_dtype(frame.order)).itemsize)
     if phases is not True:
         return _gram_pass(frame, phases or None)
-    phase = np.empty((n, n), dtype=dtype)
+    phase = np.empty((n, n), dtype=_phase_dtype(frame.order))
 
     def fill(block, rows, cols):
         phase[rows, cols] = block

@@ -18,8 +18,7 @@ complete graph need fiber matchings, read off A·F for the fiber
 indicator F, and a constant count over non-adjacent pairs in distinct
 fibers, fiber f being the r consecutive vertices f*r .. f*r + r - 1; a
 p = 2 cover is the Z_2 lift of an N-vertex quotient (Godsil and Hensel
-1992), counted by either product.  Each certifier reads the counts it
-expects off row 0; the closed forms are read only by _certify.
+1992), counted by either product.  Only _certify reads the closed forms.
 """
 from __future__ import annotations
 
@@ -120,6 +119,9 @@ class Graph:
 
     def __len__(self) -> int:
         return self.order
+
+    def __reduce__(self):  # pickled and copied as its packed rows
+        return Graph._packed, (self.bits, self.order)
 
     def __getitem__(self, key) -> np.ndarray:
         """The bool tile g[rows] (every column) or g[rows, cols]; ``cols`` steps by 1."""
@@ -391,11 +393,11 @@ def srg_params_gs(m: int, n: int) -> SRGParams:
 
 def _phase_graph(frame: FrameMatrix, p: int, r: int, k: int) -> tuple[ETFReport, np.ndarray]:
     """(report, bits) of a certified ETF whose Gram(i, j), i != j, is a positive
-    multiple of zeta_p^e: each block of phases f = e m'/p (m' = lcm(2, m))
-    is checked, the first failing pair i < j named after the ETF verdict,
-    and written with its transpose into the packed rows of the graph on
-    vertices (i, a) = i r + a, i < k (fibers of r: 1 or p), with (i, a) ~
-    (j, b) iff e(i, j) = b - a mod r; at k = N - 1 switched against vector k."""
+    multiple of zeta_p^e: each block of phases f = e m'/p (m' = lcm(2, m)) is
+    checked (the first failing pair i < j raised after the ETF verdict) and
+    written with its transpose into the packed rows of the graph on vertices
+    (i, a) = i r + a, i < k, fibers of r (1 or p), (i, a) ~ (j, b) iff e(i, j)
+    = b - a mod r; at k = N - 1 switched against vector k (Waldron)."""
     n, m2 = frame.count, lcm(2, frame.order)
     step = m2 // p if m2 % p == 0 else None
     b_minus_a = (np.arange(r) - np.arange(r)[:, None]) % r

@@ -1,7 +1,9 @@
 """Graph kernels: SRG/DRACKN certification, parameter formulas, graph I/O."""
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 import tracemalloc
 from functools import lru_cache
@@ -97,9 +99,9 @@ def test_graph_adjacency_is_read_only():
 def test_graph_packs_a_dense_array_and_leaves_it_as_it_was():
     """Graph(adj) packs a dense adjacency into read-only bits, np.packbits
     rows, and leaves the caller's array (a view, another dtype, a rejected
-    one) as it was; from_adjacency given the order holds owning packed rows
-    without a copy, after the checks a dense array gets, and a rejected
-    one stays writeable."""
+    one) as it was; a graph pickles and copies as its bits; from_adjacency
+    given the order holds owning packed rows without a copy, after the
+    checks a dense array gets, and a rejected one stays writeable."""
     adj = petersen().adj.copy()
     before = adj.copy()
     g = Graph(adj)
@@ -114,6 +116,9 @@ def test_graph_packs_a_dense_array_and_leaves_it_as_it_was():
     with pytest.raises(ValueError, match="loop at vertex 0"):
         Graph(bad)
     assert bad.flags.writeable
+    again = pickle.loads(pickle.dumps(g))
+    assert np.array_equal(again.bits, g.bits) and again.order == 10
+    assert not again.bits.flags.writeable and copy.copy(g).bits is g.bits
     bits = np.packbits(adj, axis=1)
     assert Graph.from_adjacency(bits, 10).bits is bits and not bits.flags.writeable
     for edit, message in ((lambda b: b.__setitem__((3, 1), 0x20), r"bits set past vertex 9"),
@@ -1252,10 +1257,10 @@ def test_drackn_cover_holds_at_most_two_bytes_per_pair():
 def test_drackn_cover_adds_at_most_two_bits_per_pair_to_its_gram_pass(monkeypatch):
     """The h=16, p=2 cover on N p = 1056 vertices: beside the Gram pass's
     own traced peak it adds at most (N p)^2 / 4 bytes, two bits per pair,
-    and two (_TILE p)^2 blocks of the sink's cover edges (measured 0.36 MB
-    in all; the phase matrix and byte adjacency the cover was made from
-    added 1.4 MB).  When drackn_check starts the cover is held as its bits,
-    (N p)^2 / 8 bytes, and at most _TILE N p bytes beside them."""
+    and two (_TILE p)^2 blocks of the sink's cover edges (measured 0.30
+    MB).  When drackn_check starts the cover is held as its bits, (N p)^2
+    / 8 bytes, and at most _TILE N p bytes beside them: 0.14 MB of 0.41
+    (a byte adjacency is 1.1 MB)."""
     frame = build_tremain(h=16)
     _, pass_peak = traced_peak(lambda: verify_etf(frame))
     current, real_check = [], graphs_module.drackn_check
