@@ -91,9 +91,9 @@ MAX_ROOT_ORDER = 1024
 # 256 at h = 128; an order-4096 int64 exponent table is already 128 MB.
 MAX_HADAMARD_ORDER = 4096
 
-# Largest array a builder, the Gram pass or a loader allocates, refused before
-# it is: an N x N phase matrix or adjacency (one byte per entry, so N <= 46340;
-# two for phases past m' = 127) or a frame's phi(m) x M x N planes.
+# Largest array a builder or a loader may make, refused before any is made: a
+# frame's phi(m) x M x N planes, or an N x N phase matrix or adjacency counted
+# at a byte per entry (N <= 46340; two for phases past m' = 127), held as bits.
 _ARRAY_LIMIT_BYTES = 2**31
 
 
